@@ -10,6 +10,7 @@ identity on bytes.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import (ChecksumError, ConfigError, CorruptionError, FormatError,
                      VersionError)
-from .model import Model, ModelConfig, build_model, count_params
+from .model import Model, ModelConfig, build_model, count_params, param_entries
 from .tensor import Tensor
 
 MAGIC = b"SASM"
@@ -58,6 +59,14 @@ def write_keypoints(path, seq: np.ndarray, fps: float = 50.0,
     _atomic_write(path, (json.dumps(doc, indent=1) + "\n").encode("utf-8"))
 
 
+def _float32_array(value, field: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=np.float32)
+    except (ValueError, TypeError) as exc:
+        raise FormatError(
+            f"field '{field}' is not a rectangular array of numbers: {exc}") from exc
+
+
 def read_keypoints(path) -> np.ndarray:
     """Read a keypoint JSON file back as a float32 (T, V, dims) array."""
     with open(path, "rb") as fh:
@@ -77,17 +86,13 @@ def read_keypoints(path) -> np.ndarray:
     if not isinstance(frames, list) or not frames:
         raise FormatError("field 'frames' must be a nonempty array")
     v = doc.get("num_joints")
-    for t, frame in enumerate(frames):
-        if not isinstance(frame, list) or len(frame) != v:
-            raise FormatError(f"field 'frames': frame {t} does not have {v} joints")
-        for joint in frame:
-            if not isinstance(joint, list) or len(joint) != dims:
-                raise FormatError(f"field 'frames': ragged joint entry in frame {t}")
-    arr = np.asarray(frames, dtype=np.float32)
+    arr = _float32_array(frames, "frames")
+    if arr.shape[1:] != (v, dims):
+        raise FormatError(f"field 'frames' must be (T, {v}, {dims}), got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("field 'frames' contains non-finite values")
     if "confidence" in doc:
-        conf = np.asarray(doc["confidence"], dtype=np.float32)
+        conf = _float32_array(doc["confidence"], "confidence")
         if conf.shape != arr.shape[:2]:
             raise FormatError("field 'confidence' shape does not match frames")
     return arr
@@ -96,14 +101,20 @@ def read_keypoints(path) -> np.ndarray:
 # --- checkpoints -------------------------------------------------------------
 
 
-def _manifest_bytes(cfg: ModelConfig, tensors: list[tuple[str, Tensor]],
-                    checksum: int) -> bytes:
+def _tensor_layout(shapes) -> list[dict]:
+    """Manifest entries for (name, shape) pairs packed back to back as f32."""
     entries = []
     offset = 0
-    for name, t in tensors:
-        entries.append({"name": name, "shape": list(t.shape), "offset": offset})
-        offset += t.size * 4
-    manifest = {"config": cfg.to_dict(), "checksum": checksum, "tensors": entries}
+    for name, shape in shapes:
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += math.prod(shape) * 4
+    return entries
+
+
+def _manifest_bytes(cfg: ModelConfig, tensors: list[tuple[str, Tensor]],
+                    checksum: int) -> bytes:
+    manifest = {"config": cfg.to_dict(), "checksum": checksum,
+                "tensors": _tensor_layout((name, t.shape) for name, t in tensors)}
     return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -140,10 +151,13 @@ def load_ckpt(path) -> Model:
     except (KeyError, TypeError, ConfigError) as exc:
         raise CorruptionError(f"manifest incomplete or inconsistent: {exc}") from exc
 
-    total, breakdown = count_params(cfg)
-    if len(entries) != len(breakdown):
-        raise CorruptionError(
-            f"manifest lists {len(entries)} tensors, config requires {len(breakdown)}")
+    # the payload is read by the config's own layout, so a manifest that
+    # disagrees with it in any name, shape or offset is rejected up front
+    layout = _tensor_layout((name, shape) for name, shape, _ in param_entries(cfg))
+    if entries != layout:
+        raise CorruptionError("manifest tensor names, shapes or offsets do not match "
+                              "the layout the config requires")
+    total, _ = count_params(cfg)
     payload = blob[12 + mlen:]
     if len(payload) != total * 4:
         raise CorruptionError(
@@ -152,11 +166,10 @@ def load_ckpt(path) -> Model:
         raise ChecksumError("stored payload checksum does not match payload bytes")
 
     params: dict[str, Tensor] = {}
-    for entry in entries:
+    for entry in layout:
         shape = tuple(entry["shape"])
-        size = int(np.prod(shape))
-        start = entry["offset"]
-        arr = np.frombuffer(payload, dtype="<f4", count=size, offset=start)
+        arr = np.frombuffer(payload, dtype="<f4", count=math.prod(shape),
+                            offset=entry["offset"])
         params[entry["name"]] = Tensor(arr.reshape(shape).astype(np.float32))
     try:
         return build_model(cfg, params)

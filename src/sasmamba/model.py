@@ -75,8 +75,6 @@ class ModelConfig:
     def stride_config(self) -> StrideConfig:
         if len(self.strides) == 3:
             cfg = StrideConfig(strides=self.strides)
-        elif len(self.strides) == 1:
-            cfg = StrideConfig(strides=self.strides, fractions=(1.0,))
         else:
             n = len(self.strides)
             cfg = StrideConfig(strides=self.strides, fractions=(1.0 / n,) * n)
@@ -91,11 +89,24 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
+        """Build from a JSON object; each value must have its default's JSON type."""
+        if not isinstance(d, dict):
+            raise ConfigError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         extra = set(d) - known
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
+        mistyped = sorted(k for k, v in d.items()
+                          if not _same_json_type(v, getattr(cls, k)))
+        if mistyped:
+            raise ConfigError(f"config fields of the wrong type: {mistyped}")
         return cls(**d)
+
+
+def _same_json_type(value, default) -> bool:
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(type(v) is type(default[0]) for v in value)
+    return type(value) is type(default)
 
 
 @dataclass

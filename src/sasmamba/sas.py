@@ -16,8 +16,8 @@ from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      Tensor, add, bilinear_gather, depthwise_conv3x3,
                      grid_conv3x3, linear, make_op, mul, register_op, reshape,
-                     reverse0, silu, slice_last, concat_last, tensor,
-                     transpose01)
+                     reverse0, scatter_rows, silu, slice_last, concat_last,
+                     tensor, transpose01)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -182,15 +182,16 @@ def stride_sample(x: Tensor, s: int) -> Tensor:
     preceding valid joint: y(t, v) = x(t, floor(v/s)*s)."""
     if s < 1:
         raise DomainError(f"stride must be >= 1, got {s}")
-    v_n = x.shape[1]
+    t_n, v_n, c = x.shape
     idx = (np.arange(v_n) // s) * s
     out = x.data[:, idx]
 
     def backward(g):
         if x.requires_grad:
-            dx = np.zeros_like(x.data)
-            np.add.at(dx, (slice(None), idx), g)
-            x.accumulate_grad(dx)
+            rows = (np.arange(t_n)[:, None] * v_n + idx).ravel()
+            dx = np.zeros((t_n * v_n, c), dtype=x.dtype)
+            scatter_rows(dx, rows, g.reshape(-1, c))
+            x.accumulate_grad(dx.reshape(x.shape))
 
     return make_op(out, (x,), backward)
 

@@ -87,9 +87,6 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this value into every reachable leaf.
 
@@ -489,10 +486,6 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     return make_op(out, (x, p.gamma, p.beta), backward)
 
 
-def _clamp_idx(idx: np.ndarray, n: int) -> np.ndarray:
-    return np.clip(idx, 0, n - 1)
-
-
 def scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     """Accumulate vals[m] into dst[rows[m]] for a (R, C) destination.
 
@@ -505,6 +498,17 @@ def scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     dst += acc.reshape(r, c).astype(dst.dtype)
 
 
+def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
+    """Flat (t, v) rows of each position's clamp-to-edge 3x3 neighbourhood.
+
+    Shape (T*V, 9); column ``3*i + j`` holds offset ``(i-1, j-1)``, the order
+    of a 3x3 weight's trailing axes flattened.
+    """
+    ti = np.clip(np.arange(t_n)[:, None] + np.arange(-1, 2), 0, t_n - 1)
+    vi = np.clip(np.arange(v_n)[:, None] + np.arange(-1, 2), 0, v_n - 1)
+    return (ti[:, None, :, None] * v_n + vi[None, :, None, :]).reshape(t_n * v_n, 9)
+
+
 def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     """3x3 convolution over the leading (T, V) grid with clamp-to-edge padding."""
     t_n, v_n, c_in = x.shape
@@ -514,38 +518,27 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
             f"grid_conv3x3: input channels {c_in} != weight in-channels {w.shape[1]}")
     _validate_finite("grid_conv3x3.x", x.data)
     c_out = w.shape[0]
-    out = np.zeros((t_n, v_n, c_out), dtype=x.dtype)
-    taps = []
-    for i, dt in enumerate((-1, 0, 1)):
-        ti = _clamp_idx(np.arange(t_n) + dt, t_n)
-        for j, dv in enumerate((-1, 0, 1)):
-            vi = _clamp_idx(np.arange(v_n) + dv, v_n)
-            xs = x.data[ti][:, vi]
-            out += xs @ w.data[:, :, i, j].T
-            taps.append((i, j, ti, vi, xs))
+    rows = _neighbor_rows(t_n, v_n)
+    xs = x.data.reshape(-1, c_in)[rows].reshape(-1, 9 * c_in)    # (T*V, 9*C_in)
+    w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
+    out = xs @ w_mat.T
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
+        g2 = g.reshape(-1, c_out)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 1)))
-        dw = np.zeros_like(w.data) if w.requires_grad else None
-        rows, vals = [], []
-        for i, j, ti, vi, xs in taps:
-            if dw is not None:
-                dw[:, :, i, j] = g.reshape(-1, c_out).T @ xs.reshape(-1, c_in)
-            if x.requires_grad:
-                rows.append((ti[:, None] * v_n + vi[None, :]).ravel())
-                vals.append((g @ w.data[:, :, i, j]).reshape(-1, c_in))
-        if dw is not None:
-            w.accumulate_grad(dw)
+            b.accumulate_grad(g2.sum(axis=0))
+        if w.requires_grad:
+            dw = (g2.T @ xs).reshape(c_out, 3, 3, c_in)
+            w.accumulate_grad(dw.transpose(0, 3, 1, 2))
         if x.requires_grad:
             dx = np.zeros((t_n * v_n, c_in), dtype=x.dtype)
-            scatter_rows(dx, np.concatenate(rows), np.concatenate(vals))
+            scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
             x.accumulate_grad(dx.reshape(x.shape))
 
-    return make_op(out, parents, backward)
+    return make_op(out.reshape(t_n, v_n, c_out), parents, backward)
 
 
 def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
@@ -556,38 +549,26 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
         raise DimensionError(
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
     _validate_finite("depthwise_conv3x3.x", x.data)
-    out = np.zeros_like(x.data)
-    taps = []
-    for i, dt in enumerate((-1, 0, 1)):
-        ti = _clamp_idx(np.arange(t_n) + dt, t_n)
-        for j, dv in enumerate((-1, 0, 1)):
-            vi = _clamp_idx(np.arange(v_n) + dv, v_n)
-            xs = x.data[ti][:, vi]
-            out += xs * w.data[:, i, j]
-            taps.append((i, j, ti, vi, xs))
+    rows = _neighbor_rows(t_n, v_n)
+    xs = x.data.reshape(-1, c)[rows]                              # (T*V, 9, C)
+    w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
+    out = np.einsum("pkc,kc->pc", xs, w_mat)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
 
     def backward(g):
+        g2 = g.reshape(-1, c)
         if b is not None and b.requires_grad:
-            b.accumulate_grad(g.sum(axis=(0, 1)))
-        dw = np.zeros_like(w.data) if w.requires_grad else None
-        rows, vals = [], []
-        for i, j, ti, vi, xs in taps:
-            if dw is not None:
-                dw[:, i, j] = (g * xs).sum(axis=(0, 1))
-            if x.requires_grad:
-                rows.append((ti[:, None] * v_n + vi[None, :]).ravel())
-                vals.append((g * w.data[:, i, j]).reshape(-1, c))
-        if dw is not None:
-            w.accumulate_grad(dw)
+            b.accumulate_grad(g2.sum(axis=0))
+        if w.requires_grad:
+            w.accumulate_grad(np.einsum("pc,pkc->ck", g2, xs).reshape(c, 3, 3))
         if x.requires_grad:
             dx = np.zeros((t_n * v_n, c), dtype=x.dtype)
-            scatter_rows(dx, np.concatenate(rows), np.concatenate(vals))
+            scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
             x.accumulate_grad(dx.reshape(x.shape))
 
-    return make_op(out, parents, backward)
+    return make_op(out.reshape(x.shape), parents, backward)
 
 
 # --- bilinear sampling ------------------------------------------------------
@@ -683,32 +664,9 @@ def finite_diff_check(op, inputs: list[Tensor], eps: float = 1e-5) -> float:
     The op output is scalar-reduced by summation. Inputs are promoted to
     64-bit; relative error uses ``|a - n| / max(1, |a|, |n|)`` per element.
     """
-    if not (0.0 < eps <= 1e-2):
-        raise DomainError(f"eps must lie in (0, 1e-2], got {eps}")
     fn = resolve_op(op)
     xs = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
-
-    def loss_value() -> float:
-        return float(fn(*xs).data.sum())
-
-    out = fn(*xs)
-    sum_all(out).backward()
-    worst = 0.0
-    for x in xs:
-        analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-        flat = x.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + eps
-            f_plus = loss_value()
-            flat[i] = orig - eps
-            f_minus = loss_value()
-            flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = analytic.reshape(-1)[i]
-            rel = abs(a - numeric) / max(1.0, abs(a), abs(numeric))
-            worst = max(worst, rel)
-    return worst
+    return finite_diff_check_leaves(lambda: fn(*xs), xs, eps)
 
 
 def finite_diff_check_leaves(fn, leaves: list[Tensor], eps: float = 1e-5,

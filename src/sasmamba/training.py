@@ -239,6 +239,9 @@ def train(model: Model, dataset: SyntheticDataset, epochs: int, batch: int,
     """
     if not dataset.pairs:
         raise DomainError("dataset must be nonempty")
+    if batch < 1 or epochs < 0:
+        raise DomainError(
+            f"need batch >= 1 and epochs >= 0, got batch={batch}, epochs={epochs}")
     weights = weights or LossWeights()
     optim = optim or OptimState()
     model.mark_trainable()

@@ -1,6 +1,7 @@
 """Command-line workflows: init, synth, train, infer, eval, count."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -78,6 +79,91 @@ class TestUsageErrors:
                              "--input", tmp_path / "none.json",
                              "--output", tmp_path / "o.json"], capsys)
         assert rc == 2 and "not found" in stderr
+
+
+def _keypoint_doc(path, **fields):
+    doc = {"version": 1, "fps": 50.0, "num_joints": 4, "dims": 2, "frames": [[[0, 0]] * 4]}
+    doc.update(fields)
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _edited_checkpoint(src, dst, edit):
+    blob = src.read_bytes()
+    mlen = struct.unpack_from("<I", blob, 8)[0]
+    manifest = json.loads(blob[12:12 + mlen])
+    edit(manifest)
+    text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    dst.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + mlen:])
+    return dst
+
+
+def _infer(ckpt_edit=None, **keypoint_fields):
+    def argv(tmp, ckpt, data):
+        if ckpt_edit is not None:
+            ckpt = _edited_checkpoint(ckpt, tmp / "edited.ckpt", ckpt_edit)
+        inp = _keypoint_doc(tmp / "in.json", **keypoint_fields)
+        return ["infer", "--model", ckpt, "--input", inp, "--output", tmp / "out.json"]
+    return argv
+
+
+def _set(*path_and_value):
+    *path, key, value = path_and_value
+
+    def edit(doc):
+        for step in path:
+            doc = doc[step]
+        doc[key] = value
+    return edit
+
+
+def _train(*flags):
+    return lambda tmp, ckpt, data: ["train", "--data", data, "--model", ckpt,
+                                    "--out", tmp / "t.ckpt", *flags]
+
+
+def _eval(*flags):
+    return lambda tmp, ckpt, data: ["eval", "--pred", data / "seq_0000_3d.json",
+                                    "--gt", data / "seq_0000_3d.json", *flags]
+
+
+def _init(**config):
+    def argv(tmp, ckpt, data):
+        path = tmp / "config.json"
+        path.write_text(json.dumps({**TINY_CFG, **config}))
+        return ["init", "--config", path, "--out", tmp / "i.ckpt"]
+    return argv
+
+
+HOSTILE_INPUTS = {
+    "manifest offset past the payload": _infer(_set("tensors", 1, "offset", 10**9)),
+    "manifest shape with a string": _infer(_set("tensors", 0, "shape", [8, "x"])),
+    "manifest config with a float width": _infer(_set("config", "D", 8.0)),
+    "string coordinates": _infer(frames=[[["a", "b"]] * 4]),
+    "object coordinate": _infer(frames=[[[{}, 1]] * 4]),
+    "ragged confidence": _infer(confidence=[[1] * 4, [1] * 3]),
+    "string confidence": _infer(confidence=[["x"] * 4]),
+    "four-dimensional frames": _infer(frames=[[[[1], [2]]] * 4]),
+    "train --batch 0": _train("--batch", 0),
+    "train --batch -1": _train("--batch", -1),
+    "train --epochs -1": _train("--epochs", -1),
+    "eval --root past the joints": _eval("--root", 99),
+    "eval --root -1": _eval("--root", -1),
+    "config with a float width": _init(D=8.0),
+    "config with a string depth": _init(L="x"),
+}
+
+
+class TestHostileInputs:
+    @pytest.mark.parametrize("case", sorted(HOSTILE_INPUTS))
+    def test_exits_2_with_one_error_line(self, case, tmp_path, tiny_config_path, capsys):
+        ckpt, data = tmp_path / "m.ckpt", tmp_path / "data"
+        run(["init", "--config", tiny_config_path, "--out", ckpt], capsys)
+        run(["synth", "--sequences", 2, "--frames", 6, "--joints", 4, "--out", data], capsys)
+        rc, _, stderr = run(HOSTILE_INPUTS[case](tmp_path, ckpt, data), capsys)
+        assert rc == 2
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert "Traceback" not in stderr
 
 
 class TestSynthTrainInferEval:

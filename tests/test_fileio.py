@@ -49,6 +49,14 @@ class TestKeypointFiles:
         with pytest.raises(FormatError, match="frames"):
             read_keypoints(path)
 
+    def test_extra_nesting_rejected(self, tmp_path):
+        path = tmp_path / "deep.json"
+        doc = {"version": 1, "fps": 50.0, "num_joints": 1, "dims": 2,
+               "frames": [[[[1], [2]]]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="frames"):
+            read_keypoints(path)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"version": 1,\n "fps": oops}')

@@ -52,6 +52,20 @@ class TestDiscretize:
         with pytest.raises(DomainError):
             discretize(np.array([[0.0]]), np.array([[-1.0]]), np.array([[1.0]]))
 
+    def test_closed_form_over_grid(self):
+        # step sizes from 1e-10 to 3 against state entries from 0.01 to 5
+        # put some |delta * a| under the series cutoff and some above it
+        rng = np.random.default_rng(12)
+        delta = np.exp(rng.uniform(np.log(1e-10), np.log(3.0), size=(40, 6)))
+        a = -np.exp(rng.uniform(np.log(0.01), np.log(5.0), size=(6, 3)))
+        b = rng.normal(size=(40, 3))
+        da = delta[:, :, None] * a[None, :, :]
+        assert (np.abs(da) < 1e-6).any() and (np.abs(da) >= 1e-6).any()
+        a_bar, b_bar = discretize(delta, a, b)
+        np.testing.assert_allclose(a_bar, np.exp(da), rtol=1e-15)
+        # the series branch errs by |delta * a| / 2 < 5e-7 relative
+        np.testing.assert_allclose(b_bar, np.expm1(da) / a * b[:, None, :], rtol=1e-6)
+
 
 class TestSoftplus:
     def test_inverse_roundtrip(self):

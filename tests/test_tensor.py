@@ -212,7 +212,33 @@ class TestFiniteDiffCheck:
         assert finite_diff_check("depthwise_conv3x3", [x, wd, bd]) < 1e-5
 
 
+def conv3x3_by_definition(x, weight, depthwise):
+    """Per-position sum over the clamp-to-edge 3x3 neighbourhood."""
+    t_n, v_n, _ = x.shape
+    out = np.zeros((t_n, v_n, weight.shape[0]))
+    for t in range(t_n):
+        for v in range(v_n):
+            for i in range(3):
+                for j in range(3):
+                    xs = x[min(max(t + i - 1, 0), t_n - 1), min(max(v + j - 1, 0), v_n - 1)]
+                    out[t, v] += weight[:, i, j] * xs if depthwise else weight[:, :, i, j] @ xs
+    return out
+
+
 class TestGridConv:
+    @pytest.mark.parametrize("shape", [(1, 1, 2), (1, 5, 3), (4, 1, 2), (4, 6, 3)])
+    def test_convs_match_definition(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        x = rng.normal(size=shape)
+        w = rng.normal(size=(2, shape[2], 3, 3))
+        wd = rng.normal(size=(shape[2], 3, 3))
+        y = grid_conv3x3(t64(x), Conv3x3Params(t64(w), None))
+        np.testing.assert_allclose(y.data, conv3x3_by_definition(x, w, False),
+                                   rtol=1e-12, atol=1e-12)
+        y = depthwise_conv3x3(t64(x), DepthwiseConv3x3Params(t64(wd), None))
+        np.testing.assert_allclose(y.data, conv3x3_by_definition(x, wd, True),
+                                   rtol=1e-12, atol=1e-12)
+
     def test_channel_mismatch(self):
         p = Conv3x3Params(t64(np.zeros((2, 4, 3, 3))), None)
         with pytest.raises(DimensionError):
