@@ -26,7 +26,7 @@ def _t(rng, shape, scl=1.0):
 def _op_inputs(name: str, rng: np.random.Generator) -> list[Tensor]:
     two = ("add", "sub", "mul", "concat_last")
     one = ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "transpose01",
-           "reverse0", "slice0", "slice_last")
+           "reverse0", "slice0", "slice_last", "gather_sum")
     if name in two:
         return [_t(rng, (3, 4)), _t(rng, (3, 4))]
     if name in one:

@@ -42,6 +42,8 @@ def _load_config(path) -> ModelConfig:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed config JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("config JSON nested too deeply") from exc
     return ModelConfig.from_dict(doc)
 
 

@@ -9,17 +9,19 @@ identity on bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import struct
 import zlib
+from collections.abc import Iterator
 
 import numpy as np
 
 from .errors import (ChecksumError, ConfigError, CorruptionError, FormatError,
                      VersionError)
-from .model import Model, ModelConfig, build_model, count_params, param_entries
+from .model import Model, ModelConfig, build_model, param_entries
 from .tensor import Tensor
 
 MAGIC = b"SASM"
@@ -75,6 +77,8 @@ def read_keypoints(path) -> np.ndarray:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise FormatError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise FormatError("JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise FormatError("keypoint file must contain a JSON object")
     if doc.get("version") != 1:
@@ -101,20 +105,18 @@ def read_keypoints(path) -> np.ndarray:
 # --- checkpoints -------------------------------------------------------------
 
 
-def _tensor_layout(shapes) -> list[dict]:
+def _tensor_layout(shapes) -> Iterator[dict]:
     """Manifest entries for (name, shape) pairs packed back to back as f32."""
-    entries = []
     offset = 0
     for name, shape in shapes:
-        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        yield {"name": name, "shape": list(shape), "offset": offset}
         offset += math.prod(shape) * 4
-    return entries
 
 
 def _manifest_bytes(cfg: ModelConfig, tensors: list[tuple[str, Tensor]],
                     checksum: int) -> bytes:
     manifest = {"config": cfg.to_dict(), "checksum": checksum,
-                "tensors": _tensor_layout((name, t.shape) for name, t in tensors)}
+                "tensors": list(_tensor_layout((name, t.shape) for name, t in tensors))}
     return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
@@ -144,6 +146,8 @@ def load_ckpt(path) -> Model:
         manifest = json.loads(blob[12:12 + mlen])
     except json.JSONDecodeError as exc:
         raise CorruptionError(f"manifest is not valid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise CorruptionError("manifest JSON nested too deeply") from exc
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
         entries = manifest["tensors"]
@@ -152,12 +156,20 @@ def load_ckpt(path) -> Model:
         raise CorruptionError(f"manifest incomplete or inconsistent: {exc}") from exc
 
     # the payload is read by the config's own layout, so a manifest that
-    # disagrees with it in any name, shape or offset is rejected up front
-    layout = _tensor_layout((name, shape) for name, shape, _ in param_entries(cfg))
-    if entries != layout:
-        raise CorruptionError("manifest tensor names, shapes or offsets do not match "
-                              "the layout the config requires")
-    total, _ = count_params(cfg)
+    # disagrees with it in any name, shape or offset is rejected up front; the
+    # layout is generated as it is compared, so the check stops at the first
+    # disagreement and a config asking for a huge model costs no more work
+    # than the manifest's own length
+    if not isinstance(entries, list):
+        raise CorruptionError("manifest tensor list is not a JSON array")
+    layout = []
+    for stored, expected in itertools.zip_longest(
+            entries, _tensor_layout((name, shape) for name, shape, _ in param_entries(cfg))):
+        if stored != expected:
+            raise CorruptionError("manifest tensor names, shapes or offsets do not match "
+                                  "the layout the config requires")
+        layout.append(expected)
+    total = sum(math.prod(entry["shape"]) for entry in layout)
     payload = blob[12 + mlen:]
     if len(payload) != total * 4:
         raise CorruptionError(

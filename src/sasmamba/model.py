@@ -12,6 +12,7 @@ three can never drift apart.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -140,13 +141,17 @@ class Model:
             t.requires_grad = flag
 
 
-def param_entries(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
-    """Canonical (name, shape, init_kind) manifest of every trainable tensor."""
+def param_entries(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
+    """Canonical (name, shape, init_kind) manifest of every trainable tensor.
+
+    Entries are generated in order as they are consumed, so a reader checking
+    a stored manifest against them can stop at the first disagreement.
+    """
     d, big_t, v, k, n = cfg.D, cfg.T, cfg.V, cfg.K, cfg.N
     r = cfg.dt_rank
     rho = tap_rank(k)
     hidden = cfg.mlp_ratio * d
-    entries: list[tuple[str, tuple[int, ...], str]] = [
+    yield from [
         ("embed.weight", (d, 2), "linear"),
         ("embed.bias", (d,), "zeros"),
         ("pos_spatial", (1, v, d), "pos"),
@@ -154,7 +159,7 @@ def param_entries(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
     ]
     for i in range(cfg.L):
         p = f"blocks.{i}"
-        entries += [
+        yield from [
             (f"{p}.norm1.gamma", (d,), "ones"),
             (f"{p}.norm1.beta", (d,), "zeros"),
             (f"{p}.sas.offset.weight", (2, d, 3, 3), "conv"),
@@ -164,7 +169,7 @@ def param_entries(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
         ]
         for tap in range(k * k):
             q = f"{p}.sas.tap{tap}"
-            entries += [
+            yield from [
                 (f"{q}.diag", (d,), "tap_diag"),
                 (f"{q}.down", (rho, d), "linear"),
                 (f"{q}.up", (d, rho), "tap_up"),
@@ -173,7 +178,7 @@ def param_entries(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
             if name not in cfg.streams:
                 continue
             q = f"{p}.sas.{name}"
-            entries += [
+            yield from [
                 (f"{q}.a_log", (d, n), "a_log"),
                 (f"{q}.b_weight", (n, d), "linear"),
                 (f"{q}.b_bias", (n,), "zeros"),
@@ -185,11 +190,11 @@ def param_entries(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
                 (f"{q}.skip", (d,), "ones"),
             ]
             if cfg.gated_streams:
-                entries += [
+                yield from [
                     (f"{q}.gate.weight", (d, d), "linear"),
                     (f"{q}.gate.bias", (d,), "zeros"),
                 ]
-        entries += [
+        yield from [
             (f"{p}.norm2.gamma", (d,), "ones"),
             (f"{p}.norm2.beta", (d,), "zeros"),
             (f"{p}.mlp1.weight", (hidden, d), "linear"),
@@ -197,11 +202,10 @@ def param_entries(cfg: ModelConfig) -> list[tuple[str, tuple[int, ...], str]]:
             (f"{p}.mlp2.weight", (d, hidden), "linear"),
             (f"{p}.mlp2.bias", (d,), "zeros"),
         ]
-    entries += [
+    yield from [
         ("head.weight", (3, d), "linear"),
         ("head.bias", (3,), "zeros"),
     ]
-    return entries
 
 
 def _init_tensor(kind: str, shape: tuple[int, ...], rng: np.random.Generator,
@@ -286,7 +290,7 @@ def _structure(cfg: ModelConfig, params: dict[str, Tensor]) -> dict:
 
 def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
     """Wire structured parameter views over a canonical name -> tensor map."""
-    expected = param_entries(cfg)
+    expected = list(param_entries(cfg))
     if list(params) != [name for name, _, _ in expected]:
         raise ConfigError("parameter map does not match the config manifest")
     for name, shape, _ in expected:

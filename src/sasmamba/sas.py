@@ -2,7 +2,11 @@
 
 Composition: a deformable local aggregation over the (frame, joint) grid,
 then multi-stride joint subsampling with preceding-valid fill, then selective
-scans over four flatten directions, summed. Shapes are (T, V, C) throughout.
+scans over four flatten directions, summed. Shapes are (T, V, C) throughout,
+except inside :func:`four_stream_scan`: there the enabled streams are a stream
+axis S of one (L, S, C) sequence, L = T*V, built by one index gather and
+scanned by one :func:`selective_scan` call whose state is (S, N, C), channels
+innermost.
 """
 
 from __future__ import annotations
@@ -14,10 +18,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     Tensor, add, bilinear_gather, depthwise_conv3x3,
-                     grid_conv3x3, linear, make_op, mul, register_op, reshape,
-                     reverse0, scatter_rows, silu, slice_last, concat_last,
-                     tensor, transpose01)
+                     Tensor, add, bilinear_gather, concat_last,
+                     depthwise_conv3x3, gather_sum, grid_conv3x3, linear,
+                     make_op, mul, register_op, reshape, scatter_rows, silu,
+                     slice_last, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -210,50 +214,54 @@ def stride_scan(x: Tensor, cfg: StrideConfig) -> Tensor:
     return concat_last(parts)
 
 
-def _flatten(x: Tensor, spatial_major: bool) -> Tensor:
-    t_n, v_n, c = x.shape
-    if spatial_major:
-        return reshape(transpose01(x), (v_n * t_n, c))
-    return reshape(x, (t_n * v_n, c))
+def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
+    """Where each named stream reads the frame-major rows of a (T, V) map.
 
-
-def _unflatten(y: Tensor, shape: tuple[int, int, int], spatial_major: bool) -> Tensor:
-    t_n, v_n, c = shape
-    if spatial_major:
-        return transpose01(reshape(y, (v_n, t_n, c)))
-    return reshape(y, (t_n, v_n, c))
-
-
-def stream_scan(x: Tensor, name: str, p: SelectiveSsmParams,
-                gate: LinearParams | None = None) -> Tensor:
-    """One directional scan: flatten, optionally reverse, scan, undo."""
-    spatial = name.startswith("spatial")
-    backward_dir = name.endswith("backward")
-    seq = _flatten(x, spatial)
-    if backward_dir:
-        seq = reverse0(seq)
-    out = selective_scan(seq, p)
-    if gate is not None:
-        out = mul(out, silu(linear(seq, gate)))
-    if backward_dir:
-        out = reverse0(out)
-    return _unflatten(out, x.shape, spatial)
+    Returns ``order``, (L, S) with L = T*V: the row stream s reads at step l;
+    and ``home``, (T, V, S): the flat position ``l * S + s`` of an (L, S)
+    array at which stream s reads row (t, v). Temporal streams flatten
+    frame-major (all joints of frame 0 first), spatial streams joint-major;
+    backward streams read their order reversed.
+    """
+    frame_major = np.arange(t_n * v_n)
+    joint_major = frame_major.reshape(t_n, v_n).T.ravel()
+    columns = []
+    for name in names:
+        col = joint_major if name.startswith("spatial") else frame_major
+        columns.append(col[::-1] if name.endswith("backward") else col)
+    order = np.stack(columns, axis=1)
+    home = np.empty_like(order)
+    home[order, np.arange(len(names))] = np.arange(order.size).reshape(order.shape)
+    return order, home.reshape(t_n, v_n, len(names))
 
 
 def four_stream_scan(x: Tensor, streams: StreamSet,
                      gates: dict[str, LinearParams] | None = None) -> Tensor:
     """Sum of the enabled directional scans, in fixed stream order.
 
-    Temporal streams flatten frame-major (all joints of frame 0 first);
-    spatial streams flatten joint-major. Backward variants reverse the
-    flattened sequence before scanning and reverse the output after.
+    One gather puts the (T, V, C) map into every stream's scan order at once,
+    an (L, S, C) sequence; one :func:`selective_scan` runs all S streams; one
+    gather brings each stream's output back to its (t, v) row and adds the
+    streams in ``STREAM_ORDER``. A gated stream's output is multiplied by
+    ``silu(gate(x))`` at the same row before the sum.
     """
-    total = None
-    for name, p in streams.ordered():
-        gate = gates.get(name) if gates else None
-        y = stream_scan(x, name, p, gate)
-        total = y if total is None else add(total, y)
-    return total
+    t_n, v_n, c = x.shape
+    names, params = zip(*streams.ordered())
+    s_n = len(names)
+    order, home = _scan_rows(t_n, v_n, names)
+    y = selective_scan(gather_sum(x, order[..., None], home.reshape(-1, s_n)), params)
+    if gates:
+        gate = concat_last([silu(linear(x, gates[name])) if name in gates
+                            else tensor(np.ones_like(x.data)) for name in names])
+        y = mul(y, gather_sum(reshape(gate, (-1, c)), (order * s_n + np.arange(s_n))[..., None],
+                              home.reshape(-1, 1)))
+    return gather_sum(y, home, order.reshape(-1, 1))
+
+
+def stream_scan(x: Tensor, name: str, p: SelectiveSsmParams,
+                gate: LinearParams | None = None) -> Tensor:
+    """One directional scan: the one-stream case of :func:`four_stream_scan`."""
+    return four_stream_scan(x, StreamSet({name: p}), None if gate is None else {name: gate})
 
 
 def sas_ssm_layer(x: Tensor, p: SasLayerParams) -> Tensor:

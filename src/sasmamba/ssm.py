@@ -6,10 +6,20 @@ backpropagates through the whole recurrence. ``ssm_kernel`` plus
 ``conv_apply`` realize the time-invariant convolutional form and serve as a
 correctness oracle for the scan. The two sides share only the zero-order hold
 (:func:`discretize`), which is tested on its own against its closed form.
+
+:func:`selective_scan` runs several independent streams as one computation:
+its input carries a stream axis, (L, S, D), and each stream has its own
+parameters. Every per-step array is laid out (..., S, N, D) with the channel
+axis D innermost, so the elementwise work broadcasting over the state axis N
+runs on contiguous rows. Steps are taken in chunks of ``SCAN_CHUNK``; the
+adjoint keeps only the states and recomputes ``a_bar``, ``factor`` and the
+series mask per chunk from the saved step sizes, as Mamba's recomputation
+does (Gu & Dao, arXiv 2312.00752, section 3.3.2).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,10 +28,15 @@ from .errors import DimensionError, DomainError
 from .tensor import Tensor, make_op, register_op, tensor
 
 _SERIES_CUTOFF = 1e-6
+# steps per chunk of the scan: long enough that per-chunk work runs as a few
+# large array ops, short enough that a chunk of (S, N, D) states stays small
+SCAN_CHUNK = 128
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
-    return np.logaddexp(0.0, z)
+    # log(1 + e^z) without overflow; np.logaddexp computes the same but runs
+    # about ten times slower
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
 def softplus_inverse(y: np.ndarray) -> np.ndarray:
@@ -78,14 +93,19 @@ class SelectiveSsmParams:
 def _zoh(delta: np.ndarray, a: np.ndarray):
     """The zero-order hold of :func:`discretize` without the input vector.
 
-    Returns ``a_bar``, ``factor`` (so ``b_bar = factor * b``) and the mask of
-    entries on the series branch, all (L, D, N).
+    ``delta`` is (..., D) and ``a`` is (N, D), or (S, N, D) against a stream
+    axis at ``delta[..., S, D]``. Returns ``a_bar``, ``factor`` (so
+    ``b_bar = factor * b``) and the mask of entries on the series branch, all
+    (..., N, D): the channel axis stays innermost, so broadcasting over N
+    runs whole contiguous rows.
     """
-    da = delta[:, :, None] * a[None, :, :]
-    a_bar = np.exp(da)
+    d = delta[..., None, :]
+    da = d * a
     small = np.abs(da) < _SERIES_CUTOFF
-    safe_a = np.where(small, 1.0, a[None, :, :])
-    factor = np.where(small, delta[:, :, None], (a_bar - 1.0) / safe_a)
+    a_bar = np.exp(da, out=da)
+    factor = np.subtract(a_bar, 1.0)
+    np.divide(factor, a, out=factor, where=~small)
+    np.copyto(factor, d, where=small)
     return a_bar, factor, small
 
 
@@ -102,98 +122,132 @@ def discretize(delta: np.ndarray, a: np.ndarray, b: np.ndarray):
     b = np.asarray(b)
     if np.any(delta <= 0):
         raise DomainError("discretize requires strictly positive step sizes")
-    a_bar, factor, _ = _zoh(delta, np.asarray(a))
-    return a_bar, factor * b[:, None, :]
+    a_bar, factor, _ = _zoh(delta, np.asarray(a).T)
+    return a_bar.swapaxes(1, 2), (factor * b[:, :, None]).swapaxes(1, 2)
 
 
-def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
-    """Run the input-dependent recurrence over a (L, D) sequence.
+def _chunks(seq_len: int) -> list[slice]:
+    return [slice(i, min(i + SCAN_CHUNK, seq_len)) for i in range(0, seq_len, SCAN_CHUNK)]
 
-    Per step: project the input to step sizes, input and output vectors;
-    discretize; advance ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero
-    state; emit ``y_t = C_t h_t + skip * u_t``. The adjoint runs the
-    recurrence in reverse and is exact.
+
+def _batched(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``out[l, s] = w[s] @ x[l, s]``: one matmul over the stream axis."""
+    return np.ascontiguousarray(np.matmul(x.swapaxes(0, 1), w.swapaxes(1, 2)).swapaxes(0, 1))
+
+
+def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParams]) -> Tensor:
+    """Run the input-dependent recurrence over one or several streams.
+
+    ``u`` is (L, D) with one :class:`SelectiveSsmParams`, or (L, S, D) with a
+    sequence of S of them: stream s scans ``u[:, s]`` with ``p[s]``. Per step:
+    project the input to step sizes, input and output vectors; discretize;
+    advance ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero state; emit
+    ``y_t = C_t h_t + skip * u_t``.
+
+    All streams run as one computation. The per-stream weights are stacked
+    at call time, so the projections are one batched matmul, and one
+    recurrence advances an (S, N, D) state, channels innermost. Steps are
+    processed in chunks of ``SCAN_CHUNK``: discretization and readout happen
+    per chunk, and when nothing requires a gradient no (L, S, N, D) array
+    exists. Otherwise the states ``hs`` are kept, and the adjoint walks the
+    chunks in reverse, recomputing ``a_bar``, ``factor`` and the series mask
+    from the saved step sizes through :func:`_zoh`. The adjoint is exact.
     """
-    if u.data.ndim != 2:
-        raise DimensionError(f"selective_scan expects (L, D), got {u.shape}")
-    seq_len, d = u.shape
-    if d != p.channels:
-        raise DimensionError(f"sequence width {d} != parameter width {p.channels}")
-    ud = u.data
+    streams = [p] if isinstance(p, SelectiveSsmParams) else list(p)
+    ud = u.data[:, None, :] if u.data.ndim == 2 else u.data
+    if ud.ndim != 3 or ud.shape[1] != len(streams):
+        raise DimensionError(f"selective_scan expects (L, D) with one parameter set or "
+                             f"(L, S, D) with S of them, got {u.shape} with {len(streams)}")
+    seq_len, s_n, d = ud.shape
+    n, r = streams[0].state_size, streams[0].dt_down.shape[0]
+    for q in streams:
+        if q.channels != d:
+            raise DimensionError(f"sequence width {d} != parameter width {q.channels}")
+        if (q.state_size, q.dt_down.shape[0]) != (n, r):
+            raise DimensionError("streams must share the state size and the dt rank")
     dt = ud.dtype
 
-    a = -np.exp(p.a_log.data)                                   # (D, N)
-    m1 = ud @ p.dt_down.data.T                                  # (L, r)
-    z = m1 @ p.dt_up.data.T + p.dt_bias.data                    # (L, D)
-    delta = softplus(z)
-    b_seq = ud @ p.b_weight.data.T + p.b_bias.data              # (L, N)
-    c_seq = ud @ p.c_weight.data.T + p.c_bias.data              # (L, N)
+    def stacked(field):
+        return np.stack([getattr(q, field).data for q in streams])
 
-    a_bar, factor, small = _zoh(delta, a)
-    b_bar_u = factor * b_seq[:, None, :] * ud[:, :, None]      # (L, D, N)
+    a = -np.exp(np.ascontiguousarray(stacked("a_log").swapaxes(1, 2)))  # (S, N, D)
+    w = np.stack([np.concatenate([q.b_weight.data, q.c_weight.data, q.dt_down.data])
+                  for q in streams])                                    # (S, 2N+r, D)
+    proj = _batched(ud, w)                                              # (L, S, 2N+r)
+    b_seq = proj[..., :n] + stacked("b_bias")                           # (L, S, N)
+    c_seq = proj[..., n:2 * n] + stacked("c_bias")
+    m1 = proj[..., 2 * n:]                                              # (L, S, r)
+    dt_up = stacked("dt_up")                                            # (S, D, r)
+    delta = softplus(_batched(m1, dt_up) + stacked("dt_bias"))          # (L, S, D)
+    skip = stacked("skip")                                              # (S, D)
 
-    n = p.state_size
-    hs = np.empty((seq_len, d, n), dtype=dt)
-    h = np.zeros((d, n), dtype=dt)
-    for t in range(seq_len):
-        h = a_bar[t] * h + b_bar_u[t]
-        hs[t] = h
-    skip = p.skip.data
-    ys = np.einsum("ldn,ln->ld", hs, c_seq) + skip * ud
-
-    parents = (u,) + p.tensors()
+    parents = (u,) + tuple(t for q in streams for t in q.tensors())
+    keep = any(t.requires_grad for t in parents)
+    hs = np.empty((seq_len, s_n, n, d), dtype=dt) if keep else None
+    ys = np.empty((seq_len, s_n, d), dtype=dt)
+    h = np.zeros((s_n, n, d), dtype=dt)
+    for sl in _chunks(seq_len):
+        a_bar, factor, _ = _zoh(delta[sl], a)
+        # b_bar * u, advanced in place into the states of the chunk
+        hc = np.multiply(factor * b_seq[sl, :, :, None], ud[sl, :, None, :],
+                         out=hs[sl] if keep else None)
+        for cur, step in zip(hc, a_bar):
+            cur += step * h
+            h = cur
+        np.matmul(c_seq[sl, :, None, :], hc, out=ys[sl, :, None, :])
+    ys += skip * ud
 
     def backward(gy):
-        # gradient into each state h_t; only this recurrence is sequential
-        dh_all = np.empty_like(hs)
-        carry = np.zeros((d, n), dtype=dt)
-        for t in range(seq_len - 1, -1, -1):
-            carry = gy[t][:, None] * c_seq[t][None, :] + carry
-            dh_all[t] = carry
-            carry = carry * a_bar[t]
-        d_c = np.einsum("ld,ldn->ln", gy, hs)
-        h_prev = np.concatenate([np.zeros((1, d, n), dtype=dt), hs[:-1]], axis=0)
-        db_bar = dh_all * ud[:, :, None]
-        du = gy * skip[None, :] + np.einsum(
-            "ldn,ldn->ld", dh_all, factor * b_seq[:, None, :])
-        d_skip = (gy * ud).sum(axis=0)
-        d_b = np.einsum("ldn,ldn->ln", db_bar, factor)
-        d_factor = db_bar * b_seq[:, None, :]
-        # exact branch: factor = (a_bar - 1)/a, so d(factor)/d(a_bar) = 1/a
-        # plus an explicit -(a_bar - 1)/a^2 term for a; series branch:
-        # factor = delta exactly, all sensitivity goes to delta.
-        safe_a = np.where(small, 1.0, a[None, :, :])
-        da_bar = dh_all * h_prev + np.where(small, 0.0, d_factor / safe_a)
-        dda = da_bar * a_bar
-        d_delta = (np.where(small, d_factor, 0.0) + dda * a[None, :, :]).sum(axis=2)
-        d_a = (np.where(small, 0.0, -d_factor * (a_bar - 1.0) / (safe_a ** 2))
-               + dda * delta[:, :, None]).sum(axis=0)
-        sigma = 1.0 / (1.0 + np.exp(-z))
-        dz = d_delta * sigma
-        if p.a_log.requires_grad:
-            p.a_log.accumulate_grad(d_a * a)
-        if p.b_weight.requires_grad:
-            p.b_weight.accumulate_grad(d_b.T @ ud)
-        if p.b_bias.requires_grad:
-            p.b_bias.accumulate_grad(d_b.sum(axis=0))
-        if p.c_weight.requires_grad:
-            p.c_weight.accumulate_grad(d_c.T @ ud)
-        if p.c_bias.requires_grad:
-            p.c_bias.accumulate_grad(d_c.sum(axis=0))
-        if p.dt_up.requires_grad:
-            p.dt_up.accumulate_grad(dz.T @ m1)
-        dm1 = dz @ p.dt_up.data
-        if p.dt_down.requires_grad:
-            p.dt_down.accumulate_grad(dm1.T @ ud)
-        if p.dt_bias.requires_grad:
-            p.dt_bias.accumulate_grad(dz.sum(axis=0))
-        if p.skip.requires_grad:
-            p.skip.accumulate_grad(d_skip)
+        g = gy.reshape(ud.shape)
+        d_a = np.zeros((s_n, n, d), dtype=dt)
+        d_b = np.empty((seq_len, s_n, n), dtype=dt)
+        d_delta = np.empty((seq_len, s_n, d), dtype=dt)
+        du = g * skip
+        carry = np.zeros((s_n, n, d), dtype=dt)
+        for sl in reversed(_chunks(seq_len)):
+            a_bar, factor, small = _zoh(delta[sl], a)
+            # gradient into each state h_t; only this recurrence is sequential
+            dh = g[sl, :, None, :] * c_seq[sl, :, :, None]
+            for cur, step in zip(dh[::-1], a_bar[::-1]):
+                cur += carry
+                carry = cur * step
+            if sl.start:
+                h_prev = hs[sl.start - 1:sl.stop - 1]
+            else:
+                h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:sl.stop - 1]])
+            b_c = b_seq[sl, :, :, None]
+            db_bar = dh * ud[sl, :, None, :]
+            du[sl] += np.einsum("lsnd,lsnd->lsd", dh, factor * b_c)
+            d_b[sl] = np.einsum("lsnd,lsnd->lsn", db_bar, factor)
+            d_factor = db_bar * b_c
+            # exact branch: factor = (a_bar - 1)/a passes d_factor/a on to
+            # a_bar and -d_factor*factor/a to a; series branch: factor = delta
+            # exactly, so all sensitivity goes to delta
+            dfa = np.divide(d_factor, a, out=np.zeros_like(d_factor), where=~small)
+            dda = (dh * h_prev + dfa) * a_bar
+            dd = dda * a
+            np.add(dd, d_factor, out=dd, where=small)
+            d_delta[sl] = dd.sum(axis=2)
+            d_a += (dda * delta[sl, :, None, :] - dfa * factor).sum(axis=0)
+        d_c = np.einsum("lsd,lsnd->lsn", g, hs)
+        # softplus' = sigmoid, which is 1 - exp(-softplus)
+        dz = d_delta * -np.expm1(-delta)
+        dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)
+        dproj = np.concatenate([d_b, d_c, dm1], axis=2).swapaxes(0, 1)  # (S, L, 2N+r)
+        dw = np.matmul(dproj.swapaxes(1, 2), ud.swapaxes(0, 1))         # (S, 2N+r, D)
+        grads = ((d_a * a).swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
+                 dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
+                 np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),   # dt_up
+                 dz.sum(axis=0), (g * ud).sum(axis=0))
+        for s, q in enumerate(streams):
+            for t, grad in zip(q.tensors(), grads):
+                if t.requires_grad:
+                    t.accumulate_grad(grad[s])
         if u.requires_grad:
-            du = du + d_b @ p.b_weight.data + d_c @ p.c_weight.data + dm1 @ p.dt_down.data
-            u.accumulate_grad(du)
+            du += np.matmul(dproj, w).swapaxes(0, 1)
+            u.accumulate_grad(du.reshape(u.shape))
 
-    return make_op(ys, parents, backward)
+    return make_op(ys.reshape(u.shape), parents, backward)
 
 
 def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,

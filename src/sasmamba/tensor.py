@@ -498,6 +498,30 @@ def scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     dst += acc.reshape(r, c).astype(dst.dtype)
 
 
+def _take_rows(a: np.ndarray, rows: np.ndarray, c: int) -> np.ndarray:
+    taken = a.reshape(-1, c)[rows]
+    return taken[..., 0, :] if rows.shape[-1] == 1 else taken.sum(axis=-2)
+
+
+def gather_sum(x: Tensor, rows: np.ndarray, inverse: np.ndarray) -> Tensor:
+    """``out[m] = sum_j x[rows[m, j]]`` over the rows of x, viewed as (R, C).
+
+    ``rows`` has shape M + (J,) and the result M + (C,); the J terms are
+    added in order. ``inverse`` is the same relation read the other way, an
+    (R, K) array: row r of x is read at the K flat positions ``inverse[r]``
+    of M, every row equally often. The adjoint is therefore the same gather
+    with ``rows`` and ``inverse`` swapped, and needs no scatter.
+    """
+    c = x.shape[-1]
+    out = _take_rows(x.data, rows, c)
+
+    def backward(g):
+        if x.requires_grad:
+            x.accumulate_grad(_take_rows(g, inverse, c).reshape(x.shape))
+
+    return make_op(out, (x,), backward)
+
+
 def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
     """Flat (t, v) rows of each position's clamp-to-edge 3x3 neighbourhood.
 
@@ -731,3 +755,13 @@ register_op("reverse0", reverse0)
 register_op("slice0", lambda x: slice0(x, 1, x.shape[0]))
 register_op("slice_last", lambda x: slice_last(x, 0, max(1, x.shape[-1] // 2)))
 register_op("concat_last", lambda a, b: concat_last([a, b]))
+
+
+def _gather_sum_op(x):
+    # every row read twice: out[m] = x[m] + x[m + 1], cyclically
+    r = np.arange(x.size // x.shape[-1])
+    return gather_sum(x, np.stack([r, np.roll(r, -1)], axis=1),
+                      np.stack([r, np.roll(r, 1)], axis=1))
+
+
+register_op("gather_sum", _gather_sum_op)

@@ -128,11 +128,35 @@ def _eval(*flags):
 
 
 def _init(**config):
+    return _init_text(json.dumps({**TINY_CFG, **config}))
+
+
+def _init_text(text):
     def argv(tmp, ckpt, data):
         path = tmp / "config.json"
-        path.write_text(json.dumps({**TINY_CFG, **config}))
+        path.write_text(text)
         return ["init", "--config", path, "--out", tmp / "i.ckpt"]
     return argv
+
+
+# deeper than the JSON decoder's recursion allows
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _infer_deep_keypoints(tmp, ckpt, data):
+    inp = tmp / "in.json"
+    inp.write_text('{"version": 1, "num_joints": 4, "dims": 2, "frames": ' + DEEP + "}")
+    return ["infer", "--model", ckpt, "--input", inp, "--output", tmp / "out.json"]
+
+
+def _infer_deep_manifest(tmp, ckpt, data):
+    blob = ckpt.read_bytes()
+    mlen = struct.unpack_from("<I", blob, 8)[0]
+    text = ('{"config": ' + DEEP + "}").encode()
+    edited = tmp / "edited.ckpt"
+    edited.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + mlen:])
+    return ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
+            "--output", tmp / "out.json"]
 
 
 HOSTILE_INPUTS = {
@@ -151,6 +175,9 @@ HOSTILE_INPUTS = {
     "eval --root -1": _eval("--root", -1),
     "config with a float width": _init(D=8.0),
     "config with a string depth": _init(L="x"),
+    "deeply nested keypoint frames": _infer_deep_keypoints,
+    "deeply nested manifest": _infer_deep_manifest,
+    "deeply nested config": _init_text('{"L": ' + DEEP + "}"),
 }
 
 

@@ -1,7 +1,12 @@
 """Keypoint JSON and checkpoint binary formats."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +18,7 @@ from sasmamba.fileio import (FORMAT_VERSION, MAGIC, load_ckpt, read_keypoints,
 from sasmamba.model import ModelConfig, count_params, forward, init_model
 
 TINY = ModelConfig(L=1, D=8, T=5, V=4, K=1, N=2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestKeypointFiles:
@@ -96,6 +102,34 @@ class TestCheckpoint:
         manifest = json.loads(blob[12:12 + mlen])
         _, breakdown = count_params(TINY)
         assert len(manifest["tensors"]) == len(breakdown)
+
+    def test_huge_depth_is_rejected_by_the_manifest_length(self, tmp_path):
+        # the layout check must stop at the first tensor the manifest lacks;
+        # the load runs in a child process with capped address space, so
+        # unbounded work fails this test instead of exhausting host memory
+        path = tmp_path / "m.ckpt"
+        save_ckpt(init_model(TINY, seed=9), path)
+        blob = path.read_bytes()
+        mlen = struct.unpack_from("<I", blob, 8)[0]
+        manifest = json.loads(blob[12:12 + mlen])
+        manifest["config"]["L"] = 1_000_000_000
+        text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + mlen:])
+        code = textwrap.dedent("""
+            import resource, sys
+            resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+            from sasmamba.errors import CorruptionError
+            from sasmamba.fileio import load_ckpt
+            try:
+                load_ckpt(sys.argv[1])
+            except CorruptionError:
+                sys.exit(0)
+            sys.exit(1)
+            """)
+        env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", code, str(path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "x.ckpt"

@@ -11,11 +11,26 @@ from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
                           StreamSet, StrideConfig, four_stream_scan,
                           predict_offsets, sa_conv, sas_ssm_layer,
                           stride_sample, stride_scan, stream_scan)
-from sasmamba.tensor import finite_diff_check_leaves, tensor
+from sasmamba.tensor import LinearParams, finite_diff_check_leaves, tensor
 
 
 def t64(a, grad=False):
     return tensor(np.asarray(a, dtype=np.float64), requires_grad=grad)
+
+
+def scan_by_unroll(seq, p):
+    """Plain-numpy selective scan of one (L, D) sequence, step by step."""
+    a = -np.exp(p.a_log.data)
+    h = np.zeros_like(a)
+    ys = []
+    for u in seq:
+        delta = np.log1p(np.exp(p.dt_up.data @ (p.dt_down.data @ u) + p.dt_bias.data))
+        b = p.b_weight.data @ u + p.b_bias.data
+        c = p.c_weight.data @ u + p.c_bias.data
+        a_bar = np.exp(delta[:, None] * a)
+        h = a_bar * h + (a_bar - 1.0) / a * b[None, :] * u[:, None]
+        ys.append(h @ c + p.skip.data * u)
+    return np.array(ys)
 
 
 class TestPredictOffsets:
@@ -228,6 +243,56 @@ class TestFourStreamScan:
         fwd_on_rev = stream_scan(t64(rev), "temporal_forward", p).data
         bwd = stream_scan(t64(x), "temporal_backward", p).data
         np.testing.assert_allclose(fwd_on_rev, np.flip(bwd, (0, 1)), rtol=1e-5, atol=1e-9)
+
+    @pytest.mark.parametrize("names, gated", [
+        (STREAM_ORDER, False),
+        (("temporal_backward", "spatial_forward"), False),
+        (STREAM_ORDER, True),
+    ])
+    def test_input_dependent_oracle(self, names, gated):
+        # plain-numpy unroll of every stream with projections that read the
+        # input, for T=5, V=4, D=3, N=2
+        rng = np.random.default_rng(19)
+        t_n, v_n, d = 5, 4, 3
+        streams = stream_set(rng, d, names)
+        gates = ({name: LinearParams(t64(rng.normal(size=(d, d)) * 0.5),
+                                     t64(rng.normal(size=d) * 0.5)) for name in names}
+                 if gated else None)
+        x = rng.normal(size=(t_n, v_n, d))
+        expect = np.zeros_like(x)
+        for name, p in streams.ordered():
+            spatial = name.startswith("spatial")
+            seq = (x.transpose(1, 0, 2) if spatial else x).reshape(-1, d)
+            if name.endswith("backward"):
+                seq = seq[::-1]
+            y = scan_by_unroll(seq, p)
+            if gated:
+                z = seq @ gates[name].weight.data.T + gates[name].bias.data
+                y = y * z / (1.0 + np.exp(-z))
+            if name.endswith("backward"):
+                y = y[::-1]
+            expect += y.reshape(v_n, t_n, d).transpose(1, 0, 2) if spatial else y.reshape(x.shape)
+        out = four_stream_scan(t64(x), streams, gates)
+        np.testing.assert_allclose(out.data, expect, rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("gated", [False, True])
+    def test_stacked_adjoint_splits_per_stream(self, gated):
+        # every stream's nine tensors are leaves, so a gradient credited to
+        # the wrong stream or the wrong field fails
+        rng = np.random.default_rng(20)
+        d = 4
+        streams = stream_set(rng, d, STREAM_ORDER)
+        gates = ({name: LinearParams(t64(rng.normal(size=(d, d)) * 0.5),
+                                     t64(rng.normal(size=d) * 0.5)) for name in STREAM_ORDER}
+                 if gated else None)
+        x = t64(rng.normal(size=(3, 4, d)), grad=True)
+        leaves = [x] + list(streams.tensors())
+        if gated:
+            leaves += [t for name in STREAM_ORDER for t in gates[name].tensors()]
+        for leaf in leaves:
+            leaf.requires_grad = True
+        err = finite_diff_check_leaves(lambda: four_stream_scan(x, streams, gates), leaves)
+        assert err < 1e-6
 
     def test_empty_stream_set_rejected(self):
         with pytest.raises(ConfigError):

@@ -223,3 +223,18 @@ class TestScanGradient:
             tensor(rng.normal(size=d), dtype=np.float64),                 # skip
         ]
         assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
+
+    def test_series_branch_gradcheck(self):
+        # state entries near zero put |delta * a| under the series cutoff
+        # for one state column, so both zero-order-hold branches are checked
+        rng = np.random.default_rng(205)
+        d, n, r, length = 3, 2, 2, 5
+        a_log = rng.normal(size=(d, n)) * 0.3
+        a_log[:, 0] = -25.0
+        inputs = [tensor(rng.normal(size=shape) * scl, dtype=np.float64) for shape, scl in
+                  (((length, d), 1.0), ((n, d), 0.5), ((n,), 0.5), ((n, d), 0.5),
+                   ((n,), 0.5), ((r, d), 0.5), ((d, r), 0.5))]
+        inputs.insert(1, tensor(a_log, dtype=np.float64))
+        inputs += [tensor(rng.normal(size=d) - 1.5, dtype=np.float64),
+                   tensor(rng.normal(size=d), dtype=np.float64)]
+        assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
