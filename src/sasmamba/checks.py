@@ -47,6 +47,11 @@ def _op_inputs(name: str, rng: np.random.Generator) -> list[Tensor]:
                 tensor(rng.uniform(0.55, 4.45, size=8), dtype=np.float64)]
     if name == "stride_sample":
         return [_t(rng, (3, 6, 2))]
+    if name == "neighbor_mix":
+        k, c, rho = 2, 3, 2
+        taps = [[_t(rng, (c,)), _t(rng, (rho, c), 0.5), _t(rng, (c, rho), 0.5)]
+                for _ in range(k)]
+        return [_t(rng, (k, 4, 2, c))] + [t for tap in taps for t in tap]
     if name == "selective_scan":
         d, n, r, length = 3, 2, 2, 5
         return [

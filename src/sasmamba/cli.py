@@ -44,6 +44,8 @@ def _load_config(path) -> ModelConfig:
         raise FormatError(f"malformed config JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FormatError("config JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"config is not valid UTF-8 at byte {exc.start}") from exc
     return ModelConfig.from_dict(doc)
 
 

@@ -79,6 +79,8 @@ def read_keypoints(path) -> np.ndarray:
         raise FormatError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise FormatError("JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"keypoint file is not valid UTF-8 at byte {exc.start}") from exc
     if not isinstance(doc, dict):
         raise FormatError("keypoint file must contain a JSON object")
     if doc.get("version") != 1:
@@ -148,6 +150,8 @@ def load_ckpt(path) -> Model:
         raise CorruptionError(f"manifest is not valid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise CorruptionError("manifest JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise CorruptionError(f"manifest is not valid UTF-8 at byte {exc.start}") from exc
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
         entries = manifest["tensors"]

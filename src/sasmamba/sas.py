@@ -3,10 +3,12 @@
 Composition: a deformable local aggregation over the (frame, joint) grid,
 then multi-stride joint subsampling with preceding-valid fill, then selective
 scans over four flatten directions, summed. Shapes are (T, V, C) throughout,
-except inside :func:`four_stream_scan`: there the enabled streams are a stream
-axis S of one (L, S, C) sequence, L = T*V, built by one index gather and
-scanned by one :func:`selective_scan` call whose state is (S, N, C), channels
-innermost.
+with two exceptions. Inside :func:`sa_conv` the K*K taps are a leading axis:
+one :func:`bilinear_gather` samples (K*K, T, V, C) and one
+:meth:`NeighborMixParams.apply` mixes and sums them. Inside
+:func:`four_stream_scan` the enabled streams are a stream axis S of one
+(L, S, C) sequence, L = T*V, built by one index gather and scanned by one
+:func:`selective_scan` call whose state is (S, N, C), channels innermost.
 """
 
 from __future__ import annotations
@@ -18,9 +20,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     Tensor, add, bilinear_gather, concat_last,
-                     depthwise_conv3x3, gather_sum, grid_conv3x3, linear,
-                     make_op, mul, register_op, reshape, scatter_rows, silu,
+                     Tensor, _validate_finite, add, bilinear_gather,
+                     concat_last, depthwise_conv3x3, gather_sum, grid_conv3x3,
+                     linear, make_op, mul, register_op, reshape, silu,
                      slice_last, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
@@ -48,9 +50,45 @@ class NeighborMixParams:
     def tensors(self) -> tuple[Tensor, ...]:
         return (self.diag, self.down, self.up)
 
-    def apply(self, s: Tensor) -> Tensor:
-        lo = linear(s, LinearParams(self.down))
-        return add(mul(s, self.diag), linear(lo, LinearParams(self.up)))
+    @staticmethod
+    def apply(s: Tensor, taps: list[NeighborMixParams]) -> Tensor:
+        """Sum over taps k of ``diag_k * s[k] + up_k @ (down_k @ s[k])``.
+
+        ``s`` stacks one (..., C) sample per tap on its leading axis; the
+        result drops that axis. The taps' tensors are stacked at call time,
+        so all maps run as one op: a batched ``down`` product and one matmul
+        with the ``up`` maps side by side. The adjoint splits the stacked
+        gradients back per tap. Call it through the class,
+        ``NeighborMixParams.apply(s, taps)``.
+        """
+        k_n, c = s.shape[0], s.shape[-1]
+        if k_n != len(taps):
+            raise DimensionError(f"{k_n} stacked samples for {len(taps)} taps")
+        _validate_finite("NeighborMixParams.apply.s", s.data)
+        diag = np.stack([tap.diag.data for tap in taps])                # (K, C)
+        _validate_finite("NeighborMixParams.apply.diag", diag)
+        down = np.stack([tap.down.data for tap in taps])                # (K, R, C)
+        rho = down.shape[1]
+        up = np.stack([tap.up.data for tap in taps], axis=1).reshape(c, k_n * rho)
+        sf = s.data.reshape(k_n, -1, c)                                 # (K, P, C)
+        lo = np.matmul(sf, down.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, k_n * rho)
+        out = np.einsum("kpc,kc->pc", sf, diag) + lo @ up.T
+        parents = (s,) + tuple(t for tap in taps for t in tap.tensors())
+
+        def backward(g):
+            g2 = g.reshape(-1, c)
+            d_lo = np.ascontiguousarray((g2 @ up).reshape(-1, k_n, rho).transpose(1, 0, 2))
+            if s.requires_grad:
+                s.accumulate_grad((diag[:, None, :] * g2 + d_lo @ down).reshape(s.shape))
+            grads = (np.einsum("pc,kpc->kc", g2, sf),
+                     d_lo.transpose(0, 2, 1) @ sf,
+                     (g2.T @ lo).reshape(c, k_n, rho).transpose(1, 0, 2))
+            for k, tap in enumerate(taps):
+                for t, d in zip(tap.tensors(), grads):
+                    if t.requires_grad:
+                        t.accumulate_grad(d[k])
+
+        return make_op(out.reshape(s.shape[1:]), parents, backward)
 
 
 @dataclass
@@ -160,7 +198,12 @@ def predict_offsets(x: Tensor, p: SaConvParams) -> Tensor:
 
 def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     """Deformable aggregation: shift the K x K grid by the predicted offset,
-    bilinearly sample each tap, mix per tap, and add the local aggregation."""
+    bilinearly sample each tap, mix per tap, and add the local aggregation.
+
+    All K*K taps are sampled by one :func:`bilinear_gather` over (K*K, T, V)
+    positions, the shifted centre plus each tap's offset in ``p.taps`` order
+    (dt outer, dv inner), and mixed by one :meth:`NeighborMixParams.apply`.
+    """
     t_n, v_n, _ = x.shape
     k = p.kernel_size
     offsets = predict_offsets(x, p)
@@ -169,16 +212,12 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     base_v = tensor(np.broadcast_to(np.arange(v_n, dtype=x.dtype)[None, :], (t_n, v_n)).copy())
     center_t = add(base_t, reshape(slice_last(offsets, 0, 1), (t_n, v_n)))
     center_v = add(base_v, reshape(slice_last(offsets, 1, 2), (t_n, v_n)))
-    out = depthwise_conv3x3(x, p.local_conv)
-    tap = 0
-    for dt in range(-half, half + 1):
-        for dv in range(-half, half + 1):
-            pt = add(center_t, tensor(np.full((t_n, v_n), float(dt), dtype=x.dtype)))
-            pv = add(center_v, tensor(np.full((t_n, v_n), float(dv), dtype=x.dtype)))
-            sample = bilinear_gather(x, pt, pv)
-            out = add(out, p.taps[tap].apply(sample))
-            tap += 1
-    return out
+    tap_t, tap_v = np.meshgrid(np.arange(-half, half + 1, dtype=x.dtype),
+                               np.arange(-half, half + 1, dtype=x.dtype), indexing="ij")
+    local = depthwise_conv3x3(x, p.local_conv)
+    samples = bilinear_gather(x, add(center_t, tensor(tap_t.reshape(-1, 1, 1))),
+                              add(center_v, tensor(tap_v.reshape(-1, 1, 1))))
+    return add(local, NeighborMixParams.apply(samples, p.taps))
 
 
 def stride_sample(x: Tensor, s: int) -> Tensor:
@@ -186,16 +225,16 @@ def stride_sample(x: Tensor, s: int) -> Tensor:
     preceding valid joint: y(t, v) = x(t, floor(v/s)*s)."""
     if s < 1:
         raise DomainError(f"stride must be >= 1, got {s}")
-    t_n, v_n, c = x.shape
+    v_n = x.shape[1]
     idx = (np.arange(v_n) // s) * s
     out = x.data[:, idx]
 
     def backward(g):
         if x.requires_grad:
-            rows = (np.arange(t_n)[:, None] * v_n + idx).ravel()
-            dx = np.zeros((t_n * v_n, c), dtype=x.dtype)
-            scatter_rows(dx, rows, g.reshape(-1, c))
-            x.accumulate_grad(dx.reshape(x.shape))
+            # joint block [v0, v0 + s) reads joint v0: its gradient is the block sum
+            dx = np.zeros_like(x.data)
+            dx[:, ::s] = np.add.reduceat(g, np.arange(0, v_n, s), axis=1)
+            x.accumulate_grad(dx)
 
     return make_op(out, (x,), backward)
 
@@ -274,4 +313,10 @@ def _stride_sample_op(x):
     return stride_sample(x, 2)
 
 
+def _neighbor_mix_op(s, *tap_tensors):
+    taps = [NeighborMixParams(*tap_tensors[i:i + 3]) for i in range(0, len(tap_tensors), 3)]
+    return NeighborMixParams.apply(s, taps)
+
+
 register_op("stride_sample", _stride_sample_op)
+register_op("neighbor_mix", _neighbor_mix_op)

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csc_array, csr_array
 from scipy.special import erf
 
 from .errors import DimensionError, DomainError, NumericError, UnsupportedOpError
@@ -489,13 +490,14 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
 def scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     """Accumulate vals[m] into dst[rows[m]] for a (R, C) destination.
 
-    bincount-based: far faster than unbuffered fancy-index accumulation and
-    deterministic regardless of duplicate rows.
+    Computed as one sparse product: an (R, M) CSC matrix holding a single one
+    per column m, at row ``rows[m]``, times vals. The sums run in order of m,
+    so the result is deterministic whatever rows repeat.
     """
-    r, c = dst.shape
-    idx = rows.astype(np.intp)[:, None] * c + np.arange(c, dtype=np.intp)
-    acc = np.bincount(idx.ravel(), weights=vals.ravel(), minlength=r * c)
-    dst += acc.reshape(r, c).astype(dst.dtype)
+    m = rows.shape[0]
+    pick = csc_array((np.ones(m, dtype=vals.dtype), rows, np.arange(m + 1)),
+                     shape=(dst.shape[0], m))
+    dst += pick @ vals
 
 
 def _take_rows(a: np.ndarray, rows: np.ndarray, c: int) -> np.ndarray:
@@ -624,7 +626,13 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
     """Sample x at fractional (t, v) positions; positions clamp to the edge.
 
     ``pt`` and ``pv`` share a common shape S; the result has shape S + (C,).
-    Adjoints are defined for the feature map and for both position arrays.
+    The n = prod(S) samples are one sparse product ``W @ x`` with x viewed as
+    (T*V, C): W is (n, T*V) CSR with four entries per row, the corners 00,
+    01, 10, 11 and their weights. The x adjoint is ``W.T @ g``. Each position
+    adjoint fills the same pattern with the weights' derivative in t (or v),
+    multiplies by x and takes the row-wise dot with g; the clamp has zero
+    slope unless the position lies strictly inside the grid. The tape keeps
+    only the pattern, weights and masks, never an (n, C) gather.
     """
     t_n, v_n, c = x.shape
     if pt.shape != pv.shape:
@@ -632,37 +640,33 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
     if _checked and (not np.all(np.isfinite(pt.data)) or not np.all(np.isfinite(pv.data))):
         raise NumericError("non-finite sampling positions")
     _validate_finite("bilinear_gather.x", x.data)
-    (t0, t1, v0, v1), (w00, w01, w10, w11), (wt, wv) = bilinear_weights(
-        pt.data, pv.data, t_n, v_n)
-    g00 = x.data[t0, v0]
-    g01 = x.data[t0, v1]
-    g10 = x.data[t1, v0]
-    g11 = x.data[t1, v1]
-    out = (w00[..., None] * g00 + w01[..., None] * g01
-           + w10[..., None] * g10 + w11[..., None] * g11).astype(x.dtype)
+    (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(pt.data, pv.data, t_n, v_n)
+    n = pt.size
+    cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
+                    axis=-1).reshape(-1)
+    rows = np.arange(0, 4 * n + 1, 4)
+
+    def sampling(weights) -> csr_array:
+        # in x's dtype, so that the product neither upcasts x nor its result
+        data = np.stack(weights, axis=-1).astype(x.dtype).reshape(-1)
+        return csr_array((data, cols, rows), shape=(n, t_n * v_n))
+
+    w = sampling(corners)
+    xf = x.data.reshape(-1, c)
+    out = (w @ xf).reshape(pt.shape + (c,))
 
     def backward(g):
+        g2 = g.reshape(n, c)
         if x.requires_grad:
-            dx = np.zeros((t_n * v_n, c), dtype=x.dtype)
-            rows = np.concatenate([(t0 * v_n + v0).ravel(), (t0 * v_n + v1).ravel(),
-                                   (t1 * v_n + v0).ravel(), (t1 * v_n + v1).ravel()])
-            vals = np.concatenate([(w00[..., None] * g).reshape(-1, c),
-                                   (w01[..., None] * g).reshape(-1, c),
-                                   (w10[..., None] * g).reshape(-1, c),
-                                   (w11[..., None] * g).reshape(-1, c)])
-            scatter_rows(dx, rows, vals)
-            x.accumulate_grad(dx.reshape(x.shape))
-        # clamp has zero slope outside the open interior of the grid
+            x.accumulate_grad((w.T @ g2).reshape(x.shape))
         if pt.requires_grad:
-            mt = ((pt.data > 0.0) & (pt.data < t_n - 1)).astype(x.data.dtype)
-            d_dt = ((1.0 - wv) * ((g10 - g00) * g).sum(axis=-1)
-                    + wv * ((g11 - g01) * g).sum(axis=-1))
-            pt.accumulate_grad(mt * d_dt)
+            mt = (pt.data > 0.0) & (pt.data < t_n - 1)
+            d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
+            pt.accumulate_grad(mt * d_dt.reshape(pt.shape))
         if pv.requires_grad:
-            mv = ((pv.data > 0.0) & (pv.data < v_n - 1)).astype(x.data.dtype)
-            d_dv = ((1.0 - wt) * ((g01 - g00) * g).sum(axis=-1)
-                    + wt * ((g11 - g10) * g).sum(axis=-1))
-            pv.accumulate_grad(mv * d_dv)
+            mv = (pv.data > 0.0) & (pv.data < v_n - 1)
+            d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
+            pv.accumulate_grad(mv * d_dv.reshape(pv.shape))
 
     return make_op(out, (x, pt, pv), backward)
 

@@ -73,3 +73,27 @@ def feedthrough_stream(d, n=1, dtype=np.float64):
 
 def stream_set(rng, d, names, dtype=np.float64):
     return StreamSet({name: random_stream(rng, d, dtype=dtype) for name in names})
+
+
+def conv3x3_by_definition(x, weight, depthwise):
+    """Per-position sum over the clamp-to-edge 3x3 neighbourhood."""
+    t_n, v_n, _ = x.shape
+    out = np.zeros((t_n, v_n, weight.shape[0]))
+    for t in range(t_n):
+        for v in range(v_n):
+            for i in range(3):
+                for j in range(3):
+                    xs = x[min(max(t + i - 1, 0), t_n - 1), min(max(v + j - 1, 0), v_n - 1)]
+                    out[t, v] += weight[:, i, j] * xs if depthwise else weight[:, :, i, j] @ xs
+    return out
+
+
+def bilinear_by_corners(x, t, v):
+    """Clamp-to-edge bilinear sample of x at one (t, v) position, corner by corner."""
+    t_n, v_n, _ = x.shape
+    t, v = min(max(t, 0.0), t_n - 1.0), min(max(v, 0.0), v_n - 1.0)
+    t0, v0 = int(np.floor(t)), int(np.floor(v))
+    t1, v1 = min(t0 + 1, t_n - 1), min(v0 + 1, v_n - 1)
+    a, b = t - t0, v - v0
+    return ((1 - a) * (1 - b) * x[t0, v0] + (1 - a) * b * x[t0, v1]
+            + a * (1 - b) * x[t1, v0] + a * b * x[t1, v1])

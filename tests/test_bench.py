@@ -21,5 +21,10 @@ def test_tiny_traced_infer_run_is_correct():
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"] is True, proc.stderr
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
     # one scan per layer, recorded under the patched name
-    assert result["metrics"]["ssm.selective_scan.calls"]["value"] > 0
+    assert metrics["ssm.selective_scan.calls"] > 0
+    # SA-Conv samples every tap in one gather per layer, and its spans are found
+    assert metrics["tensor.bilinear_gather.calls"] == metrics["ssm.selective_scan.calls"]
+    assert metrics["component.bilinear_sampling.fwd_s"] > 0
+    assert metrics["component.tap_mixing.fwd_s"] > 0

@@ -132,9 +132,13 @@ def _init(**config):
 
 
 def _init_text(text):
+    return _init_bytes(text.encode())
+
+
+def _init_bytes(blob):
     def argv(tmp, ckpt, data):
         path = tmp / "config.json"
-        path.write_text(text)
+        path.write_bytes(blob)
         return ["init", "--config", path, "--out", tmp / "i.ckpt"]
     return argv
 
@@ -143,20 +147,23 @@ def _init_text(text):
 DEEP = "[" * 100_000 + "]" * 100_000
 
 
-def _infer_deep_keypoints(tmp, ckpt, data):
-    inp = tmp / "in.json"
-    inp.write_text('{"version": 1, "num_joints": 4, "dims": 2, "frames": ' + DEEP + "}")
-    return ["infer", "--model", ckpt, "--input", inp, "--output", tmp / "out.json"]
+def _infer_keypoints(blob):
+    def argv(tmp, ckpt, data):
+        inp = tmp / "in.json"
+        inp.write_bytes(blob)
+        return ["infer", "--model", ckpt, "--input", inp, "--output", tmp / "out.json"]
+    return argv
 
 
-def _infer_deep_manifest(tmp, ckpt, data):
-    blob = ckpt.read_bytes()
-    mlen = struct.unpack_from("<I", blob, 8)[0]
-    text = ('{"config": ' + DEEP + "}").encode()
-    edited = tmp / "edited.ckpt"
-    edited.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + mlen:])
-    return ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
-            "--output", tmp / "out.json"]
+def _infer_manifest(text):
+    def argv(tmp, ckpt, data):
+        blob = ckpt.read_bytes()
+        mlen = struct.unpack_from("<I", blob, 8)[0]
+        edited = tmp / "edited.ckpt"
+        edited.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + mlen:])
+        return ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
+                "--output", tmp / "out.json"]
+    return argv
 
 
 HOSTILE_INPUTS = {
@@ -175,9 +182,14 @@ HOSTILE_INPUTS = {
     "eval --root -1": _eval("--root", -1),
     "config with a float width": _init(D=8.0),
     "config with a string depth": _init(L="x"),
-    "deeply nested keypoint frames": _infer_deep_keypoints,
-    "deeply nested manifest": _infer_deep_manifest,
+    "deeply nested keypoint frames": _infer_keypoints(
+        ('{"version": 1, "num_joints": 4, "dims": 2, "frames": ' + DEEP + "}").encode()),
+    "deeply nested manifest": _infer_manifest(('{"config": ' + DEEP + "}").encode()),
     "deeply nested config": _init_text('{"L": ' + DEEP + "}"),
+    "keypoint file with invalid UTF-8": _infer_keypoints(
+        b'{"version": 1, "note": "\xff\xfe", "num_joints": 4, "dims": 2, "frames": []}'),
+    "manifest with invalid UTF-8": _infer_manifest(b'{"config": "\xff"}'),
+    "config with invalid UTF-8": _init_bytes(b'{"L": "\xff"}'),
 }
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from conftest import (feedthrough_stream, identity_tap, random_sa,
+from conftest import (bilinear_by_corners, conv3x3_by_definition,
+                      feedthrough_stream, identity_tap, random_sa,
                       random_stream, stream_set, zero_local, zero_offset_net,
                       zero_tap)
 from sasmamba.errors import ConfigError, DimensionError, DomainError
@@ -31,6 +32,31 @@ def scan_by_unroll(seq, p):
         h = a_bar * h + (a_bar - 1.0) / a * b[None, :] * u[:, None]
         ys.append(h @ c + p.skip.data * u)
     return np.array(ys)
+
+
+def sa_conv_by_taps(x, sa):
+    """Plain-numpy SA-Conv: each tap samples its four corners and applies
+    ``diag * s + up @ (down @ s)``, one position at a time."""
+    t_n, v_n, _ = x.shape
+    half = (sa.kernel_size - 1) // 2
+    off = conv3x3_by_definition(x, sa.offset_net.weight.data, False) + sa.offset_net.bias.data
+    out = conv3x3_by_definition(x, sa.local_conv.weight.data, True) + sa.local_conv.bias.data
+    taps = iter(sa.taps)
+    for dt in range(-half, half + 1):
+        for dv in range(-half, half + 1):
+            tap = next(taps)
+            for t in range(t_n):
+                for v in range(v_n):
+                    s = bilinear_by_corners(x, t + off[t, v, 0] + dt, v + off[t, v, 1] + dv)
+                    out[t, v] += tap.diag.data * s + tap.up.data @ (tap.down.data @ s)
+    return out, off
+
+
+def clamping_sa(rng, c):
+    """K=3 parameters whose offsets reach past every edge of a small grid."""
+    sa = random_sa(rng, c, k=3)
+    sa.offset_net.weight.data[:] = rng.normal(size=sa.offset_net.weight.shape) * 1.5
+    return sa
 
 
 class TestPredictOffsets:
@@ -106,6 +132,36 @@ class TestSaConv:
         x2[t0, v0 - 3] -= 4.0
         moved = sa_conv(t64(x2), sa).data[t0, v0]
         np.testing.assert_allclose(moved, base, atol=1e-12)
+
+    @pytest.mark.parametrize("zero_offsets", [False, True])
+    def test_matches_per_tap_oracle(self, zero_offsets):
+        rng = np.random.default_rng(12)
+        t_n, v_n, c = 5, 4, 3
+        sa = random_sa(rng, c, k=3, zero_offsets=True) if zero_offsets else clamping_sa(rng, c)
+        x = rng.normal(size=(t_n, v_n, c))
+        ref, off = sa_conv_by_taps(x, sa)
+        np.testing.assert_allclose(sa_conv(t64(x), sa).data, ref, rtol=1e-12, atol=1e-12)
+        pt = np.arange(t_n)[:, None] + off[..., 0]
+        pv = np.arange(v_n)[None, :] + off[..., 1]
+        if zero_offsets:
+            # the outer taps land exactly on row 0 and row T-1 (and past them)
+            assert not off.any()
+        else:
+            # the centre itself is clamped at every edge somewhere
+            assert pt.min() < 0 and pt.max() > t_n - 1
+            assert pv.min() < 0 and pv.max() > v_n - 1
+
+    def test_gradients_against_finite_differences(self):
+        rng = np.random.default_rng(13)
+        sa = clamping_sa(rng, c=2)
+        x = t64(rng.normal(size=(4, 3, 2)), grad=True)
+        leaves = [x, sa.offset_net.weight, sa.offset_net.bias]
+        for tap in sa.taps:
+            leaves.extend(tap.tensors())
+        for leaf in leaves:
+            leaf.requires_grad = True
+        err = finite_diff_check_leaves(lambda: sa_conv(x, sa), leaves, eps=1e-6)
+        assert err < 1e-6
 
     def test_config_invariants(self):
         c = 2

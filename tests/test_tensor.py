@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import sasmamba.tensor as tz
+from conftest import bilinear_by_corners, conv3x3_by_definition
 from sasmamba.errors import (DimensionError, DomainError, NumericError,
                              UnsupportedOpError)
 from sasmamba.tensor import (Conv3x3Params, DepthwiseConv3x3Params,
@@ -123,6 +124,72 @@ class TestBilinear:
         with pytest.raises(NumericError):
             bilinear_sample(x, (float("nan"), 0.0))
 
+    def test_stacked_taps_match_four_corner_reference(self):
+        # (K*K, T, V) positions: a 3x3 tap grid around every cell, perturbed,
+        # with a block past each edge and a block on exact grid lines
+        rng = np.random.default_rng(10)
+        t_n, v_n, c = 5, 4, 3
+        x = rng.normal(size=(t_n, v_n, c))
+        taps = np.arange(-1, 2)
+        pt = (np.arange(t_n)[None, :, None] + np.repeat(taps, 3)[:, None, None]
+              + rng.uniform(-0.45, 0.45, size=(9, t_n, v_n)))
+        pv = (np.arange(v_n)[None, None, :] + np.tile(taps, 3)[:, None, None]
+              + rng.uniform(-0.45, 0.45, size=(9, t_n, v_n)))
+        pt[0], pv[1] = pt[0] - 7.5, pv[1] - 6.5        # far below 0
+        pt[2], pv[3] = pt[2] + 8.5, pv[3] + 5.5        # far past the last row
+        pt[4] = np.round(pt[4])                        # on 0, T-1 and inner lines
+        pv[4] = np.round(pv[4])
+        pt[5], pv[5] = np.zeros((t_n, v_n)), np.full((t_n, v_n), v_n - 1.0)
+        pt[6], pv[6] = np.full((t_n, v_n), t_n - 1.0), np.zeros((t_n, v_n))
+        g = rng.normal(size=(9, t_n, v_n, c))
+        xt, ptt, pvt = t64(x, grad=True), t64(pt, grad=True), t64(pv, grad=True)
+        y = bilinear_gather(xt, ptt, pvt)
+        y.backward(g)
+
+        ref = np.empty((9, t_n, v_n, c))
+        ref_dx = np.zeros_like(x)
+        ref_dt, ref_dv = np.zeros_like(pt), np.zeros_like(pv)
+        for i in np.ndindex(pt.shape):
+            t, v = pt[i], pv[i]
+            ref[i] = bilinear_by_corners(x, t, v)
+            for dt, dv in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                tc, vc = min(max(t, 0.0), t_n - 1.0), min(max(v, 0.0), v_n - 1.0)
+                t0, v0 = int(np.floor(tc)), int(np.floor(vc))
+                wt = (tc - t0) if dt else 1.0 - (tc - t0)
+                wv = (vc - v0) if dv else 1.0 - (vc - v0)
+                ref_dx[min(t0 + dt, t_n - 1), min(v0 + dv, v_n - 1)] += wt * wv * g[i]
+            if 0.0 < t < t_n - 1.0:
+                ref_dt[i] = (bilinear_by_corners(x, np.floor(t) + 1.0, v)
+                             - bilinear_by_corners(x, np.floor(t), v)) @ g[i]
+            if 0.0 < v < v_n - 1.0:
+                ref_dv[i] = (bilinear_by_corners(x, t, np.floor(v) + 1.0)
+                             - bilinear_by_corners(x, t, np.floor(v))) @ g[i]
+        assert y.shape == (9, t_n, v_n, c)
+        np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(xt.grad, ref_dx, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(ptt.grad, ref_dt, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(pvt.grad, ref_dv, rtol=1e-12, atol=1e-12)
+        # clamped and exact-edge positions have zero slope
+        assert not ptt.grad[(pt <= 0.0) | (pt >= t_n - 1.0)].any()
+        assert not pvt.grad[(pv <= 0.0) | (pv >= v_n - 1.0)].any()
+        assert ((pt <= 0.0) | (pt >= t_n - 1.0)).sum() >= 2 * t_n * v_n
+
+
+class TestScatterRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_duplicate_rows_match_add_at(self, dtype):
+        rng = np.random.default_rng(11)
+        rows = rng.integers(0, 6, size=40)          # every row several times
+        vals = rng.normal(size=(40, 3)).astype(dtype)
+        dst = rng.normal(size=(7, 3)).astype(dtype)
+        ref = dst.astype(np.float64)
+        np.add.at(ref, rows, vals.astype(np.float64))
+        tz.scatter_rows(dst, rows, vals)
+        assert dst.dtype == dtype
+        tol = 1e-5 if dtype == np.float32 else 1e-13
+        np.testing.assert_allclose(dst, ref, rtol=tol, atol=tol)
+        np.testing.assert_array_equal(dst[6], ref[6].astype(dtype))
+
 
 class TestCheckedMode:
     def test_rejects_nan_inside_block(self):
@@ -210,19 +277,6 @@ class TestFiniteDiffCheck:
         wd = t64(rng.normal(size=(3, 3, 3)))
         bd = t64(rng.normal(size=3))
         assert finite_diff_check("depthwise_conv3x3", [x, wd, bd]) < 1e-5
-
-
-def conv3x3_by_definition(x, weight, depthwise):
-    """Per-position sum over the clamp-to-edge 3x3 neighbourhood."""
-    t_n, v_n, _ = x.shape
-    out = np.zeros((t_n, v_n, weight.shape[0]))
-    for t in range(t_n):
-        for v in range(v_n):
-            for i in range(3):
-                for j in range(3):
-                    xs = x[min(max(t + i - 1, 0), t_n - 1), min(max(v + j - 1, 0), v_n - 1)]
-                    out[t, v] += weight[:, i, j] * xs if depthwise else weight[:, :, i, j] @ xs
-    return out
 
 
 class TestGridConv:
