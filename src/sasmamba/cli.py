@@ -8,7 +8,6 @@ partial outputs behind.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -16,7 +15,8 @@ import numpy as np
 
 from .checks import run_gradcheck
 from .errors import DomainError, FormatError, NumericError, SasMambaError
-from .fileio import load_ckpt, read_keypoints, save_ckpt, write_keypoints
+from .fileio import (load_ckpt, parse_json, read_keypoints, save_ckpt,
+                     write_keypoints)
 from .metrics import mpjpe_p1, mpjpe_p2
 from .model import (ModelConfig, count_macs, count_params, forward,
                     group_counts, init_model)
@@ -37,16 +37,8 @@ class _UsageError(Exception):
 
 
 def _load_config(path) -> ModelConfig:
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed config JSON at line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise FormatError("config JSON nested too deeply") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"config is not valid UTF-8 at byte {exc.start}") from exc
-    return ModelConfig.from_dict(doc)
+    with open(path, "rb") as fh:
+        return ModelConfig.from_dict(parse_json(fh.read(), "config"))
 
 
 def _cmd_init(args) -> int:

@@ -35,6 +35,21 @@ def _atomic_write(path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
+def parse_json(raw: bytes, what: str, error: type[FormatError] = FormatError):
+    """Decode a JSON document, raising ``error`` for every way it can fail."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise error(f"malformed {what} JSON at line {exc.lineno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise error(f"{what} JSON nested too deeply") from exc
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} is not valid UTF-8 at byte {exc.start}") from exc
+    except ValueError as exc:
+        # an integer literal past the interpreter's digit limit
+        raise error(f"{what} JSON holds an unreadable number: {exc}") from exc
+
+
 # --- keypoint sequences ------------------------------------------------------
 
 
@@ -63,24 +78,22 @@ def write_keypoints(path, seq: np.ndarray, fps: float = 50.0,
 
 def _float32_array(value, field: str) -> np.ndarray:
     try:
-        return np.asarray(value, dtype=np.float32)
+        # a float past the float32 range becomes inf, which callers reject
+        # as non-finite; numpy's overflow warning would be a second stderr line
+        with np.errstate(over="ignore"):
+            return np.asarray(value, dtype=np.float32)
     except (ValueError, TypeError) as exc:
         raise FormatError(
             f"field '{field}' is not a rectangular array of numbers: {exc}") from exc
+    except OverflowError as exc:
+        raise FormatError(f"field '{field}' holds a number past the float range") from exc
 
 
 def read_keypoints(path) -> np.ndarray:
     """Read a keypoint JSON file back as a float32 (T, V, dims) array."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    try:
-        doc = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed JSON at line {exc.lineno}: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise FormatError("JSON nested too deeply") from exc
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"keypoint file is not valid UTF-8 at byte {exc.start}") from exc
+    doc = parse_json(raw, "keypoint file")
     if not isinstance(doc, dict):
         raise FormatError("keypoint file must contain a JSON object")
     if doc.get("version") != 1:
@@ -144,14 +157,7 @@ def load_ckpt(path) -> Model:
     mlen = struct.unpack_from("<I", blob, 8)[0]
     if len(blob) < 12 + mlen:
         raise CorruptionError("truncated manifest")
-    try:
-        manifest = json.loads(blob[12:12 + mlen])
-    except json.JSONDecodeError as exc:
-        raise CorruptionError(f"manifest is not valid JSON: {exc.msg}") from exc
-    except RecursionError as exc:
-        raise CorruptionError("manifest JSON nested too deeply") from exc
-    except UnicodeDecodeError as exc:
-        raise CorruptionError(f"manifest is not valid UTF-8 at byte {exc.start}") from exc
+    manifest = parse_json(blob[12:12 + mlen], "manifest", CorruptionError)
     try:
         cfg = ModelConfig.from_dict(manifest["config"])
         entries = manifest["tensors"]

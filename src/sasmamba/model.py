@@ -59,6 +59,8 @@ class ModelConfig:
             violations.append(f"N must be >= 1, got {self.N}")
         if self.mlp_ratio < 1:
             violations.append(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
+        if not self.strides:
+            violations.append("at least one stride must be given")
         if any(s < 1 for s in self.strides):
             violations.append(f"strides must be >= 1, got {self.strides}")
         if not self.streams:

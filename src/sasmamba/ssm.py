@@ -11,10 +11,11 @@ correctness oracle for the scan. The two sides share only the zero-order hold
 its input carries a stream axis, (L, S, D), and each stream has its own
 parameters. Every per-step array is laid out (..., S, N, D) with the channel
 axis D innermost, so the elementwise work broadcasting over the state axis N
-runs on contiguous rows. Steps are taken in chunks of ``SCAN_CHUNK``; the
-adjoint keeps only the states and recomputes ``a_bar``, ``factor`` and the
-series mask per chunk from the saved step sizes, as Mamba's recomputation
-does (Gu & Dao, arXiv 2312.00752, section 3.3.2).
+runs on contiguous rows. Steps are taken in chunks of ``SCAN_CHUNK``, and
+each call writes its per-chunk temporaries into one reused workspace; the
+adjoint keeps only the states and recomputes ``a_bar`` and ``factor`` per
+chunk from the saved step sizes, as Mamba's recomputation does (Gu & Dao,
+arXiv 2312.00752, section 3.3.2).
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import numpy as np
 from .errors import DimensionError, DomainError
 from .tensor import Tensor, make_op, register_op, tensor
 
-_SERIES_CUTOFF = 1e-6
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small
 SCAN_CHUNK = 128
@@ -90,31 +90,30 @@ class SelectiveSsmParams:
                 self.c_bias, self.dt_down, self.dt_up, self.dt_bias, self.skip)
 
 
-def _zoh(delta: np.ndarray, a: np.ndarray):
+def _zoh(delta: np.ndarray, a: np.ndarray, a_bar=None, factor=None):
     """The zero-order hold of :func:`discretize` without the input vector.
 
     ``delta`` is (..., D) and ``a`` is (N, D), or (S, N, D) against a stream
-    axis at ``delta[..., S, D]``. Returns ``a_bar``, ``factor`` (so
-    ``b_bar = factor * b``) and the mask of entries on the series branch, all
+    axis at ``delta[..., S, D]``. Returns ``a_bar = exp(delta * a)`` and
+    ``factor = expm1(delta * a) / a`` (so ``b_bar = factor * b``), both
     (..., N, D): the channel axis stays innermost, so broadcasting over N
-    runs whole contiguous rows.
+    runs whole contiguous rows. ``a`` is never 0 (it is ``-exp(a_log)``), and
+    ``expm1`` keeps ``factor`` accurate to a few ulps however small
+    ``|delta * a|`` is, in float32 as in float64. When ``a_bar`` and
+    ``factor`` are given, the results are written into them.
     """
-    d = delta[..., None, :]
-    da = d * a
-    small = np.abs(da) < _SERIES_CUTOFF
-    a_bar = np.exp(da, out=da)
-    factor = np.subtract(a_bar, 1.0)
-    np.divide(factor, a, out=factor, where=~small)
-    np.copyto(factor, d, where=small)
-    return a_bar, factor, small
+    da = np.multiply(delta[..., None, :], a, out=a_bar)
+    factor = np.expm1(da, out=factor)
+    factor /= a
+    return np.exp(da, out=da), factor
 
 
 def discretize(delta: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Zero-order-hold discretization of a diagonal-per-channel system.
 
-    ``a_bar = exp(delta * a)`` and ``b_bar = ((exp(delta * a) - 1) / a) * b``,
-    with a first-order series fallback ``b_bar = delta * b`` where
-    ``|delta * a|`` is small enough for the exact form to cancel.
+    ``a_bar = exp(delta * a)`` and ``b_bar = (expm1(delta * a) / a) * b``,
+    the hold of Mamba (Gu & Dao, arXiv 2312.00752, eq. 4) with ``expm1`` in
+    place of ``exp(.) - 1``, which cancels when ``|delta * a|`` is small.
 
     Shapes: delta (L, D), a (D, N), b (L, N) -> a_bar, b_bar both (L, D, N).
     """
@@ -122,7 +121,7 @@ def discretize(delta: np.ndarray, a: np.ndarray, b: np.ndarray):
     b = np.asarray(b)
     if np.any(delta <= 0):
         raise DomainError("discretize requires strictly positive step sizes")
-    a_bar, factor, _ = _zoh(delta, np.asarray(a).T)
+    a_bar, factor = _zoh(delta, np.asarray(a).T)
     return a_bar.swapaxes(1, 2), (factor * b[:, :, None]).swapaxes(1, 2)
 
 
@@ -150,8 +149,10 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParam
     processed in chunks of ``SCAN_CHUNK``: discretization and readout happen
     per chunk, and when nothing requires a gradient no (L, S, N, D) array
     exists. Otherwise the states ``hs`` are kept, and the adjoint walks the
-    chunks in reverse, recomputing ``a_bar``, ``factor`` and the series mask
-    from the saved step sizes through :func:`_zoh`. The adjoint is exact.
+    chunks in reverse, recomputing ``a_bar`` and ``factor`` from the saved
+    step sizes through :func:`_zoh`. The per-chunk temporaries of either pass
+    are written into a workspace allocated once per call. The adjoint is
+    exact.
     """
     streams = [p] if isinstance(p, SelectiveSsmParams) else list(p)
     ud = u.data[:, None, :] if u.data.ndim == 2 else u.data
@@ -183,31 +184,41 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParam
 
     parents = (u,) + tuple(t for q in streams for t in q.tensors())
     keep = any(t.requires_grad for t in parents)
+    chunks = _chunks(seq_len)
+    # per-chunk (k, S, N, D) temporaries live in one workspace per call,
+    # written with out= and sliced to the length of the last, partial chunk
+    ws_shape = (min(SCAN_CHUNK, seq_len), s_n, n, d)
     hs = np.empty((seq_len, s_n, n, d), dtype=dt) if keep else None
+    ws = np.empty((2 if keep else 3,) + ws_shape, dtype=dt)
     ys = np.empty((seq_len, s_n, d), dtype=dt)
     h = np.zeros((s_n, n, d), dtype=dt)
-    for sl in _chunks(seq_len):
-        a_bar, factor, _ = _zoh(delta[sl], a)
+    for sl in chunks:
+        k = sl.stop - sl.start
+        a_bar, factor = _zoh(delta[sl], a, ws[0, :k], ws[1, :k])
         # b_bar * u, advanced in place into the states of the chunk
-        hc = np.multiply(factor * b_seq[sl, :, :, None], ud[sl, :, None, :],
-                         out=hs[sl] if keep else None)
+        hc = np.multiply(factor, b_seq[sl, :, :, None], out=hs[sl] if keep else ws[2, :k])
+        hc *= ud[sl, :, None, :]
+        prev = h
         for cur, step in zip(hc, a_bar):
-            cur += step * h
-            h = cur
+            cur += step * prev
+            prev = cur
+        h[...] = prev  # the workspace is rewritten by the next chunk
         np.matmul(c_seq[sl, :, None, :], hc, out=ys[sl, :, None, :])
     ys += skip * ud
 
     def backward(gy):
         g = gy.reshape(ud.shape)
-        d_a = np.zeros((s_n, n, d), dtype=dt)
+        d_a_log = np.zeros((s_n, n, d), dtype=dt)
         d_b = np.empty((seq_len, s_n, n), dtype=dt)
         d_delta = np.empty((seq_len, s_n, d), dtype=dt)
         du = g * skip
         carry = np.zeros((s_n, n, d), dtype=dt)
-        for sl in reversed(_chunks(seq_len)):
-            a_bar, factor, small = _zoh(delta[sl], a)
+        wb = np.empty((5,) + ws_shape, dtype=dt)
+        for sl in reversed(chunks):
+            k = sl.stop - sl.start
+            a_bar, factor = _zoh(delta[sl], a, wb[0, :k], wb[1, :k])
             # gradient into each state h_t; only this recurrence is sequential
-            dh = g[sl, :, None, :] * c_seq[sl, :, :, None]
+            dh = np.multiply(g[sl, :, None, :], c_seq[sl, :, :, None], out=wb[2, :k])
             for cur, step in zip(dh[::-1], a_bar[::-1]):
                 cur += carry
                 carry = cur * step
@@ -215,27 +226,31 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParam
                 h_prev = hs[sl.start - 1:sl.stop - 1]
             else:
                 h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:sl.stop - 1]])
-            b_c = b_seq[sl, :, :, None]
-            db_bar = dh * ud[sl, :, None, :]
-            du[sl] += np.einsum("lsnd,lsnd->lsd", dh, factor * b_c)
-            d_b[sl] = np.einsum("lsnd,lsnd->lsn", db_bar, factor)
-            d_factor = db_bar * b_c
-            # exact branch: factor = (a_bar - 1)/a passes d_factor/a on to
-            # a_bar and -d_factor*factor/a to a; series branch: factor = delta
-            # exactly, so all sensitivity goes to delta
-            dfa = np.divide(d_factor, a, out=np.zeros_like(d_factor), where=~small)
-            dda = (dh * h_prev + dfa) * a_bar
-            dd = dda * a
-            np.add(dd, d_factor, out=dd, where=small)
-            d_delta[sl] = dd.sum(axis=2)
-            d_a += (dda * delta[sl, :, None, :] - dfa * factor).sum(axis=0)
+            # b_bar * u = factor * b * u: gradients into u, b and factor
+            q = np.multiply(dh, factor, out=wb[3, :k])
+            du[sl] += np.einsum("lsnd,lsn->lsd", q, b_seq[sl])
+            d_b[sl] = np.einsum("lsnd,lsd->lsn", q, ud[sl])
+            d_factor = np.multiply(dh, ud[sl, :, None, :], out=wb[4, :k])
+            d_factor *= b_seq[sl, :, :, None]
+            # a_bar = exp(delta a) and factor = expm1(delta a) / a with
+            # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
+            # delta a_bar - factor, so with q = a_bar (a dh h_prev + d_factor)
+            # d delta = sum_n q and d a_log = sum_l (delta q - d_factor factor)
+            np.multiply(dh, h_prev, out=q)
+            q *= a
+            q += d_factor
+            q *= a_bar
+            d_delta[sl] = np.einsum("lsnd->lsd", q)
+            q *= delta[sl, :, None, :]
+            q -= np.multiply(d_factor, factor, out=d_factor)
+            d_a_log += q.sum(axis=0)
         d_c = np.einsum("lsd,lsnd->lsn", g, hs)
         # softplus' = sigmoid, which is 1 - exp(-softplus)
         dz = d_delta * -np.expm1(-delta)
         dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)
         dproj = np.concatenate([d_b, d_c, dm1], axis=2).swapaxes(0, 1)  # (S, L, 2N+r)
         dw = np.matmul(dproj.swapaxes(1, 2), ud.swapaxes(0, 1))         # (S, 2N+r, D)
-        grads = ((d_a * a).swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
+        grads = (d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
                  dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
                  np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),   # dt_up
                  dz.sum(axis=0), (g * ud).sum(axis=0))

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csc_array, csr_array
 from scipy.special import erf
 
 from .errors import DimensionError, DomainError, NumericError, UnsupportedOpError
@@ -494,6 +493,8 @@ def scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
     per column m, at row ``rows[m]``, times vals. The sums run in order of m,
     so the result is deterministic whatever rows repeat.
     """
+    from scipy.sparse import csc_array  # at first use: commands without a model skip it
+
     m = rows.shape[0]
     pick = csc_array((np.ones(m, dtype=vals.dtype), rows, np.arange(m + 1)),
                      shape=(dst.shape[0], m))
@@ -634,6 +635,8 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
     slope unless the position lies strictly inside the grid. The tape keeps
     only the pattern, weights and masks, never an (n, C) gather.
     """
+    from scipy.sparse import csr_array  # at first use, as in scatter_rows
+
     t_n, v_n, c = x.shape
     if pt.shape != pv.shape:
         raise DimensionError(f"position shapes differ: {pt.shape} vs {pv.shape}")

@@ -64,6 +64,21 @@ def random_stream(rng, d, n=2, r=1, dtype=np.float64):
     )
 
 
+def scan_by_unroll(seq, p):
+    """Plain-numpy selective scan of one (L, D) sequence, step by step."""
+    a = -np.exp(p.a_log.data)
+    h = np.zeros_like(a)
+    ys = []
+    for u in seq:
+        delta = np.log1p(np.exp(p.dt_up.data @ (p.dt_down.data @ u) + p.dt_bias.data))
+        b = p.b_weight.data @ u + p.b_bias.data
+        c = p.c_weight.data @ u + p.c_bias.data
+        a_bar = np.exp(delta[:, None] * a)
+        h = a_bar * h + (a_bar - 1.0) / a * b[None, :] * u[:, None]
+        ys.append(h @ c + p.skip.data * u)
+    return np.array(ys)
+
+
 def feedthrough_stream(d, n=1, dtype=np.float64):
     """Scan parameters whose output is exactly the input (c = 0, skip = 1)."""
     return frozen_params(d, n, delta=np.full(d, 0.1), b_const=np.ones(n),

@@ -1,7 +1,12 @@
 """Command-line workflows: init, synth, train, infer, eval, count."""
 
 import json
+import os
 import struct
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +15,7 @@ from sasmamba.cli import main
 from sasmamba.fileio import read_keypoints, write_keypoints
 
 TINY_CFG = dict(L=1, D=8, T=6, V=4, K=1, N=2)
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -67,6 +73,17 @@ class TestGradcheckCommand:
         assert rc == 0
         assert "gradient check passed" in stdout
         assert stdout.count("PASS") >= 20 and "FAIL" not in stdout
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # only the model's sampling product and gradient scatter use it, so
+    # eval, count, init, synth and keypoint I/O never load its modules
+    code = "import sys, sasmamba.cli; print('scipy.sparse' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 class TestUsageErrors:
@@ -145,6 +162,8 @@ def _init_bytes(blob):
 
 # deeper than the JSON decoder's recursion allows
 DEEP = "[" * 100_000 + "]" * 100_000
+# longer than the interpreter converts from a decimal string
+LONG_INT = "1" * 5000
 
 
 def _infer_keypoints(blob):
@@ -190,6 +209,15 @@ HOSTILE_INPUTS = {
         b'{"version": 1, "note": "\xff\xfe", "num_joints": 4, "dims": 2, "frames": []}'),
     "manifest with invalid UTF-8": _infer_manifest(b'{"config": "\xff"}'),
     "config with invalid UTF-8": _init_bytes(b'{"L": "\xff"}'),
+    "config with no strides": _init(strides=[]),
+    "keypoint integer past the float range": _infer(frames=[[[10**400, 1]] * 4]),
+    "keypoint float past the float32 range": _infer(frames=[[[1e300, 1]] * 4]),
+    "keypoint file with a 5000-digit integer": _infer_keypoints(
+        ('{"version": 1, "num_joints": 4, "dims": 2, "frames": [[[' + LONG_INT
+         + ", 1]]]}").encode()),
+    "manifest with a 5000-digit integer": _infer_manifest(
+        ('{"config": ' + LONG_INT + "}").encode()),
+    "config with a 5000-digit integer": _init_text('{"L": ' + LONG_INT + "}"),
 }
 
 
@@ -199,7 +227,10 @@ class TestHostileInputs:
         ckpt, data = tmp_path / "m.ckpt", tmp_path / "data"
         run(["init", "--config", tiny_config_path, "--out", ckpt], capsys)
         run(["synth", "--sequences", 2, "--frames", 6, "--joints", 4, "--out", data], capsys)
-        rc, _, stderr = run(HOSTILE_INPUTS[case](tmp_path, ckpt, data), capsys)
+        # a warning would print more lines to stderr, so it fails the case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, stderr = run(HOSTILE_INPUTS[case](tmp_path, ckpt, data), capsys)
         assert rc == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "Traceback" not in stderr

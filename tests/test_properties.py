@@ -1,0 +1,168 @@
+"""Property tests of the file readers: every input loads or raises FormatError.
+
+Examples are derandomized and bounded, so a run is deterministic and short.
+A reader that ends in any other exception fails the property; the CLI maps
+``FormatError`` and its subclasses to exit code 2.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from sasmamba.errors import FormatError
+from sasmamba.fileio import MAGIC, load_ckpt, read_keypoints, save_ckpt
+from sasmamba.model import Model, ModelConfig, init_model
+
+PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=250,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+           | st.sampled_from([10**400, -10**400, 1e300, "1.5", "x", [], {}]))
+values = st.recursive(scalars, lambda inner: st.lists(inner, max_size=4)
+                      | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+                      max_leaves=12)
+KEYPOINT_FIELDS = ("version", "fps", "num_joints", "dims", "frames", "confidence")
+
+
+@st.composite
+def keypoint_files(draw):
+    """A valid keypoint file with a few of its parts replaced by anything."""
+    t_n, v_n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    dims = draw(st.sampled_from([2, 3]))
+    frames = draw(st.lists(st.floats(width=32), min_size=t_n * v_n * dims,
+                           max_size=t_n * v_n * dims))
+    doc = {"version": 1, "fps": 50.0, "num_joints": v_n, "dims": dims,
+           "frames": np.reshape(frames, (t_n, v_n, dims)).tolist()}
+    if draw(st.booleans()):
+        doc["confidence"] = np.ones((t_n, v_n)).tolist()
+    for _ in range(draw(st.integers(0, 2))):
+        field = draw(st.sampled_from(KEYPOINT_FIELDS))
+        if field in ("frames", "confidence") and field in doc and draw(st.booleans()):
+            # one coordinate (or confidence) replaced, the rest left valid
+            row = doc[field][draw(st.integers(0, t_n - 1))]
+            if field == "frames":
+                row = row[draw(st.integers(0, v_n - 1))]
+            row[draw(st.integers(0, len(row) - 1))] = draw(scalars)
+        else:
+            doc[field] = draw(values)
+    # NaN and Infinity come out as the bare names that json.loads accepts
+    text = json.dumps(doc)
+    if draw(st.booleans()):
+        # a digit run past the interpreter's int conversion limit
+        text = text.replace("1", "1" * 4400, 1)
+    return text.encode()
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("properties")
+
+
+@PROPERTY
+@given(blob=st.binary(max_size=64) | values.map(lambda v: json.dumps(v).encode())
+       | keypoint_files())
+def test_keypoint_reader_loads_or_raises_format_error(scratch, blob):
+    path = scratch / "kp.json"
+    path.write_bytes(blob)
+    try:
+        arr = read_keypoints(path)
+    except FormatError:
+        return
+    assert arr.dtype == np.float32 and arr.ndim == 3 and np.all(np.isfinite(arr))
+
+
+TINY = ModelConfig(L=1, D=8, T=3, V=2, K=1, N=1, strides=(1, 2))
+
+
+@pytest.fixture(scope="module")
+def valid_blob(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "m.ckpt"
+    save_ckpt(init_model(TINY, seed=0), path)
+    return path.read_bytes()
+
+
+def _with_manifest(blob, edit) -> bytes:
+    """``blob`` with its manifest passed through ``edit``, the length kept right."""
+    mlen = struct.unpack_from("<I", blob, 8)[0]
+    text = edit(json.loads(blob[12:12 + mlen])).encode()
+    return MAGIC + struct.pack("<I", 1) + struct.pack("<I", len(text)) + text + blob[12 + mlen:]
+
+
+def _set_path(root, path, value):
+    """``root`` with the entry that ``path`` (indices taken modulo each
+    container's length) walks to set to ``value``."""
+    doc = root
+    for i, step in enumerate(path):
+        keys = list(doc) if isinstance(doc, dict) else list(range(len(doc)))
+        if not keys:
+            break
+        key = keys[step % len(keys)]
+        if i == len(path) - 1 or not isinstance(doc[key], (dict, list)):
+            doc[key] = value
+            break
+        doc = doc[key]
+    return root
+
+
+edits = st.one_of(
+    st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 255)),
+                                        min_size=1, max_size=4)),
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("bytes"), st.binary(max_size=80)),
+    # any entry of the manifest, or one config field, or all of it replaced
+    st.tuples(st.just("manifest entry"), st.tuples(st.lists(st.integers(0, 40), min_size=1,
+                                                            max_size=4), values)),
+    st.tuples(st.just("config field"), st.tuples(
+        st.sampled_from(sorted(TINY.to_dict())),
+        values | st.integers(-2, 40) | st.lists(st.integers(-2, 9), max_size=4))),
+    st.tuples(st.just("manifest"), values),
+    st.tuples(st.just("long digits"), st.integers(0, 10**6)),
+)
+
+
+@PROPERTY
+@given(edit=edits)
+def test_checkpoint_reader_loads_or_raises_format_error(valid_blob, scratch, edit):
+    kind, arg = edit
+    if kind == "flip":
+        blob = bytearray(valid_blob)
+        for pos, byte in arg:
+            blob[pos % len(blob)] = byte
+    elif kind == "truncate":
+        blob = valid_blob[:arg % len(valid_blob)]
+    elif kind == "bytes":
+        blob = arg
+    elif kind == "manifest entry":
+        blob = _with_manifest(valid_blob, lambda m: json.dumps(_set_path(m, *arg)))
+    elif kind == "config field":
+        field, value = arg
+        blob = _with_manifest(valid_blob, lambda m: json.dumps(
+            {**m, "config": {**m["config"], field: value}}))
+    elif kind == "manifest":
+        blob = _with_manifest(valid_blob, lambda m: json.dumps(arg))
+    else:
+        # one digit of the manifest stretched past the int conversion limit
+        def stretch(m):
+            text = json.dumps(m)
+            digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+            i = digits[arg % len(digits)]
+            return text[:i] + text[i] * 4400 + text[i + 1:]
+        blob = _with_manifest(valid_blob, stretch)
+    path = scratch / "m.ckpt"
+    path.write_bytes(bytes(blob))
+    try:
+        model = load_ckpt(path)
+    except FormatError:
+        return
+    assert isinstance(model, Model)
+
+
+def test_checkpoint_reader_accepts_the_valid_file(valid_blob, scratch):
+    # the file every edit above starts from must itself load
+    path = scratch / "valid.ckpt"
+    path.write_bytes(valid_blob)
+    assert load_ckpt(path).config == TINY

@@ -5,8 +5,8 @@ import pytest
 
 from conftest import (bilinear_by_corners, conv3x3_by_definition,
                       feedthrough_stream, identity_tap, random_sa,
-                      random_stream, stream_set, zero_local, zero_offset_net,
-                      zero_tap)
+                      random_stream, scan_by_unroll, stream_set, zero_local,
+                      zero_offset_net, zero_tap)
 from sasmamba.errors import ConfigError, DimensionError, DomainError
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
                           StreamSet, StrideConfig, four_stream_scan,
@@ -17,21 +17,6 @@ from sasmamba.tensor import LinearParams, finite_diff_check_leaves, tensor
 
 def t64(a, grad=False):
     return tensor(np.asarray(a, dtype=np.float64), requires_grad=grad)
-
-
-def scan_by_unroll(seq, p):
-    """Plain-numpy selective scan of one (L, D) sequence, step by step."""
-    a = -np.exp(p.a_log.data)
-    h = np.zeros_like(a)
-    ys = []
-    for u in seq:
-        delta = np.log1p(np.exp(p.dt_up.data @ (p.dt_down.data @ u) + p.dt_bias.data))
-        b = p.b_weight.data @ u + p.b_bias.data
-        c = p.c_weight.data @ u + p.c_bias.data
-        a_bar = np.exp(delta[:, None] * a)
-        h = a_bar * h + (a_bar - 1.0) / a * b[None, :] * u[:, None]
-        ys.append(h @ c + p.skip.data * u)
-    return np.array(ys)
 
 
 def sa_conv_by_taps(x, sa):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from conftest import random_stream, scan_by_unroll
 from sasmamba.errors import DimensionError, DomainError
-from sasmamba.ssm import (conv_apply, discretize, frozen_params,
+from sasmamba.ssm import (SCAN_CHUNK, conv_apply, discretize, frozen_params,
                           selective_scan, softplus, softplus_inverse,
                           ssm_kernel)
-from sasmamba.tensor import finite_diff_check, tensor
+from sasmamba.tensor import finite_diff_check, finite_diff_check_leaves, tensor
 
 
 def random_frozen(rng, d, n, dtype=np.float64):
@@ -54,7 +55,8 @@ class TestDiscretize:
 
     def test_closed_form_over_grid(self):
         # step sizes from 1e-10 to 3 against state entries from 0.01 to 5
-        # put some |delta * a| under the series cutoff and some above it
+        # put |delta * a| both far under 1e-6, where exp(.) - 1 cancels, and
+        # far above it
         rng = np.random.default_rng(12)
         delta = np.exp(rng.uniform(np.log(1e-10), np.log(3.0), size=(40, 6)))
         a = -np.exp(rng.uniform(np.log(0.01), np.log(5.0), size=(6, 3)))
@@ -63,8 +65,23 @@ class TestDiscretize:
         assert (np.abs(da) < 1e-6).any() and (np.abs(da) >= 1e-6).any()
         a_bar, b_bar = discretize(delta, a, b)
         np.testing.assert_allclose(a_bar, np.exp(da), rtol=1e-15)
-        # the series branch errs by |delta * a| / 2 < 5e-7 relative
-        np.testing.assert_allclose(b_bar, np.expm1(da) / a * b[:, None, :], rtol=1e-6)
+        np.testing.assert_allclose(b_bar, np.expm1(da) / a * b[:, None, :], rtol=1e-14)
+
+    @pytest.mark.parametrize("da", [2e-6, 1e-5, 1e-4, 1e-3, 1e-2])
+    def test_float32_hold_accuracy(self, da):
+        # exp(x) - 1 in float32 cancels to a relative error of about
+        # 6e-8 / |x|, 1.3e-2 at |x| = 2e-6; the reference is the exact hold
+        # in float64 of the same float32 inputs
+        rng = np.random.default_rng(13)
+        # |delta * a| lies within a factor of two of da
+        a = (-rng.uniform(1.0, 2.0, size=(8, 4))).astype(np.float32)
+        delta = (da * rng.uniform(0.5, 1.0, size=(16, 8))).astype(np.float32)
+        b = rng.normal(size=(16, 4)).astype(np.float32)
+        a_bar, b_bar = discretize(delta, a, b)
+        assert a_bar.dtype == b_bar.dtype == np.float32
+        d64, a64 = delta.astype(np.float64)[:, :, None], a.astype(np.float64)
+        expect = np.expm1(d64 * a64) / a64 * b.astype(np.float64)[:, None, :]
+        np.testing.assert_allclose(b_bar, expect, rtol=1e-6)
 
 
 class TestSoftplus:
@@ -225,8 +242,9 @@ class TestScanGradient:
         assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
 
     def test_series_branch_gradcheck(self):
-        # state entries near zero put |delta * a| under the series cutoff
-        # for one state column, so both zero-order-hold branches are checked
+        # state entries near zero put |delta * a| far under 1e-6 for one
+        # state column, where the hold is close to its first-order series
+        # delta * b, next to columns where it is not
         rng = np.random.default_rng(205)
         d, n, r, length = 3, 2, 2, 5
         a_log = rng.normal(size=(d, n)) * 0.3
@@ -238,3 +256,33 @@ class TestScanGradient:
         inputs += [tensor(rng.normal(size=d) - 1.5, dtype=np.float64),
                    tensor(rng.normal(size=d), dtype=np.float64)]
         assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
+
+
+class TestChunkedScan:
+    """Two streams over L = 2 * SCAN_CHUNK + 3 steps: three chunks, the last
+    one partial. State entries near -0.02 keep a_bar near 1, so the state
+    carried across a chunk boundary still moves the outputs."""
+
+    def _problem(self):
+        rng = np.random.default_rng(31)
+        d = 3
+        streams = [random_stream(rng, d) for _ in range(2)]
+        for p in streams:
+            p.a_log.data[:] = np.log(0.02) + rng.normal(size=p.a_log.shape) * 0.3
+        u = tensor(rng.normal(size=(2 * SCAN_CHUNK + 3, 2, d)), dtype=np.float64)
+        return u, streams
+
+    def test_forward_matches_unroll(self):
+        u, streams = self._problem()
+        out = selective_scan(u, streams).data
+        for s, p in enumerate(streams):
+            np.testing.assert_allclose(out[:, s], scan_by_unroll(u.data[:, s], p),
+                                       rtol=1e-10, atol=1e-12)
+
+    def test_gradients_against_finite_differences(self):
+        u, streams = self._problem()
+        leaves = [u] + [t for p in streams for t in p.tensors()]
+        for leaf in leaves:
+            leaf.requires_grad = True
+        err = finite_diff_check_leaves(lambda: selective_scan(u, streams), leaves, sample=6)
+        assert err < 1e-6
