@@ -2,8 +2,8 @@
 
 from .errors import (ChecksumError, ConfigError, CorruptionError,
                      DegeneracyError, DimensionError, DomainError, FormatError,
-                     NumericError, SasMambaError, UnsupportedOpError,
-                     VersionError)
+                     GraphConsumedError, NumericError, SasMambaError,
+                     UnsupportedOpError, VersionError)
 from .fileio import load_ckpt, read_keypoints, save_ckpt, write_keypoints
 from .metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2, mpjve_metric,
                       procrustes_align)

@@ -233,8 +233,11 @@ def main(argv=None) -> int:
         return USAGE_ERROR
     try:
         return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc.filename}", file=sys.stderr)
+    except OSError as exc:
+        # a missing file, a directory, no permission: a path the user gave
+        reason = ("file not found" if isinstance(exc, FileNotFoundError)
+                  else f"cannot use path ({exc.strerror or type(exc).__name__})")
+        print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return DATA_ERROR
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)

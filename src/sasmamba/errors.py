@@ -25,6 +25,10 @@ class NumericError(SasMambaError, ArithmeticError):
     """Non-finite values encountered, or a numerical procedure diverged."""
 
 
+class GraphConsumedError(SasMambaError, RuntimeError):
+    """Backward reached a graph that an earlier backward already consumed."""
+
+
 class UnsupportedOpError(SasMambaError, KeyError):
     """An operation id has no registered adjoint."""
 

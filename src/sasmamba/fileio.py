@@ -29,10 +29,20 @@ FORMAT_VERSION = 1
 
 
 def _atomic_write(path, blob: bytes) -> None:
+    """Write through a temporary file; on failure nothing is left behind.
+
+    A failure raises the OSError of the same errno, naming ``path`` rather
+    than the temporary file.
+    """
     tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "wb") as fh:
-        fh.write(blob)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if os.path.lexists(tmp):
+            os.unlink(tmp)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def parse_json(raw: bytes, what: str, error: type[FormatError] = FormatError):

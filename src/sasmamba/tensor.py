@@ -2,9 +2,11 @@
 
 Every differentiable operation here builds its output through :func:`make_op`,
 attaching a closure that knows the exact adjoint of the forward computation.
-``Tensor.backward`` replays those closures in reverse topological order. There
-is no graph optimization; the contract is that every registered operation
-survives :func:`finite_diff_check` against central differences in 64-bit mode.
+``Tensor.backward`` replays those closures in reverse topological order and
+consumes the graph as it goes: one forward allows one backward, and afterwards
+only the leaves (and the root) hold gradients. There is no graph optimization;
+the contract is that every registered operation survives
+:func:`finite_diff_check` against central differences in 64-bit mode.
 
 Precision: 32-bit floats are the working dtype, 64-bit is used for gradient
 validation. Checked mode (see :func:`checked_mode`) rejects non-finite values
@@ -20,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import DimensionError, DomainError, NumericError, UnsupportedOpError
+from .errors import (DimensionError, DomainError, GraphConsumedError,
+                     NumericError, UnsupportedOpError)
 
 DEFAULT_DTYPE = np.float32
 
@@ -48,8 +51,8 @@ class Tensor:
     """Dense ndarray plus an optional same-shape gradient accumulator.
 
     ``requires_grad`` marks leaves (parameters, inputs under test); outputs of
-    ops inherit it from their parents. ``grad`` is lazily allocated on first
-    accumulation.
+    ops inherit it from their parents. ``grad`` is allocated on first
+    accumulation, as a copy of the incoming gradient.
     """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
@@ -81,8 +84,12 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a contiguous copy, never a view: adjoints hand on views of their
+            # input and of transposed products
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype,
+                                 order="C")
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -92,6 +99,14 @@ class Tensor:
 
         Without an explicit seed the output must be scalar-like; the seed is
         then an array of ones.
+
+        The pass consumes the graph, as ``retain_graph=False`` does in
+        PyTorch: as soon as a node's adjoint has run, the node drops its
+        closure, its parents and its gradient, so the tape is freed while the
+        pass proceeds. One forward therefore allows one backward. Afterwards
+        only the leaves keep their gradients, plus this root its seed. A
+        second backward through a consumed node raises
+        :class:`GraphConsumedError` before any gradient is touched.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -112,6 +127,10 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._backward is _consumed:
+                raise GraphConsumedError(
+                    "backward through a graph an earlier backward consumed; "
+                    "run the forward again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
@@ -119,12 +138,24 @@ class Tensor:
                     stack.append((p, False))
 
         self.accumulate_grad(seed)
-        for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+        while order:
+            # popped, so the list holds no reference once the node is done
+            node = order.pop()
+            if node._backward is None:
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward, node._parents = _consumed, ()
+            if node is not self:
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.grad is not None})"
+
+
+def _consumed(g: np.ndarray) -> None:
+    """Adjoint slot of a node whose adjoint has run; backward never calls it."""
+    raise GraphConsumedError("adjoint of a consumed graph node")
 
 
 def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
@@ -297,12 +328,12 @@ def gelu(x: Tensor) -> Tensor:
     _validate_finite("gelu.x", x.data)
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
-    out = (d * cdf).astype(d.dtype)
+    out = (d * cdf).astype(d.dtype, copy=False)
 
     def backward(g):
         if x.requires_grad:
             pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-            x.accumulate_grad(g * (cdf + d * pdf).astype(d.dtype))
+            x.accumulate_grad(g * (cdf + d * pdf).astype(d.dtype, copy=False))
 
     return make_op(out, (x,), backward)
 
@@ -311,11 +342,11 @@ def silu(x: Tensor) -> Tensor:
     _validate_finite("silu.x", x.data)
     d = x.data
     sig = 1.0 / (1.0 + np.exp(-d))
-    out = (d * sig).astype(d.dtype)
+    out = (d * sig).astype(d.dtype, copy=False)
 
     def backward(g):
         if x.requires_grad:
-            x.accumulate_grad(g * (sig * (1.0 + d * (1.0 - sig))).astype(d.dtype))
+            x.accumulate_grad(g * (sig * (1.0 + d * (1.0 - sig))).astype(d.dtype, copy=False))
 
     return make_op(out, (x,), backward)
 
@@ -360,26 +391,6 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward(g):
         if x.requires_grad:
             x.accumulate_grad(g.reshape(x.shape))
-
-    return make_op(out, (x,), backward)
-
-
-def transpose01(x: Tensor) -> Tensor:
-    out = np.ascontiguousarray(np.swapaxes(x.data, 0, 1))
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.swapaxes(g, 0, 1))
-
-    return make_op(out, (x,), backward)
-
-
-def reverse0(x: Tensor) -> Tensor:
-    out = np.ascontiguousarray(x.data[::-1])
-
-    def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g[::-1])
 
     return make_op(out, (x,), backward)
 
@@ -546,9 +557,8 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     _validate_finite("grid_conv3x3.x", x.data)
     c_out = w.shape[0]
     rows = _neighbor_rows(t_n, v_n)
-    xs = x.data.reshape(-1, c_in)[rows].reshape(-1, 9 * c_in)    # (T*V, 9*C_in)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
-    out = xs @ w_mat.T
+    out = x.data.reshape(-1, c_in)[rows].reshape(-1, 9 * c_in) @ w_mat.T
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -558,6 +568,8 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0))
         if w.requires_grad:
+            # gathered again: at 9x the size of x, it is not kept on the tape
+            xs = x.data.reshape(-1, c_in)[rows].reshape(-1, 9 * c_in)
             dw = (g2.T @ xs).reshape(c_out, 3, 3, c_in)
             w.accumulate_grad(dw.transpose(0, 3, 1, 2))
         if x.requires_grad:
@@ -577,9 +589,8 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
     _validate_finite("depthwise_conv3x3.x", x.data)
     rows = _neighbor_rows(t_n, v_n)
-    xs = x.data.reshape(-1, c)[rows]                              # (T*V, 9, C)
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
-    out = np.einsum("pkc,kc->pc", xs, w_mat)
+    out = np.einsum("pkc,kc->pc", x.data.reshape(-1, c)[rows], w_mat)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
@@ -589,6 +600,7 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
         if b is not None and b.requires_grad:
             b.accumulate_grad(g2.sum(axis=0))
         if w.requires_grad:
+            xs = x.data.reshape(-1, c)[rows]                      # as in grid_conv3x3
             w.accumulate_grad(np.einsum("pc,pkc->ck", g2, xs).reshape(c, 3, 3))
         if x.requires_grad:
             dx = np.zeros((t_n * v_n, c), dtype=x.dtype)
@@ -757,8 +769,6 @@ register_op("grid_conv3x3", lambda x, w, b: grid_conv3x3(x, Conv3x3Params(w, b))
 register_op("depthwise_conv3x3", lambda x, w, b: depthwise_conv3x3(x, DepthwiseConv3x3Params(w, b)))
 register_op("bilinear_sample", bilinear_gather)
 register_op("reshape_flat", lambda x: reshape(x, (x.size,)))
-register_op("transpose01", transpose01)
-register_op("reverse0", reverse0)
 register_op("slice0", lambda x: slice0(x, 1, x.shape[0]))
 register_op("slice_last", lambda x: slice_last(x, 0, max(1, x.shape[-1] // 2)))
 register_op("concat_last", lambda a, b: concat_last([a, b]))

@@ -97,6 +97,18 @@ class TestUsageErrors:
                              "--output", tmp_path / "o.json"], capsys)
         assert rc == 2 and "not found" in stderr
 
+    def test_directory_error_names_the_path(self, tmp_path, capsys):
+        rc, _, stderr = run(["count", "--config", tmp_path], capsys)
+        assert rc == 2 and stderr.count("\n") == 1
+        assert stderr.startswith("error: ") and str(tmp_path) in stderr
+
+    def test_output_directory_leaves_nothing_behind(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        rc, _, stderr = run(["init", "--out", out], capsys)
+        assert rc == 2 and stderr == f"error: cannot use path (Is a directory): {out}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+
 
 def _keypoint_doc(path, **fields):
     doc = {"version": 1, "fps": 50.0, "num_joints": 4, "dims": 2, "frames": [[[0, 0]] * 4]}
@@ -218,6 +230,22 @@ HOSTILE_INPUTS = {
     "manifest with a 5000-digit integer": _infer_manifest(
         ('{"config": ' + LONG_INT + "}").encode()),
     "config with a 5000-digit integer": _init_text('{"L": ' + LONG_INT + "}"),
+    # the synthetic data directory stands in for a file
+    "init --config a directory": lambda tmp, ckpt, data: [
+        "init", "--config", data, "--out", tmp / "i.ckpt"],
+    "count --config a directory": lambda tmp, ckpt, data: ["count", "--config", data],
+    "infer --input a directory": lambda tmp, ckpt, data: [
+        "infer", "--model", ckpt, "--input", data, "--output", tmp / "out.json"],
+    "infer --model a directory": lambda tmp, ckpt, data: [
+        "infer", "--model", data, "--input", data / "seq_0000_2d.json",
+        "--output", tmp / "out.json"],
+    "train --model a directory": lambda tmp, ckpt, data: [
+        "train", "--data", data, "--model", data, "--out", tmp / "t.ckpt"],
+    "eval --pred a directory": lambda tmp, ckpt, data: [
+        "eval", "--pred", data, "--gt", data / "seq_0000_3d.json"],
+    "init --out a directory": lambda tmp, ckpt, data: ["init", "--out", data],
+    "infer --output a directory": lambda tmp, ckpt, data: [
+        "infer", "--model", ckpt, "--input", data / "seq_0000_2d.json", "--output", data],
 }
 
 

@@ -1,5 +1,7 @@
 """Network assembly: init determinism, forward contracts, accounting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from sasmamba.model import (ModelConfig, astype_model, block_forward,
 from sasmamba.sas import four_stream_scan, sa_conv, stride_scan
 from sasmamba.tensor import (Tensor, add, finite_diff_check_leaves, gelu,
                              layer_norm, linear, tensor)
+from sasmamba.training import gen_synthetic, total_loss
 
 TINY = dict(L=1, D=8, T=6, V=4, K=1, N=2)
 
@@ -273,3 +276,36 @@ class TestModelGradient:
         err = finite_diff_check_leaves(lambda: forward(m, x), leaves,
                                        sample=1, rng=rng)
         assert err < 1e-3
+
+
+class TestTapeConsumption:
+    def _step(self, cfg, seed=0):
+        model = init_model(cfg, seed=seed)
+        model.mark_trainable()
+        kp2d, pose3d = gen_synthetic(seed + 1, 1, cfg.T, cfg.V).pairs[0]
+        pred = forward(model, kp2d)
+        return model, pred, total_loss(pred, pose3d)
+
+    def test_backward_keeps_only_leaf_gradients(self):
+        model, pred, loss = self._step(ModelConfig(L=1, D=8, T=6, V=4, K=3, N=2))
+        loss.backward()
+        assert pred.grad is None and pred._parents == ()
+        assert loss.grad is not None
+        for name, t in model.named_params():
+            assert t.grad is not None and t.grad.shape == t.shape, name
+
+    def test_backward_frees_the_tape_as_it_goes(self):
+        # the tape shrinks while gradients grow, so the peak stays near the
+        # memory held after the forward; a pass that keeps every node and
+        # intermediate gradient until it returns peaks at about 1.5x
+        cfg = ModelConfig(L=2, D=32, T=27)
+        tracemalloc.start()
+        try:
+            _, _, loss = self._step(cfg)
+            after_forward = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            loss.backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * after_forward, peak / after_forward
