@@ -14,8 +14,8 @@ from .sas import (SaConvParams, SasLayerParams, StreamSet, StrideConfig,
                   stride_sample, stride_scan)
 from .ssm import (SelectiveSsmParams, conv_apply, discretize, selective_scan,
                   ssm_kernel)
-from .tensor import (LinearParams, NormParams, Tensor, bilinear_sample,
-                     checked_mode, finite_diff_check, layer_norm, linear)
+from .tensor import (LinearParams, NormParams, Tensor, checked_mode,
+                     finite_diff_check, layer_norm, linear)
 from .training import (LossWeights, OptimState, SyntheticDataset, gen_synthetic,
                        lr_at, mpjve, optim_step, tc_loss, total_loss, train,
                        wmpjpe)

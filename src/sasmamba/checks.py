@@ -41,7 +41,7 @@ def _op_inputs(name: str, rng: np.random.Generator) -> list[Tensor]:
         return [_t(rng, (4, 5, 3)), _t(rng, (2, 3, 3, 3), 0.4), _t(rng, (2,))]
     if name == "depthwise_conv3x3":
         return [_t(rng, (4, 5, 3)), _t(rng, (3, 3, 3), 0.4), _t(rng, (3,))]
-    if name == "bilinear_sample":
+    if name == "bilinear_gather":
         return [_t(rng, (5, 6, 3)),
                 tensor(rng.uniform(0.55, 3.45, size=8), dtype=np.float64),
                 tensor(rng.uniform(0.55, 4.45, size=8), dtype=np.float64)]

@@ -196,6 +196,13 @@ def load_ckpt(path) -> Model:
             f"payload holds {len(payload) // 4} scalars, config requires {total}")
     if zlib.crc32(payload) != checksum:
         raise ChecksumError("stored payload checksum does not match payload bytes")
+    finite = np.isfinite(np.frombuffer(payload, dtype="<f4"))
+    if not finite.all():
+        # neither init nor train writes one, so the file is corrupt
+        first = int(np.argmin(finite))
+        name = next(e["name"] for e in layout
+                    if first < e["offset"] // 4 + math.prod(e["shape"]))
+        raise CorruptionError(f"tensor '{name}' holds non-finite values")
 
     params: dict[str, Tensor] = {}
     for entry in layout:

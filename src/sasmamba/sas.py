@@ -20,10 +20,10 @@ import numpy as np
 from .errors import ConfigError, DimensionError, DomainError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     Tensor, _validate_finite, add, bilinear_gather,
-                     concat_last, depthwise_conv3x3, gather_sum, grid_conv3x3,
-                     linear, make_op, mul, register_op, reshape, silu,
-                     slice_last, tensor)
+                     Tensor, add, bilinear_gather, concat_last,
+                     depthwise_conv3x3, gather_sum, grid_conv3x3, linear,
+                     make_op, mul, register_op, reshape, silu, slice_last,
+                     tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -64,9 +64,7 @@ class NeighborMixParams:
         k_n, c = s.shape[0], s.shape[-1]
         if k_n != len(taps):
             raise DimensionError(f"{k_n} stacked samples for {len(taps)} taps")
-        _validate_finite("NeighborMixParams.apply.s", s.data)
         diag = np.stack([tap.diag.data for tap in taps])                # (K, C)
-        _validate_finite("NeighborMixParams.apply.diag", diag)
         down = np.stack([tap.down.data for tap in taps])                # (K, R, C)
         rho = down.shape[1]
         up = np.stack([tap.up.data for tap in taps], axis=1).reshape(c, k_n * rho)

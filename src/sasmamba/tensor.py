@@ -9,8 +9,8 @@ the contract is that every registered operation survives
 :func:`finite_diff_check` against central differences in 64-bit mode.
 
 Precision: 32-bit floats are the working dtype, 64-bit is used for gradient
-validation. Checked mode (see :func:`checked_mode`) rejects non-finite values
-at operation boundaries.
+validation. Checked mode (see :func:`checked_mode`) checks each op's output
+for non-finite values and names the op that made them.
 """
 
 from __future__ import annotations
@@ -32,7 +32,8 @@ _checked = False
 
 @contextmanager
 def checked_mode():
-    """Enable finite-value validation at op boundaries within the block."""
+    """Within the block, the first op whose output holds a NaN or an infinity
+    raises :class:`NumericError` naming that op, not one of its consumers."""
     global _checked
     prev = _checked
     _checked = True
@@ -40,11 +41,6 @@ def checked_mode():
         yield
     finally:
         _checked = prev
-
-
-def _validate_finite(name: str, arr: np.ndarray) -> None:
-    if _checked and not np.all(np.isfinite(arr)):
-        raise NumericError(f"non-finite values in '{name}'")
 
 
 class Tensor:
@@ -170,8 +166,12 @@ def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
 
     ``backward(g)`` receives the upstream gradient and must accumulate into
     each parent via ``accumulate_grad``. The closure is dropped when no parent
-    requires gradients.
+    requires gradients. In checked mode a non-finite result raises
+    :class:`NumericError` naming the op, the function that defines the closure.
     """
+    if _checked and not np.isfinite(out_data).all():
+        op = backward.__qualname__.partition(".<locals>")[0]
+        raise NumericError(f"non-finite values in the output of '{op}'")
     out = Tensor(out_data)
     if any(p.requires_grad for p in parents):
         out.requires_grad = True
@@ -272,8 +272,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _validate_finite("add.a", a.data)
-    _validate_finite("add.b", b.data)
     out = a.data + b.data
 
     def backward(g):
@@ -286,8 +284,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _validate_finite("sub.a", a.data)
-    _validate_finite("sub.b", b.data)
     out = a.data - b.data
 
     def backward(g):
@@ -300,8 +296,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _validate_finite("mul.a", a.data)
-    _validate_finite("mul.b", b.data)
     out = a.data * b.data
 
     def backward(g):
@@ -325,7 +319,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact erf form."""
-    _validate_finite("gelu.x", x.data)
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
     out = (d * cdf).astype(d.dtype, copy=False)
@@ -339,7 +332,6 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def silu(x: Tensor) -> Tensor:
-    _validate_finite("silu.x", x.data)
     d = x.data
     sig = 1.0 / (1.0 + np.exp(-d))
     out = (d * sig).astype(d.dtype, copy=False)
@@ -353,7 +345,6 @@ def silu(x: Tensor) -> Tensor:
 
 def sqrt(x: Tensor) -> Tensor:
     """Elementwise square root; gradient is unbounded as values approach zero."""
-    _validate_finite("sqrt.x", x.data)
     if np.any(x.data < 0):
         raise DomainError("sqrt of negative value")
     out = np.sqrt(x.data)
@@ -448,7 +439,6 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
-    _validate_finite("linear.x", x.data)
     out = x.data @ w.data.T
     if b is not None:
         out = out + b.data
@@ -475,7 +465,6 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     if p.gamma.shape != (c,) or p.beta.shape != (c,):
         raise DimensionError(
             f"layer_norm: gamma/beta shapes {p.gamma.shape}/{p.beta.shape} do not match C={c}")
-    _validate_finite("layer_norm.x", x.data)
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
@@ -554,7 +543,6 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     if w.shape[1] != c_in:
         raise DimensionError(
             f"grid_conv3x3: input channels {c_in} != weight in-channels {w.shape[1]}")
-    _validate_finite("grid_conv3x3.x", x.data)
     c_out = w.shape[0]
     rows = _neighbor_rows(t_n, v_n)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
@@ -587,7 +575,6 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
     if w.shape[0] != c:
         raise DimensionError(
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
-    _validate_finite("depthwise_conv3x3.x", x.data)
     rows = _neighbor_rows(t_n, v_n)
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
     out = np.einsum("pkc,kc->pc", x.data.reshape(-1, c)[rows], w_mat)
@@ -645,16 +632,17 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
     adjoint fills the same pattern with the weights' derivative in t (or v),
     multiplies by x and takes the row-wise dot with g; the clamp has zero
     slope unless the position lies strictly inside the grid. The tape keeps
-    only the pattern, weights and masks, never an (n, C) gather.
+    only the pattern, weights and masks, never an (n, C) gather. A non-finite
+    position raises :class:`NumericError` whether or not checked mode is on:
+    a NaN has no corner, and would cast to a negative column index.
     """
     from scipy.sparse import csr_array  # at first use, as in scatter_rows
 
     t_n, v_n, c = x.shape
     if pt.shape != pv.shape:
         raise DimensionError(f"position shapes differ: {pt.shape} vs {pv.shape}")
-    if _checked and (not np.all(np.isfinite(pt.data)) or not np.all(np.isfinite(pv.data))):
+    if not (np.isfinite(pt.data).all() and np.isfinite(pv.data).all()):
         raise NumericError("non-finite sampling positions")
-    _validate_finite("bilinear_gather.x", x.data)
     (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(pt.data, pv.data, t_n, v_n)
     n = pt.size
     cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
@@ -684,18 +672,6 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
             pv.accumulate_grad(mv * d_dv.reshape(pv.shape))
 
     return make_op(out, (x, pt, pv), backward)
-
-
-def bilinear_sample(x: Tensor, pos: tuple) -> Tensor:
-    """Sample a single fractional (t, v) position, returning the C-vector."""
-    t, v = pos
-    pt = t if isinstance(t, Tensor) else Tensor(np.asarray(t, dtype=x.dtype))
-    pv = v if isinstance(v, Tensor) else Tensor(np.asarray(v, dtype=x.dtype))
-    if pt.shape != () or pv.shape != ():
-        raise DimensionError("bilinear_sample takes a single scalar position")
-    if not (np.isfinite(pt.data) and np.isfinite(pv.data)):
-        raise NumericError("non-finite sampling position")
-    return bilinear_gather(x, pt, pv)
 
 
 # --- finite-difference validation -------------------------------------------
@@ -767,7 +743,7 @@ register_op("linear", lambda x, w, b: linear(x, LinearParams(w, b)))
 register_op("layer_norm", lambda x, g, b: layer_norm(x, NormParams(g, b)))
 register_op("grid_conv3x3", lambda x, w, b: grid_conv3x3(x, Conv3x3Params(w, b)))
 register_op("depthwise_conv3x3", lambda x, w, b: depthwise_conv3x3(x, DepthwiseConv3x3Params(w, b)))
-register_op("bilinear_sample", bilinear_gather)
+register_op("bilinear_gather", bilinear_gather)
 register_op("reshape_flat", lambda x: reshape(x, (x.size,)))
 register_op("slice0", lambda x: slice0(x, 1, x.shape[0]))
 register_op("slice_last", lambda x: slice_last(x, 0, max(1, x.shape[-1] // 2)))

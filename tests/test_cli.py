@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -197,6 +198,23 @@ def _infer_manifest(text):
     return argv
 
 
+def _infer_nan_in(tensor_name):
+    """infer with a checkpoint whose first value of one tensor is NaN, under a valid CRC."""
+    def argv(tmp, ckpt, data):
+        blob = bytearray(ckpt.read_bytes())
+        mlen = struct.unpack_from("<I", blob, 8)[0]
+        entries = json.loads(blob[12:12 + mlen])["tensors"]
+        start = 12 + mlen + next(e["offset"] for e in entries if e["name"] == tensor_name)
+        blob[start:start + 4] = struct.pack("<f", float("nan"))
+        poisoned = tmp / "nan.ckpt"
+        poisoned.write_bytes(blob)
+        edited = _edited_checkpoint(poisoned, tmp / "edited.ckpt",
+                                    _set("checksum", zlib.crc32(blob[12 + mlen:])))
+        return ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
+                "--output", tmp / "out.json"]
+    return argv
+
+
 HOSTILE_INPUTS = {
     "manifest offset past the payload": _infer(_set("tensors", 1, "offset", 10**9)),
     "manifest shape with a string": _infer(_set("tensors", 0, "shape", [8, "x"])),
@@ -246,6 +264,7 @@ HOSTILE_INPUTS = {
     "init --out a directory": lambda tmp, ckpt, data: ["init", "--out", data],
     "infer --output a directory": lambda tmp, ckpt, data: [
         "infer", "--model", ckpt, "--input", data / "seq_0000_2d.json", "--output", data],
+    "checkpoint with a NaN offset bias": _infer_nan_in("blocks.0.sas.offset.bias"),
 }
 
 

@@ -166,5 +166,13 @@ class TestCheckpoint:
         with pytest.raises(ChecksumError):
             load_ckpt(path)
 
+    def test_non_finite_value_names_the_tensor(self, tmp_path):
+        model = init_model(TINY, seed=9)
+        dict(model.named_params())["blocks.0.sas.offset.bias"].data[1] = np.nan
+        path = tmp_path / "m.ckpt"
+        save_ckpt(model, path)
+        with pytest.raises(CorruptionError, match=r"'blocks\.0\.sas\.offset\.bias'"):
+            load_ckpt(path)
+
     def test_magic_constant(self):
         assert MAGIC == b"SASM"

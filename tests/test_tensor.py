@@ -5,13 +5,14 @@ import pytest
 
 import sasmamba.tensor as tz
 from conftest import bilinear_by_corners, conv3x3_by_definition
+from sasmamba.checks import _op_inputs
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError, UnsupportedOpError)
 from sasmamba.tensor import (Conv3x3Params, DepthwiseConv3x3Params,
                              LinearParams, NormParams, bilinear_gather,
-                             bilinear_sample, bilinear_weights, checked_mode,
-                             depthwise_conv3x3, finite_diff_check, grid_conv3x3,
-                             layer_norm, linear, tensor)
+                             bilinear_weights, checked_mode, depthwise_conv3x3,
+                             finite_diff_check, grid_conv3x3, layer_norm, linear,
+                             registered_ops, resolve_op, tensor)
 
 
 def t64(a, grad=False):
@@ -83,19 +84,19 @@ class TestBilinear:
     def test_integer_position_is_gather(self):
         rng = np.random.default_rng(1)
         x = t64(rng.normal(size=(4, 5, 3)))
-        y = bilinear_sample(x, (1.0, 2.0))
+        y = bilinear_gather(x, t64(1.0), t64(2.0))
         np.testing.assert_array_equal(y.data, x.data[1, 2])
 
     def test_cell_center_averages_corners(self):
         x = np.zeros((2, 2, 1))
         x[0, 0], x[0, 1], x[1, 0], x[1, 1] = 1.0, 2.0, 3.0, 4.0
-        y = bilinear_sample(t64(x), (0.5, 0.5))
+        y = bilinear_gather(t64(x), t64(0.5), t64(0.5))
         np.testing.assert_allclose(y.data, [(1.0 + 2.0 + 3.0 + 4.0) / 4])
 
     def test_clamp_to_edge(self):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(3, 4, 2)))
-        y = bilinear_sample(x, (-3.7, 0.0))
+        y = bilinear_gather(x, t64(-3.7), t64(0.0))
         np.testing.assert_allclose(y.data, x.data[0, 0])
 
     def test_weights_sum_to_one_and_bounded(self):
@@ -120,9 +121,14 @@ class TestBilinear:
         np.testing.assert_allclose(y.data[:, 0], expected, atol=1e-6)
 
     def test_non_finite_position_rejected(self):
+        # outside checked mode too: a NaN would become a negative sparse index
         x = t64(np.zeros((2, 2, 1)))
-        with pytest.raises(NumericError):
-            bilinear_sample(x, (float("nan"), 0.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            for pos in ((bad, 0.0), (0.0, bad)):
+                with pytest.raises(NumericError, match="sampling positions"):
+                    bilinear_gather(x, t64(pos[0]), t64(pos[1]))
+                with pytest.raises(NumericError, match="sampling positions"):
+                    bilinear_gather(x, t64([0.5, pos[0]]), t64([0.5, pos[1]]))
 
     def test_stacked_taps_match_four_corner_reference(self):
         # (K*K, T, V) positions: a 3x3 tap grid around every cell, perturbed,
@@ -191,12 +197,27 @@ class TestScatterRows:
         np.testing.assert_array_equal(dst[6], ref[6].astype(dtype))
 
 
+# the function each registered op runs, where its registry key differs
+OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply", "reshape_flat": "reshape"}
+
+
 class TestCheckedMode:
-    def test_rejects_nan_inside_block(self):
-        bad = tensor(np.array([np.nan, 1.0]))
+    @pytest.mark.parametrize("name", registered_ops())
+    def test_rejects_nan_inside_block(self, name):
+        inputs = _op_inputs(name, np.random.default_rng(0))
+        inputs[0].data.fill(np.nan)
+        op = resolve_op(name)
+        op(*inputs)
         with checked_mode():
-            with pytest.raises(NumericError):
-                tz.add(bad, tensor(np.zeros(2)))
+            with pytest.raises(NumericError) as info:
+                op(*inputs)
+        assert OP_FUNCTION.get(name, name) in str(info.value)
+
+    def test_names_the_op_that_overflows(self):
+        big = tensor(np.full(3, 1e30, dtype=np.float32))
+        with np.errstate(over="ignore"), checked_mode():
+            with pytest.raises(NumericError, match="output of 'scale'"):
+                tz.scale(big, 1e10)
 
     def test_no_validation_outside_block(self):
         bad = tensor(np.array([np.nan, 1.0]))
@@ -307,7 +328,7 @@ class TestFiniteDiffCheck:
     def test_bilinear_interior(self):
         rng = np.random.default_rng(7)
         err = finite_diff_check(
-            "bilinear_sample",
+            "bilinear_gather",
             [t64(rng.normal(size=(5, 6, 3))),
              t64(rng.uniform(0.6, 3.4, size=8)),
              t64(rng.uniform(0.6, 4.4, size=8))],
