@@ -9,7 +9,7 @@ from .metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2, mpjve_metric,
                       procrustes_align)
 from .model import (Model, ModelConfig, count_macs, count_params, forward,
                     init_model)
-from .sas import (SaConvParams, SasLayerParams, StreamSet, StrideConfig,
+from .sas import (SaConvParams, SasLayerParams, StrideConfig,
                   four_stream_scan, predict_offsets, sa_conv, sas_ssm_layer,
                   stride_sample, stride_scan)
 from .ssm import (SelectiveSsmParams, conv_apply, discretize, selective_scan,

@@ -49,17 +49,16 @@ def _op_inputs(name: str, rng: np.random.Generator) -> list[Tensor]:
         return [_t(rng, (3, 6, 2))]
     if name == "neighbor_mix":
         k, c, rho = 2, 3, 2
-        taps = [[_t(rng, (c,)), _t(rng, (rho, c), 0.5), _t(rng, (c, rho), 0.5)]
-                for _ in range(k)]
-        return [_t(rng, (k, 4, 2, c))] + [t for tap in taps for t in tap]
+        return [_t(rng, (k, 4, 2, c)), _t(rng, (k, c)), _t(rng, (k, rho, c), 0.5),
+                _t(rng, (k, c, rho), 0.5)]
     if name == "selective_scan":
-        d, n, r, length = 3, 2, 2, 5
+        s, d, n, r, length = 2, 3, 2, 2, 5
         return [
-            _t(rng, (length, d)), _t(rng, (d, n), 0.3),
-            _t(rng, (n, d), 0.5), _t(rng, (n,), 0.5),
-            _t(rng, (n, d), 0.5), _t(rng, (n,), 0.5),
-            _t(rng, (r, d), 0.5), _t(rng, (d, r), 0.5),
-            tensor(rng.normal(size=d) - 1.5, dtype=np.float64), _t(rng, (d,)),
+            _t(rng, (length, s, d)), _t(rng, (s, d, n), 0.3),
+            _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
+            _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
+            _t(rng, (s, r, d), 0.5), _t(rng, (s, d, r), 0.5),
+            tensor(rng.normal(size=(s, d)) - 1.5, dtype=np.float64), _t(rng, (s, d)),
         ]
     raise KeyError(f"no input builder for registered op '{name}'")
 

@@ -20,9 +20,8 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import (ChecksumError, ConfigError, CorruptionError, FormatError,
-                     VersionError)
-from .model import Model, ModelConfig, build_model, param_entries
-from .tensor import Tensor
+                     NumericError, VersionError)
+from .model import Model, ModelConfig, build_model, param_entries, stack_params
 
 MAGIC = b"SASM"
 FORMAT_VERSION = 1
@@ -130,26 +129,38 @@ def read_keypoints(path) -> np.ndarray:
 # --- checkpoints -------------------------------------------------------------
 
 
-def _tensor_layout(shapes) -> Iterator[dict]:
-    """Manifest entries for (name, shape) pairs packed back to back as f32."""
+def _tensor_layout(cfg: ModelConfig) -> Iterator[tuple[dict, str, int | None]]:
+    """The config's manifest entries, packed back to back as f32, each with
+    the ``(key, index)`` of the model parameter slice that holds it."""
     offset = 0
-    for name, shape in shapes:
-        yield {"name": name, "shape": list(shape), "offset": offset}
+    for name, shape, _, key, index in param_entries(cfg):
+        yield {"name": name, "shape": list(shape), "offset": offset}, key, index
         offset += math.prod(shape) * 4
 
 
-def _manifest_bytes(cfg: ModelConfig, tensors: list[tuple[str, Tensor]],
-                    checksum: int) -> bytes:
-    manifest = {"config": cfg.to_dict(), "checksum": checksum,
-                "tensors": list(_tensor_layout((name, t.shape) for name, t in tensors))}
-    return json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def _check_finite(payload: bytes, entries: list[dict], error: type[Exception]) -> None:
+    """Raise ``error`` naming the first tensor of the payload that holds a
+    NaN or an infinity."""
+    finite = np.isfinite(np.frombuffer(payload, dtype="<f4"))
+    if not finite.all():
+        first = int(np.argmin(finite))
+        name = next(e["name"] for e in entries
+                    if first < e["offset"] // 4 + math.prod(e["shape"]))
+        raise error(f"tensor '{name}' holds non-finite values")
 
 
 def save_ckpt(model: Model, path) -> None:
-    tensors = list(model.named_params())
-    payload = b"".join(np.ascontiguousarray(t.data.astype("<f4")).tobytes()
-                       for _, t in tensors)
-    manifest = _manifest_bytes(model.config, tensors, zlib.crc32(payload))
+    """Write a format-v1 checkpoint; a non-finite value raises
+    :class:`NumericError` naming its tensor, and nothing is written."""
+    layout = list(_tensor_layout(model.config))
+    payload = b"".join((model.params[key].data if index is None
+                        else model.params[key].data[index]).astype("<f4").tobytes()
+                       for _, key, index in layout)
+    entries = [entry for entry, _, _ in layout]
+    _check_finite(payload, entries, NumericError)
+    manifest = json.dumps({"config": model.config.to_dict(), "checksum": zlib.crc32(payload),
+                           "tensors": entries},
+                          sort_keys=True, separators=(",", ":")).encode("utf-8")
     blob = MAGIC + struct.pack("<I", FORMAT_VERSION) + struct.pack("<I", len(manifest)) \
         + manifest + payload
     _atomic_write(path, blob)
@@ -183,34 +194,26 @@ def load_ckpt(path) -> Model:
     if not isinstance(entries, list):
         raise CorruptionError("manifest tensor list is not a JSON array")
     layout = []
-    for stored, expected in itertools.zip_longest(
-            entries, _tensor_layout((name, shape) for name, shape, _ in param_entries(cfg))):
-        if stored != expected:
+    for stored, expected in itertools.zip_longest(entries, _tensor_layout(cfg)):
+        if expected is None or stored != expected[0]:
             raise CorruptionError("manifest tensor names, shapes or offsets do not match "
                                   "the layout the config requires")
         layout.append(expected)
-    total = sum(math.prod(entry["shape"]) for entry in layout)
+    total = sum(math.prod(entry["shape"]) for entry in entries)
     payload = blob[12 + mlen:]
     if len(payload) != total * 4:
         raise CorruptionError(
             f"payload holds {len(payload) // 4} scalars, config requires {total}")
     if zlib.crc32(payload) != checksum:
         raise ChecksumError("stored payload checksum does not match payload bytes")
-    finite = np.isfinite(np.frombuffer(payload, dtype="<f4"))
-    if not finite.all():
-        # neither init nor train writes one, so the file is corrupt
-        first = int(np.argmin(finite))
-        name = next(e["name"] for e in layout
-                    if first < e["offset"] // 4 + math.prod(e["shape"]))
-        raise CorruptionError(f"tensor '{name}' holds non-finite values")
+    # save_ckpt writes no non-finite value, so the file is corrupt
+    _check_finite(payload, entries, CorruptionError)
 
-    params: dict[str, Tensor] = {}
-    for entry in layout:
-        shape = tuple(entry["shape"])
-        arr = np.frombuffer(payload, dtype="<f4", count=math.prod(shape),
-                            offset=entry["offset"])
-        params[entry["name"]] = Tensor(arr.reshape(shape).astype(np.float32))
+    params = stack_params(
+        (key, index, np.frombuffer(payload, dtype="<f4", count=math.prod(entry["shape"]),
+                                   offset=entry["offset"]).reshape(entry["shape"]))
+        for entry, key, index in layout)
     try:
         return build_model(cfg, params)
     except ConfigError as exc:
-        raise CorruptionError(f"tensor list does not match the config manifest: {exc}") from exc
+        raise CorruptionError(f"checkpoint config builds no model: {exc}") from exc

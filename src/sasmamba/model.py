@@ -6,21 +6,20 @@ block applies the structure-aware stride layer and an MLP with pre-norm
 residuals; a linear head regresses (T, V, 3).
 
 The parameter manifest produced by :func:`param_entries` is the single source
-of truth for initialization, analytic counting, and checkpoint layout, so the
-three can never drift apart.
+of truth for initialization, analytic counting, checkpoint layout and the
+stacked parameters that hold its tensors, so the four can never drift apart.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, NumericError
 from .sas import (STREAM_ORDER, NeighborMixParams, SaConvParams,
-                  SasLayerParams, StreamSet, StrideConfig, sas_ssm_layer,
-                  tap_rank)
+                  SasLayerParams, StrideConfig, sas_ssm_layer, tap_rank)
 from .ssm import SelectiveSsmParams, softplus_inverse
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      NormParams, Tensor, add, gelu, layer_norm, linear, slice0)
@@ -68,12 +67,20 @@ class ModelConfig:
         unknown = set(self.streams) - set(STREAM_ORDER)
         if unknown:
             violations.append(f"unknown streams: {sorted(unknown)}")
+        repeated = {s for s in self.streams if self.streams.count(s) > 1}
+        if repeated:
+            violations.append(f"duplicate streams: {sorted(repeated)}")
         if violations:
             raise ConfigError("; ".join(violations))
 
     @property
     def dt_rank(self) -> int:
         return max(1, self.D // 16)
+
+    @property
+    def ordered_streams(self) -> tuple[str, ...]:
+        """The enabled streams in ``STREAM_ORDER``, the order they stack in."""
+        return tuple(name for name in STREAM_ORDER if name in self.streams)
 
     def stride_config(self) -> StrideConfig:
         if len(self.strides) == 3:
@@ -143,8 +150,18 @@ class Model:
             t.requires_grad = flag
 
 
-def param_entries(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str]]:
-    """Canonical (name, shape, init_kind) manifest of every trainable tensor.
+def param_entries(cfg: ModelConfig) -> Iterator[
+        tuple[str, tuple[int, ...], str, str, int | None]]:
+    """Canonical manifest of every trainable tensor of checkpoint format v1.
+
+    Each entry is ``(name, shape, init_kind, key, index)``: the v1 tensor,
+    and the model parameter that holds it, all of ``params[key]`` when
+    ``index`` is None and its row ``index`` otherwise. A block's tap maps and
+    scan streams are stored stacked: ``blocks.{i}.sas.tap{k}.{field}`` is
+    row k of ``blocks.{i}.sas.taps.{field}``, and
+    ``blocks.{i}.sas.{stream}.{field}`` is row s of
+    ``blocks.{i}.sas.scan.{field}`` for the s-th enabled stream in
+    ``STREAM_ORDER``. Every other key is its tensor's name.
 
     Entries are generated in order as they are consumed, so a reader checking
     a stored manifest against them can stop at the first disagreement.
@@ -153,61 +170,80 @@ def param_entries(cfg: ModelConfig) -> Iterator[tuple[str, tuple[int, ...], str]
     r = cfg.dt_rank
     rho = tap_rank(k)
     hidden = cfg.mlp_ratio * d
-    yield from [
+    tap_fields = (("diag", (d,), "tap_diag"), ("down", (rho, d), "linear"),
+                  ("up", (d, rho), "tap_up"))
+    scan_fields = (("a_log", (d, n), "a_log"), ("b_weight", (n, d), "linear"),
+                   ("b_bias", (n,), "zeros"), ("c_weight", (n, d), "linear"),
+                   ("c_bias", (n,), "zeros"), ("dt_down", (r, d), "linear"),
+                   ("dt_up", (d, r), "linear"), ("dt_bias", (d,), "dt_bias"),
+                   ("skip", (d,), "ones"))
+
+    def whole(*entries):
+        return [(name, shape, kind, name, None) for name, shape, kind in entries]
+
+    yield from whole(
         ("embed.weight", (d, 2), "linear"),
         ("embed.bias", (d,), "zeros"),
         ("pos_spatial", (1, v, d), "pos"),
         ("pos_temporal", (big_t, 1, d), "pos"),
-    ]
+    )
     for i in range(cfg.L):
         p = f"blocks.{i}"
-        yield from [
+        yield from whole(
             (f"{p}.norm1.gamma", (d,), "ones"),
             (f"{p}.norm1.beta", (d,), "zeros"),
             (f"{p}.sas.offset.weight", (2, d, 3, 3), "conv"),
             (f"{p}.sas.offset.bias", (2,), "zeros"),
             (f"{p}.sas.local.weight", (d, 3, 3), "dwconv"),
             (f"{p}.sas.local.bias", (d,), "zeros"),
-        ]
+        )
         for tap in range(k * k):
-            q = f"{p}.sas.tap{tap}"
-            yield from [
-                (f"{q}.diag", (d,), "tap_diag"),
-                (f"{q}.down", (rho, d), "linear"),
-                (f"{q}.up", (d, rho), "tap_up"),
-            ]
-        for name in STREAM_ORDER:
-            if name not in cfg.streams:
-                continue
+            for field_name, shape, kind in tap_fields:
+                yield (f"{p}.sas.tap{tap}.{field_name}", shape, kind,
+                       f"{p}.sas.taps.{field_name}", tap)
+        for row, name in enumerate(cfg.ordered_streams):
             q = f"{p}.sas.{name}"
-            yield from [
-                (f"{q}.a_log", (d, n), "a_log"),
-                (f"{q}.b_weight", (n, d), "linear"),
-                (f"{q}.b_bias", (n,), "zeros"),
-                (f"{q}.c_weight", (n, d), "linear"),
-                (f"{q}.c_bias", (n,), "zeros"),
-                (f"{q}.dt_down", (r, d), "linear"),
-                (f"{q}.dt_up", (d, r), "linear"),
-                (f"{q}.dt_bias", (d,), "dt_bias"),
-                (f"{q}.skip", (d,), "ones"),
-            ]
+            for field_name, shape, kind in scan_fields:
+                yield f"{q}.{field_name}", shape, kind, f"{p}.sas.scan.{field_name}", row
             if cfg.gated_streams:
-                yield from [
-                    (f"{q}.gate.weight", (d, d), "linear"),
-                    (f"{q}.gate.bias", (d,), "zeros"),
-                ]
-        yield from [
+                yield from whole((f"{q}.gate.weight", (d, d), "linear"),
+                                 (f"{q}.gate.bias", (d,), "zeros"))
+        yield from whole(
             (f"{p}.norm2.gamma", (d,), "ones"),
             (f"{p}.norm2.beta", (d,), "zeros"),
             (f"{p}.mlp1.weight", (hidden, d), "linear"),
             (f"{p}.mlp1.bias", (hidden,), "zeros"),
             (f"{p}.mlp2.weight", (d, hidden), "linear"),
             (f"{p}.mlp2.bias", (d,), "zeros"),
-        ]
-    yield from [
+        )
+    yield from whole(
         ("head.weight", (3, d), "linear"),
         ("head.bias", (3,), "zeros"),
-    ]
+    )
+
+
+def entry_name(cfg: ModelConfig, key: str, values: np.ndarray) -> str:
+    """The manifest name of the first tensor held in ``params[key]`` whose
+    part of ``values``, an array of that parameter's shape, is not all
+    finite."""
+    return next(name for name, _, _, k, index in param_entries(cfg)
+                if k == key and not np.isfinite(values if index is None else values[index]).all())
+
+
+def stack_params(slices) -> dict[str, Tensor]:
+    """Model parameters from ``(key, index, array)`` triples in manifest order.
+
+    An array without an index is ``params[key]``; the arrays with one are the
+    rows of ``params[key]``, in the order given. Every parameter is a new
+    float32 array.
+    """
+    parts: dict[str, object] = {}
+    for key, index, arr in slices:
+        if index is None:
+            parts[key] = arr
+        else:
+            parts.setdefault(key, []).append(arr)
+    return {key: Tensor(np.array(part, dtype=np.float32)) for key, part in parts.items()}
 
 
 def _init_tensor(kind: str, shape: tuple[int, ...], rng: np.random.Generator,
@@ -244,62 +280,39 @@ def _init_tensor(kind: str, shape: tuple[int, ...], rng: np.random.Generator,
     raise ConfigError(f"unknown init kind '{kind}'")
 
 
-def _structure(cfg: ModelConfig, params: dict[str, Tensor]) -> dict:
+def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
+    """Wire structured parameter views over the parameters that
+    :func:`stack_params` builds from the config's manifest."""
     def lin(prefix):
         return LinearParams(params[f"{prefix}.weight"], params[f"{prefix}.bias"])
 
+    streams = cfg.ordered_streams
     blocks = []
     for i in range(cfg.L):
         p = f"blocks.{i}"
-        taps = [NeighborMixParams(params[f"{p}.sas.tap{t}.diag"],
-                                  params[f"{p}.sas.tap{t}.down"],
-                                  params[f"{p}.sas.tap{t}.up"])
-                for t in range(cfg.K * cfg.K)]
         sa = SaConvParams(
             kernel_size=cfg.K,
             offset_net=Conv3x3Params(params[f"{p}.sas.offset.weight"],
                                      params[f"{p}.sas.offset.bias"]),
-            taps=taps,
+            mix=NeighborMixParams(*(params[f"{p}.sas.taps.{f.name}"]
+                                    for f in fields(NeighborMixParams))),
             local_conv=DepthwiseConv3x3Params(params[f"{p}.sas.local.weight"],
                                               params[f"{p}.sas.local.bias"]))
-        stream_params, gates = {}, {}
-        for name in STREAM_ORDER:
-            if name not in cfg.streams:
-                continue
-            q = f"{p}.sas.{name}"
-            stream_params[name] = SelectiveSsmParams(
-                a_log=params[f"{q}.a_log"],
-                b_weight=params[f"{q}.b_weight"], b_bias=params[f"{q}.b_bias"],
-                c_weight=params[f"{q}.c_weight"], c_bias=params[f"{q}.c_bias"],
-                dt_down=params[f"{q}.dt_down"], dt_up=params[f"{q}.dt_up"],
-                dt_bias=params[f"{q}.dt_bias"], skip=params[f"{q}.skip"])
-            if cfg.gated_streams:
-                gates[name] = lin(f"{q}.gate")
-        sas = SasLayerParams(sa=sa, stride_cfg=cfg.stride_config(),
-                             streams=StreamSet(stream_params), gates=gates)
+        scan = SelectiveSsmParams(*(params[f"{p}.sas.scan.{f.name}"]
+                                    for f in fields(SelectiveSsmParams)))
+        gates = ({name: lin(f"{p}.sas.{name}.gate") for name in streams}
+                 if cfg.gated_streams else {})
+        sas = SasLayerParams(sa=sa, stride_cfg=cfg.stride_config(), streams=streams,
+                             scan=scan, gates=gates)
         blocks.append(BlockParams(
             norm1=NormParams(params[f"{p}.norm1.gamma"], params[f"{p}.norm1.beta"]),
             sas=sas,
             norm2=NormParams(params[f"{p}.norm2.gamma"], params[f"{p}.norm2.beta"]),
             mlp1=lin(f"{p}.mlp1"),
             mlp2=lin(f"{p}.mlp2")))
-    return dict(embed=lin("embed"),
-                pos_spatial=params["pos_spatial"],
-                pos_temporal=params["pos_temporal"],
-                blocks=blocks,
-                head=lin("head"))
-
-
-def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
-    """Wire structured parameter views over a canonical name -> tensor map."""
-    expected = list(param_entries(cfg))
-    if list(params) != [name for name, _, _ in expected]:
-        raise ConfigError("parameter map does not match the config manifest")
-    for name, shape, _ in expected:
-        if params[name].shape != shape:
-            raise DimensionError(
-                f"parameter '{name}' has shape {params[name].shape}, expected {shape}")
-    return Model(config=cfg, params=params, **_structure(cfg, params))
+    return Model(config=cfg, params=params, embed=lin("embed"),
+                 pos_spatial=params["pos_spatial"], pos_temporal=params["pos_temporal"],
+                 blocks=blocks, head=lin("head"))
 
 
 def init_model(cfg: ModelConfig, seed: int) -> Model:
@@ -309,9 +322,9 @@ def init_model(cfg: ModelConfig, seed: int) -> Model:
     same (config, seed) pair is bit-identical across runs.
     """
     rng = np.random.default_rng(seed)
-    params = {name: Tensor(_init_tensor(kind, shape, rng, cfg))
-              for name, shape, kind in param_entries(cfg)}
-    return build_model(cfg, params)
+    return build_model(cfg, stack_params(
+        (key, index, _init_tensor(kind, shape, rng, cfg))
+        for _, shape, kind, key, index in param_entries(cfg)))
 
 
 def astype_model(model: Model, dtype) -> Model:
@@ -359,7 +372,7 @@ def count_params(cfg: ModelConfig):
     Returns (total, breakdown) where breakdown lists (name, count) in
     manifest order; the checkpoint writer serializes exactly these tensors.
     """
-    breakdown = [(name, int(np.prod(shape))) for name, shape, _ in param_entries(cfg)]
+    breakdown = [(name, int(np.prod(shape))) for name, shape, *_ in param_entries(cfg)]
     return sum(c for _, c in breakdown), breakdown
 
 

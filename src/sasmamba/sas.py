@@ -9,6 +9,9 @@ one :func:`bilinear_gather` samples (K*K, T, V, C) and one
 :func:`four_stream_scan` the enabled streams are a stream axis S of one
 (L, S, C) sequence, L = T*V, built by one index gather and scanned by one
 :func:`selective_scan` call whose state is (S, N, C), channels innermost.
+The parameters are stored on the same axes: each field of the tap maps is
+one (K*K, ...) tensor and each field of the scan one (S, ...) tensor, so no
+call stacks or splits them.
 """
 
 from __future__ import annotations
@@ -36,42 +39,38 @@ def tap_rank(k: int) -> int:
 
 @dataclass
 class NeighborMixParams:
-    """Per-tap channel map: diagonal plus a low-rank correction.
+    """The channel maps of all K*K taps, stacked on a leading tap axis.
 
-    Applying to a feature vector s gives ``diag * s + up @ (down @ s)``. The
-    diagonal part keeps identity and zero maps exactly representable at any
-    rank.
+    Tap k maps a feature vector s to ``diag[k] * s + up[k] @ (down[k] @ s)``.
+    The diagonal part keeps identity and zero maps exactly representable at
+    any rank.
     """
 
-    diag: Tensor   # (C,)
-    down: Tensor   # (rho, C)
-    up: Tensor     # (C, rho)
+    diag: Tensor   # (K*K, C)
+    down: Tensor   # (K*K, rho, C)
+    up: Tensor     # (K*K, C, rho)
 
     def tensors(self) -> tuple[Tensor, ...]:
         return (self.diag, self.down, self.up)
 
     @staticmethod
-    def apply(s: Tensor, taps: list[NeighborMixParams]) -> Tensor:
-        """Sum over taps k of ``diag_k * s[k] + up_k @ (down_k @ s[k])``.
+    def apply(s: Tensor, mix: NeighborMixParams) -> Tensor:
+        """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``.
 
         ``s`` stacks one (..., C) sample per tap on its leading axis; the
-        result drops that axis. The taps' tensors are stacked at call time,
-        so all maps run as one op: a batched ``down`` product and one matmul
-        with the ``up`` maps side by side. The adjoint splits the stacked
-        gradients back per tap. Call it through the class,
-        ``NeighborMixParams.apply(s, taps)``.
+        result drops that axis. All maps run as one op: a batched ``down``
+        product and one matmul with the ``up`` maps side by side. Call it
+        through the class, ``NeighborMixParams.apply(s, mix)``.
         """
         k_n, c = s.shape[0], s.shape[-1]
-        if k_n != len(taps):
-            raise DimensionError(f"{k_n} stacked samples for {len(taps)} taps")
-        diag = np.stack([tap.diag.data for tap in taps])                # (K, C)
-        down = np.stack([tap.down.data for tap in taps])                # (K, R, C)
+        if k_n != mix.diag.shape[0]:
+            raise DimensionError(f"{k_n} stacked samples for {mix.diag.shape[0]} taps")
+        diag, down = mix.diag.data, mix.down.data                       # (K, C), (K, R, C)
         rho = down.shape[1]
-        up = np.stack([tap.up.data for tap in taps], axis=1).reshape(c, k_n * rho)
+        up = mix.up.data.transpose(1, 0, 2).reshape(c, k_n * rho)
         sf = s.data.reshape(k_n, -1, c)                                 # (K, P, C)
         lo = np.matmul(sf, down.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, k_n * rho)
         out = np.einsum("kpc,kc->pc", sf, diag) + lo @ up.T
-        parents = (s,) + tuple(t for tap in taps for t in tap.tensors())
 
         def backward(g):
             g2 = g.reshape(-1, c)
@@ -81,12 +80,11 @@ class NeighborMixParams:
             grads = (np.einsum("pc,kpc->kc", g2, sf),
                      d_lo.transpose(0, 2, 1) @ sf,
                      (g2.T @ lo).reshape(c, k_n, rho).transpose(1, 0, 2))
-            for k, tap in enumerate(taps):
-                for t, d in zip(tap.tensors(), grads):
-                    if t.requires_grad:
-                        t.accumulate_grad(d[k])
+            for t, d in zip(mix.tensors(), grads):
+                if t.requires_grad:
+                    t.accumulate_grad(d)
 
-        return make_op(out.reshape(s.shape[1:]), parents, backward)
+        return make_op(out.reshape(s.shape[1:]), (s,) + mix.tensors(), backward)
 
 
 @dataclass
@@ -94,14 +92,14 @@ class SaConvParams:
     """Deformable spatiotemporal aggregation parameters.
 
     ``offset_net`` predicts one (dt, dv) displacement per joint from a 3x3
-    grid convolution; ``taps`` holds one channel mixer per sampled neighbor
+    grid convolution; ``mix`` holds one channel mixer per sampled neighbor
     of the K x K grid placed around the shifted center; ``local_conv`` is a
     per-channel 3x3 aggregation of the undisplaced neighborhood.
     """
 
     kernel_size: int
     offset_net: Conv3x3Params          # C -> 2
-    taps: list[NeighborMixParams]      # K*K entries
+    mix: NeighborMixParams             # K*K taps
     local_conv: DepthwiseConv3x3Params
 
     def __post_init__(self):
@@ -110,14 +108,11 @@ class SaConvParams:
             raise ConfigError(f"kernel size must be odd and >= 1, got {k}")
         if self.offset_net.weight.shape[0] != 2:
             raise ConfigError("offset net must produce exactly 2 channels")
-        if len(self.taps) != k * k:
-            raise ConfigError(f"expected {k * k} neighbor mixers, got {len(self.taps)}")
+        if self.mix.diag.shape[0] != k * k:
+            raise ConfigError(f"expected {k * k} neighbor mixers, got {self.mix.diag.shape[0]}")
 
     def tensors(self) -> tuple[Tensor, ...]:
-        out = list(self.offset_net.tensors()) + list(self.local_conv.tensors())
-        for tap in self.taps:
-            out.extend(tap.tensors())
-        return tuple(out)
+        return self.offset_net.tensors() + self.local_conv.tensors() + self.mix.tensors()
 
 
 @dataclass
@@ -148,41 +143,20 @@ class StrideConfig:
 
 
 @dataclass
-class StreamSet:
-    """Enabled scan directions, each with its own scan parameters."""
-
-    params: dict[str, SelectiveSsmParams] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.params:
-            raise ConfigError("at least one scan stream must be enabled")
-        unknown = set(self.params) - set(STREAM_ORDER)
-        if unknown:
-            raise ConfigError(f"unknown stream names: {sorted(unknown)}")
-
-    def ordered(self) -> list[tuple[str, SelectiveSsmParams]]:
-        return [(name, self.params[name]) for name in STREAM_ORDER if name in self.params]
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        out = []
-        for _, p in self.ordered():
-            out.extend(p.tensors())
-        return tuple(out)
-
-
-@dataclass
 class SasLayerParams:
+    """One structure-aware stride layer. ``scan`` stacks the parameters of
+    the enabled ``streams`` in that order; ``gates`` maps a stream name to
+    its gate."""
+
     sa: SaConvParams
     stride_cfg: StrideConfig
-    streams: StreamSet
+    streams: tuple[str, ...]
+    scan: SelectiveSsmParams
     gates: dict[str, LinearParams] = field(default_factory=dict)
 
     def tensors(self) -> tuple[Tensor, ...]:
-        out = list(self.sa.tensors()) + list(self.streams.tensors())
-        for name in STREAM_ORDER:
-            if name in self.gates:
-                out.extend(self.gates[name].tensors())
-        return tuple(out)
+        return self.sa.tensors() + self.scan.tensors() + tuple(
+            t for name in self.streams if name in self.gates for t in self.gates[name].tensors())
 
 
 def predict_offsets(x: Tensor, p: SaConvParams) -> Tensor:
@@ -199,8 +173,9 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     bilinearly sample each tap, mix per tap, and add the local aggregation.
 
     All K*K taps are sampled by one :func:`bilinear_gather` over (K*K, T, V)
-    positions, the shifted centre plus each tap's offset in ``p.taps`` order
-    (dt outer, dv inner), and mixed by one :meth:`NeighborMixParams.apply`.
+    positions, the shifted centre plus each tap's offset in the order of the
+    tap axis of ``p.mix`` (dt outer, dv inner), and mixed by one
+    :meth:`NeighborMixParams.apply`.
     """
     t_n, v_n, _ = x.shape
     k = p.kernel_size
@@ -215,7 +190,7 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     local = depthwise_conv3x3(x, p.local_conv)
     samples = bilinear_gather(x, add(center_t, tensor(tap_t.reshape(-1, 1, 1))),
                               add(center_v, tensor(tap_v.reshape(-1, 1, 1))))
-    return add(local, NeighborMixParams.apply(samples, p.taps))
+    return add(local, NeighborMixParams.apply(samples, p.mix))
 
 
 def stride_sample(x: Tensor, s: int) -> Tensor:
@@ -260,6 +235,11 @@ def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
     frame-major (all joints of frame 0 first), spatial streams joint-major;
     backward streams read their order reversed.
     """
+    if not names:
+        raise ConfigError("at least one scan stream must be enabled")
+    unknown = set(names) - set(STREAM_ORDER)
+    if unknown:
+        raise ConfigError(f"unknown stream names: {sorted(unknown)}")
     frame_major = np.arange(t_n * v_n)
     joint_major = frame_major.reshape(t_n, v_n).T.ravel()
     columns = []
@@ -272,49 +252,37 @@ def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
     return order, home.reshape(t_n, v_n, len(names))
 
 
-def four_stream_scan(x: Tensor, streams: StreamSet,
+def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmParams,
                      gates: dict[str, LinearParams] | None = None) -> Tensor:
-    """Sum of the enabled directional scans, in fixed stream order.
+    """Sum of the named directional scans; stream s runs with row s of ``scan``.
 
     One gather puts the (T, V, C) map into every stream's scan order at once,
     an (L, S, C) sequence; one :func:`selective_scan` runs all S streams; one
     gather brings each stream's output back to its (t, v) row and adds the
-    streams in ``STREAM_ORDER``. A gated stream's output is multiplied by
+    streams in the order given. A gated stream's output is multiplied by
     ``silu(gate(x))`` at the same row before the sum.
     """
     t_n, v_n, c = x.shape
-    names, params = zip(*streams.ordered())
-    s_n = len(names)
-    order, home = _scan_rows(t_n, v_n, names)
-    y = selective_scan(gather_sum(x, order[..., None], home.reshape(-1, s_n)), params)
+    s_n = len(streams)
+    order, home = _scan_rows(t_n, v_n, streams)
+    y = selective_scan(gather_sum(x, order[..., None], home.reshape(-1, s_n)), scan)
     if gates:
         gate = concat_last([silu(linear(x, gates[name])) if name in gates
-                            else tensor(np.ones_like(x.data)) for name in names])
+                            else tensor(np.ones_like(x.data)) for name in streams])
         y = mul(y, gather_sum(reshape(gate, (-1, c)), (order * s_n + np.arange(s_n))[..., None],
                               home.reshape(-1, 1)))
     return gather_sum(y, home, order.reshape(-1, 1))
 
 
-def stream_scan(x: Tensor, name: str, p: SelectiveSsmParams,
-                gate: LinearParams | None = None) -> Tensor:
-    """One directional scan: the one-stream case of :func:`four_stream_scan`."""
-    return four_stream_scan(x, StreamSet({name: p}), None if gate is None else {name: gate})
-
-
 def sas_ssm_layer(x: Tensor, p: SasLayerParams) -> Tensor:
     """Full structure-aware stride layer: sa_conv -> stride_scan -> streams."""
     return four_stream_scan(stride_scan(sa_conv(x, p.sa), p.stride_cfg),
-                            p.streams, p.gates or None)
+                            p.streams, p.scan, p.gates or None)
 
 
 def _stride_sample_op(x):
     return stride_sample(x, 2)
 
 
-def _neighbor_mix_op(s, *tap_tensors):
-    taps = [NeighborMixParams(*tap_tensors[i:i + 3]) for i in range(0, len(tap_tensors), 3)]
-    return NeighborMixParams.apply(s, taps)
-
-
 register_op("stride_sample", _stride_sample_op)
-register_op("neighbor_mix", _neighbor_mix_op)
+register_op("neighbor_mix", lambda s, *mix: NeighborMixParams.apply(s, NeighborMixParams(*mix)))

@@ -8,19 +8,19 @@ correctness oracle for the scan. The two sides share only the zero-order hold
 (:func:`discretize`), which is tested on its own against its closed form.
 
 :func:`selective_scan` runs several independent streams as one computation:
-its input carries a stream axis, (L, S, D), and each stream has its own
-parameters. Every per-step array is laid out (..., S, N, D) with the channel
-axis D innermost, so the elementwise work broadcasting over the state axis N
-runs on contiguous rows. Steps are taken in chunks of ``SCAN_CHUNK``, and
-each call writes its per-chunk temporaries into one reused workspace; the
-adjoint keeps only the states and recomputes ``a_bar`` and ``factor`` per
-chunk from the saved step sizes, as Mamba's recomputation does (Gu & Dao,
-arXiv 2312.00752, section 3.3.2).
+its input carries a stream axis, (L, S, D), and so does every field of its
+parameters, stored stacked: stream s reads row s. Every per-step array is
+laid out (..., S, N, D) with the channel axis D innermost, so the
+elementwise work broadcasting over the state axis N runs on contiguous
+rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each call writes its
+per-chunk temporaries into one reused workspace; the adjoint keeps only the
+states and recomputes ``a_bar`` and ``factor`` per chunk from the saved step
+sizes, as Mamba's recomputation does (Gu & Dao, arXiv 2312.00752, section
+3.3.2).
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,42 +48,37 @@ def softplus_inverse(y: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SelectiveSsmParams:
-    """Input-dependent state-space parameters for one scan direction.
+    """Input-dependent state-space parameters of S scan streams, stacked.
 
-    The state matrix is diagonal per channel and always negative real:
+    Every field carries a leading stream axis S; row s holds stream s. The
+    state matrix is diagonal per channel and always negative real:
     ``A = -exp(a_log)``. Step sizes come from a rank-``r`` bottleneck followed
     by softplus, so they are strictly positive. ``skip`` is the direct
     feedthrough vector.
     """
 
-    a_log: Tensor           # (D, N)
-    b_weight: Tensor        # (N, D)
-    b_bias: Tensor          # (N,)
-    c_weight: Tensor        # (N, D)
-    c_bias: Tensor          # (N,)
-    dt_down: Tensor         # (r, D)
-    dt_up: Tensor           # (D, r)
-    dt_bias: Tensor         # (D,)
-    skip: Tensor            # (D,)
+    a_log: Tensor           # (S, D, N)
+    b_weight: Tensor        # (S, N, D)
+    b_bias: Tensor          # (S, N)
+    c_weight: Tensor        # (S, N, D)
+    c_bias: Tensor          # (S, N)
+    dt_down: Tensor         # (S, r, D)
+    dt_up: Tensor           # (S, D, r)
+    dt_bias: Tensor         # (S, D)
+    skip: Tensor            # (S, D)
 
     def __post_init__(self):
-        d, n = self.a_log.shape
+        if self.a_log.data.ndim != 3:
+            raise DimensionError(f"a_log must be (S, D, N), got {self.a_log.shape}")
+        s, d, n = self.a_log.shape
         if n < 1:
             raise DomainError("state size N must be >= 1")
-        if self.dt_down.shape[0] < 1:
+        if self.dt_down.shape[1] < 1:
             raise DomainError("dt bottleneck rank must be >= 1")
-        if self.b_weight.shape != (n, d) or self.c_weight.shape != (n, d):
-            raise DimensionError("b/c projection shapes inconsistent with (D, N)")
-        if self.skip.shape != (d,) or self.dt_bias.shape != (d,):
-            raise DimensionError("skip/dt_bias must be D-vectors")
-
-    @property
-    def channels(self) -> int:
-        return self.a_log.shape[0]
-
-    @property
-    def state_size(self) -> int:
-        return self.a_log.shape[1]
+        if self.b_weight.shape != (s, n, d) or self.c_weight.shape != (s, n, d):
+            raise DimensionError("b/c projection shapes inconsistent with (S, D, N)")
+        if self.skip.shape != (s, d) or self.dt_bias.shape != (s, d):
+            raise DimensionError("skip/dt_bias must be (S, D)")
 
     def tensors(self) -> tuple[Tensor, ...]:
         return (self.a_log, self.b_weight, self.b_bias, self.c_weight,
@@ -134,55 +129,44 @@ def _batched(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.matmul(x.swapaxes(0, 1), w.swapaxes(1, 2)).swapaxes(0, 1))
 
 
-def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParams]) -> Tensor:
-    """Run the input-dependent recurrence over one or several streams.
+def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
+    """Run the input-dependent recurrence over S independent streams.
 
-    ``u`` is (L, D) with one :class:`SelectiveSsmParams`, or (L, S, D) with a
-    sequence of S of them: stream s scans ``u[:, s]`` with ``p[s]``. Per step:
-    project the input to step sizes, input and output vectors; discretize;
-    advance ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero state; emit
+    ``u`` is (L, S, D), or (L, D) when S = 1: stream s scans ``u[:, s]`` with
+    row s of every field of ``p``. Per step: project the input to step sizes,
+    input and output vectors; discretize; advance
+    ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero state; emit
     ``y_t = C_t h_t + skip * u_t``.
 
-    All streams run as one computation. The per-stream weights are stacked
-    at call time, so the projections are one batched matmul, and one
-    recurrence advances an (S, N, D) state, channels innermost. Steps are
-    processed in chunks of ``SCAN_CHUNK``: discretization and readout happen
-    per chunk, and when nothing requires a gradient no (L, S, N, D) array
-    exists. Otherwise the states ``hs`` are kept, and the adjoint walks the
-    chunks in reverse, recomputing ``a_bar`` and ``factor`` from the saved
-    step sizes through :func:`_zoh`. The per-chunk temporaries of either pass
-    are written into a workspace allocated once per call. The adjoint is
-    exact.
+    All streams run as one computation: the stacked weights make the
+    projections one batched matmul, and one recurrence advances an (S, N, D)
+    state, channels innermost. Steps are processed in chunks of
+    ``SCAN_CHUNK``: discretization and readout happen per chunk, and when
+    nothing requires a gradient no (L, S, N, D) array exists. Otherwise the
+    states ``hs`` are kept, and the adjoint walks the chunks in reverse,
+    recomputing ``a_bar`` and ``factor`` from the saved step sizes through
+    :func:`_zoh`. The per-chunk temporaries of either pass are written into
+    a workspace allocated once per call. The adjoint is exact.
     """
-    streams = [p] if isinstance(p, SelectiveSsmParams) else list(p)
+    s_n, d, n = p.a_log.shape
     ud = u.data[:, None, :] if u.data.ndim == 2 else u.data
-    if ud.ndim != 3 or ud.shape[1] != len(streams):
-        raise DimensionError(f"selective_scan expects (L, D) with one parameter set or "
-                             f"(L, S, D) with S of them, got {u.shape} with {len(streams)}")
-    seq_len, s_n, d = ud.shape
-    n, r = streams[0].state_size, streams[0].dt_down.shape[0]
-    for q in streams:
-        if q.channels != d:
-            raise DimensionError(f"sequence width {d} != parameter width {q.channels}")
-        if (q.state_size, q.dt_down.shape[0]) != (n, r):
-            raise DimensionError("streams must share the state size and the dt rank")
+    if ud.ndim != 3 or ud.shape[1:] != (s_n, d):
+        raise DimensionError(f"selective_scan expects (L, {s_n}, {d}) input, or (L, {d}) "
+                             f"when S = 1, got {u.shape}")
+    seq_len = ud.shape[0]
     dt = ud.dtype
-
-    def stacked(field):
-        return np.stack([getattr(q, field).data for q in streams])
-
-    a = -np.exp(np.ascontiguousarray(stacked("a_log").swapaxes(1, 2)))  # (S, N, D)
-    w = np.stack([np.concatenate([q.b_weight.data, q.c_weight.data, q.dt_down.data])
-                  for q in streams])                                    # (S, 2N+r, D)
+    a = -np.exp(np.ascontiguousarray(p.a_log.data.swapaxes(1, 2)))     # (S, N, D)
+    w = np.concatenate([p.b_weight.data, p.c_weight.data, p.dt_down.data],
+                       axis=1)                                          # (S, 2N+r, D)
     proj = _batched(ud, w)                                              # (L, S, 2N+r)
-    b_seq = proj[..., :n] + stacked("b_bias")                           # (L, S, N)
-    c_seq = proj[..., n:2 * n] + stacked("c_bias")
+    b_seq = proj[..., :n] + p.b_bias.data                               # (L, S, N)
+    c_seq = proj[..., n:2 * n] + p.c_bias.data
     m1 = proj[..., 2 * n:]                                              # (L, S, r)
-    dt_up = stacked("dt_up")                                            # (S, D, r)
-    delta = softplus(_batched(m1, dt_up) + stacked("dt_bias"))          # (L, S, D)
-    skip = stacked("skip")                                              # (S, D)
+    dt_up = p.dt_up.data                                                # (S, D, r)
+    delta = softplus(_batched(m1, dt_up) + p.dt_bias.data)              # (L, S, D)
+    skip = p.skip.data                                                  # (S, D)
 
-    parents = (u,) + tuple(t for q in streams for t in q.tensors())
+    parents = (u,) + p.tensors()
     keep = any(t.requires_grad for t in parents)
     chunks = _chunks(seq_len)
     # per-chunk (k, S, N, D) temporaries live in one workspace per call,
@@ -254,10 +238,9 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParam
                  dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
                  np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),   # dt_up
                  dz.sum(axis=0), (g * ud).sum(axis=0))
-        for s, q in enumerate(streams):
-            for t, grad in zip(q.tensors(), grads):
-                if t.requires_grad:
-                    t.accumulate_grad(grad[s])
+        for t, grad in zip(p.tensors(), grads):
+            if t.requires_grad:
+                t.accumulate_grad(grad)
         if u.requires_grad:
             du += np.matmul(dproj, w).swapaxes(0, 1)
             u.accumulate_grad(du.reshape(u.shape))
@@ -268,7 +251,8 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams | Sequence[SelectiveSsmParam
 def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,
                   c_const: np.ndarray, a: np.ndarray, skip: np.ndarray,
                   dtype=np.float64) -> SelectiveSsmParams:
-    """Build scan parameters whose projections ignore the input.
+    """Build one stream's scan parameters (S = 1) whose projections ignore
+    the input.
 
     Zero projection weights with biases set from the constants make the scan
     time-invariant; ``delta`` is realized through the softplus bias.
@@ -276,17 +260,10 @@ def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,
     a = np.asarray(a, dtype=dtype)
     if np.any(a >= 0):
         raise DomainError("state matrix entries must be strictly negative")
-    return SelectiveSsmParams(
-        a_log=tensor(np.log(-a), dtype=dtype),
-        b_weight=tensor(np.zeros((n, d)), dtype=dtype),
-        b_bias=tensor(b_const, dtype=dtype),
-        c_weight=tensor(np.zeros((n, d)), dtype=dtype),
-        c_bias=tensor(c_const, dtype=dtype),
-        dt_down=tensor(np.zeros((1, d)), dtype=dtype),
-        dt_up=tensor(np.zeros((d, 1)), dtype=dtype),
-        dt_bias=tensor(softplus_inverse(np.broadcast_to(delta, (d,))), dtype=dtype),
-        skip=tensor(skip, dtype=dtype),
-    )
+    fields = (np.log(-a), np.zeros((n, d)), b_const, np.zeros((n, d)), c_const,
+              np.zeros((1, d)), np.zeros((d, 1)),
+              softplus_inverse(np.broadcast_to(delta, (d,))), skip)
+    return SelectiveSsmParams(*(tensor(np.asarray(f)[None], dtype=dtype) for f in fields))
 
 
 def ssm_kernel(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
@@ -325,8 +302,4 @@ def conv_apply(u: np.ndarray, kernel: np.ndarray, skip: np.ndarray) -> np.ndarra
     return y + np.asarray(skip, dtype=np.float64) * u
 
 
-def _scan_opwrap(u, a_log, bw, bb, cw, cb, dd, du_, db, sk):
-    return selective_scan(u, SelectiveSsmParams(a_log, bw, bb, cw, cb, dd, du_, db, sk))
-
-
-register_op("selective_scan", _scan_opwrap)
+register_op("selective_scan", lambda u, *fields: selective_scan(u, SelectiveSsmParams(*fields)))

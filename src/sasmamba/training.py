@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
-from .model import Model, forward
+from .model import Model, entry_name, forward
 from .tensor import (Tensor, add, mul, scale, slice0, sqrt, sub, sum_all,
                      sum_last)
 
@@ -143,7 +143,8 @@ def optim_step(model: Model, state: OptimState, lr: float | None = None) -> None
         if g is None:
             g = np.zeros_like(t.data)
         if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in '{name}'; step rejected")
+            raise NumericError(f"non-finite gradient in "
+                               f"'{entry_name(model.config, name, g)}'; step rejected")
         if name not in state.m:
             state.m[name] = np.zeros_like(t.data, dtype=np.float64)
             state.v[name] = np.zeros_like(t.data, dtype=np.float64)

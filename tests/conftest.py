@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from sasmamba.sas import NeighborMixParams, SaConvParams, StreamSet, tap_rank
+from sasmamba.sas import NeighborMixParams, SaConvParams, tap_rank
 from sasmamba.ssm import SelectiveSsmParams, frozen_params
 from sasmamba.tensor import Conv3x3Params, DepthwiseConv3x3Params, tensor
 
@@ -19,23 +19,26 @@ def zero_local(c, dtype=np.float64):
 
 def identity_tap(c, k, dtype=np.float64):
     rho = tap_rank(k)
-    return NeighborMixParams(tensor(np.ones(c), dtype=dtype),
-                             tensor(np.zeros((rho, c)), dtype=dtype),
-                             tensor(np.zeros((c, rho)), dtype=dtype))
+    return (np.ones(c, dtype=dtype), np.zeros((rho, c), dtype=dtype),
+            np.zeros((c, rho), dtype=dtype))
 
 
 def zero_tap(c, k, dtype=np.float64):
     rho = tap_rank(k)
-    return NeighborMixParams(tensor(np.zeros(c), dtype=dtype),
-                             tensor(np.zeros((rho, c)), dtype=dtype),
-                             tensor(np.zeros((c, rho)), dtype=dtype))
+    return (np.zeros(c, dtype=dtype), np.zeros((rho, c), dtype=dtype),
+            np.zeros((c, rho), dtype=dtype))
 
 
 def random_tap(rng, c, k, dtype=np.float64, scl=0.3):
     rho = tap_rank(k)
-    return NeighborMixParams(tensor(rng.normal(size=c) * scl, dtype=dtype),
-                             tensor(rng.normal(size=(rho, c)) * scl, dtype=dtype),
-                             tensor(rng.normal(size=(c, rho)) * scl, dtype=dtype))
+    return ((rng.normal(size=c) * scl).astype(dtype),
+            (rng.normal(size=(rho, c)) * scl).astype(dtype),
+            (rng.normal(size=(c, rho)) * scl).astype(dtype))
+
+
+def stack_taps(taps):
+    """The stacked tap maps of a list of per-tap (diag, down, up) arrays."""
+    return NeighborMixParams(*(tensor(np.stack(f)) for f in zip(*taps)))
 
 
 def random_sa(rng, c, k, dtype=np.float64, zero_offsets=False):
@@ -46,48 +49,54 @@ def random_sa(rng, c, k, dtype=np.float64, zero_offsets=False):
                                tensor(rng.normal(size=2) * 0.1, dtype=dtype))
     local = DepthwiseConv3x3Params(tensor(rng.normal(size=(c, 3, 3)) * 0.3, dtype=dtype),
                                    tensor(rng.normal(size=c) * 0.3, dtype=dtype))
-    taps = [random_tap(rng, c, k, dtype) for _ in range(k * k)]
-    return SaConvParams(kernel_size=k, offset_net=offset, taps=taps, local_conv=local)
+    mix = stack_taps([random_tap(rng, c, k, dtype) for _ in range(k * k)])
+    return SaConvParams(kernel_size=k, offset_net=offset, mix=mix, local_conv=local)
 
 
 def random_stream(rng, d, n=2, r=1, dtype=np.float64):
-    return SelectiveSsmParams(
-        a_log=tensor(rng.normal(size=(d, n)) * 0.3, dtype=dtype),
-        b_weight=tensor(rng.normal(size=(n, d)) * 0.4, dtype=dtype),
-        b_bias=tensor(rng.normal(size=n) * 0.4, dtype=dtype),
-        c_weight=tensor(rng.normal(size=(n, d)) * 0.4, dtype=dtype),
-        c_bias=tensor(rng.normal(size=n) * 0.4, dtype=dtype),
-        dt_down=tensor(rng.normal(size=(r, d)) * 0.4, dtype=dtype),
-        dt_up=tensor(rng.normal(size=(d, r)) * 0.4, dtype=dtype),
-        dt_bias=tensor(rng.normal(size=d) - 1.5, dtype=dtype),
-        skip=tensor(rng.normal(size=d), dtype=dtype),
-    )
+    """One stream's scan parameters (S = 1)."""
+    fields = (rng.normal(size=(d, n)) * 0.3,
+              rng.normal(size=(n, d)) * 0.4, rng.normal(size=n) * 0.4,
+              rng.normal(size=(n, d)) * 0.4, rng.normal(size=n) * 0.4,
+              rng.normal(size=(r, d)) * 0.4, rng.normal(size=(d, r)) * 0.4,
+              rng.normal(size=d) - 1.5, rng.normal(size=d))
+    return SelectiveSsmParams(*(tensor(f[None], dtype=dtype) for f in fields))
 
 
-def scan_by_unroll(seq, p):
-    """Plain-numpy selective scan of one (L, D) sequence, step by step."""
-    a = -np.exp(p.a_log.data)
+def stack_streams(streams):
+    """The scan parameters of several streams stacked on the stream axis."""
+    return SelectiveSsmParams(*(tensor(np.concatenate([t.data for t in f]))
+                                for f in zip(*(p.tensors() for p in streams))))
+
+
+def scan_by_unroll(seq, p, s=0):
+    """Plain-numpy selective scan of one (L, D) sequence by stream s of p,
+    step by step."""
+    a_log, bw, bb, cw, cb, dd, du, db, skip = (t.data[s] for t in p.tensors())
+    a = -np.exp(a_log)
     h = np.zeros_like(a)
     ys = []
     for u in seq:
-        delta = np.log1p(np.exp(p.dt_up.data @ (p.dt_down.data @ u) + p.dt_bias.data))
-        b = p.b_weight.data @ u + p.b_bias.data
-        c = p.c_weight.data @ u + p.c_bias.data
+        delta = np.log1p(np.exp(du @ (dd @ u) + db))
+        b = bw @ u + bb
+        c = cw @ u + cb
         a_bar = np.exp(delta[:, None] * a)
         h = a_bar * h + (a_bar - 1.0) / a * b[None, :] * u[:, None]
-        ys.append(h @ c + p.skip.data * u)
+        ys.append(h @ c + skip * u)
     return np.array(ys)
 
 
 def feedthrough_stream(d, n=1, dtype=np.float64):
-    """Scan parameters whose output is exactly the input (c = 0, skip = 1)."""
+    """Scan parameters of one stream whose output is exactly the input
+    (c = 0, skip = 1)."""
     return frozen_params(d, n, delta=np.full(d, 0.1), b_const=np.ones(n),
                          c_const=np.zeros(n), a=-np.ones((d, n)),
                          skip=np.ones(d), dtype=dtype)
 
 
 def stream_set(rng, d, names, dtype=np.float64):
-    return StreamSet({name: random_stream(rng, d, dtype=dtype) for name in names})
+    """Random scan parameters of the named streams, drawn one stream at a time."""
+    return stack_streams([random_stream(rng, d, dtype=dtype) for _ in names])
 
 
 def conv3x3_by_definition(x, weight, depthwise):

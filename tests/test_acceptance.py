@@ -8,14 +8,14 @@ import time
 
 import numpy as np
 
-from conftest import identity_tap, random_stream, zero_local, zero_offset_net
+from conftest import identity_tap, random_stream, stack_taps, zero_local, zero_offset_net
 from sasmamba.checks import check_registered_ops, check_tiny_model
 from sasmamba.cli import main
 from sasmamba.fileio import load_ckpt, save_ckpt
 from sasmamba.metrics import mpjpe_p2, procrustes_align
 from sasmamba.model import ModelConfig, count_macs, count_params, forward, init_model
-from sasmamba.sas import (STREAM_ORDER, SaConvParams, StrideConfig, sa_conv,
-                          stream_scan, stride_sample, stride_scan)
+from sasmamba.sas import (STREAM_ORDER, SaConvParams, StrideConfig, four_stream_scan,
+                          sa_conv, stride_sample, stride_scan)
 from sasmamba.ssm import conv_apply, discretize, frozen_params, selective_scan, softplus, ssm_kernel
 from sasmamba.tensor import Tensor, tensor
 from sasmamba.training import LossWeights, OptimState, gen_synthetic, train, wmpjpe
@@ -89,12 +89,12 @@ def test_criterion_04_scan_equivalence_oracle():
                 a=-rng.uniform(0.2, 3.0, size=(d, n)), skip=rng.normal(size=d))
             u = rng.normal(size=(length, d))
             via_scan = selective_scan(tensor(u, dtype=np.float64), p).data
-            delta = softplus(p.dt_bias.data)
+            delta = softplus(p.dt_bias.data[0])
             a_bar, b_bar = discretize(np.broadcast_to(delta, (length, d)),
-                                      -np.exp(p.a_log.data),
-                                      np.broadcast_to(p.b_bias.data, (length, n)))
-            kernel = ssm_kernel(a_bar[0], b_bar[0], p.c_bias.data, length)
-            via_conv = conv_apply(u, kernel, p.skip.data)
+                                      -np.exp(p.a_log.data[0]),
+                                      np.broadcast_to(p.b_bias.data[0], (length, n)))
+            kernel = ssm_kernel(a_bar[0], b_bar[0], p.c_bias.data[0], length)
+            via_conv = conv_apply(u, kernel, p.skip.data[0])
             rel = np.max(np.abs(via_scan - via_conv) / np.maximum(np.abs(via_conv), 1.0))
             assert rel < 1e-5
 
@@ -133,16 +133,16 @@ def test_criterion_07_sa_conv_degeneracy():
     with _Criterion(7, "SA-Conv degeneracy", 5.0):
         rng = np.random.default_rng(70)
         c = 6
-        ident = SaConvParams(1, zero_offset_net(c), [identity_tap(c, 1)], zero_local(c))
+        ident = SaConvParams(1, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
         x = rng.normal(size=(7, 5, c))
         out = sa_conv(Tensor(x.astype(np.float64)), ident)
         assert np.array_equal(out.data, x)
         shift = SaConvParams(1, zero_offset_net(c, bias=(1.0, 0.0)),
-                             [identity_tap(c, 1)], zero_local(c))
+                             stack_taps([identity_tap(c, 1)]), zero_local(c))
         out = sa_conv(Tensor(x.astype(np.float64)), shift).data
         assert np.max(np.abs(out[:-1] - x[1:])) < 1e-6
         shift_v = SaConvParams(1, zero_offset_net(c, bias=(0.0, 2.0)),
-                               [identity_tap(c, 1)], zero_local(c))
+                               stack_taps([identity_tap(c, 1)]), zero_local(c))
         out = sa_conv(Tensor(x.astype(np.float64)), shift_v).data
         assert np.max(np.abs(out[:, :-2] - x[:, 2:])) < 1e-6
 
@@ -243,8 +243,8 @@ def test_criterion_11_scan_direction_ablation():
         p = random_stream(rng, 8)
         seq = Tensor(rng.normal(size=(5, 17, 8)))
         rev = Tensor(np.flip(seq.data, (0, 1)).copy())
-        fwd_on_rev = stream_scan(rev, "temporal_forward", p).data
-        bwd = stream_scan(seq, "temporal_backward", p).data
+        fwd_on_rev = four_stream_scan(rev, ("temporal_forward",), p).data
+        bwd = four_stream_scan(seq, ("temporal_backward",), p).data
         rel = np.max(np.abs(fwd_on_rev - np.flip(bwd, (0, 1)))
                      / np.maximum(np.abs(bwd).max(), 1.0))
         assert rel < 1e-5

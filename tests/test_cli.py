@@ -161,6 +161,14 @@ def _init(**config):
     return _init_text(json.dumps({**TINY_CFG, **config}))
 
 
+def _count(**config):
+    def argv(tmp, ckpt, data):
+        path = tmp / "config.json"
+        path.write_text(json.dumps({**TINY_CFG, **config}))
+        return ["count", "--config", path]
+    return argv
+
+
 def _init_text(text):
     return _init_bytes(text.encode())
 
@@ -240,6 +248,8 @@ HOSTILE_INPUTS = {
     "manifest with invalid UTF-8": _infer_manifest(b'{"config": "\xff"}'),
     "config with invalid UTF-8": _init_bytes(b'{"L": "\xff"}'),
     "config with no strides": _init(strides=[]),
+    "count --config with a stream named twice": _count(
+        streams=["temporal_forward", "temporal_forward"]),
     "keypoint integer past the float range": _infer(frames=[[[10**400, 1]] * 4]),
     "keypoint float past the float32 range": _infer(frames=[[[1e300, 1]] * 4]),
     "keypoint file with a 5000-digit integer": _infer_keypoints(

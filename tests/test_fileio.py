@@ -6,19 +6,21 @@ import struct
 import subprocess
 import sys
 import textwrap
+import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sasmamba.errors import (ChecksumError, CorruptionError, FormatError,
-                             VersionError)
+                             NumericError, VersionError)
 from sasmamba.fileio import (FORMAT_VERSION, MAGIC, load_ckpt, read_keypoints,
                              save_ckpt, write_keypoints)
 from sasmamba.model import ModelConfig, count_params, forward, init_model
 
 TINY = ModelConfig(L=1, D=8, T=5, V=4, K=1, N=2)
 SRC = Path(__file__).resolve().parent.parent / "src"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestKeypointFiles:
@@ -167,12 +169,65 @@ class TestCheckpoint:
             load_ckpt(path)
 
     def test_non_finite_value_names_the_tensor(self, tmp_path):
-        model = init_model(TINY, seed=9)
-        dict(model.named_params())["blocks.0.sas.offset.bias"].data[1] = np.nan
+        # a NaN patched into the payload under a valid checksum
         path = tmp_path / "m.ckpt"
-        save_ckpt(model, path)
+        save_ckpt(init_model(TINY, seed=9), path)
+        blob = bytearray(path.read_bytes())
+        mlen = struct.unpack_from("<I", blob, 8)[0]
+        manifest = json.loads(blob[12:12 + mlen])
+        entry = next(e for e in manifest["tensors"] if e["name"] == "blocks.0.sas.offset.bias")
+        payload = bytearray(blob[12 + mlen:])
+        struct.pack_into("<f", payload, entry["offset"] + 4, float("nan"))
+        manifest["checksum"] = zlib.crc32(payload)
+        text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + payload)
         with pytest.raises(CorruptionError, match=r"'blocks\.0\.sas\.offset\.bias'"):
             load_ckpt(path)
 
+    @pytest.mark.parametrize("key, index, name", [
+        ("blocks.0.sas.taps.down", (3, 1, 2), "blocks.0.sas.tap3.down"),
+        ("blocks.0.sas.scan.skip", (1, 0), "blocks.0.sas.temporal_backward.skip"),
+        ("head.bias", (2,), "head.bias"),
+    ])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_save_refuses_non_finite_values(self, tmp_path, key, index, name, value):
+        model = init_model(ModelConfig(L=1, D=8, T=5, V=4, K=3, N=2), seed=9)
+        model.params[key].data[index] = value
+        with pytest.raises(NumericError, match=f"'{name}'"):
+            save_ckpt(model, tmp_path / "m.ckpt")
+        # nothing is written, not even a temporary file
+        assert list(tmp_path.iterdir()) == []
+
     def test_magic_constant(self):
         assert MAGIC == b"SASM"
+
+
+class TestFormatV1Golden:
+    """Files written before the tap maps and scan streams were stored stacked.
+
+    ``v1_gated_tiny.ckpt`` is ``init_model(GOLDEN, seed=0)``, and
+    ``v1_gated_tiny_forward.npy`` its forward output on ``golden_input()``.
+    Its streams are listed out of ``STREAM_ORDER`` and gated, so a wrong
+    mapping between checkpoint tensors and stacked rows, shared by save and
+    load, still changes the bytes or the output.
+    """
+
+    GOLDEN = ModelConfig(L=1, D=8, T=3, V=4, K=3, N=2, gated_streams=True,
+                         streams=("spatial_backward", "temporal_forward"))
+
+    @staticmethod
+    def golden_input():
+        return np.random.default_rng(0).normal(size=(3, 4, 2)).astype(np.float32)
+
+    def test_init_writes_the_golden_bytes(self, tmp_path):
+        save_ckpt(init_model(self.GOLDEN, seed=0), tmp_path / "m.ckpt")
+        assert (tmp_path / "m.ckpt").read_bytes() == (DATA / "v1_gated_tiny.ckpt").read_bytes()
+
+    def test_load_save_is_byte_identical_and_forward_matches(self, tmp_path):
+        model = load_ckpt(DATA / "v1_gated_tiny.ckpt")
+        assert model.config == self.GOLDEN
+        save_ckpt(model, tmp_path / "again.ckpt")
+        assert (tmp_path / "again.ckpt").read_bytes() == (DATA / "v1_gated_tiny.ckpt").read_bytes()
+        np.testing.assert_allclose(forward(model, self.golden_input()).data,
+                                   np.load(DATA / "v1_gated_tiny_forward.npy"),
+                                   rtol=0, atol=1e-5)

@@ -8,7 +8,7 @@ import pytest
 from sasmamba.errors import ConfigError, DimensionError, NumericError
 from sasmamba.model import (ModelConfig, astype_model, block_forward,
                             count_macs, count_params, forward, group_counts,
-                            init_model)
+                            init_model, param_entries)
 from sasmamba.sas import four_stream_scan, sa_conv, stride_scan
 from sasmamba.tensor import (Tensor, add, finite_diff_check_leaves, gelu,
                              layer_norm, linear, tensor)
@@ -76,7 +76,8 @@ class TestInit:
             if name.endswith("a_log"):
                 a = -np.exp(t.data.astype(np.float64))
                 assert np.all(a < 0)
-                np.testing.assert_allclose(a[0], [-1.0, -2.0, -3.0], rtol=1e-6)
+                # (S, D, N): the first channel of every stream
+                np.testing.assert_allclose(a[:, 0], [[-1.0, -2.0, -3.0]] * len(a), rtol=1e-6)
             if name.endswith("dt_bias"):
                 dt = softplus(t.data.astype(np.float64))
                 assert np.all(dt >= 1e-3 * 0.99) and np.all(dt <= 1e-1 * 1.01)
@@ -144,7 +145,7 @@ class TestForward:
         sas_in = layer_norm(h, bp.norm1)
         sas_out = four_stream_scan(
             stride_scan(sa_conv(sas_in, bp.sas.sa), bp.sas.stride_cfg),
-            bp.sas.streams)
+            bp.sas.streams, bp.sas.scan)
         h = add(h, sas_out)
         h = add(h, linear(gelu(linear(layer_norm(h, bp.norm2), bp.mlp1)), bp.mlp2))
         h = add(h, m.pos_temporal)
@@ -189,7 +190,13 @@ class TestCountParams:
             total, breakdown = count_params(cfg)
             m = init_model(cfg, seed=0)
             assert total == sum(t.size for _, t in m.named_params())
-            assert len(breakdown) == len(m.params)
+            # each parameter holds exactly the manifest entries keyed to it
+            held = {}
+            for (name, count), (_, shape, _, key, index) in zip(breakdown, param_entries(cfg)):
+                held[key] = held.get(key, 0) + count
+                part = m.params[key].data if index is None else m.params[key].data[index]
+                assert part.shape == shape, name
+            assert held == {key: t.size for key, t in m.named_params()}
 
     def test_default_total_near_published_budget(self):
         total, _ = count_params(ModelConfig())

@@ -5,13 +5,12 @@ import pytest
 
 from conftest import (bilinear_by_corners, conv3x3_by_definition,
                       feedthrough_stream, identity_tap, random_sa,
-                      random_stream, scan_by_unroll, stream_set, zero_local,
-                      zero_offset_net, zero_tap)
+                      random_stream, scan_by_unroll, stack_streams, stack_taps,
+                      stream_set, zero_local, zero_offset_net, zero_tap)
 from sasmamba.errors import ConfigError, DimensionError, DomainError
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
-                          StreamSet, StrideConfig, four_stream_scan,
-                          predict_offsets, sa_conv, sas_ssm_layer,
-                          stride_sample, stride_scan, stream_scan)
+                          StrideConfig, four_stream_scan, predict_offsets,
+                          sa_conv, sas_ssm_layer, stride_sample, stride_scan)
 from sasmamba.tensor import LinearParams, finite_diff_check_leaves, tensor
 
 
@@ -26,14 +25,14 @@ def sa_conv_by_taps(x, sa):
     half = (sa.kernel_size - 1) // 2
     off = conv3x3_by_definition(x, sa.offset_net.weight.data, False) + sa.offset_net.bias.data
     out = conv3x3_by_definition(x, sa.local_conv.weight.data, True) + sa.local_conv.bias.data
-    taps = iter(sa.taps)
+    taps = zip(*(t.data for t in sa.mix.tensors()))
     for dt in range(-half, half + 1):
         for dv in range(-half, half + 1):
-            tap = next(taps)
+            diag, down, up = next(taps)
             for t in range(t_n):
                 for v in range(v_n):
                     s = bilinear_by_corners(x, t + off[t, v, 0] + dt, v + off[t, v, 1] + dv)
-                    out[t, v] += tap.diag.data * s + tap.up.data @ (tap.down.data @ s)
+                    out[t, v] += diag * s + up @ (down @ s)
     return out, off
 
 
@@ -78,7 +77,7 @@ class TestPredictOffsets:
 class TestSaConv:
     def test_degenerate_identity(self):
         c = 3
-        sa = SaConvParams(1, zero_offset_net(c), [identity_tap(c, 1)], zero_local(c))
+        sa = SaConvParams(1, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
         x = t64(np.random.default_rng(3).normal(size=(5, 4, c)))
         out = sa_conv(x, sa)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
@@ -87,7 +86,7 @@ class TestSaConv:
         rng = np.random.default_rng(4)
         c = 3
         sa = random_sa(rng, c, k=3, zero_offsets=True)
-        sa.taps = [zero_tap(c, 3) for _ in range(9)]
+        sa.mix = stack_taps([zero_tap(c, 3) for _ in range(9)])
         from sasmamba.tensor import depthwise_conv3x3
         x = t64(rng.normal(size=(4, 4, c)))
         out = sa_conv(x, sa)
@@ -97,7 +96,7 @@ class TestSaConv:
     def test_integer_offset_gathers_shifted_frame(self):
         c = 2
         sa = SaConvParams(1, zero_offset_net(c, bias=(1.0, 0.0)),
-                          [identity_tap(c, 1)], zero_local(c))
+                          stack_taps([identity_tap(c, 1)]), zero_local(c))
         t_n, v_n = 6, 3
         x = np.zeros((t_n, v_n, c))
         x[..., 0] = np.arange(t_n)[:, None] * 1.5
@@ -140,9 +139,7 @@ class TestSaConv:
         rng = np.random.default_rng(13)
         sa = clamping_sa(rng, c=2)
         x = t64(rng.normal(size=(4, 3, 2)), grad=True)
-        leaves = [x, sa.offset_net.weight, sa.offset_net.bias]
-        for tap in sa.taps:
-            leaves.extend(tap.tensors())
+        leaves = [x, sa.offset_net.weight, sa.offset_net.bias, *sa.mix.tensors()]
         for leaf in leaves:
             leaf.requires_grad = True
         err = finite_diff_check_leaves(lambda: sa_conv(x, sa), leaves, eps=1e-6)
@@ -151,9 +148,9 @@ class TestSaConv:
     def test_config_invariants(self):
         c = 2
         with pytest.raises(ConfigError):
-            SaConvParams(2, zero_offset_net(c), [identity_tap(c, 1)], zero_local(c))
+            SaConvParams(2, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
         with pytest.raises(ConfigError):
-            SaConvParams(3, zero_offset_net(c), [identity_tap(c, 3)], zero_local(c))
+            SaConvParams(3, zero_offset_net(c), stack_taps([identity_tap(c, 3)]), zero_local(c))
 
 
 class TestStrideSample:
@@ -229,9 +226,9 @@ class TestStrideScan:
 class TestFourStreamScan:
     def test_feedthrough_streams_sum_to_four_x(self):
         d = 3
-        streams = StreamSet({name: feedthrough_stream(d) for name in STREAM_ORDER})
+        scan = stack_streams([feedthrough_stream(d) for _ in STREAM_ORDER])
         x = t64(np.random.default_rng(11).normal(size=(2, 4, d)))
-        out = four_stream_scan(x, streams)
+        out = four_stream_scan(x, STREAM_ORDER, scan)
         np.testing.assert_allclose(out.data, 4.0 * x.data, atol=1e-12)
 
     def test_single_frame_temporal_equals_spatial(self):
@@ -239,8 +236,8 @@ class TestFourStreamScan:
         d = 2
         p = random_stream(rng, d)
         x = t64(rng.normal(size=(1, 5, d)))
-        a = stream_scan(x, "temporal_forward", p)
-        b = stream_scan(x, "spatial_forward", p)
+        a = four_stream_scan(x, ("temporal_forward",), p)
+        b = four_stream_scan(x, ("spatial_forward",), p)
         np.testing.assert_allclose(a.data, b.data, atol=1e-12)
 
     def test_two_by_two_hand_unrolled_oracle(self):
@@ -249,10 +246,10 @@ class TestFourStreamScan:
         d = 1
         delta, a, b, c, skip = 0.4, -0.8, 1.2, 0.7, 0.3
         from sasmamba.ssm import frozen_params
-        params = {name: frozen_params(d, 1, delta=np.array([delta]),
-                                      b_const=np.array([b]), c_const=np.array([c]),
-                                      a=np.array([[a]]), skip=np.array([skip]))
-                  for name in STREAM_ORDER}
+        scan = stack_streams([frozen_params(d, 1, delta=np.array([delta]),
+                                            b_const=np.array([b]), c_const=np.array([c]),
+                                            a=np.array([[a]]), skip=np.array([skip]))
+                              for _ in STREAM_ORDER])
         x = rng.normal(size=(2, 2, 1))
         ab = np.exp(delta * a)
         bb = (ab - 1.0) / a * b
@@ -272,7 +269,7 @@ class TestFourStreamScan:
         sp = unroll(sf).reshape(2, 2).T.reshape(4)
         expect += sp
         expect += unroll(sf[::-1])[::-1].reshape(2, 2).T.reshape(4)
-        out = four_stream_scan(t64(x), StreamSet(params))
+        out = four_stream_scan(t64(x), STREAM_ORDER, scan)
         np.testing.assert_allclose(out.data.reshape(4), expect, rtol=1e-10)
 
     def test_backward_stream_reversal_consistency(self):
@@ -281,8 +278,8 @@ class TestFourStreamScan:
         p = random_stream(rng, d)
         x = rng.normal(size=(4, 5, d))
         rev = np.flip(x, (0, 1)).copy()   # reversal of the frame-major flattening
-        fwd_on_rev = stream_scan(t64(rev), "temporal_forward", p).data
-        bwd = stream_scan(t64(x), "temporal_backward", p).data
+        fwd_on_rev = four_stream_scan(t64(rev), ("temporal_forward",), p).data
+        bwd = four_stream_scan(t64(x), ("temporal_backward",), p).data
         np.testing.assert_allclose(fwd_on_rev, np.flip(bwd, (0, 1)), rtol=1e-5, atol=1e-9)
 
     @pytest.mark.parametrize("names, gated", [
@@ -301,25 +298,25 @@ class TestFourStreamScan:
                  if gated else None)
         x = rng.normal(size=(t_n, v_n, d))
         expect = np.zeros_like(x)
-        for name, p in streams.ordered():
+        for s, name in enumerate(names):
             spatial = name.startswith("spatial")
             seq = (x.transpose(1, 0, 2) if spatial else x).reshape(-1, d)
             if name.endswith("backward"):
                 seq = seq[::-1]
-            y = scan_by_unroll(seq, p)
+            y = scan_by_unroll(seq, streams, s)
             if gated:
                 z = seq @ gates[name].weight.data.T + gates[name].bias.data
                 y = y * z / (1.0 + np.exp(-z))
             if name.endswith("backward"):
                 y = y[::-1]
             expect += y.reshape(v_n, t_n, d).transpose(1, 0, 2) if spatial else y.reshape(x.shape)
-        out = four_stream_scan(t64(x), streams, gates)
+        out = four_stream_scan(t64(x), names, streams, gates)
         np.testing.assert_allclose(out.data, expect, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("gated", [False, True])
     def test_stacked_adjoint_splits_per_stream(self, gated):
-        # every stream's nine tensors are leaves, so a gradient credited to
-        # the wrong stream or the wrong field fails
+        # the nine stacked fields are leaves, each row one stream's, so a
+        # gradient credited to the wrong stream or the wrong field fails
         rng = np.random.default_rng(20)
         d = 4
         streams = stream_set(rng, d, STREAM_ORDER)
@@ -332,24 +329,26 @@ class TestFourStreamScan:
             leaves += [t for name in STREAM_ORDER for t in gates[name].tensors()]
         for leaf in leaves:
             leaf.requires_grad = True
-        err = finite_diff_check_leaves(lambda: four_stream_scan(x, streams, gates), leaves)
+        err = finite_diff_check_leaves(lambda: four_stream_scan(x, STREAM_ORDER, streams, gates),
+                                       leaves)
         assert err < 1e-6
 
     def test_empty_stream_set_rejected(self):
         with pytest.raises(ConfigError):
-            StreamSet({})
+            four_stream_scan(t64(np.zeros((2, 3, 2))), (), feedthrough_stream(2))
 
     def test_unknown_stream_rejected(self):
         with pytest.raises(ConfigError):
-            StreamSet({"diagonal_forward": feedthrough_stream(2)})
+            four_stream_scan(t64(np.zeros((2, 3, 2))), ("diagonal_forward",),
+                             feedthrough_stream(2))
 
 
 class TestSasLayer:
     def _degenerate_layer(self, c):
-        sa = SaConvParams(1, zero_offset_net(c), [identity_tap(c, 1)], zero_local(c))
-        streams = StreamSet({name: feedthrough_stream(c) for name in STREAM_ORDER})
+        sa = SaConvParams(1, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
+        scan = stack_streams([feedthrough_stream(c) for _ in STREAM_ORDER])
         return SasLayerParams(sa=sa, stride_cfg=StrideConfig(strides=(1, 1, 1)),
-                              streams=streams)
+                              streams=STREAM_ORDER, scan=scan)
 
     def test_degenerate_composition_is_proportional_to_input(self):
         c = 4
@@ -362,8 +361,8 @@ class TestSasLayer:
         rng = np.random.default_rng(16)
         for t_n, v_n, c in ((2, 3, 4), (5, 4, 8), (1, 7, 12)):
             sa = random_sa(rng, c, k=3)
-            layer = SasLayerParams(sa=sa, stride_cfg=StrideConfig(),
-                                   streams=stream_set(rng, c, STREAM_ORDER))
+            layer = SasLayerParams(sa=sa, stride_cfg=StrideConfig(), streams=STREAM_ORDER,
+                                   scan=stream_set(rng, c, STREAM_ORDER))
             out = sas_ssm_layer(t64(rng.normal(size=(t_n, v_n, c))), layer)
             assert out.shape == (t_n, v_n, c)
             assert np.all(np.isfinite(out.data))
@@ -373,19 +372,20 @@ class TestSasLayer:
         c = 4
         sa = random_sa(rng, c, k=3)
         cfg = StrideConfig()
-        streams = stream_set(rng, c, ("temporal_forward", "spatial_backward"))
-        layer = SasLayerParams(sa=sa, stride_cfg=cfg, streams=streams)
+        names = ("temporal_forward", "spatial_backward")
+        scan = stream_set(rng, c, names)
+        layer = SasLayerParams(sa=sa, stride_cfg=cfg, streams=names, scan=scan)
         x = t64(rng.normal(size=(2, 4, c)))
         fused = sas_ssm_layer(x, layer)
-        step = four_stream_scan(stride_scan(sa_conv(x, sa), cfg), streams)
+        step = four_stream_scan(stride_scan(sa_conv(x, sa), cfg), names, scan)
         np.testing.assert_array_equal(fused.data, step.data)
 
     def test_full_layer_gradcheck(self):
         rng = np.random.default_rng(18)
         c = 8
         sa = random_sa(rng, c, k=3)
-        layer = SasLayerParams(sa=sa, stride_cfg=StrideConfig(),
-                               streams=stream_set(rng, c, STREAM_ORDER))
+        layer = SasLayerParams(sa=sa, stride_cfg=StrideConfig(), streams=STREAM_ORDER,
+                               scan=stream_set(rng, c, STREAM_ORDER))
         x = t64(rng.normal(size=(3, 4, c)), grad=True)
         leaves = [x] + [t for t in layer.tensors()]
         for leaf in leaves:

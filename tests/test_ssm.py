@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_stream, scan_by_unroll
+from conftest import random_stream, scan_by_unroll, stack_streams
 from sasmamba.errors import DimensionError, DomainError
 from sasmamba.ssm import (SCAN_CHUNK, conv_apply, discretize, frozen_params,
                           selective_scan, softplus, softplus_inverse,
@@ -103,10 +103,10 @@ class TestSelectiveScan:
         p.dt_bias.data[:] = softplus_inverse(np.full(d, 0.5))
         u = rng.normal(size=(length, d))
         y = scan_np(u, p)
-        a = -np.exp(p.a_log.data)
+        a = -np.exp(p.a_log.data[0])
         a_bar, b_bar = discretize(np.full((length, d), 0.5), a,
-                                  np.broadcast_to(p.b_bias.data, (length, n)))
-        direct = (b_bar * p.c_bias.data).sum(axis=2) * u + p.skip.data * u
+                                  np.broadcast_to(p.b_bias.data[0], (length, n)))
+        direct = (b_bar * p.c_bias.data[0]).sum(axis=2) * u + p.skip.data[0] * u
         np.testing.assert_allclose(y, direct, atol=1e-8)
 
     def test_zero_output_projection_leaves_feedthrough(self):
@@ -114,7 +114,7 @@ class TestSelectiveScan:
         p = random_frozen(rng, 4, 3)
         p.c_bias.data[:] = 0.0
         u = rng.normal(size=(5, 4))
-        np.testing.assert_allclose(scan_np(u, p), p.skip.data * u, atol=1e-12)
+        np.testing.assert_allclose(scan_np(u, p), p.skip.data[0] * u, atol=1e-12)
 
     def test_three_step_hand_unroll(self):
         # independent oracle: unroll h_t = ab*h + bb*u, y = c*h + skip*u by hand
@@ -212,12 +212,12 @@ class TestKernelOracle:
         p = random_frozen(rng, d, n)
         u = rng.normal(size=(length, d))
         via_scan = scan_np(u, p)
-        delta = softplus(p.dt_bias.data)
+        delta = softplus(p.dt_bias.data[0])
         a_bar, b_bar = discretize(np.broadcast_to(delta, (length, d)),
-                                  -np.exp(p.a_log.data),
-                                  np.broadcast_to(p.b_bias.data, (length, n)))
-        kernel = ssm_kernel(a_bar[0], b_bar[0], p.c_bias.data, length)
-        via_conv = conv_apply(u, kernel, p.skip.data)
+                                  -np.exp(p.a_log.data[0]),
+                                  np.broadcast_to(p.b_bias.data[0], (length, n)))
+        kernel = ssm_kernel(a_bar[0], b_bar[0], p.c_bias.data[0], length)
+        via_conv = conv_apply(u, kernel, p.skip.data[0])
         denom = np.maximum(np.abs(via_conv), 1.0)
         assert np.max(np.abs(via_scan - via_conv) / denom) < 1e-5
 
@@ -227,17 +227,18 @@ class TestScanGradient:
     def test_full_recurrence_gradcheck(self, seed):
         rng = np.random.default_rng(200 + seed)
         d, n, r, length = 3, 2, 2, 5
+        # one stream: u is (L, D) and every field has S = 1
         inputs = [
             tensor(rng.normal(size=(length, d)), dtype=np.float64),       # u
-            tensor(rng.normal(size=(d, n)) * 0.3, dtype=np.float64),      # a_log
-            tensor(rng.normal(size=(n, d)) * 0.5, dtype=np.float64),      # b_weight
-            tensor(rng.normal(size=n) * 0.5, dtype=np.float64),           # b_bias
-            tensor(rng.normal(size=(n, d)) * 0.5, dtype=np.float64),      # c_weight
-            tensor(rng.normal(size=n) * 0.5, dtype=np.float64),           # c_bias
-            tensor(rng.normal(size=(r, d)) * 0.5, dtype=np.float64),      # dt_down
-            tensor(rng.normal(size=(d, r)) * 0.5, dtype=np.float64),      # dt_up
-            tensor(rng.normal(size=d) - 1.5, dtype=np.float64),           # dt_bias
-            tensor(rng.normal(size=d), dtype=np.float64),                 # skip
+            tensor(rng.normal(size=(1, d, n)) * 0.3, dtype=np.float64),   # a_log
+            tensor(rng.normal(size=(1, n, d)) * 0.5, dtype=np.float64),   # b_weight
+            tensor(rng.normal(size=(1, n)) * 0.5, dtype=np.float64),      # b_bias
+            tensor(rng.normal(size=(1, n, d)) * 0.5, dtype=np.float64),   # c_weight
+            tensor(rng.normal(size=(1, n)) * 0.5, dtype=np.float64),      # c_bias
+            tensor(rng.normal(size=(1, r, d)) * 0.5, dtype=np.float64),   # dt_down
+            tensor(rng.normal(size=(1, d, r)) * 0.5, dtype=np.float64),   # dt_up
+            tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),      # dt_bias
+            tensor(rng.normal(size=(1, d)), dtype=np.float64),            # skip
         ]
         assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
 
@@ -247,14 +248,14 @@ class TestScanGradient:
         # delta * b, next to columns where it is not
         rng = np.random.default_rng(205)
         d, n, r, length = 3, 2, 2, 5
-        a_log = rng.normal(size=(d, n)) * 0.3
-        a_log[:, 0] = -25.0
+        a_log = rng.normal(size=(1, d, n)) * 0.3
+        a_log[..., 0] = -25.0
         inputs = [tensor(rng.normal(size=shape) * scl, dtype=np.float64) for shape, scl in
-                  (((length, d), 1.0), ((n, d), 0.5), ((n,), 0.5), ((n, d), 0.5),
-                   ((n,), 0.5), ((r, d), 0.5), ((d, r), 0.5))]
+                  (((length, d), 1.0), ((1, n, d), 0.5), ((1, n), 0.5), ((1, n, d), 0.5),
+                   ((1, n), 0.5), ((1, r, d), 0.5), ((1, d, r), 0.5))]
         inputs.insert(1, tensor(a_log, dtype=np.float64))
-        inputs += [tensor(rng.normal(size=d) - 1.5, dtype=np.float64),
-                   tensor(rng.normal(size=d), dtype=np.float64)]
+        inputs += [tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),
+                   tensor(rng.normal(size=(1, d)), dtype=np.float64)]
         assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
 
 
@@ -270,18 +271,18 @@ class TestChunkedScan:
         for p in streams:
             p.a_log.data[:] = np.log(0.02) + rng.normal(size=p.a_log.shape) * 0.3
         u = tensor(rng.normal(size=(2 * SCAN_CHUNK + 3, 2, d)), dtype=np.float64)
-        return u, streams
+        return u, stack_streams(streams)
 
     def test_forward_matches_unroll(self):
         u, streams = self._problem()
         out = selective_scan(u, streams).data
-        for s, p in enumerate(streams):
-            np.testing.assert_allclose(out[:, s], scan_by_unroll(u.data[:, s], p),
+        for s in range(2):
+            np.testing.assert_allclose(out[:, s], scan_by_unroll(u.data[:, s], streams, s),
                                        rtol=1e-10, atol=1e-12)
 
     def test_gradients_against_finite_differences(self):
         u, streams = self._problem()
-        leaves = [u] + [t for p in streams for t in p.tensors()]
+        leaves = [u] + list(streams.tensors())
         for leaf in leaves:
             leaf.requires_grad = True
         err = finite_diff_check_leaves(lambda: selective_scan(u, streams), leaves, sample=6)

@@ -168,6 +168,15 @@ class TestOptim:
         with pytest.raises(NumericError, match="head.bias"):
             optim_step(m, OptimState(), lr=1e-3)
 
+    def test_non_finite_gradient_names_the_stream(self):
+        # the scan fields stack the four streams; row 2 is spatial_forward
+        m = self._model()
+        t = m.params["blocks.0.sas.scan.dt_bias"]
+        t.grad = np.zeros_like(t.data)
+        t.grad[2, 1] = np.inf
+        with pytest.raises(NumericError, match=r"'blocks\.0\.sas\.spatial_forward\.dt_bias'"):
+            optim_step(m, OptimState(), lr=1e-3)
+
 
 class TestLrSchedule:
     def test_epoch_zero(self):
