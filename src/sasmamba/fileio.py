@@ -62,27 +62,37 @@ def parse_json(raw: bytes, what: str, error: type[FormatError] = FormatError):
 # --- keypoint sequences ------------------------------------------------------
 
 
+def _json_rows(arr: np.ndarray) -> str:
+    """The rows of a (T, ...) array as comma-separated JSON arrays, one
+    ``%``-format template filled per row. Nine significant digits identify
+    every float32 exactly, so a read returns the same bits."""
+    template = json.dumps(np.zeros(arr.shape[1:]).tolist(),
+                          separators=(",", ":")).replace("0.0", "%.9g")
+    rows = arr.reshape(len(arr), -1).astype(np.float64).tolist()
+    text = ",".join(template % tuple(row) for row in rows)
+    # %g prints -0.0 as -0, which JSON reads as the integer 0
+    return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
+
+
 def write_keypoints(path, seq: np.ndarray, fps: float = 50.0,
                     confidence: np.ndarray | None = None) -> None:
-    """Write a (T, V, 2) or (T, V, 3) sequence as a keypoint JSON file."""
+    """Write a (T, V, 2) or (T, V, 3) sequence as a single-line keypoint JSON file."""
     arr = np.asarray(seq, dtype=np.float32)
     if arr.ndim != 3 or arr.shape[-1] not in (2, 3):
         raise FormatError(f"sequence must be (T, V, 2|3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("sequence contains non-finite values")
-    doc = {
-        "version": 1,
-        "fps": float(fps),
-        "num_joints": int(arr.shape[1]),
-        "dims": int(arr.shape[2]),
-        "frames": [[[float(x) for x in joint] for joint in frame] for frame in arr],
-    }
+    head = json.dumps({"version": 1, "fps": float(fps), "num_joints": int(arr.shape[1]),
+                       "dims": int(arr.shape[2])}, separators=(",", ":"))
+    text = f'{head[:-1]},"frames":[{_json_rows(arr)}]'
     if confidence is not None:
         conf = np.asarray(confidence, dtype=np.float32)
         if conf.shape != arr.shape[:2]:
             raise FormatError(f"confidence shape {conf.shape} != {arr.shape[:2]}")
-        doc["confidence"] = [[float(c) for c in frame] for frame in conf]
-    _atomic_write(path, (json.dumps(doc, indent=1) + "\n").encode("utf-8"))
+        if not np.all(np.isfinite(conf)):
+            raise FormatError("confidence contains non-finite values")
+        text += f',"confidence":[{_json_rows(conf)}]'
+    _atomic_write(path, (text + "}\n").encode("utf-8"))
 
 
 def _float32_array(value, field: str) -> np.ndarray:
@@ -123,6 +133,8 @@ def read_keypoints(path) -> np.ndarray:
         conf = _float32_array(doc["confidence"], "confidence")
         if conf.shape != arr.shape[:2]:
             raise FormatError("field 'confidence' shape does not match frames")
+        if not np.all(np.isfinite(conf)):
+            raise FormatError("field 'confidence' contains non-finite values")
     return arr
 
 

@@ -8,7 +8,32 @@ import numpy as np
 
 from .errors import DegeneracyError, DimensionError
 
-_ORTHO_TOL = 1e-9
+# every check of one frame's alignment, in the order the frame runs them
+_CHECKS = ("target cloud is rank-deficient; alignment is ill-posed",
+           "source cloud is a single point; scale is undefined",
+           "scale must be positive, got {scale}",
+           "rotation is not orthonormal",
+           "rotation determinant is not +1")
+
+
+def _transform_faults(scale: np.ndarray, rotation: np.ndarray) -> list[np.ndarray]:
+    """Masks of the frames whose (T,) scale or (T, 3, 3) rotation fails the
+    scale, orthonormality or determinant check."""
+    gram = np.swapaxes(rotation, 1, 2) @ rotation
+    return [scale <= 0,
+            ~np.isclose(gram, np.eye(3), atol=1e-6).all(axis=(1, 2)),
+            np.abs(np.linalg.det(rotation) - 1.0) > 1e-6]
+
+
+def _raise_first_fault(faults: list[np.ndarray], checks: tuple[str, ...],
+                       scale: np.ndarray, name_frame: bool) -> None:
+    """Raise :class:`DegeneracyError` for the first frame failing any of
+    ``faults``, naming the first of ``checks`` it fails."""
+    failed = np.stack(faults)
+    if failed.any():
+        t = int(np.argmax(failed.any(axis=0)))
+        msg = checks[int(np.argmax(failed[:, t]))].format(scale=scale[t])
+        raise DegeneracyError(f"frame {t}: {msg}" if name_frame else msg)
 
 
 @dataclass
@@ -22,13 +47,9 @@ class SimilarityTransform:
     def __post_init__(self):
         self.rotation = np.asarray(self.rotation, dtype=np.float64)
         self.translation = np.asarray(self.translation, dtype=np.float64)
-        if self.scale <= 0:
-            raise DegeneracyError(f"scale must be positive, got {self.scale}")
-        gram = self.rotation.T @ self.rotation
-        if not np.allclose(gram, np.eye(3), atol=1e-6):
-            raise DegeneracyError("rotation is not orthonormal")
-        if abs(np.linalg.det(self.rotation) - 1.0) > 1e-6:
-            raise DegeneracyError("rotation determinant is not +1")
+        scale = np.array([self.scale])
+        _raise_first_fault(_transform_faults(scale, self.rotation[None]), _CHECKS[2:],
+                           scale, name_frame=False)
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=np.float64)
@@ -55,6 +76,35 @@ def mpjpe_p1(pred, gt, root_index: int = 0) -> float:
     return float(np.linalg.norm(pred - gt, axis=-1).mean())
 
 
+def _align_frames(pred: np.ndarray, gt: np.ndarray, name_frame: bool):
+    """Least-squares similarity alignment (Umeyama, 1991) of each (V, 3)
+    frame of ``pred`` onto the same frame of ``gt``, both (T, V, 3) float64.
+
+    Returns the per-frame scale (T,), proper rotation (T, 3, 3) and
+    translation (T, 3). The first frame whose alignment is ill-posed, or
+    whose transform fails a check, raises :class:`DegeneracyError`.
+    """
+    v = pred.shape[1]
+    if v < 3:
+        raise DimensionError(f"alignment needs at least 3 points, got {v}")
+    mu_p = pred.mean(axis=1)
+    mu_g = gt.mean(axis=1)
+    xc = pred - mu_p[:, None]
+    yc = gt - mu_g[:, None]
+    rank = (np.linalg.svd(yc, compute_uv=False) > 1e-9).sum(axis=1)
+    var_p = (xc * xc).sum(axis=(1, 2)) / v
+    u, d, vt = np.linalg.svd(np.swapaxes(yc, 1, 2) @ xc / v)
+    # flip the smallest singular direction where U V^T is a reflection
+    sign = np.ones_like(d)
+    sign[:, 2] = np.where(np.linalg.det(u) * np.linalg.det(vt) < 0, -1.0, 1.0)
+    rot = (u * sign[:, None, :]) @ vt
+    with np.errstate(divide="ignore", invalid="ignore"):  # a single-point source fails below
+        scale = (d * sign).sum(axis=1) / var_p
+    _raise_first_fault([rank < 2, var_p <= 0.0, *_transform_faults(scale, rot)], _CHECKS,
+                       scale, name_frame)
+    return scale, rot, mu_g - scale[:, None] * (rot @ mu_p[:, :, None])[:, :, 0]
+
+
 def procrustes_align(pred, gt) -> tuple[SimilarityTransform, np.ndarray]:
     """Least-squares similarity alignment of one point cloud onto another.
 
@@ -65,40 +115,23 @@ def procrustes_align(pred, gt) -> tuple[SimilarityTransform, np.ndarray]:
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     _check_pair(pred, gt, 2)
-    v = pred.shape[0]
-    if v < 3:
-        raise DimensionError(f"alignment needs at least 3 points, got {v}")
-    mu_p = pred.mean(axis=0)
-    mu_g = gt.mean(axis=0)
-    xc = pred - mu_p
-    yc = gt - mu_g
-    if np.linalg.matrix_rank(yc, tol=1e-9) < 2:
-        raise DegeneracyError("target cloud is rank-deficient; alignment is ill-posed")
-    var_p = (xc * xc).sum() / v
-    if var_p <= 0.0:
-        raise DegeneracyError("source cloud is a single point; scale is undefined")
-    cov = yc.T @ xc / v
-    u, d, vt = np.linalg.svd(cov)
-    sign = np.eye(3)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        sign[2, 2] = -1.0
-    rot = u @ sign @ vt
-    scale = float((d * np.diag(sign)).sum() / var_p)
-    translation = mu_g - scale * rot @ mu_p
-    transform = SimilarityTransform(scale=scale, rotation=rot, translation=translation)
+    scale, rot, translation = _align_frames(pred[None], gt[None], name_frame=False)
+    transform = SimilarityTransform(scale=float(scale[0]), rotation=rot[0],
+                                    translation=translation[0])
     return transform, transform.apply(pred)
 
 
 def mpjpe_p2(pred, gt) -> float:
-    """Mean per-joint distance after per-frame similarity alignment."""
+    """Mean per-joint distance after per-frame similarity alignment; a frame
+    whose alignment is ill-posed raises :class:`DegeneracyError` naming it."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
     _check_pair(pred, gt, 3)
-    dists = []
-    for t in range(pred.shape[0]):
-        _, aligned = procrustes_align(pred[t], gt[t])
-        dists.append(np.linalg.norm(aligned - gt[t], axis=-1))
-    return float(np.concatenate(dists).mean())
+    if len(pred) == 0:
+        raise DimensionError("P2 needs at least one frame")
+    scale, rot, translation = _align_frames(pred, gt, name_frame=True)
+    aligned = scale[:, None, None] * pred @ np.swapaxes(rot, 1, 2) + translation[:, None]
+    return float(np.linalg.norm(aligned - gt, axis=-1).mean())
 
 
 def mpjve_metric(pred, gt) -> float:

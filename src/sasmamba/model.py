@@ -72,6 +72,7 @@ class ModelConfig:
             violations.append(f"duplicate streams: {sorted(repeated)}")
         if violations:
             raise ConfigError("; ".join(violations))
+        self.stride_config()  # the stride groups must split D evenly
 
     @property
     def dt_rank(self) -> int:

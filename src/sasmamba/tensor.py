@@ -20,7 +20,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import (DimensionError, DomainError, GraphConsumedError,
                      NumericError, UnsupportedOpError)
@@ -319,6 +318,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact erf form."""
+    from scipy.special import erf  # at first use, as in bilinear_gather
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
     out = (d * cdf).astype(d.dtype, copy=False)

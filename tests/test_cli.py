@@ -76,10 +76,11 @@ class TestGradcheckCommand:
         assert stdout.count("PASS") >= 20 and "FAIL" not in stdout
 
 
-def test_cli_import_leaves_scipy_sparse_out():
-    # only the model's sampling product and gradient scatter use it, so
-    # eval, count, init, synth and keypoint I/O never load its modules
-    code = "import sys, sasmamba.cli; print('scipy.sparse' in sys.modules)"
+@pytest.mark.parametrize("module", ["scipy.sparse", "scipy.special"])
+def test_cli_import_leaves_scipy_out(module):
+    # only the model's sampling product, gradient scatter and GELU use them,
+    # so eval, count, init, synth and keypoint I/O never load their modules
+    code = f"import sys, sasmamba.cli; print({module!r} in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
@@ -250,6 +251,8 @@ HOSTILE_INPUTS = {
     "config with no strides": _init(strides=[]),
     "count --config with a stream named twice": _count(
         streams=["temporal_forward", "temporal_forward"]),
+    "count --config with stride groups that cannot split the width": _count(
+        strides=[1, 2, 3, 4, 5]),
     "keypoint integer past the float range": _infer(frames=[[[10**400, 1]] * 4]),
     "keypoint float past the float32 range": _infer(frames=[[[1e300, 1]] * 4]),
     "keypoint file with a 5000-digit integer": _infer_keypoints(

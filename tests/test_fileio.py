@@ -76,6 +76,66 @@ class TestKeypointFiles:
         with pytest.raises(FormatError):
             write_keypoints(tmp_path / "inf.json", seq)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_confidence_write_rejected(self, tmp_path, value):
+        conf = np.ones((2, 3), dtype=np.float32)
+        conf[1, 2] = value
+        with pytest.raises(FormatError, match="confidence"):
+            write_keypoints(tmp_path / "conf.json", np.zeros((2, 3, 2)), confidence=conf)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_non_finite_confidence_read_rejected(self, tmp_path):
+        path = tmp_path / "conf.json"
+        doc = {"version": 1, "fps": 50.0, "num_joints": 2, "dims": 2,
+               "frames": [[[0, 0], [1, 1]]], "confidence": [[1.0, float("nan")]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'confidence'.*non-finite"):
+            read_keypoints(path)
+
+    @pytest.mark.parametrize("value", [
+        np.finfo(np.float32).max, -np.finfo(np.float32).max,
+        np.finfo(np.float32).smallest_subnormal, -np.finfo(np.float32).smallest_subnormal,
+        -0.0, 0.0, 1e8, 16777217.0])
+    def test_extreme_values_read_back_bit_identical(self, tmp_path, value):
+        seq = np.full((2, 3, 3), value, dtype=np.float32)
+        conf = np.full((2, 3), value, dtype=np.float32)
+        path = tmp_path / "extreme.json"
+        write_keypoints(path, seq, confidence=conf)
+        np.testing.assert_array_equal(read_keypoints(path).view(np.uint32), seq.view(np.uint32))
+        stored = np.asarray(json.loads(path.read_text())["confidence"], dtype=np.float32)
+        np.testing.assert_array_equal(stored.view(np.uint32), conf.view(np.uint32))
+
+    def test_random_bit_patterns_read_back_bit_identical(self, tmp_path):
+        # about 1.5% of float32 values need the ninth significant digit
+        bits = np.random.default_rng(3).integers(0, 2**32, size=300_000, dtype=np.uint32)
+        values = bits.view(np.float32)
+        values = values[np.isfinite(values)]
+        seq = values[:len(values) // 51 * 51].reshape(-1, 17, 3)
+        path = tmp_path / "bits.json"
+        write_keypoints(path, seq)
+        np.testing.assert_array_equal(read_keypoints(path).view(np.uint32), seq.view(np.uint32))
+
+    def test_file_is_one_line_with_the_keys_in_order(self, tmp_path):
+        path = tmp_path / "kp.json"
+        write_keypoints(path, np.zeros((2, 3, 2)), fps=25.0, confidence=np.ones((2, 3)))
+        text = path.read_text()
+        assert text.count("\n") == 1 and text.endswith("}\n")
+        doc = json.loads(text)
+        assert list(doc) == ["version", "fps", "num_joints", "dims", "frames", "confidence"]
+        assert (doc["version"], doc["fps"], doc["num_joints"], doc["dims"]) == (1, 25.0, 3, 2)
+
+    def test_indented_file_still_reads(self, tmp_path):
+        # the layout written before keypoint files became a single line
+        rng = np.random.default_rng(2)
+        seq = rng.normal(size=(3, 4, 3)).astype(np.float32)
+        seq[0, 0, 0] = -0.0
+        doc = {"version": 1, "fps": 50.0, "num_joints": 4, "dims": 3,
+               "frames": [[[float(x) for x in joint] for joint in frame] for frame in seq],
+               "confidence": [[1.0] * 4] * 3}
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(doc, indent=1) + "\n")
+        np.testing.assert_array_equal(read_keypoints(path).view(np.uint32), seq.view(np.uint32))
+
 
 class TestCheckpoint:
     def test_save_load_save_is_byte_identical(self, tmp_path):

@@ -19,6 +19,23 @@ def random_cloud(rng, v=17):
     return rng.normal(size=(v, 3))
 
 
+def umeyama_oracle(pred, gt):
+    """Per-frame float64 Umeyama (1991) alignment, written out independently
+    of ``sasmamba.metrics``: the mean joint distance after aligning each
+    frame of ``pred`` onto ``gt`` by scale, proper rotation and translation."""
+    dists = []
+    for x, y in zip(np.asarray(pred, dtype=np.float64), np.asarray(gt, dtype=np.float64)):
+        mx, my = x.mean(axis=0), y.mean(axis=0)
+        sigma = (y - my).T @ (x - mx) / len(x)
+        u, d, vt = np.linalg.svd(sigma)
+        s = np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
+        rot = u @ s @ vt
+        c = np.trace(np.diag(d) @ s) / ((x - mx) ** 2).sum(axis=1).mean()
+        aligned = c * (x - mx) @ rot.T + my
+        dists.extend(np.sqrt(((aligned - y) ** 2).sum(axis=1)))
+    return float(np.mean(dists))
+
+
 class TestP1:
     def test_zero_for_equal(self):
         rng = np.random.default_rng(0)
@@ -148,3 +165,34 @@ class TestP2:
             rooted = (pred[t] - pred[t, 0]) + gt[t, 0]
             ssr_root = ((rooted - gt[t]) ** 2).sum()
             assert ssr_procrustes <= ssr_root + 1e-9
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_frame_oracle_with_reflected_frames(self, seed):
+        rng = np.random.default_rng(300 + seed)
+        gt = rng.normal(size=(40, 17, 3))
+        pred = 1.3 * gt @ random_rotation(rng).T + rng.normal(0.0, 0.1, size=gt.shape) + 0.5
+        # mirror every third frame, so that the unconstrained optimum there is a reflection
+        pred[::3] *= np.array([1.0, -1.0, 1.0])
+        assert mpjpe_p2(pred, gt) == pytest.approx(umeyama_oracle(pred, gt), rel=1e-12)
+
+    def test_error_names_the_first_frame_at_fault(self):
+        rng = np.random.default_rng(12)
+        gt = rng.normal(size=(30, 17, 3))
+        pred = rng.normal(size=(30, 17, 3))
+        gt[17] = np.outer(np.arange(17.0), [1.0, 2.0, 3.0])   # collinear target
+        pred[23] = 1.0                                        # coincident source
+        with pytest.raises(DegeneracyError, match=r"^frame 17: target cloud is rank-deficient"):
+            mpjpe_p2(pred, gt)
+        gt[17] = rng.normal(size=(17, 3))
+        with pytest.raises(DegeneracyError, match=r"^frame 23: source cloud is a single point"):
+            mpjpe_p2(pred, gt)
+
+    def test_frame_failing_both_checks_names_the_rank_check(self):
+        pred = np.ones((2, 5, 3))
+        gt = np.zeros((2, 5, 3))
+        with pytest.raises(DegeneracyError, match=r"^frame 0: target cloud is rank-deficient"):
+            mpjpe_p2(pred, gt)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(DimensionError):
+            mpjpe_p2(np.zeros((0, 5, 3)), np.zeros((0, 5, 3)))

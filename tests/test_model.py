@@ -69,6 +69,11 @@ class TestInit:
         with pytest.raises(ConfigError):
             tiny_cfg(D=30)
 
+    def test_width_the_stride_groups_cannot_split_rejected(self):
+        # 8 channels in fifths: the config is rejected before anything counts it
+        with pytest.raises(ConfigError, match="not divisible"):
+            ModelConfig(D=8, strides=(1, 2, 3, 4, 5))
+
     def test_state_matrix_negative_and_dt_in_range(self):
         m = init_model(tiny_cfg(N=3), seed=0)
         from sasmamba.ssm import softplus

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sasmamba.errors import FormatError
-from sasmamba.fileio import MAGIC, load_ckpt, read_keypoints, save_ckpt
+from sasmamba.fileio import MAGIC, load_ckpt, read_keypoints, save_ckpt, write_keypoints
 from sasmamba.model import Model, ModelConfig, init_model
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=250,
@@ -80,6 +81,35 @@ def test_keypoint_reader_loads_or_raises_format_error(scratch, blob):
     except FormatError:
         return
     assert arr.dtype == np.float32 and arr.ndim == 3 and np.all(np.isfinite(arr))
+
+
+# hypothesis favours short, simple floats; raw bit patterns add ones that need
+# all nine significant digits
+finite_float32 = (st.floats(width=32, allow_nan=False, allow_infinity=False)
+                  | st.integers(0, 2**32 - 1).map(lambda b: np.uint32(b).view(np.float32))
+                  .filter(np.isfinite))
+
+
+@st.composite
+def keypoint_arrays(draw):
+    """A finite float32 (T, V, 2|3) sequence and, half the time, a (T, V) confidence."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.sampled_from([2, 3])))
+    seq = draw(arrays(np.float32, shape, elements=finite_float32))
+    conf = draw(st.none() | arrays(np.float32, shape[:2], elements=finite_float32))
+    return seq, conf
+
+
+@PROPERTY
+@given(case=keypoint_arrays())
+def test_keypoint_write_read_is_bit_identical(scratch, case):
+    seq, conf = case
+    path = scratch / "roundtrip.json"
+    write_keypoints(path, seq, confidence=conf)
+    # compared as bits, so that -0.0 must come back as -0.0
+    np.testing.assert_array_equal(read_keypoints(path).view(np.uint32), seq.view(np.uint32))
+    if conf is not None:
+        stored = np.asarray(json.loads(path.read_bytes())["confidence"], dtype=np.float32)
+        np.testing.assert_array_equal(stored.view(np.uint32), conf.view(np.uint32))
 
 
 TINY = ModelConfig(L=1, D=8, T=3, V=2, K=1, N=1, strides=(1, 2))
