@@ -8,6 +8,7 @@ partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -85,9 +86,16 @@ def _cmd_train(args) -> int:
     optim = OptimState(lr=args.lr, decay_factor=args.lr_decay)
     trace = train(model, dataset, epochs=args.epochs, batch=args.batch,
                   weights=LossWeights(), optim=optim, shuffle_seed=args.seed)
-    save_ckpt(model, args.out)
+    # the trace first: if the checkpoint then fails, the trace is removed,
+    # so a failing command leaves neither output behind
     if args.trace:
         write_trace_csv(args.trace, trace)
+    try:
+        save_ckpt(model, args.out)
+    except Exception:
+        if args.trace:
+            os.unlink(args.trace)
+        raise
     last = trace[-1] if trace else {"total": float("nan")}
     print(f"trained {args.epochs} epochs; final mean loss {last['total']:.6f} -> {args.out}")
     return 0

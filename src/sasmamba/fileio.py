@@ -82,7 +82,10 @@ def write_keypoints(path, seq: np.ndarray, fps: float = 50.0,
         raise FormatError(f"sequence must be (T, V, 2|3), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("sequence contains non-finite values")
-    head = json.dumps({"version": 1, "fps": float(fps), "num_joints": int(arr.shape[1]),
+    fps = float(fps)
+    if not 0.0 < fps < math.inf:
+        raise FormatError(f"fps must be a finite positive number, got {fps}")
+    head = json.dumps({"version": 1, "fps": fps, "num_joints": int(arr.shape[1]),
                        "dims": int(arr.shape[2])}, separators=(",", ":"))
     text = f'{head[:-1]},"frames":[{_json_rows(arr)}]'
     if confidence is not None:
@@ -117,6 +120,10 @@ def read_keypoints(path) -> np.ndarray:
         raise FormatError("keypoint file must contain a JSON object")
     if doc.get("version") != 1:
         raise FormatError(f"unsupported keypoint file version: {doc.get('version')!r}")
+    fps = doc.get("fps")
+    if "fps" in doc and (isinstance(fps, bool) or not isinstance(fps, (int, float))
+                         or not 0 < fps < math.inf):
+        raise FormatError("field 'fps' must be a finite positive number")
     dims = doc.get("dims")
     if dims not in (2, 3):
         raise FormatError(f"field 'dims' must be 2 or 3, got {dims!r}")

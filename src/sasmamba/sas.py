@@ -71,18 +71,19 @@ class NeighborMixParams:
         sf = s.data.reshape(k_n, -1, c)                                 # (K, P, C)
         lo = np.matmul(sf, down.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, k_n * rho)
         out = np.einsum("kpc,kc->pc", sf, diag) + lo @ up.T
+        ns, mix_nodes = s.grad_node, [t.grad_node for t in mix.tensors()]
 
         def backward(g):
             g2 = g.reshape(-1, c)
             d_lo = np.ascontiguousarray((g2 @ up).reshape(-1, k_n, rho).transpose(1, 0, 2))
-            if s.requires_grad:
-                s.accumulate_grad((diag[:, None, :] * g2 + d_lo @ down).reshape(s.shape))
+            if ns is not None:
+                ns.accumulate_grad((diag[:, None, :] * g2 + d_lo @ down).reshape(ns.shape))
             grads = (np.einsum("pc,kpc->kc", g2, sf),
                      d_lo.transpose(0, 2, 1) @ sf,
                      (g2.T @ lo).reshape(c, k_n, rho).transpose(1, 0, 2))
-            for t, d in zip(mix.tensors(), grads):
-                if t.requires_grad:
-                    t.accumulate_grad(d)
+            for node, d in zip(mix_nodes, grads):
+                if node is not None:
+                    node.accumulate_grad(d)
 
         return make_op(out.reshape(s.shape[1:]), (s,) + mix.tensors(), backward)
 
@@ -201,13 +202,14 @@ def stride_sample(x: Tensor, s: int) -> Tensor:
     v_n = x.shape[1]
     idx = (np.arange(v_n) // s) * s
     out = x.data[:, idx]
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
+        if nx is not None:
             # joint block [v0, v0 + s) reads joint v0: its gradient is the block sum
-            dx = np.zeros_like(x.data)
+            dx = np.zeros(nx.shape, dtype=nx.dtype)
             dx[:, ::s] = np.add.reduceat(g, np.arange(0, v_n, s), axis=1)
-            x.accumulate_grad(dx)
+            nx.accumulate_grad(dx)
 
     return make_op(out, (x,), backward)
 

@@ -168,6 +168,7 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
 
     parents = (u,) + p.tensors()
     keep = any(t.requires_grad for t in parents)
+    nu, p_nodes = u.grad_node, [t.grad_node for t in p.tensors()]
     chunks = _chunks(seq_len)
     # per-chunk (k, S, N, D) temporaries live in one workspace per call,
     # written with out= and sliced to the length of the last, partial chunk
@@ -238,12 +239,12 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
                  dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
                  np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),   # dt_up
                  dz.sum(axis=0), (g * ud).sum(axis=0))
-        for t, grad in zip(p.tensors(), grads):
-            if t.requires_grad:
-                t.accumulate_grad(grad)
-        if u.requires_grad:
+        for node, grad in zip(p_nodes, grads):
+            if node is not None:
+                node.accumulate_grad(grad)
+        if nu is not None:
             du += np.matmul(dproj, w).swapaxes(0, 1)
-            u.accumulate_grad(du.reshape(u.shape))
+            nu.accumulate_grad(du.reshape(nu.shape))
 
     return make_op(ys.reshape(u.shape), parents, backward)
 

@@ -2,11 +2,14 @@
 
 Every differentiable operation here builds its output through :func:`make_op`,
 attaching a closure that knows the exact adjoint of the forward computation.
-``Tensor.backward`` replays those closures in reverse topological order and
-consumes the graph as it goes: one forward allows one backward, and afterwards
-only the leaves (and the root) hold gradients. There is no graph optimization;
-the contract is that every registered operation survives
-:func:`finite_diff_check` against central differences in 64-bit mode.
+The graph is made of :class:`Node` objects, kept apart from the values: an
+adjoint captures the arrays it reads and its parents' nodes, never a parent
+tensor, so an intermediate no adjoint reads is freed as soon as the forward
+code drops it. ``Tensor.backward`` replays the adjoints in reverse
+topological order and consumes the graph as it goes: one forward allows one
+backward, and afterwards only the leaves (and the root) hold gradients. There
+is no graph optimization; the contract is that every registered operation
+survives :func:`finite_diff_check` against central differences in 64-bit mode.
 
 Precision: 32-bit floats are the working dtype, 64-bit is used for gradient
 validation. Checked mode (see :func:`checked_mode`) checks each op's output
@@ -42,15 +45,46 @@ def checked_mode():
         _checked = prev
 
 
-class Tensor:
-    """Dense ndarray plus an optional same-shape gradient accumulator.
+class Node:
+    """The gradient side of a tensor: what backward needs, never the value.
 
-    ``requires_grad`` marks leaves (parameters, inputs under test); outputs of
-    ops inherit it from their parents. ``grad`` is allocated on first
-    accumulation, as a copy of the incoming gradient.
+    ``parents`` are the nodes of the op inputs that require gradients and
+    ``backward`` is the op's adjoint; a leaf has neither. Adjoints capture
+    the arrays they read plus their parents' nodes, never a parent
+    :class:`Tensor`, so the tape keeps an intermediate's array only while an
+    adjoint reads it. ``grad`` is allocated on first accumulation, as a
+    contiguous copy of the incoming gradient in the node's shape and dtype.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("grad", "parents", "backward", "shape", "dtype")
+
+    def __init__(self, shape: tuple[int, ...], dtype, parents: tuple[Node, ...] = (),
+                 backward=None):
+        self.grad: np.ndarray | None = None
+        self.parents = parents
+        self.backward = backward
+        self.shape = shape
+        self.dtype = dtype
+
+    def accumulate_grad(self, g: np.ndarray) -> None:
+        if self.grad is None:
+            # a contiguous copy, never a view: adjoints hand on views of their
+            # input and of transposed products
+            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype,
+                                 order="C")
+        else:
+            self.grad += g
+
+
+class Tensor:
+    """Dense ndarray plus, once gradients are involved, its :class:`Node`.
+
+    ``requires_grad`` marks leaves (parameters, inputs under test); outputs of
+    ops inherit it from their parents. ``grad`` lives on the node, which is
+    made at first use.
+    """
+
+    __slots__ = ("data", "requires_grad", "_node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -60,10 +94,8 @@ class Tensor:
         if not arr.flags.c_contiguous:
             arr = np.ascontiguousarray(arr)
         self.data = arr
-        self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward = None
+        self._node: Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -77,17 +109,32 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
+    @property
+    def node(self) -> Node:
+        node = self._node
+        if node is None:
+            node = self._node = Node(self.data.shape, self.data.dtype)
+        return node
+
+    @property
+    def grad_node(self) -> Node | None:
+        """The node an adjoint accumulates into; None when no gradient is wanted."""
+        return self.node if self.requires_grad else None
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return None if self._node is None else self._node.grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self.node.grad = value
+
     def accumulate_grad(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            # a contiguous copy, never a view: adjoints hand on views of their
-            # input and of transposed products
-            self.grad = np.array(np.broadcast_to(g, self.shape), dtype=self.dtype,
-                                 order="C")
-        else:
-            self.grad += g
+        self.node.accumulate_grad(g)
 
     def zero_grad(self) -> None:
-        self.grad = None
+        if self._node is not None:
+            self._node.grad = None
 
     def backward(self, seed: np.ndarray | None = None) -> None:
         """Accumulate gradients of this value into every reachable leaf.
@@ -95,13 +142,13 @@ class Tensor:
         Without an explicit seed the output must be scalar-like; the seed is
         then an array of ones.
 
-        The pass consumes the graph, as ``retain_graph=False`` does in
-        PyTorch: as soon as a node's adjoint has run, the node drops its
-        closure, its parents and its gradient, so the tape is freed while the
-        pass proceeds. One forward therefore allows one backward. Afterwards
-        only the leaves keep their gradients, plus this root its seed. A
-        second backward through a consumed node raises
-        :class:`GraphConsumedError` before any gradient is touched.
+        The pass walks nodes, not tensors, and consumes the graph, as
+        ``retain_graph=False`` does in PyTorch: as soon as a node's adjoint
+        has run, the node drops its adjoint, its parents and its gradient, so
+        the tape is freed while the pass proceeds. One forward therefore
+        allows one backward. Afterwards only the leaves keep their gradients,
+        plus this root its seed. A second backward through a consumed node
+        raises :class:`GraphConsumedError` before any gradient is touched.
         """
         if seed is None:
             seed = np.ones_like(self.data)
@@ -112,9 +159,10 @@ class Tensor:
                     f"seed shape {seed.shape} != output shape {self.data.shape}")
 
         # Iterative topological order over the recorded tape.
-        order: list[Tensor] = []
+        root = self.node
+        order: list[Node] = []
         visited: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(root, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -122,26 +170,26 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
-            if node._backward is _consumed:
+            if node.backward is _consumed:
                 raise GraphConsumedError(
                     "backward through a graph an earlier backward consumed; "
                     "run the forward again")
             visited.add(id(node))
             stack.append((node, True))
-            for p in node._parents:
+            for p in node.parents:
                 if id(p) not in visited:
                     stack.append((p, False))
 
-        self.accumulate_grad(seed)
+        root.accumulate_grad(seed)
         while order:
             # popped, so the list holds no reference once the node is done
             node = order.pop()
-            if node._backward is None:
+            if node.backward is None:
                 continue
             if node.grad is not None:
-                node._backward(node.grad)
-            node._backward, node._parents = _consumed, ()
-            if node is not self:
+                node.backward(node.grad)
+            node.backward, node.parents = _consumed, ()
+            if node is not root:
                 node.grad = None
 
     def __repr__(self) -> str:
@@ -161,21 +209,23 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
 
 
 def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Wrap an op result, recording parents and the adjoint closure.
+    """Wrap an op result, recording its parents' nodes and the adjoint.
 
     ``backward(g)`` receives the upstream gradient and must accumulate into
-    each parent via ``accumulate_grad``. The closure is dropped when no parent
-    requires gradients. In checked mode a non-finite result raises
-    :class:`NumericError` naming the op, the function that defines the closure.
+    each parent's :attr:`Tensor.grad_node`, captured before the call, via
+    ``accumulate_grad``; it must not capture a parent :class:`Tensor`. The
+    adjoint is dropped when no parent requires gradients. In checked mode a
+    non-finite result raises :class:`NumericError` naming the op, the
+    function that defines the adjoint.
     """
     if _checked and not np.isfinite(out_data).all():
         op = backward.__qualname__.partition(".<locals>")[0]
         raise NumericError(f"non-finite values in the output of '{op}'")
     out = Tensor(out_data)
-    if any(p.requires_grad for p in parents):
+    nodes = tuple(p.node for p in parents if p.requires_grad)
+    if nodes:
         out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        out._node = Node(out.data.shape, out.data.dtype, nodes, backward)
     return out
 
 
@@ -272,46 +322,52 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    na, nb = a.grad_node, b.grad_node
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+        if na is not None:
+            na.accumulate_grad(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb.accumulate_grad(_unbroadcast(g, nb.shape))
 
     return make_op(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
+    na, nb = a.grad_node, b.grad_node
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(-_unbroadcast(g, b.shape))
+        if na is not None:
+            na.accumulate_grad(_unbroadcast(g, na.shape))
+        if nb is not None:
+            nb.accumulate_grad(-_unbroadcast(g, nb.shape))
 
     return make_op(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
+    ad, bd = a.data, b.data
+    out = ad * bd
+    na, nb = a.grad_node, b.grad_node
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.data, b.shape))
+        if na is not None:
+            na.accumulate_grad(_unbroadcast(g * bd, na.shape))
+        if nb is not None:
+            nb.accumulate_grad(_unbroadcast(g * ad, nb.shape))
 
     return make_op(out, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = a.data * a.data.dtype.type(c)
+    c = a.data.dtype.type(c)
+    out = a.data * c
+    na = a.grad_node
 
     def backward(g):
-        if a.requires_grad:
-            a.accumulate_grad(g * a.data.dtype.type(c))
+        if na is not None:
+            na.accumulate_grad(g * c)
 
     return make_op(out, (a,), backward)
 
@@ -322,11 +378,12 @@ def gelu(x: Tensor) -> Tensor:
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
     out = (d * cdf).astype(d.dtype, copy=False)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
+        if nx is not None:
             pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-            x.accumulate_grad(g * (cdf + d * pdf).astype(d.dtype, copy=False))
+            nx.accumulate_grad(g * (cdf + d * pdf).astype(d.dtype, copy=False))
 
     return make_op(out, (x,), backward)
 
@@ -335,10 +392,11 @@ def silu(x: Tensor) -> Tensor:
     d = x.data
     sig = 1.0 / (1.0 + np.exp(-d))
     out = (d * sig).astype(d.dtype, copy=False)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g * (sig * (1.0 + d * (1.0 - sig))).astype(d.dtype, copy=False))
+        if nx is not None:
+            nx.accumulate_grad(g * (sig * (1.0 + d * (1.0 - sig))).astype(d.dtype, copy=False))
 
     return make_op(out, (x,), backward)
 
@@ -348,40 +406,44 @@ def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0):
         raise DomainError("sqrt of negative value")
     out = np.sqrt(x.data)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g / (2.0 * out))
+        if nx is not None:
+            nx.accumulate_grad(g / (2.0 * out))
 
     return make_op(out, (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
     out = np.asarray(x.data.sum(), dtype=x.dtype)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.broadcast_to(g, x.shape).astype(x.dtype))
+        if nx is not None:
+            nx.accumulate_grad(np.broadcast_to(g, nx.shape).astype(nx.dtype))
 
     return make_op(out, (x,), backward)
 
 
 def sum_last(x: Tensor) -> Tensor:
     out = x.data.sum(axis=-1)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(np.repeat(g[..., None], x.shape[-1], axis=-1))
+        if nx is not None:
+            nx.accumulate_grad(np.repeat(g[..., None], nx.shape[-1], axis=-1))
 
     return make_op(out, (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = x.data.reshape(shape)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g.reshape(x.shape))
+        if nx is not None:
+            nx.accumulate_grad(g.reshape(nx.shape))
 
     return make_op(out, (x,), backward)
 
@@ -390,12 +452,13 @@ def slice0(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for axis of size {x.shape[0]}")
     out = x.data[start:stop].copy()
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
+        if nx is not None:
+            full = np.zeros(nx.shape, dtype=nx.dtype)
             full[start:stop] = g
-            x.accumulate_grad(full)
+            nx.accumulate_grad(full)
 
     return make_op(out, (x,), backward)
 
@@ -404,12 +467,13 @@ def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[-1]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for axis of size {x.shape[-1]}")
     out = x.data[..., start:stop].copy()
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            full = np.zeros_like(x.data)
+        if nx is not None:
+            full = np.zeros(nx.shape, dtype=nx.dtype)
             full[..., start:stop] = g
-            x.accumulate_grad(full)
+            nx.accumulate_grad(full)
 
     return make_op(out, (x,), backward)
 
@@ -419,12 +483,13 @@ def concat_last(parts: list[Tensor]) -> Tensor:
         raise DimensionError("concat_last needs at least one part")
     out = np.concatenate([p.data for p in parts], axis=-1)
     widths = [p.shape[-1] for p in parts]
+    nodes = [p.grad_node for p in parts]
 
     def backward(g):
         off = 0
-        for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p.accumulate_grad(g[..., off:off + w])
+        for node, w in zip(nodes, widths):
+            if node is not None:
+                node.accumulate_grad(g[..., off:off + w])
             off += w
 
     return make_op(out, tuple(parts), backward)
@@ -439,20 +504,22 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     if x.shape[-1] != w.shape[1]:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
-    out = x.data @ w.data.T
+    xd, wd = x.data, w.data
+    out = xd @ wd.T
     if b is not None:
         out = out + b.data
     parents = (x, w) if b is None else (x, w, b)
+    nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(g @ w.data)
-        if w.requires_grad:
-            g2 = g.reshape(-1, w.shape[0])
-            x2 = x.data.reshape(-1, w.shape[1])
-            w.accumulate_grad(g2.T @ x2)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g.reshape(-1, w.shape[0]).sum(axis=0))
+        if nx is not None:
+            nx.accumulate_grad(g @ wd)
+        if nw is not None:
+            g2 = g.reshape(-1, wd.shape[0])
+            x2 = xd.reshape(-1, wd.shape[1])
+            nw.accumulate_grad(g2.T @ x2)
+        if nb is not None:
+            nb.accumulate_grad(g.reshape(-1, wd.shape[0]).sum(axis=0))
 
     return make_op(out, parents, backward)
 
@@ -470,18 +537,20 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(p.epsilon))
     xhat = centered * inv
-    out = p.gamma.data * xhat + p.beta.data
+    gamma = p.gamma.data
+    out = gamma * xhat + p.beta.data
+    nx, ngamma, nbeta = x.grad_node, p.gamma.grad_node, p.beta.grad_node
 
     def backward(g):
-        if p.gamma.requires_grad:
-            p.gamma.accumulate_grad((g * xhat).reshape(-1, c).sum(axis=0))
-        if p.beta.requires_grad:
-            p.beta.accumulate_grad(g.reshape(-1, c).sum(axis=0))
-        if x.requires_grad:
-            gx = g * p.gamma.data
+        if ngamma is not None:
+            ngamma.accumulate_grad((g * xhat).reshape(-1, c).sum(axis=0))
+        if nbeta is not None:
+            nbeta.accumulate_grad(g.reshape(-1, c).sum(axis=0))
+        if nx is not None:
+            gx = g * gamma
             m1 = gx.mean(axis=-1, keepdims=True)
             m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            x.accumulate_grad(inv * (gx - m1 - xhat * m2))
+            nx.accumulate_grad(inv * (gx - m1 - xhat * m2))
 
     return make_op(out, (x, p.gamma, p.beta), backward)
 
@@ -517,10 +586,11 @@ def gather_sum(x: Tensor, rows: np.ndarray, inverse: np.ndarray) -> Tensor:
     """
     c = x.shape[-1]
     out = _take_rows(x.data, rows, c)
+    nx = x.grad_node
 
     def backward(g):
-        if x.requires_grad:
-            x.accumulate_grad(_take_rows(g, inverse, c).reshape(x.shape))
+        if nx is not None:
+            nx.accumulate_grad(_take_rows(g, inverse, c).reshape(nx.shape))
 
     return make_op(out, (x,), backward)
 
@@ -546,24 +616,25 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     c_out = w.shape[0]
     rows = _neighbor_rows(t_n, v_n)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
-    out = x.data.reshape(-1, c_in)[rows].reshape(-1, 9 * c_in) @ w_mat.T
+    xf = x.data.reshape(-1, c_in)
+    out = xf[rows].reshape(-1, 9 * c_in) @ w_mat.T
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
+    nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
-        if w.requires_grad:
+        if nb is not None:
+            nb.accumulate_grad(g2.sum(axis=0))
+        if nw is not None:
             # gathered again: at 9x the size of x, it is not kept on the tape
-            xs = x.data.reshape(-1, c_in)[rows].reshape(-1, 9 * c_in)
-            dw = (g2.T @ xs).reshape(c_out, 3, 3, c_in)
-            w.accumulate_grad(dw.transpose(0, 3, 1, 2))
-        if x.requires_grad:
-            dx = np.zeros((t_n * v_n, c_in), dtype=x.dtype)
+            dw = (g2.T @ xf[rows].reshape(-1, 9 * c_in)).reshape(c_out, 3, 3, c_in)
+            nw.accumulate_grad(dw.transpose(0, 3, 1, 2))
+        if nx is not None:
+            dx = np.zeros((t_n * v_n, c_in), dtype=nx.dtype)
             scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
-            x.accumulate_grad(dx.reshape(x.shape))
+            nx.accumulate_grad(dx.reshape(nx.shape))
 
     return make_op(out.reshape(t_n, v_n, c_out), parents, backward)
 
@@ -577,22 +648,24 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
     rows = _neighbor_rows(t_n, v_n)
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
-    out = np.einsum("pkc,kc->pc", x.data.reshape(-1, c)[rows], w_mat)
+    xf = x.data.reshape(-1, c)
+    out = np.einsum("pkc,kc->pc", xf[rows], w_mat)
     if b is not None:
         out += b.data
     parents = (x, w) if b is None else (x, w, b)
+    nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
 
     def backward(g):
         g2 = g.reshape(-1, c)
-        if b is not None and b.requires_grad:
-            b.accumulate_grad(g2.sum(axis=0))
-        if w.requires_grad:
-            xs = x.data.reshape(-1, c)[rows]                      # as in grid_conv3x3
-            w.accumulate_grad(np.einsum("pc,pkc->ck", g2, xs).reshape(c, 3, 3))
-        if x.requires_grad:
-            dx = np.zeros((t_n * v_n, c), dtype=x.dtype)
+        if nb is not None:
+            nb.accumulate_grad(g2.sum(axis=0))
+        if nw is not None:
+            # gathered again, as in grid_conv3x3
+            nw.accumulate_grad(np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3))
+        if nx is not None:
+            dx = np.zeros((t_n * v_n, c), dtype=nx.dtype)
             scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
-            x.accumulate_grad(dx.reshape(x.shape))
+            nx.accumulate_grad(dx.reshape(nx.shape))
 
     return make_op(out.reshape(x.shape), parents, backward)
 
@@ -648,28 +721,31 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
     cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
                     axis=-1).reshape(-1)
     rows = np.arange(0, 4 * n + 1, 4)
+    dt = x.dtype
 
     def sampling(weights) -> csr_array:
         # in x's dtype, so that the product neither upcasts x nor its result
-        data = np.stack(weights, axis=-1).astype(x.dtype).reshape(-1)
+        data = np.stack(weights, axis=-1).astype(dt).reshape(-1)
         return csr_array((data, cols, rows), shape=(n, t_n * v_n))
 
     w = sampling(corners)
     xf = x.data.reshape(-1, c)
     out = (w @ xf).reshape(pt.shape + (c,))
+    ptd, pvd = pt.data, pv.data
+    nx, npt, npv = x.grad_node, pt.grad_node, pv.grad_node
 
     def backward(g):
         g2 = g.reshape(n, c)
-        if x.requires_grad:
-            x.accumulate_grad((w.T @ g2).reshape(x.shape))
-        if pt.requires_grad:
-            mt = (pt.data > 0.0) & (pt.data < t_n - 1)
+        if nx is not None:
+            nx.accumulate_grad((w.T @ g2).reshape(nx.shape))
+        if npt is not None:
+            mt = (ptd > 0.0) & (ptd < t_n - 1)
             d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
-            pt.accumulate_grad(mt * d_dt.reshape(pt.shape))
-        if pv.requires_grad:
-            mv = (pv.data > 0.0) & (pv.data < v_n - 1)
+            npt.accumulate_grad(mt * d_dt.reshape(npt.shape))
+        if npv is not None:
+            mv = (pvd > 0.0) & (pvd < v_n - 1)
             d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
-            pv.accumulate_grad(mv * d_dv.reshape(pv.shape))
+            npv.accumulate_grad(mv * d_dv.reshape(npv.shape))
 
     return make_op(out, (x, pt, pv), backward)
 

@@ -8,12 +8,14 @@ target motion; the mixing weights default to lambda_m = 20.0, lambda_t = 0.5.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
+from .fileio import _atomic_write
 from .model import Model, entry_name, forward
 from .tensor import (Tensor, add, mul, scale, slice0, sqrt, sub, sum_all,
                      sum_last)
@@ -288,10 +290,12 @@ def train(model: Model, dataset: SyntheticDataset, epochs: int, batch: int,
 
 
 def write_trace_csv(path, trace: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "lr", "total", "wmpjpe", "tcloss", "mpjve"])
-        for row in trace:
-            writer.writerow([row["epoch"], repr(row["lr"]), repr(row["total"]),
-                             repr(row["wmpjpe"]), repr(row["tcloss"]),
-                             repr(row["mpjve"])])
+    """Write the per-epoch trace as CSV, atomically: a failed write leaves nothing."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(["epoch", "lr", "total", "wmpjpe", "tcloss", "mpjve"])
+    for row in trace:
+        writer.writerow([row["epoch"], repr(row["lr"]), repr(row["total"]),
+                         repr(row["wmpjpe"]), repr(row["tcloss"]),
+                         repr(row["mpjve"])])
+    _atomic_write(path, text.getvalue().encode("utf-8"))

@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark's traced run.
+"""Smoke test of the benchmark's traced run, forward-only and with a backward.
 
 The tracer in ``bench/tracing.py`` patches layer functions by name (for
 example ``sasmamba.sas.selective_scan``), so renaming one breaks the traced
@@ -10,12 +10,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tiny_traced_infer_run_is_correct():
+@pytest.mark.parametrize("workload", ["infer", "train-default"])
+def test_tiny_traced_run_is_correct(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "infer", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0.5", "--tiny", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -28,3 +31,7 @@ def test_tiny_traced_infer_run_is_correct():
     assert metrics["tensor.bilinear_gather.calls"] == metrics["ssm.selective_scan.calls"]
     assert metrics["component.bilinear_sampling.fwd_s"] > 0
     assert metrics["component.tap_mixing.fwd_s"] > 0
+    if workload == "train-default":
+        # the traced make_op wraps taped ops and times their adjoints
+        assert metrics["ssm.selective_scan.bwd_s"] > 0
+        assert metrics["tensor.tape_mb"] > 0

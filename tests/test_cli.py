@@ -278,6 +278,10 @@ HOSTILE_INPUTS = {
     "infer --output a directory": lambda tmp, ckpt, data: [
         "infer", "--model", ckpt, "--input", data / "seq_0000_2d.json", "--output", data],
     "checkpoint with a NaN offset bias": _infer_nan_in("blocks.0.sas.offset.bias"),
+    "keypoint file with a NaN fps": _infer(fps=float("nan")),
+    "train --trace into a missing directory": lambda tmp, ckpt, data: [
+        "train", "--data", data, "--model", ckpt, "--epochs", 1, "--out", tmp / "t.ckpt",
+        "--trace", tmp / "missing" / "t.csv"],
 }
 
 
@@ -287,13 +291,17 @@ class TestHostileInputs:
         ckpt, data = tmp_path / "m.ckpt", tmp_path / "data"
         run(["init", "--config", tiny_config_path, "--out", ckpt], capsys)
         run(["synth", "--sequences", 2, "--frames", 6, "--joints", 4, "--out", data], capsys)
+        argv = HOSTILE_INPUTS[case](tmp_path, ckpt, data)
+        before = sorted(tmp_path.rglob("*"))
         # a warning would print more lines to stderr, so it fails the case
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, _, stderr = run(HOSTILE_INPUTS[case](tmp_path, ckpt, data), capsys)
+            rc, _, stderr = run(argv, capsys)
         assert rc == 2
         assert stderr.startswith("error: ") and stderr.count("\n") == 1
         assert "Traceback" not in stderr
+        # a failing command leaves no partial outputs behind
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestSynthTrainInferEval:

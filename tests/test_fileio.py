@@ -84,6 +84,21 @@ class TestKeypointFiles:
             write_keypoints(tmp_path / "conf.json", np.zeros((2, 3, 2)), confidence=conf)
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("fps", [np.nan, np.inf, -5.0, 0.0])
+    def test_bad_fps_write_rejected(self, tmp_path, fps):
+        with pytest.raises(FormatError, match="fps"):
+            write_keypoints(tmp_path / "fps.json", np.zeros((2, 3, 2)), fps=fps)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -5, 0, "50", True, None])
+    def test_bad_fps_read_rejected(self, tmp_path, fps):
+        path = tmp_path / "fps.json"
+        doc = {"version": 1, "fps": fps, "num_joints": 2, "dims": 2,
+               "frames": [[[0, 0], [1, 1]]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'fps'"):
+            read_keypoints(path)
+
     def test_non_finite_confidence_read_rejected(self, tmp_path):
         path = tmp_path / "conf.json"
         doc = {"version": 1, "fps": 50.0, "num_joints": 2, "dims": 2,

@@ -301,7 +301,7 @@ class TestTapeConsumption:
     def test_backward_keeps_only_leaf_gradients(self):
         model, pred, loss = self._step(ModelConfig(L=1, D=8, T=6, V=4, K=3, N=2))
         loss.backward()
-        assert pred.grad is None and pred._parents == ()
+        assert pred.grad is None and pred._node.parents == ()
         assert loss.grad is not None
         for name, t in model.named_params():
             assert t.grad is not None and t.grad.shape == t.shape, name

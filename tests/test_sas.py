@@ -1,5 +1,7 @@
 """Structure-aware layer: offsets, deformable sampling, stride fill, streams."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import (bilinear_by_corners, conv3x3_by_definition,
                       feedthrough_stream, identity_tap, random_sa,
                       random_stream, scan_by_unroll, stack_streams, stack_taps,
                       stream_set, zero_local, zero_offset_net, zero_tap)
+from sasmamba import sas
 from sasmamba.errors import ConfigError, DimensionError, DomainError
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
                           StrideConfig, four_stream_scan, predict_offsets,
@@ -330,6 +333,35 @@ class TestFourStreamScan:
         for leaf in leaves:
             leaf.requires_grad = True
         err = finite_diff_check_leaves(lambda: four_stream_scan(x, STREAM_ORDER, streams, gates),
+                                       leaves)
+        assert err < 1e-6
+
+    def test_scan_output_is_freed_when_the_layer_returns(self, monkeypatch):
+        # no adjoint reads the (L, S, C) scan output: the output gather keeps
+        # only its indices, so the array dies with its Tensor, before any
+        # backward, while the gradients through the scan stay exact
+        rng = np.random.default_rng(21)
+        d = 4
+        streams = stream_set(rng, d, STREAM_ORDER)
+        x = t64(rng.normal(size=(3, 4, d)), grad=True)
+        leaves = [x] + list(streams.tensors())
+        for leaf in leaves:
+            leaf.requires_grad = True
+        buffers = []
+        scan = sas.selective_scan
+
+        def recording_scan(u, p):
+            y = scan(u, p)
+            buf = y.data
+            while isinstance(buf.base, np.ndarray):
+                buf = buf.base
+            buffers.append(weakref.ref(buf))
+            return y
+
+        monkeypatch.setattr(sas, "selective_scan", recording_scan)
+        out = four_stream_scan(x, STREAM_ORDER, streams)
+        assert out.requires_grad and len(buffers) == 1 and buffers[0]() is None
+        err = finite_diff_check_leaves(lambda: four_stream_scan(x, STREAM_ORDER, streams),
                                        leaves)
         assert err < 1e-6
 
