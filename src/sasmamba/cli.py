@@ -52,10 +52,11 @@ def _cmd_init(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    # generated first, so that rejected arguments leave no directory behind
     ds = gen_synthetic(args.seed, args.sequences, args.frames, args.joints,
                        noise_sigma=args.noise)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     for i, (kp2d, pose3d) in enumerate(ds.pairs):
         write_keypoints(out / f"seq_{i:04d}_2d.json", kp2d)
         write_keypoints(out / f"seq_{i:04d}_3d.json", pose3d)

@@ -194,6 +194,9 @@ def load_ckpt(path) -> Model:
     if version > FORMAT_VERSION:
         raise VersionError(f"checkpoint format version {version} is newer than "
                            f"supported version {FORMAT_VERSION}")
+    if version < FORMAT_VERSION:
+        raise FormatError(f"checkpoint format version {version} predates "
+                          f"supported version {FORMAT_VERSION}")
     mlen = struct.unpack_from("<I", blob, 8)[0]
     if len(blob) < 12 + mlen:
         raise CorruptionError("truncated manifest")

@@ -1,10 +1,12 @@
 """Structure-aware stride layer.
 
 Composition: a deformable local aggregation over the (frame, joint) grid,
-then multi-stride joint subsampling with preceding-valid fill, then selective
-scans over four flatten directions, summed. Shapes are (T, V, C) throughout,
-with two exceptions. Inside :func:`sa_conv` the K*K taps are a leading axis:
-one :func:`bilinear_gather` samples (K*K, T, V, C) and one
+then multi-stride joint subsampling with preceding-valid fill (every stride
+group in one :func:`stride_scan` op), then selective scans over four flatten
+directions, summed. Shapes are (T, V, C) throughout, with two exceptions.
+Inside :func:`sa_conv` the K*K taps are a leading axis and each sampling
+position is one (t, v) pair on a last axis of 2: one :func:`bilinear_gather`
+samples (K*K, T, V, C) at (K*K, T, V, 2) positions and one
 :meth:`NeighborMixParams.apply` mixes and sums them. Inside
 :func:`four_stream_scan` the enabled streams are a stream axis S of one
 (L, S, C) sequence, L = T*V, built by one index gather and scanned by one
@@ -25,8 +27,7 @@ from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      Tensor, add, bilinear_gather, concat_last,
                      depthwise_conv3x3, gather_sum, grid_conv3x3, linear,
-                     make_op, mul, register_op, reshape, silu, slice_last,
-                     tensor)
+                     make_op, mul, register_op, reshape, silu, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -173,59 +174,57 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     """Deformable aggregation: shift the K x K grid by the predicted offset,
     bilinearly sample each tap, mix per tap, and add the local aggregation.
 
-    All K*K taps are sampled by one :func:`bilinear_gather` over (K*K, T, V)
-    positions, the shifted centre plus each tap's offset in the order of the
-    tap axis of ``p.mix`` (dt outer, dv inner), and mixed by one
-    :meth:`NeighborMixParams.apply`.
+    Every sampling position p0 + pn + dp is one (t, v) pair on a last axis
+    of 2: the (T, V, 2) offsets plus the (T, V, 2) grid p0 plus the
+    (K*K, 1, 1, 2) tap offsets pn in the order of the tap axis of ``p.mix``
+    (dt outer, dv inner). One :func:`bilinear_gather` samples all (K*K, T, V)
+    positions and one :meth:`NeighborMixParams.apply` mixes them.
     """
     t_n, v_n, _ = x.shape
-    k = p.kernel_size
+    half = (p.kernel_size - 1) // 2
     offsets = predict_offsets(x, p)
-    half = (k - 1) // 2
-    base_t = tensor(np.broadcast_to(np.arange(t_n, dtype=x.dtype)[:, None], (t_n, v_n)).copy())
-    base_v = tensor(np.broadcast_to(np.arange(v_n, dtype=x.dtype)[None, :], (t_n, v_n)).copy())
-    center_t = add(base_t, reshape(slice_last(offsets, 0, 1), (t_n, v_n)))
-    center_v = add(base_v, reshape(slice_last(offsets, 1, 2), (t_n, v_n)))
-    tap_t, tap_v = np.meshgrid(np.arange(-half, half + 1, dtype=x.dtype),
-                               np.arange(-half, half + 1, dtype=x.dtype), indexing="ij")
+    grid = np.stack(np.meshgrid(np.arange(t_n, dtype=x.dtype), np.arange(v_n, dtype=x.dtype),
+                                indexing="ij"), axis=-1)
+    steps = np.arange(-half, half + 1, dtype=x.dtype)
+    taps = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 1, 1, 2)
     local = depthwise_conv3x3(x, p.local_conv)
-    samples = bilinear_gather(x, add(center_t, tensor(tap_t.reshape(-1, 1, 1))),
-                              add(center_v, tensor(tap_v.reshape(-1, 1, 1))))
+    samples = bilinear_gather(x, add(add(offsets, tensor(grid)), tensor(taps)))
     return add(local, NeighborMixParams.apply(samples, p.mix))
 
 
 def stride_sample(x: Tensor, s: int) -> Tensor:
     """Subsample joints at stride s, filling skipped joints with the
-    preceding valid joint: y(t, v) = x(t, floor(v/s)*s)."""
+    preceding valid joint: y(t, v) = x(t, floor(v/s)*s). The one-group case
+    of :func:`stride_scan`."""
     if s < 1:
         raise DomainError(f"stride must be >= 1, got {s}")
+    return stride_scan(x, StrideConfig(strides=(s,), fractions=(1.0,)))
+
+
+def stride_scan(x: Tensor, cfg: StrideConfig) -> Tensor:
+    """Split channels into stride groups and subsample each group's joints
+    at its stride, with preceding-valid fill, as one op.
+
+    Group i keeps channel block i of the input in place; its joint v reads
+    joint floor(v/s)*s. Stride-1 channels pass verbatim; shape is preserved.
+    """
+    bounds = cfg.split_points(x.shape[-1])
     v_n = x.shape[1]
-    idx = (np.arange(v_n) // s) * s
-    out = x.data[:, idx]
+    groups = [(slice(bounds[i], bounds[i + 1]), s) for i, s in enumerate(cfg.strides)]
+    out = np.empty_like(x.data)
+    for cols, s in groups:
+        out[..., cols] = x.data[:, (np.arange(v_n) // s) * s, cols]
     nx = x.grad_node
 
     def backward(g):
         if nx is not None:
             # joint block [v0, v0 + s) reads joint v0: its gradient is the block sum
             dx = np.zeros(nx.shape, dtype=nx.dtype)
-            dx[:, ::s] = np.add.reduceat(g, np.arange(0, v_n, s), axis=1)
+            for cols, s in groups:
+                dx[:, ::s, cols] = np.add.reduceat(g[..., cols], np.arange(0, v_n, s), axis=1)
             nx.accumulate_grad(dx)
 
     return make_op(out, (x,), backward)
-
-
-def stride_scan(x: Tensor, cfg: StrideConfig) -> Tensor:
-    """Split channels into stride groups, subsample each, and re-concatenate.
-
-    The first group keeps its stride-1 channels verbatim; joint ordering and
-    shape are preserved.
-    """
-    bounds = cfg.split_points(x.shape[-1])
-    parts = []
-    for i, s in enumerate(cfg.strides):
-        group = slice_last(x, bounds[i], bounds[i + 1])
-        parts.append(group if s == 1 else stride_sample(group, s))
-    return concat_last(parts)
 
 
 def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:

@@ -463,21 +463,6 @@ def slice0(x: Tensor, start: int, stop: int) -> Tensor:
     return make_op(out, (x,), backward)
 
 
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    if not (0 <= start < stop <= x.shape[-1]):
-        raise DimensionError(f"slice [{start}:{stop}] out of range for axis of size {x.shape[-1]}")
-    out = x.data[..., start:stop].copy()
-    nx = x.grad_node
-
-    def backward(g):
-        if nx is not None:
-            full = np.zeros(nx.shape, dtype=nx.dtype)
-            full[..., start:stop] = g
-            nx.accumulate_grad(full)
-
-    return make_op(out, (x,), backward)
-
-
 def concat_last(parts: list[Tensor]) -> Tensor:
     if not parts:
         raise DimensionError("concat_last needs at least one part")
@@ -695,29 +680,32 @@ def bilinear_weights(pt: np.ndarray, pv: np.ndarray, t_n: int, v_n: int):
     return (t0, t1, v0, v1), (w00, w01, w10, w11), (wt, wv)
 
 
-def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
+def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
     """Sample x at fractional (t, v) positions; positions clamp to the edge.
 
-    ``pt`` and ``pv`` share a common shape S; the result has shape S + (C,).
-    The n = prod(S) samples are one sparse product ``W @ x`` with x viewed as
-    (T*V, C): W is (n, T*V) CSR with four entries per row, the corners 00,
-    01, 10, 11 and their weights. The x adjoint is ``W.T @ g``. Each position
-    adjoint fills the same pattern with the weights' derivative in t (or v),
-    multiplies by x and takes the row-wise dot with g; the clamp has zero
-    slope unless the position lies strictly inside the grid. The tape keeps
-    only the pattern, weights and masks, never an (n, C) gather. A non-finite
-    position raises :class:`NumericError` whether or not checked mode is on:
-    a NaN has no corner, and would cast to a negative column index.
+    ``pos`` has shape S + (2,), one (t, v) position per sample on its last
+    axis; the result has shape S + (C,). The n = prod(S) samples are one
+    sparse product ``W @ x`` with x viewed as (T*V, C): W is (n, T*V) CSR with
+    four entries per row, the corners 00, 01, 10, 11 and their weights. The x
+    adjoint is ``W.T @ g``. The position adjoint is one S + (2,) gradient: its
+    t (or v) entry fills the same pattern with the weights' derivative in t
+    (or v), multiplies by x and takes the row-wise dot with g; the clamp has
+    zero slope unless the coordinate lies strictly inside the grid. The tape
+    keeps only the pattern, weights and positions, never an (n, C) gather. A
+    non-finite position raises :class:`NumericError` whether or not checked
+    mode is on: a NaN has no corner, and would cast to a negative column index.
     """
     from scipy.sparse import csr_array  # at first use, as in scatter_rows
 
     t_n, v_n, c = x.shape
-    if pt.shape != pv.shape:
-        raise DimensionError(f"position shapes differ: {pt.shape} vs {pv.shape}")
-    if not (np.isfinite(pt.data).all() and np.isfinite(pv.data).all()):
+    posd = pos.data
+    if posd.ndim < 1 or posd.shape[-1] != 2:
+        raise DimensionError(f"positions must end in a (t, v) axis of 2, got {posd.shape}")
+    if not np.isfinite(posd).all():
         raise NumericError("non-finite sampling positions")
-    (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(pt.data, pv.data, t_n, v_n)
-    n = pt.size
+    (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(posd[..., 0], posd[..., 1],
+                                                             t_n, v_n)
+    n = pos.size // 2
     cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
                     axis=-1).reshape(-1)
     rows = np.arange(0, 4 * n + 1, 4)
@@ -730,24 +718,20 @@ def bilinear_gather(x: Tensor, pt: Tensor, pv: Tensor) -> Tensor:
 
     w = sampling(corners)
     xf = x.data.reshape(-1, c)
-    out = (w @ xf).reshape(pt.shape + (c,))
-    ptd, pvd = pt.data, pv.data
-    nx, npt, npv = x.grad_node, pt.grad_node, pv.grad_node
+    out = (w @ xf).reshape(pos.shape[:-1] + (c,))
+    nx, npos = x.grad_node, pos.grad_node
 
     def backward(g):
         g2 = g.reshape(n, c)
         if nx is not None:
             nx.accumulate_grad((w.T @ g2).reshape(nx.shape))
-        if npt is not None:
-            mt = (ptd > 0.0) & (ptd < t_n - 1)
+        if npos is not None:
+            inside = (posd > 0.0) & (posd < np.array([t_n - 1, v_n - 1]))
             d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
-            npt.accumulate_grad(mt * d_dt.reshape(npt.shape))
-        if npv is not None:
-            mv = (pvd > 0.0) & (pvd < v_n - 1)
             d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
-            npv.accumulate_grad(mv * d_dv.reshape(npv.shape))
+            npos.accumulate_grad(inside * np.stack((d_dt, d_dv), axis=-1).reshape(npos.shape))
 
-    return make_op(out, (x, pt, pv), backward)
+    return make_op(out, (x, pos), backward)
 
 
 # --- finite-difference validation -------------------------------------------
@@ -822,7 +806,6 @@ register_op("depthwise_conv3x3", lambda x, w, b: depthwise_conv3x3(x, DepthwiseC
 register_op("bilinear_gather", bilinear_gather)
 register_op("reshape_flat", lambda x: reshape(x, (x.size,)))
 register_op("slice0", lambda x: slice0(x, 1, x.shape[0]))
-register_op("slice_last", lambda x: slice_last(x, 0, max(1, x.shape[-1] // 2)))
 register_op("concat_last", lambda a, b: concat_last([a, b]))
 
 

@@ -205,6 +205,8 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
     """
     if n_seqs < 1 or frames < 1 or joints < 1:
         raise DomainError("n_seqs, frames, and joints must all be >= 1")
+    if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
+        raise DomainError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     camera = Camera()
     template = rng.uniform(-0.5, 0.5, size=(joints, 3))

@@ -31,6 +31,9 @@ def test_tiny_traced_run_is_correct(workload):
     assert metrics["tensor.bilinear_gather.calls"] == metrics["ssm.selective_scan.calls"]
     assert metrics["component.bilinear_sampling.fwd_s"] > 0
     assert metrics["component.tap_mixing.fwd_s"] > 0
+    if workload == "infer":
+        # taped ops per layer: index bookkeeping must not creep back
+        assert metrics["tensor.ops"] / metrics["ssm.selective_scan.calls"] <= 24
     if workload == "train-default":
         # the traced make_op wraps taped ops and times their adjoints
         assert metrics["ssm.selective_scan.bwd_s"] > 0

@@ -224,6 +224,18 @@ def _infer_nan_in(tensor_name):
     return argv
 
 
+def _infer_version(version):
+    """infer with a checkpoint whose header claims another format version."""
+    def argv(tmp, ckpt, data):
+        blob = bytearray(ckpt.read_bytes())
+        blob[4:8] = struct.pack("<I", version)
+        edited = tmp / "edited.ckpt"
+        edited.write_bytes(blob)
+        return ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
+                "--output", tmp / "out.json"]
+    return argv
+
+
 HOSTILE_INPUTS = {
     "manifest offset past the payload": _infer(_set("tensors", 1, "offset", 10**9)),
     "manifest shape with a string": _infer(_set("tensors", 0, "shape", [8, "x"])),
@@ -282,6 +294,13 @@ HOSTILE_INPUTS = {
     "train --trace into a missing directory": lambda tmp, ckpt, data: [
         "train", "--data", data, "--model", ckpt, "--epochs", 1, "--out", tmp / "t.ckpt",
         "--trace", tmp / "missing" / "t.csv"],
+    # rejected before the output directory is made
+    "synth --sequences 0": lambda tmp, ckpt, data: [
+        "synth", "--sequences", 0, "--out", tmp / "new"],
+    "synth --noise -1": lambda tmp, ckpt, data: [
+        "synth", "--noise", -1, "--out", tmp / "new"],
+    "gradcheck --rounds 0": lambda tmp, ckpt, data: ["gradcheck", "--rounds", 0],
+    "checkpoint header claiming format version 0": _infer_version(0),
 }
 
 

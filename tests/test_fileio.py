@@ -224,6 +224,16 @@ class TestCheckpoint:
         with pytest.raises(VersionError):
             load_ckpt(path)
 
+    def test_older_version_names_it(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_ckpt(init_model(TINY, seed=6), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = struct.pack("<I", 0)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="version 0") as info:
+            load_ckpt(path)
+        assert not isinstance(info.value, VersionError)
+
     def test_truncated_payload(self, tmp_path):
         model = init_model(TINY, seed=7)
         path = tmp_path / "m.ckpt"

@@ -5,7 +5,7 @@ import pytest
 
 from sasmamba.errors import DegeneracyError, DimensionError
 from sasmamba.metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2,
-                              procrustes_align)
+                              mpjve_metric, procrustes_align)
 
 
 def random_rotation(rng):
@@ -196,3 +196,16 @@ class TestP2:
     def test_empty_sequence_rejected(self):
         with pytest.raises(DimensionError):
             mpjpe_p2(np.zeros((0, 5, 3)), np.zeros((0, 5, 3)))
+
+
+class TestMpjve:
+    def test_constant_velocity_offset_gives_its_norm(self):
+        rng = np.random.default_rng(12)
+        gt = rng.normal(size=(6, 5, 3))
+        drift = np.array([3.0, 4.0, 12.0])                # norm 13 per frame
+        pred = gt + np.arange(6.0)[:, None, None] * drift
+        assert mpjve_metric(pred, gt) == pytest.approx(13.0, rel=1e-12)
+
+    def test_fewer_than_two_frames_give_zero(self):
+        rng = np.random.default_rng(13)
+        assert mpjve_metric(rng.normal(size=(1, 4, 3)), rng.normal(size=(1, 4, 3))) == 0.0

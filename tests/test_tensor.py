@@ -84,19 +84,19 @@ class TestBilinear:
     def test_integer_position_is_gather(self):
         rng = np.random.default_rng(1)
         x = t64(rng.normal(size=(4, 5, 3)))
-        y = bilinear_gather(x, t64(1.0), t64(2.0))
+        y = bilinear_gather(x, t64([1.0, 2.0]))
         np.testing.assert_array_equal(y.data, x.data[1, 2])
 
     def test_cell_center_averages_corners(self):
         x = np.zeros((2, 2, 1))
         x[0, 0], x[0, 1], x[1, 0], x[1, 1] = 1.0, 2.0, 3.0, 4.0
-        y = bilinear_gather(t64(x), t64(0.5), t64(0.5))
+        y = bilinear_gather(t64(x), t64([0.5, 0.5]))
         np.testing.assert_allclose(y.data, [(1.0 + 2.0 + 3.0 + 4.0) / 4])
 
     def test_clamp_to_edge(self):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(3, 4, 2)))
-        y = bilinear_gather(x, t64(-3.7), t64(0.0))
+        y = bilinear_gather(x, t64([-3.7, 0.0]))
         np.testing.assert_allclose(y.data, x.data[0, 0])
 
     def test_weights_sum_to_one_and_bounded(self):
@@ -114,10 +114,10 @@ class TestBilinear:
         tt, vv = np.meshgrid(np.arange(t_n), np.arange(v_n), indexing="ij")
         x = (0.7 * tt - 1.3 * vv + 0.25)[..., None]
         rng = np.random.default_rng(4)
-        pts = tensor(rng.uniform(0.0, t_n - 1.0, size=50))
-        pvs = tensor(rng.uniform(0.0, v_n - 1.0, size=50))
-        y = bilinear_gather(t64(x), pts, pvs)
-        expected = 0.7 * pts.data - 1.3 * pvs.data + 0.25
+        pts = rng.uniform(0.0, t_n - 1.0, size=50)
+        pvs = rng.uniform(0.0, v_n - 1.0, size=50)
+        y = bilinear_gather(t64(x), tensor(np.stack([pts, pvs], axis=-1)))
+        expected = 0.7 * pts - 1.3 * pvs + 0.25
         np.testing.assert_allclose(y.data[:, 0], expected, atol=1e-6)
 
     def test_non_finite_position_rejected(self):
@@ -126,9 +126,15 @@ class TestBilinear:
         for bad in (np.nan, np.inf, -np.inf):
             for pos in ((bad, 0.0), (0.0, bad)):
                 with pytest.raises(NumericError, match="sampling positions"):
-                    bilinear_gather(x, t64(pos[0]), t64(pos[1]))
+                    bilinear_gather(x, t64(pos))
                 with pytest.raises(NumericError, match="sampling positions"):
-                    bilinear_gather(x, t64([0.5, pos[0]]), t64([0.5, pos[1]]))
+                    bilinear_gather(x, t64([(0.5, 0.5), pos]))
+
+    def test_positions_need_a_last_axis_of_two(self):
+        x = t64(np.zeros((2, 2, 1)))
+        for bad in (np.zeros(3), np.zeros((4, 1)), np.zeros(())):
+            with pytest.raises(DimensionError, match="positions"):
+                bilinear_gather(x, t64(bad))
 
     def test_stacked_taps_match_four_corner_reference(self):
         # (K*K, T, V) positions: a 3x3 tap grid around every cell, perturbed,
@@ -148,8 +154,8 @@ class TestBilinear:
         pt[5], pv[5] = np.zeros((t_n, v_n)), np.full((t_n, v_n), v_n - 1.0)
         pt[6], pv[6] = np.full((t_n, v_n), t_n - 1.0), np.zeros((t_n, v_n))
         g = rng.normal(size=(9, t_n, v_n, c))
-        xt, ptt, pvt = t64(x, grad=True), t64(pt, grad=True), t64(pv, grad=True)
-        y = bilinear_gather(xt, ptt, pvt)
+        xt, post = t64(x, grad=True), t64(np.stack([pt, pv], axis=-1), grad=True)
+        y = bilinear_gather(xt, post)
         y.backward(g)
 
         ref = np.empty((9, t_n, v_n, c))
@@ -173,11 +179,12 @@ class TestBilinear:
         assert y.shape == (9, t_n, v_n, c)
         np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(xt.grad, ref_dx, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(ptt.grad, ref_dt, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(pvt.grad, ref_dv, rtol=1e-12, atol=1e-12)
+        assert post.grad.shape == (9, t_n, v_n, 2)
+        np.testing.assert_allclose(post.grad[..., 0], ref_dt, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(post.grad[..., 1], ref_dv, rtol=1e-12, atol=1e-12)
         # clamped and exact-edge positions have zero slope
-        assert not ptt.grad[(pt <= 0.0) | (pt >= t_n - 1.0)].any()
-        assert not pvt.grad[(pv <= 0.0) | (pv >= v_n - 1.0)].any()
+        assert not post.grad[..., 0][(pt <= 0.0) | (pt >= t_n - 1.0)].any()
+        assert not post.grad[..., 1][(pv <= 0.0) | (pv >= v_n - 1.0)].any()
         assert ((pt <= 0.0) | (pt >= t_n - 1.0)).sum() >= 2 * t_n * v_n
 
 
@@ -198,7 +205,8 @@ class TestScatterRows:
 
 
 # the function each registered op runs, where its registry key differs
-OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply", "reshape_flat": "reshape"}
+OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply", "reshape_flat": "reshape",
+               "stride_sample": "stride_scan"}
 
 
 class TestCheckedMode:
@@ -330,8 +338,8 @@ class TestFiniteDiffCheck:
         err = finite_diff_check(
             "bilinear_gather",
             [t64(rng.normal(size=(5, 6, 3))),
-             t64(rng.uniform(0.6, 3.4, size=8)),
-             t64(rng.uniform(0.6, 4.4, size=8))],
+             t64(np.stack([rng.uniform(0.6, 3.4, size=8),
+                           rng.uniform(0.6, 4.4, size=8)], axis=-1))],
             eps=1e-5)
         assert err < 1e-5
 
@@ -342,8 +350,7 @@ class TestFiniteDiffCheck:
         b = t64(rng.normal(size=(3, 4)))
         for op in ("add", "sub", "mul", "concat_last"):
             assert finite_diff_check(op, [a, b]) < 1e-4
-        for op in ("gelu", "silu", "sum_all", "sum_last", "reshape_flat",
-                   "slice0", "slice_last"):
+        for op in ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0"):
             assert finite_diff_check(op, [a]) < 1e-4
         pos = t64(rng.uniform(0.4, 2.2, size=(3, 4)))
         assert finite_diff_check("sqrt", [pos]) < 1e-4

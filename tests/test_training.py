@@ -219,6 +219,9 @@ class TestSynthetic:
     def test_domain(self):
         with pytest.raises(DomainError):
             gen_synthetic(seed=0, n_seqs=0, frames=3, joints=2)
+        for sigma in (-1.0, np.nan, np.inf):
+            with pytest.raises(DomainError, match="noise"):
+                gen_synthetic(seed=0, n_seqs=1, frames=3, joints=2, noise_sigma=sigma)
 
 
 class TestTrain:
