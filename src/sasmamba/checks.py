@@ -25,7 +25,7 @@ def _t(rng, shape, scl=1.0):
 
 
 def _op_inputs(name: str, rng: np.random.Generator) -> list[Tensor]:
-    two = ("add", "sub", "mul", "concat_last")
+    two = ("add", "sub", "mul")
     one = ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0", "gather_sum")
     if name in two:
         return [_t(rng, (3, 4)), _t(rng, (3, 4))]
@@ -101,6 +101,8 @@ def run_gradcheck(seed: int, rounds: int = 5) -> tuple[bool, list[str]]:
     """Run the whole suite over several derived seeds; report worst errors."""
     if rounds < 1:
         raise DomainError(f"rounds must be >= 1, got {rounds}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     worst: dict[str, float] = {}
     for i in range(rounds):
         s = seed + i

@@ -82,9 +82,10 @@ def _load_dataset(data_dir) -> SyntheticDataset:
 
 
 def _cmd_train(args) -> int:
+    # first: a rejected rate or decay leaves nothing loaded or written
+    optim = OptimState(lr=args.lr, decay_factor=args.lr_decay)
     model = load_ckpt(args.model)
     dataset = _load_dataset(args.data)
-    optim = OptimState(lr=args.lr, decay_factor=args.lr_decay)
     trace = train(model, dataset, epochs=args.epochs, batch=args.batch,
                   weights=LossWeights(), optim=optim, shuffle_seed=args.seed)
     # the trace first: if the checkpoint then fails, the trace is removed,

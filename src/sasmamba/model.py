@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, NumericError
+from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .sas import (STREAM_ORDER, NeighborMixParams, SaConvParams,
                   SasLayerParams, StrideConfig, sas_ssm_layer, tap_rank)
 from .ssm import SelectiveSsmParams, softplus_inverse
@@ -157,12 +157,14 @@ def param_entries(cfg: ModelConfig) -> Iterator[
 
     Each entry is ``(name, shape, init_kind, key, index)``: the v1 tensor,
     and the model parameter that holds it, all of ``params[key]`` when
-    ``index`` is None and its row ``index`` otherwise. A block's tap maps and
-    scan streams are stored stacked: ``blocks.{i}.sas.tap{k}.{field}`` is
-    row k of ``blocks.{i}.sas.taps.{field}``, and
-    ``blocks.{i}.sas.{stream}.{field}`` is row s of
-    ``blocks.{i}.sas.scan.{field}`` for the s-th enabled stream in
-    ``STREAM_ORDER``. Every other key is its tensor's name.
+    ``index`` is None and its row ``index`` otherwise. A block's tap maps,
+    scan streams and stream gates are stored stacked:
+    ``blocks.{i}.sas.tap{k}.{field}`` is row k of
+    ``blocks.{i}.sas.taps.{field}``; for the s-th enabled stream in
+    ``STREAM_ORDER``, ``blocks.{i}.sas.{stream}.{field}`` is row s of
+    ``blocks.{i}.sas.scan.{field}`` and ``blocks.{i}.sas.{stream}.gate.{field}``
+    row s of ``blocks.{i}.sas.gate.{field}``. Every other key is its tensor's
+    name.
 
     Entries are generated in order as they are consumed, so a reader checking
     a stored manifest against them can stop at the first disagreement.
@@ -207,8 +209,8 @@ def param_entries(cfg: ModelConfig) -> Iterator[
             for field_name, shape, kind in scan_fields:
                 yield f"{q}.{field_name}", shape, kind, f"{p}.sas.scan.{field_name}", row
             if cfg.gated_streams:
-                yield from whole((f"{q}.gate.weight", (d, d), "linear"),
-                                 (f"{q}.gate.bias", (d,), "zeros"))
+                yield f"{q}.gate.weight", (d, d), "linear", f"{p}.sas.gate.weight", row
+                yield f"{q}.gate.bias", (d,), "zeros", f"{p}.sas.gate.bias", row
         yield from whole(
             (f"{p}.norm2.gamma", (d,), "ones"),
             (f"{p}.norm2.beta", (d,), "zeros"),
@@ -301,10 +303,8 @@ def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
                                               params[f"{p}.sas.local.bias"]))
         scan = SelectiveSsmParams(*(params[f"{p}.sas.scan.{f.name}"]
                                     for f in fields(SelectiveSsmParams)))
-        gates = ({name: lin(f"{p}.sas.{name}.gate") for name in streams}
-                 if cfg.gated_streams else {})
         sas = SasLayerParams(sa=sa, stride_cfg=cfg.stride_config(), streams=streams,
-                             scan=scan, gates=gates)
+                             scan=scan, gate=lin(f"{p}.sas.gate") if cfg.gated_streams else None)
         blocks.append(BlockParams(
             norm1=NormParams(params[f"{p}.norm1.gamma"], params[f"{p}.norm1.beta"]),
             sas=sas,
@@ -322,6 +322,8 @@ def init_model(cfg: ModelConfig, seed: int) -> Model:
     Tensors are drawn in manifest order from a single PCG64 generator, so the
     same (config, seed) pair is bit-identical across runs.
     """
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     return build_model(cfg, stack_params(
         (key, index, _init_tensor(kind, shape, rng, cfg))

@@ -12,22 +12,22 @@ samples (K*K, T, V, C) at (K*K, T, V, 2) positions and one
 (L, S, C) sequence, L = T*V, built by one index gather and scanned by one
 :func:`selective_scan` call whose state is (S, N, C), channels innermost.
 The parameters are stored on the same axes: each field of the tap maps is
-one (K*K, ...) tensor and each field of the scan one (S, ...) tensor, so no
-call stacks or splits them.
+one (K*K, ...) tensor and each field of the scan, and of the stream gates,
+one (S, ...) tensor, so no call stacks or splits them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     Tensor, add, bilinear_gather, concat_last,
-                     depthwise_conv3x3, gather_sum, grid_conv3x3, linear,
-                     make_op, mul, register_op, reshape, silu, tensor)
+                     Tensor, add, bilinear_gather, depthwise_conv3x3,
+                     gather_sum, grid_conv3x3, linear, make_op, mul,
+                     register_op, reshape, silu, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -147,18 +147,18 @@ class StrideConfig:
 @dataclass
 class SasLayerParams:
     """One structure-aware stride layer. ``scan`` stacks the parameters of
-    the enabled ``streams`` in that order; ``gates`` maps a stream name to
-    its gate."""
+    the enabled ``streams`` in that order, and so does ``gate``, when the
+    streams are gated: an (S, C, C) weight and an (S, C) bias."""
 
     sa: SaConvParams
     stride_cfg: StrideConfig
     streams: tuple[str, ...]
     scan: SelectiveSsmParams
-    gates: dict[str, LinearParams] = field(default_factory=dict)
+    gate: LinearParams | None = None
 
     def tensors(self) -> tuple[Tensor, ...]:
-        return self.sa.tensors() + self.scan.tensors() + tuple(
-            t for name in self.streams if name in self.gates for t in self.gates[name].tensors())
+        gate = () if self.gate is None else self.gate.tensors()
+        return self.sa.tensors() + self.scan.tensors() + gate
 
 
 def predict_offsets(x: Tensor, p: SaConvParams) -> Tensor:
@@ -254,23 +254,24 @@ def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
 
 
 def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmParams,
-                     gates: dict[str, LinearParams] | None = None) -> Tensor:
+                     gate: LinearParams | None = None) -> Tensor:
     """Sum of the named directional scans; stream s runs with row s of ``scan``.
 
     One gather puts the (T, V, C) map into every stream's scan order at once,
     an (L, S, C) sequence; one :func:`selective_scan` runs all S streams; one
     gather brings each stream's output back to its (t, v) row and adds the
-    streams in the order given. A gated stream's output is multiplied by
-    ``silu(gate(x))`` at the same row before the sum.
+    streams in the order given. With a ``gate``, stacked as ``scan`` is,
+    stream s's output is multiplied by ``silu(gate[s](x))`` at the same row
+    before the sum: one :func:`linear` makes the (T, V, S*C) map of all S
+    gates and one gather puts it into scan order.
     """
     t_n, v_n, c = x.shape
     s_n = len(streams)
     order, home = _scan_rows(t_n, v_n, streams)
     y = selective_scan(gather_sum(x, order[..., None], home.reshape(-1, s_n)), scan)
-    if gates:
-        gate = concat_last([silu(linear(x, gates[name])) if name in gates
-                            else tensor(np.ones_like(x.data)) for name in streams])
-        y = mul(y, gather_sum(reshape(gate, (-1, c)), (order * s_n + np.arange(s_n))[..., None],
+    if gate is not None:
+        z = reshape(silu(linear(x, gate)), (-1, c))             # row (t*V + v)*S + s
+        y = mul(y, gather_sum(z, (order * s_n + np.arange(s_n))[..., None],
                               home.reshape(-1, 1)))
     return gather_sum(y, home, order.reshape(-1, 1))
 
@@ -278,7 +279,7 @@ def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmPara
 def sas_ssm_layer(x: Tensor, p: SasLayerParams) -> Tensor:
     """Full structure-aware stride layer: sa_conv -> stride_scan -> streams."""
     return four_stream_scan(stride_scan(sa_conv(x, p.sa), p.stride_cfg),
-                            p.streams, p.scan, p.gates or None)
+                            p.streams, p.scan, p.gate)
 
 
 def _stride_sample_op(x):

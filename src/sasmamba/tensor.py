@@ -256,15 +256,16 @@ def resolve_op(op):
 
 @dataclass
 class LinearParams:
-    """Weight is out x in; bias, when present, has one entry per output row."""
+    """Weight is (..., out, in); bias, when present, has one entry per output
+    row, (..., out). Leading axes stack maps that read the same input."""
 
     weight: Tensor
     bias: Tensor | None = None
 
     def __post_init__(self):
-        if self.bias is not None and self.weight.shape[0] != self.bias.shape[0]:
+        if self.bias is not None and self.weight.shape[:-1] != self.bias.shape:
             raise DimensionError(
-                f"weight rows {self.weight.shape[0]} != bias length {self.bias.shape[0]}")
+                f"weight rows {self.weight.shape[:-1]} != bias shape {self.bias.shape}")
 
     def tensors(self) -> tuple[Tensor, ...]:
         return (self.weight,) if self.bias is None else (self.weight, self.bias)
@@ -463,36 +464,24 @@ def slice0(x: Tensor, start: int, stop: int) -> Tensor:
     return make_op(out, (x,), backward)
 
 
-def concat_last(parts: list[Tensor]) -> Tensor:
-    if not parts:
-        raise DimensionError("concat_last needs at least one part")
-    out = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.shape[-1] for p in parts]
-    nodes = [p.grad_node for p in parts]
-
-    def backward(g):
-        off = 0
-        for node, w in zip(nodes, widths):
-            if node is not None:
-                node.accumulate_grad(g[..., off:off + w])
-            off += w
-
-    return make_op(out, tuple(parts), backward)
-
-
 # --- core layers ------------------------------------------------------------
 
 
 def linear(x: Tensor, p: LinearParams) -> Tensor:
-    """y[..., o] = sum_i weight[o, i] * x[..., i] + bias[o]."""
+    """y[..., o] = sum_i weight[o, i] * x[..., i] + bias[o].
+
+    A stacked (..., out, in) weight and (..., out) bias act as their
+    flattened rows, one (n_out, in) map with n_out = prod(...) * out, so the
+    output's last axis holds the stacked maps side by side.
+    """
     w, b = p.weight, p.bias
-    if x.shape[-1] != w.shape[1]:
+    if x.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
-    xd, wd = x.data, w.data
+    xd, wd = x.data, w.data.reshape(-1, w.shape[-1])
     out = xd @ wd.T
     if b is not None:
-        out = out + b.data
+        out = out + b.data.reshape(-1)
     parents = (x, w) if b is None else (x, w, b)
     nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
 
@@ -502,9 +491,9 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         if nw is not None:
             g2 = g.reshape(-1, wd.shape[0])
             x2 = xd.reshape(-1, wd.shape[1])
-            nw.accumulate_grad(g2.T @ x2)
+            nw.accumulate_grad((g2.T @ x2).reshape(nw.shape))
         if nb is not None:
-            nb.accumulate_grad(g.reshape(-1, wd.shape[0]).sum(axis=0))
+            nb.accumulate_grad(g.reshape(-1, wd.shape[0]).sum(axis=0).reshape(nb.shape))
 
     return make_op(out, parents, backward)
 
@@ -806,7 +795,6 @@ register_op("depthwise_conv3x3", lambda x, w, b: depthwise_conv3x3(x, DepthwiseC
 register_op("bilinear_gather", bilinear_gather)
 register_op("reshape_flat", lambda x: reshape(x, (x.size,)))
 register_op("slice0", lambda x: slice0(x, 1, x.shape[0]))
-register_op("concat_last", lambda a, b: concat_last([a, b]))
 
 
 def _gather_sum_op(x):

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,23 +26,10 @@ from .tensor import (Tensor, add, mul, scale, slice0, sqrt, sub, sum_all,
 class LossWeights:
     lambda_t: float = 0.5
     lambda_m: float = 20.0
-    joint_weights: np.ndarray | None = None
 
     def __post_init__(self):
         if self.lambda_t < 0 or self.lambda_m < 0:
             raise DomainError("loss mixing weights must be nonnegative")
-        if self.joint_weights is not None:
-            self.joint_weights = np.asarray(self.joint_weights, dtype=np.float64)
-            if np.any(self.joint_weights <= 0):
-                raise DomainError("joint weights must be positive")
-
-    def weights_for(self, v: int, dtype) -> np.ndarray:
-        if self.joint_weights is None:
-            return np.ones(v, dtype=dtype)
-        if self.joint_weights.shape != (v,):
-            raise DimensionError(
-                f"joint weights shape {self.joint_weights.shape} != ({v},)")
-        return self.joint_weights.astype(dtype)
 
 
 def _as_tensor(x) -> Tensor:
@@ -56,16 +44,27 @@ def _check_pose_pair(pred: Tensor, gt: Tensor) -> None:
 
 
 def wmpjpe(pred, gt, w: np.ndarray | None = None) -> Tensor:
-    """Weighted mean per-joint distance between predicted and target poses."""
+    """Weighted mean per-joint distance between predicted and target poses;
+    every joint weighs 1 when ``w`` is None."""
     pred, gt = _as_tensor(pred), _as_tensor(gt)
     _check_pose_pair(pred, gt)
     t_n, v_n, _ = pred.shape
-    wv = np.ones(v_n, dtype=pred.dtype) if w is None else np.asarray(w, dtype=pred.dtype)
-    if wv.shape != (v_n,):
-        raise DimensionError(f"weight vector shape {wv.shape} != ({v_n},)")
     diff = sub(pred, gt)
     dist = sqrt(sum_last(mul(diff, diff)))
-    return scale(sum_all(mul(dist, Tensor(wv))), 1.0 / (t_n * v_n))
+    if w is not None:
+        wv = np.asarray(w, dtype=pred.dtype)
+        if wv.shape != (v_n,):
+            raise DimensionError(f"weight vector shape {wv.shape} != ({v_n},)")
+        dist = mul(dist, Tensor(wv))
+    return scale(sum_all(dist), 1.0 / (t_n * v_n))
+
+
+def _velocity(x: Tensor) -> Tensor:
+    """Frame-to-frame displacement; a constant, untaped, unless x needs a gradient."""
+    if not x.requires_grad:
+        return Tensor(x.data[1:] - x.data[:-1])
+    t_n = x.shape[0]
+    return sub(slice0(x, 1, t_n), slice0(x, 0, t_n - 1))
 
 
 def tc_loss(pred) -> Tensor:
@@ -76,7 +75,7 @@ def tc_loss(pred) -> Tensor:
         warnings.warn("temporal consistency needs at least two frames; returning 0",
                       RuntimeWarning, stacklevel=2)
         return Tensor(np.zeros((), dtype=pred.dtype))
-    vel = sub(slice0(pred, 1, t_n), slice0(pred, 0, t_n - 1))
+    vel = _velocity(pred)
     return scale(sum_all(sum_last(mul(vel, vel))), 1.0 / ((t_n - 1) * v_n))
 
 
@@ -89,22 +88,25 @@ def mpjve(pred, gt) -> Tensor:
         warnings.warn("velocity error needs at least two frames; returning 0",
                       RuntimeWarning, stacklevel=2)
         return Tensor(np.zeros((), dtype=pred.dtype))
-    vel_p = sub(slice0(pred, 1, t_n), slice0(pred, 0, t_n - 1))
-    vel_g = sub(slice0(gt, 1, t_n), slice0(gt, 0, t_n - 1))
-    diff = sub(vel_p, vel_g)
+    diff = sub(_velocity(pred), _velocity(gt))
     return scale(sum_all(sqrt(sum_last(mul(diff, diff)))), 1.0 / ((t_n - 1) * v_n))
+
+
+def _objective(pred: Tensor, gt: Tensor, weights: LossWeights) -> tuple[Tensor, dict]:
+    """The loss ``wmpjpe + (lambda_t * tc_loss + lambda_m * mpjve)`` and its
+    terms, keyed as in the training trace. On a single frame the two motion
+    terms are not defined, and the loss is the position term alone."""
+    terms = {"wmpjpe": wmpjpe(pred, gt)}
+    if pred.shape[0] < 2:
+        return terms["wmpjpe"], terms
+    terms.update(tcloss=tc_loss(pred), mpjve=mpjve(pred, gt))
+    return add(terms["wmpjpe"], add(scale(terms["tcloss"], weights.lambda_t),
+                                    scale(terms["mpjve"], weights.lambda_m))), terms
 
 
 def total_loss(pred, gt, weights: LossWeights | None = None) -> Tensor:
     """Position term plus weighted smoothness and velocity terms."""
-    weights = weights or LossWeights()
-    pred, gt = _as_tensor(pred), _as_tensor(gt)
-    w = weights.weights_for(pred.shape[1], pred.dtype)
-    out = wmpjpe(pred, gt, w)
-    if pred.shape[0] >= 2:
-        out = add(out, scale(tc_loss(pred), weights.lambda_t))
-        out = add(out, scale(mpjve(pred, gt), weights.lambda_m))
-    return out
+    return _objective(_as_tensor(pred), _as_tensor(gt), weights or LossWeights())[0]
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -123,6 +125,12 @@ class OptimState:
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("lr", "decay_factor"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise DomainError(f"{name} must be finite and > 0, got {value}")
 
 
 def lr_at(epoch: int, base: float, factor: float) -> float:
@@ -205,6 +213,8 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
     """
     if n_seqs < 1 or frames < 1 or joints < 1:
         raise DomainError("n_seqs, frames, and joints must all be >= 1")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
@@ -244,9 +254,9 @@ def train(model: Model, dataset: SyntheticDataset, epochs: int, batch: int,
     """
     if not dataset.pairs:
         raise DomainError("dataset must be nonempty")
-    if batch < 1 or epochs < 0:
-        raise DomainError(
-            f"need batch >= 1 and epochs >= 0, got batch={batch}, epochs={epochs}")
+    if batch < 1 or epochs < 0 or shuffle_seed < 0:
+        raise DomainError(f"need batch >= 1, epochs >= 0 and shuffle_seed >= 0, got "
+                          f"batch={batch}, epochs={epochs}, shuffle_seed={shuffle_seed}")
     weights = weights or LossWeights()
     optim = optim or OptimState()
     model.mark_trainable()
@@ -264,30 +274,20 @@ def train(model: Model, dataset: SyntheticDataset, epochs: int, batch: int,
             batch_total = 0.0
             for j in idx:
                 kp2d, pose3d = dataset.pairs[j]
-                pred = forward(model, kp2d)
-                w = weights.weights_for(pred.shape[1], pred.dtype)
-                term_w = wmpjpe(pred, pose3d, w)
-                term_t = tc_loss(pred)
-                term_m = mpjve(pred, pose3d)
-                loss = add(term_w, add(scale(term_t, weights.lambda_t),
-                                       scale(term_m, weights.lambda_m)))
+                loss, terms = _objective(forward(model, kp2d), Tensor(pose3d), weights)
                 item_loss = float(loss.data)
                 if not np.isfinite(item_loss):
                     raise NumericError(
                         f"loss diverged at epoch {epoch}, step {batches}, item {int(j)}")
                 loss.backward(np.asarray(1.0 / len(idx), dtype=loss.dtype))
                 batch_total += item_loss / len(idx)
-                sums["wmpjpe"] += float(term_w.data) / len(idx)
-                sums["tcloss"] += float(term_t.data) / len(idx)
-                sums["mpjve"] += float(term_m.data) / len(idx)
+                for key, term in terms.items():
+                    sums[key] += float(term.data) / len(idx)
             optim_step(model, optim, lr)
             sums["total"] += batch_total
             batches += 1
         trace.append({"epoch": epoch, "lr": lr,
-                      "total": sums["total"] / batches,
-                      "wmpjpe": sums["wmpjpe"] / batches,
-                      "tcloss": sums["tcloss"] / batches,
-                      "mpjve": sums["mpjve"] / batches})
+                      **{key: value / batches for key, value in sums.items()}})
     return trace
 
 

@@ -300,6 +300,13 @@ HOSTILE_INPUTS = {
     "synth --noise -1": lambda tmp, ckpt, data: [
         "synth", "--noise", -1, "--out", tmp / "new"],
     "gradcheck --rounds 0": lambda tmp, ckpt, data: ["gradcheck", "--rounds", 0],
+    "gradcheck --seed -1": lambda tmp, ckpt, data: ["gradcheck", "--seed", -1],
+    "synth --seed -1": lambda tmp, ckpt, data: [
+        "synth", "--seed", -1, "--out", tmp / "new"],
+    "init --seed -1": lambda tmp, ckpt, data: ["init", "--seed", -1, "--out", tmp / "i.ckpt"],
+    "train --seed -1": _train("--seed", -1),
+    "train --lr -1": _train("--lr", -1),
+    "train --lr nan": _train("--lr", "nan"),
     "checkpoint header claiming format version 0": _infer_version(0),
 }
 

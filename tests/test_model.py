@@ -5,6 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import sasmamba.sas
+import sasmamba.ssm
+import sasmamba.tensor as tz
 from sasmamba.errors import ConfigError, DimensionError, NumericError
 from sasmamba.model import (ModelConfig, astype_model, block_forward,
                             count_macs, count_params, forward, group_counts,
@@ -260,6 +263,21 @@ class TestGatedStreams:
         err = finite_diff_check_leaves(lambda: forward(m, x), leaves,
                                        sample=2, rng=rng)
         assert err < 1e-4
+
+    def test_gated_forward_is_one_gate_linear_per_block(self, monkeypatch):
+        # all S gates of a block are one stacked linear, one silu, one gather
+        # and one product: 50 taped ops at the small overfit shape
+        calls = []
+        for mod in (tz, sasmamba.sas, sasmamba.ssm):
+            def counted(*args, _make=mod.make_op):
+                calls.append(1)
+                return _make(*args)
+            monkeypatch.setattr(mod, "make_op", counted)
+        cfg = ModelConfig(L=2, D=32, T=27, gated_streams=True)
+        m = init_model(cfg, seed=0)
+        m.mark_trainable()
+        forward(m, np.random.default_rng(1).normal(size=(27, 17, 2)))
+        assert len(calls) <= 50
 
 
 class TestModelGradient:

@@ -296,9 +296,9 @@ class TestFourStreamScan:
         rng = np.random.default_rng(19)
         t_n, v_n, d = 5, 4, 3
         streams = stream_set(rng, d, names)
-        gates = ({name: LinearParams(t64(rng.normal(size=(d, d)) * 0.5),
-                                     t64(rng.normal(size=d) * 0.5)) for name in names}
-                 if gated else None)
+        gate = (LinearParams(t64(rng.normal(size=(len(names), d, d)) * 0.5),
+                             t64(rng.normal(size=(len(names), d)) * 0.5))
+                if gated else None)
         x = rng.normal(size=(t_n, v_n, d))
         expect = np.zeros_like(x)
         for s, name in enumerate(names):
@@ -308,31 +308,33 @@ class TestFourStreamScan:
                 seq = seq[::-1]
             y = scan_by_unroll(seq, streams, s)
             if gated:
-                z = seq @ gates[name].weight.data.T + gates[name].bias.data
+                z = seq @ gate.weight.data[s].T + gate.bias.data[s]
                 y = y * z / (1.0 + np.exp(-z))
             if name.endswith("backward"):
                 y = y[::-1]
             expect += y.reshape(v_n, t_n, d).transpose(1, 0, 2) if spatial else y.reshape(x.shape)
-        out = four_stream_scan(t64(x), names, streams, gates)
+        out = four_stream_scan(t64(x), names, streams, gate)
         np.testing.assert_allclose(out.data, expect, rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("gated", [False, True])
     def test_stacked_adjoint_splits_per_stream(self, gated):
-        # the nine stacked fields are leaves, each row one stream's, so a
-        # gradient credited to the wrong stream or the wrong field fails
+        # the nine stacked fields (and the gate's two) are leaves, each row
+        # one stream's, so a gradient credited to the wrong stream or the
+        # wrong field fails
         rng = np.random.default_rng(20)
         d = 4
         streams = stream_set(rng, d, STREAM_ORDER)
-        gates = ({name: LinearParams(t64(rng.normal(size=(d, d)) * 0.5),
-                                     t64(rng.normal(size=d) * 0.5)) for name in STREAM_ORDER}
-                 if gated else None)
+        s_n = len(STREAM_ORDER)
+        gate = (LinearParams(t64(rng.normal(size=(s_n, d, d)) * 0.5),
+                             t64(rng.normal(size=(s_n, d)) * 0.5))
+                if gated else None)
         x = t64(rng.normal(size=(3, 4, d)), grad=True)
         leaves = [x] + list(streams.tensors())
         if gated:
-            leaves += [t for name in STREAM_ORDER for t in gates[name].tensors()]
+            leaves += list(gate.tensors())
         for leaf in leaves:
             leaf.requires_grad = True
-        err = finite_diff_check_leaves(lambda: four_stream_scan(x, STREAM_ORDER, streams, gates),
+        err = finite_diff_check_leaves(lambda: four_stream_scan(x, STREAM_ORDER, streams, gate),
                                        leaves)
         assert err < 1e-6
 

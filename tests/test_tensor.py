@@ -43,6 +43,25 @@ class TestLinear:
     def test_bias_length_invariant(self):
         with pytest.raises(DimensionError):
             LinearParams(t64(np.zeros((2, 3))), t64(np.zeros(3)))
+        with pytest.raises(DimensionError):
+            LinearParams(t64(np.zeros((4, 2, 3))), t64(np.zeros((2, 4))))
+
+    def test_stacked_weight_is_side_by_side_linears(self):
+        # an (S, out, in) weight maps x with each of its S maps; the outputs
+        # sit side by side on the last axis, map s in columns s*out:(s+1)*out
+        rng = np.random.default_rng(3)
+        s_n, out, inp = 3, 2, 4
+        x = t64(rng.normal(size=(5, 2, inp)), grad=True)
+        w = t64(rng.normal(size=(s_n, out, inp)), grad=True)
+        b = t64(rng.normal(size=(s_n, out)), grad=True)
+        y = linear(x, LinearParams(w, b))
+        assert y.shape == (5, 2, s_n * out)
+        for s in range(s_n):
+            one = linear(x, LinearParams(t64(w.data[s]), t64(b.data[s])))
+            np.testing.assert_allclose(y.data[..., s * out:(s + 1) * out], one.data,
+                                       rtol=1e-13, atol=1e-13)
+        err = tz.finite_diff_check_leaves(lambda: linear(x, LinearParams(w, b)), [x, w, b])
+        assert err < 1e-8
 
     def test_deterministic(self):
         rng = np.random.default_rng(0)
@@ -348,7 +367,7 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(seed)
         a = t64(rng.normal(size=(3, 4)))
         b = t64(rng.normal(size=(3, 4)))
-        for op in ("add", "sub", "mul", "concat_last"):
+        for op in ("add", "sub", "mul"):
             assert finite_diff_check(op, [a, b]) < 1e-4
         for op in ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0"):
             assert finite_diff_check(op, [a]) < 1e-4

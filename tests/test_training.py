@@ -1,5 +1,7 @@
 """Losses, optimizer semantics, synthetic data, and training determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,22 @@ class TestOptim:
         with pytest.raises(NumericError, match=r"'blocks\.0\.sas\.spatial_forward\.dt_bias'"):
             optim_step(m, OptimState(), lr=1e-3)
 
+    def test_non_finite_gradient_names_the_gated_stream(self):
+        # the gates stack like the scan fields; row 1 is temporal_backward
+        m = init_model(ModelConfig(L=1, D=8, T=4, V=3, K=1, N=2, gated_streams=True), seed=0)
+        t = m.params["blocks.0.sas.gate.weight"]
+        t.grad = np.zeros_like(t.data)
+        t.grad[1, 2, 3] = np.nan
+        with pytest.raises(NumericError,
+                           match=r"'blocks\.0\.sas\.temporal_backward\.gate\.weight'"):
+            optim_step(m, OptimState(), lr=1e-3)
+
+    @pytest.mark.parametrize("field", ["lr", "decay_factor"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf])
+    def test_rate_and_decay_must_be_finite_and_positive(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            OptimState(**{field: value})
+
 
 class TestLrSchedule:
     def test_epoch_zero(self):
@@ -219,6 +237,8 @@ class TestSynthetic:
     def test_domain(self):
         with pytest.raises(DomainError):
             gen_synthetic(seed=0, n_seqs=0, frames=3, joints=2)
+        with pytest.raises(DomainError, match="seed"):
+            gen_synthetic(seed=-1, n_seqs=1, frames=3, joints=2)
         for sigma in (-1.0, np.nan, np.inf):
             with pytest.raises(DomainError, match="noise"):
                 gen_synthetic(seed=0, n_seqs=1, frames=3, joints=2, noise_sigma=sigma)
@@ -262,3 +282,19 @@ class TestTrain:
         ds.pairs.clear()
         with pytest.raises(DomainError):
             train(model, ds, epochs=1, batch=1)
+
+    def test_negative_shuffle_seed_rejected(self):
+        model, ds = self._setup()
+        with pytest.raises(DomainError, match="shuffle_seed"):
+            train(model, ds, epochs=1, batch=1, shuffle_seed=-1)
+
+    def test_single_frame_data_trains_without_warning(self):
+        # the motion terms need two frames; the objective leaves them out
+        # quietly, as total_loss does, and the trace reads 0 for them
+        model, _ = self._setup()
+        ds = gen_synthetic(seed=2, n_seqs=2, frames=1, joints=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = train(model, ds, epochs=1, batch=2)
+        assert trace[0]["tcloss"] == trace[0]["mpjve"] == 0.0
+        assert trace[0]["total"] == trace[0]["wmpjpe"]
