@@ -60,9 +60,7 @@ def wmpjpe(pred, gt, w: np.ndarray | None = None) -> Tensor:
 
 
 def _velocity(x: Tensor) -> Tensor:
-    """Frame-to-frame displacement; a constant, untaped, unless x needs a gradient."""
-    if not x.requires_grad:
-        return Tensor(x.data[1:] - x.data[:-1])
+    """Frame-to-frame displacement along the first axis."""
     t_n = x.shape[0]
     return sub(slice0(x, 1, t_n), slice0(x, 0, t_n - 1))
 
