@@ -3,7 +3,7 @@
 from .errors import (ChecksumError, ConfigError, CorruptionError,
                      DegeneracyError, DimensionError, DomainError, FormatError,
                      GraphConsumedError, NumericError, SasMambaError,
-                     UnsupportedOpError, VersionError)
+                     VersionError)
 from .fileio import load_ckpt, read_keypoints, save_ckpt, write_keypoints
 from .metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2, mpjve_metric,
                       procrustes_align)

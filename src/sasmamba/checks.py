@@ -1,9 +1,9 @@
-"""Finite-difference validation suite over every registered operation.
+"""Finite-difference validation suite over every op in :data:`OPS`.
 
 Exercised by the command-line ``gradcheck`` subcommand and the acceptance
-tests: each registered op gets randomized 64-bit inputs and its analytic
-adjoint is compared against central differences; composite checks cover the
-loss functions and an end-to-end tiny network.
+tests: each op gets randomized 64-bit inputs and its analytic adjoint is
+compared against central differences; composite checks cover the loss
+functions and an end-to-end tiny network.
 """
 
 from __future__ import annotations
@@ -12,8 +12,13 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelConfig, astype_model, forward, init_model
-from .tensor import (Tensor, finite_diff_check, finite_diff_check_leaves,
-                     registered_ops, tensor)
+from .sas import NeighborMixParams, StrideConfig, stride_scan
+from .ssm import SelectiveSsmParams, selective_scan
+from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
+                     NormParams, add, bilinear_gather, depthwise_conv3x3,
+                     finite_diff_check, finite_diff_check_leaves, gather_sum,
+                     gelu, grid_conv3x3, layer_norm, linear, mul, reshape,
+                     scale, silu, slice0, sqrt, sub, sum_all, sum_last, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
 OP_TOLERANCE = 1e-4
@@ -24,49 +29,72 @@ def _t(rng, shape, scl=1.0):
     return tensor(rng.normal(size=shape) * scl, dtype=np.float64)
 
 
-def _op_inputs(name: str, rng: np.random.Generator) -> list[Tensor]:
-    two = ("add", "sub", "mul")
-    one = ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0", "gather_sum")
-    if name in two:
-        return [_t(rng, (3, 4)), _t(rng, (3, 4))]
-    if name in one:
-        return [_t(rng, (3, 4))]
-    if name == "sqrt":
-        return [tensor(rng.uniform(0.3, 2.5, size=(3, 4)), dtype=np.float64)]
-    if name == "linear":
-        return [_t(rng, (3, 4)), _t(rng, (2, 4)), _t(rng, (2,))]
-    if name == "layer_norm":
-        return [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,))]
-    if name == "grid_conv3x3":
-        return [_t(rng, (4, 5, 3)), _t(rng, (2, 3, 3, 3), 0.4), _t(rng, (2,))]
-    if name == "depthwise_conv3x3":
-        return [_t(rng, (4, 5, 3)), _t(rng, (3, 3, 3), 0.4), _t(rng, (3,))]
-    if name == "bilinear_gather":
-        return [_t(rng, (5, 6, 3)),
-                tensor(rng.uniform((0.55, 0.55), (3.45, 4.45), size=(8, 2)), dtype=np.float64)]
-    if name == "stride_sample":
-        return [_t(rng, (3, 6, 2))]
-    if name == "neighbor_mix":
-        k, c, rho = 2, 3, 2
-        return [_t(rng, (k, 4, 2, c)), _t(rng, (k, c)), _t(rng, (k, rho, c), 0.5),
-                _t(rng, (k, c, rho), 0.5)]
-    if name == "selective_scan":
-        s, d, n, r, length = 2, 3, 2, 2, 5
-        return [
-            _t(rng, (length, s, d)), _t(rng, (s, d, n), 0.3),
-            _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
-            _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
-            _t(rng, (s, r, d), 0.5), _t(rng, (s, d, r), 0.5),
-            tensor(rng.normal(size=(s, d)) - 1.5, dtype=np.float64), _t(rng, (s, d)),
-        ]
-    raise KeyError(f"no input builder for registered op '{name}'")
+def _one(rng):
+    return [_t(rng, (3, 4))]
+
+
+def _two(rng):
+    return [_t(rng, (3, 4)), _t(rng, (3, 4))]
+
+
+def _scan_inputs(rng):
+    s, d, n, r, length = 2, 3, 2, 2, 5
+    return [
+        _t(rng, (length, s, d)), _t(rng, (s, d, n), 0.3),
+        _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
+        _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
+        _t(rng, (s, r, d), 0.5), _t(rng, (s, d, r), 0.5),
+        tensor(rng.normal(size=(s, d)) - 1.5, dtype=np.float64), _t(rng, (s, d)),
+    ]
+
+
+# One entry per function of tensor, sas and ssm that calls make_op (a test
+# holds the table to that list): name -> (fn, inputs), where ``inputs(rng)``
+# draws the randomized 64-bit tensors that ``fn`` takes.
+OPS = {
+    "add": (add, _two),
+    "bilinear_gather": (bilinear_gather, lambda rng: [
+        _t(rng, (5, 6, 3)),
+        tensor(rng.uniform((0.55, 0.55), (3.45, 4.45), size=(8, 2)), dtype=np.float64)]),
+    "depthwise_conv3x3": (
+        lambda x, w, b: depthwise_conv3x3(x, DepthwiseConv3x3Params(w, b)),
+        lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (3, 3, 3), 0.4), _t(rng, (3,))]),
+    # each row of a (3, C) input read twice: out[m] = x[m] + x[(m + 1) % 3]
+    "gather_sum": (lambda x: gather_sum(x, np.array([[0, 1], [1, 2], [2, 0]]),
+                                        np.array([[0, 2], [1, 0], [2, 1]])), _one),
+    "gelu": (gelu, _one),
+    "grid_conv3x3": (
+        lambda x, w, b: grid_conv3x3(x, Conv3x3Params(w, b)),
+        lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (2, 3, 3, 3), 0.4), _t(rng, (2,))]),
+    "layer_norm": (lambda x, g, b: layer_norm(x, NormParams(g, b)),
+                   lambda rng: [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,))]),
+    "linear": (lambda x, w, b: linear(x, LinearParams(w, b)),
+               lambda rng: [_t(rng, (3, 4)), _t(rng, (2, 4)), _t(rng, (2,))]),
+    "mul": (mul, _two),
+    "neighbor_mix": (
+        lambda s, *mix: NeighborMixParams.apply(s, NeighborMixParams(*mix)),
+        lambda rng: [_t(rng, (2, 4, 2, 3)), _t(rng, (2, 3)), _t(rng, (2, 2, 3), 0.5),
+                     _t(rng, (2, 3, 2), 0.5)]),
+    "reshape_flat": (lambda x: reshape(x, (x.size,)), _one),
+    "scale": (lambda x: scale(x, -0.7), _one),
+    "selective_scan": (lambda u, *fields: selective_scan(u, SelectiveSsmParams(*fields)),
+                       _scan_inputs),
+    "silu": (silu, _one),
+    "slice0": (lambda x: slice0(x, 1, x.shape[0]), _one),
+    "sqrt": (sqrt, lambda rng: [tensor(rng.uniform(0.3, 2.5, size=(3, 4)), dtype=np.float64)]),
+    # the three stride groups the model runs, on channel blocks of 2, 1 and 1
+    "stride_scan": (lambda x: stride_scan(x, StrideConfig()), lambda rng: [_t(rng, (3, 6, 4))]),
+    "sub": (sub, _two),
+    "sum_all": (sum_all, _one),
+    "sum_last": (sum_last, _one),
+}
 
 
 def check_registered_ops(seed: int) -> dict[str, float]:
-    """Max finite-difference error of every registered op at one seed."""
+    """Max finite-difference error of every op in :data:`OPS` at one seed."""
     rng = np.random.default_rng(seed)
-    return {name: finite_diff_check(name, _op_inputs(name, rng), eps=1e-5)
-            for name in registered_ops()}
+    return {name: finite_diff_check(fn, inputs(rng), eps=1e-5)
+            for name, (fn, inputs) in sorted(OPS.items())}
 
 
 def check_losses(seed: int) -> dict[str, float]:

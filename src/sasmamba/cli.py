@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .checks import run_gradcheck
-from .errors import DomainError, FormatError, NumericError, SasMambaError
+from .errors import (DimensionError, DomainError, FormatError, NumericError,
+                     SasMambaError)
 from .fileio import (load_ckpt, parse_json, read_keypoints, save_ckpt,
                      write_keypoints)
 from .metrics import mpjpe_p1, mpjpe_p2
@@ -131,6 +132,9 @@ def _cmd_eval(args) -> int:
     gt = read_keypoints(args.gt)
     if pred.shape[-1] != 3 or gt.shape[-1] != 3:
         raise FormatError("eval requires 3d sequences for both pred and gt")
+    # checked before --center-only keeps one frame of each
+    if pred.shape != gt.shape:
+        raise DimensionError(f"pose shapes differ: {pred.shape} vs {gt.shape}")
     if args.center_only:
         pred = pred[pred.shape[0] // 2:pred.shape[0] // 2 + 1]
         gt = gt[gt.shape[0] // 2:gt.shape[0] // 2 + 1]

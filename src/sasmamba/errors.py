@@ -29,10 +29,6 @@ class GraphConsumedError(SasMambaError, RuntimeError):
     """Backward reached a graph that an earlier backward already consumed."""
 
 
-class UnsupportedOpError(SasMambaError, KeyError):
-    """An operation id has no registered adjoint."""
-
-
 class DegeneracyError(SasMambaError, ValueError):
     """Point cloud too degenerate for a well-posed alignment."""
 

@@ -78,8 +78,8 @@ def write_keypoints(path, seq: np.ndarray, fps: float = 50.0,
                     confidence: np.ndarray | None = None) -> None:
     """Write a (T, V, 2) or (T, V, 3) sequence as a single-line keypoint JSON file."""
     arr = np.asarray(seq, dtype=np.float32)
-    if arr.ndim != 3 or arr.shape[-1] not in (2, 3):
-        raise FormatError(f"sequence must be (T, V, 2|3), got {arr.shape}")
+    if arr.ndim != 3 or arr.shape[-1] not in (2, 3) or 0 in arr.shape:
+        raise FormatError(f"sequence must be (T, V, 2|3) with T, V >= 1, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("sequence contains non-finite values")
     fps = float(fps)

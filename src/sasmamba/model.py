@@ -12,6 +12,7 @@ stacked parameters that hold its tensors, so the four can never drift apart.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields
 
@@ -173,19 +174,19 @@ def param_entries(cfg: ModelConfig) -> Iterator[
     r = cfg.dt_rank
     rho = tap_rank(k)
     hidden = cfg.mlp_ratio * d
-    tap_fields = (("diag", (d,), "tap_diag"), ("down", (rho, d), "linear"),
+    tap_fields = (("diag", (d,), "tap_diag"), ("down", (rho, d), "fan_in"),
                   ("up", (d, rho), "tap_up"))
-    scan_fields = (("a_log", (d, n), "a_log"), ("b_weight", (n, d), "linear"),
-                   ("b_bias", (n,), "zeros"), ("c_weight", (n, d), "linear"),
-                   ("c_bias", (n,), "zeros"), ("dt_down", (r, d), "linear"),
-                   ("dt_up", (d, r), "linear"), ("dt_bias", (d,), "dt_bias"),
+    scan_fields = (("a_log", (d, n), "a_log"), ("b_weight", (n, d), "fan_in"),
+                   ("b_bias", (n,), "zeros"), ("c_weight", (n, d), "fan_in"),
+                   ("c_bias", (n,), "zeros"), ("dt_down", (r, d), "fan_in"),
+                   ("dt_up", (d, r), "fan_in"), ("dt_bias", (d,), "dt_bias"),
                    ("skip", (d,), "ones"))
 
     def whole(*entries):
         return [(name, shape, kind, name, None) for name, shape, kind in entries]
 
     yield from whole(
-        ("embed.weight", (d, 2), "linear"),
+        ("embed.weight", (d, 2), "fan_in"),
         ("embed.bias", (d,), "zeros"),
         ("pos_spatial", (1, v, d), "pos"),
         ("pos_temporal", (big_t, 1, d), "pos"),
@@ -195,9 +196,9 @@ def param_entries(cfg: ModelConfig) -> Iterator[
         yield from whole(
             (f"{p}.norm1.gamma", (d,), "ones"),
             (f"{p}.norm1.beta", (d,), "zeros"),
-            (f"{p}.sas.offset.weight", (2, d, 3, 3), "conv"),
+            (f"{p}.sas.offset.weight", (2, d, 3, 3), "fan_in"),
             (f"{p}.sas.offset.bias", (2,), "zeros"),
-            (f"{p}.sas.local.weight", (d, 3, 3), "dwconv"),
+            (f"{p}.sas.local.weight", (d, 3, 3), "fan_in"),
             (f"{p}.sas.local.bias", (d,), "zeros"),
         )
         for tap in range(k * k):
@@ -209,18 +210,18 @@ def param_entries(cfg: ModelConfig) -> Iterator[
             for field_name, shape, kind in scan_fields:
                 yield f"{q}.{field_name}", shape, kind, f"{p}.sas.scan.{field_name}", row
             if cfg.gated_streams:
-                yield f"{q}.gate.weight", (d, d), "linear", f"{p}.sas.gate.weight", row
+                yield f"{q}.gate.weight", (d, d), "fan_in", f"{p}.sas.gate.weight", row
                 yield f"{q}.gate.bias", (d,), "zeros", f"{p}.sas.gate.bias", row
         yield from whole(
             (f"{p}.norm2.gamma", (d,), "ones"),
             (f"{p}.norm2.beta", (d,), "zeros"),
-            (f"{p}.mlp1.weight", (hidden, d), "linear"),
+            (f"{p}.mlp1.weight", (hidden, d), "fan_in"),
             (f"{p}.mlp1.bias", (hidden,), "zeros"),
-            (f"{p}.mlp2.weight", (d, hidden), "linear"),
+            (f"{p}.mlp2.weight", (d, hidden), "fan_in"),
             (f"{p}.mlp2.bias", (d,), "zeros"),
         )
     yield from whole(
-        ("head.weight", (3, d), "linear"),
+        ("head.weight", (3, d), "fan_in"),
         ("head.bias", (3,), "zeros"),
     )
 
@@ -257,14 +258,9 @@ def _init_tensor(kind: str, shape: tuple[int, ...], rng: np.random.Generator,
         return np.ones(shape, dtype=np.float32)
     if kind == "pos":
         return rng.normal(0.0, 0.02, size=shape).astype(np.float32)
-    if kind == "linear":
-        bound = 1.0 / np.sqrt(shape[-1])
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    if kind == "conv":
-        bound = 1.0 / np.sqrt(shape[1] * 9)
-        return rng.uniform(-bound, bound, size=shape).astype(np.float32)
-    if kind == "dwconv":
-        bound = 1.0 / 3.0
+    if kind == "fan_in":
+        # fan_in is every axis after the output's: (out, in), (out, in, 3, 3), (C, 3, 3)
+        bound = 1.0 / np.sqrt(math.prod(shape[1:]))
         return rng.uniform(-bound, bound, size=shape).astype(np.float32)
     if kind == "tap_diag":
         bound = 1.0 / (cfg.K * cfg.K)

@@ -27,7 +27,7 @@ from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      Tensor, add, bilinear_gather, depthwise_conv3x3,
                      gather_sum, grid_conv3x3, linear, make_op, mul,
-                     register_op, reshape, silu, tensor)
+                     reshape, silu, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -280,11 +280,3 @@ def sas_ssm_layer(x: Tensor, p: SasLayerParams) -> Tensor:
     """Full structure-aware stride layer: sa_conv -> stride_scan -> streams."""
     return four_stream_scan(stride_scan(sa_conv(x, p.sa), p.stride_cfg),
                             p.streams, p.scan, p.gate)
-
-
-def _stride_sample_op(x):
-    return stride_sample(x, 2)
-
-
-register_op("stride_sample", _stride_sample_op)
-register_op("neighbor_mix", lambda s, *mix: NeighborMixParams.apply(s, NeighborMixParams(*mix)))

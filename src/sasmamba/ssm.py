@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Tensor, make_op, register_op, tensor
+from .tensor import Tensor, make_op, tensor
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small
@@ -301,6 +301,3 @@ def conv_apply(u: np.ndarray, kernel: np.ndarray, skip: np.ndarray) -> np.ndarra
         lags = kernel[:t + 1]                 # (t+1, D), lag 0 .. t
         y[t] = (lags * u[t::-1]).sum(axis=0)
     return y + np.asarray(skip, dtype=np.float64) * u
-
-
-register_op("selective_scan", lambda u, *fields: selective_scan(u, SelectiveSsmParams(*fields)))

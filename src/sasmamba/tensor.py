@@ -8,7 +8,7 @@ tensor, so an intermediate no adjoint reads is freed as soon as the forward
 code drops it. ``Tensor.backward`` replays the adjoints in reverse
 topological order and consumes the graph as it goes: one forward allows one
 backward, and afterwards only the leaves (and the root) hold gradients. There
-is no graph optimization; the contract is that every registered operation
+is no graph optimization; the contract is that every op in ``checks.OPS``
 survives :func:`finite_diff_check` against central differences in 64-bit mode.
 
 Precision: 32-bit floats are the working dtype, 64-bit is used for gradient
@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DimensionError, DomainError, GraphConsumedError,
-                     NumericError, UnsupportedOpError)
+from .errors import DimensionError, DomainError, GraphConsumedError, NumericError
 
 DEFAULT_DTYPE = np.float32
 
@@ -227,28 +226,6 @@ def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
         out.requires_grad = True
         out._node = Node(out.data.shape, out.data.dtype, nodes, backward)
     return out
-
-
-# --- adjoint registry, used by finite_diff_check and the gradcheck suite ---
-
-_OP_REGISTRY: dict[str, object] = {}
-
-
-def register_op(name: str, fn) -> None:
-    _OP_REGISTRY[name] = fn
-
-
-def registered_ops() -> tuple[str, ...]:
-    return tuple(sorted(_OP_REGISTRY))
-
-
-def resolve_op(op):
-    if callable(op):
-        return op
-    try:
-        return _OP_REGISTRY[op]
-    except KeyError:
-        raise UnsupportedOpError(f"no registered adjoint for operation '{op}'") from None
 
 
 # --- parameter containers -------------------------------------------------
@@ -726,13 +703,13 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
 # --- finite-difference validation -------------------------------------------
 
 
-def finite_diff_check(op, inputs: list[Tensor], eps: float = 1e-5) -> float:
-    """Max relative error between analytic adjoints and central differences.
+def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> float:
+    """Max relative error between the analytic adjoints of ``fn(*inputs)``
+    and central differences.
 
-    The op output is scalar-reduced by summation. Inputs are promoted to
+    The output is scalar-reduced by summation. Inputs are promoted to
     64-bit; relative error uses ``|a - n| / max(1, |a|, |n|)`` per element.
     """
-    fn = resolve_op(op)
     xs = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
     return finite_diff_check_leaves(lambda: fn(*xs), xs, eps)
 
@@ -777,31 +754,3 @@ def finite_diff_check_leaves(fn, leaves: list[Tensor], eps: float = 1e-5,
             rel = abs(aflat[i] - numeric) / max(1.0, abs(aflat[i]), abs(numeric))
             worst = max(worst, rel)
     return worst
-
-
-# registry of taped operations with exact adjoints
-register_op("add", add)
-register_op("sub", sub)
-register_op("mul", mul)
-register_op("gelu", gelu)
-register_op("silu", silu)
-register_op("sqrt", sqrt)
-register_op("sum_all", sum_all)
-register_op("sum_last", sum_last)
-register_op("linear", lambda x, w, b: linear(x, LinearParams(w, b)))
-register_op("layer_norm", lambda x, g, b: layer_norm(x, NormParams(g, b)))
-register_op("grid_conv3x3", lambda x, w, b: grid_conv3x3(x, Conv3x3Params(w, b)))
-register_op("depthwise_conv3x3", lambda x, w, b: depthwise_conv3x3(x, DepthwiseConv3x3Params(w, b)))
-register_op("bilinear_gather", bilinear_gather)
-register_op("reshape_flat", lambda x: reshape(x, (x.size,)))
-register_op("slice0", lambda x: slice0(x, 1, x.shape[0]))
-
-
-def _gather_sum_op(x):
-    # every row read twice: out[m] = x[m] + x[m + 1], cyclically
-    r = np.arange(x.size // x.shape[-1])
-    return gather_sum(x, np.stack([r, np.roll(r, -1)], axis=1),
-                      np.stack([r, np.roll(r, 1)], axis=1))
-
-
-register_op("gather_sum", _gather_sum_op)

@@ -250,6 +250,9 @@ HOSTILE_INPUTS = {
     "train --epochs -1": _train("--epochs", -1),
     "eval --root past the joints": _eval("--root", 99),
     "eval --root -1": _eval("--root", -1),
+    "eval --center-only of 2 predicted frames against 6": lambda tmp, ckpt, data: [
+        "eval", "--pred", _keypoint_doc(tmp / "pred.json", dims=3, frames=[[[0, 0, 0]] * 4] * 2),
+        "--gt", data / "seq_0000_3d.json", "--center-only"],
     "config with a float width": _init(D=8.0),
     "config with a string depth": _init(L="x"),
     "deeply nested keypoint frames": _infer_keypoints(

@@ -76,6 +76,13 @@ class TestKeypointFiles:
         with pytest.raises(FormatError):
             write_keypoints(tmp_path / "inf.json", seq)
 
+    @pytest.mark.parametrize("shape", [(0, 17, 3), (2, 0, 3)])
+    def test_empty_sequence_write_rejected(self, tmp_path, shape):
+        # read_keypoints refuses either file, so none is written
+        with pytest.raises(FormatError, match="T, V >= 1"):
+            write_keypoints(tmp_path / "empty.json", np.zeros(shape))
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_confidence_write_rejected(self, tmp_path, value):
         conf = np.ones((2, 3), dtype=np.float32)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stream, scan_by_unroll, stack_streams
+from sasmamba.checks import OPS
 from sasmamba.errors import DimensionError, DomainError
 from sasmamba.ssm import (SCAN_CHUNK, conv_apply, discretize, frozen_params,
                           selective_scan, softplus, softplus_inverse,
@@ -240,7 +241,7 @@ class TestScanGradient:
             tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),      # dt_bias
             tensor(rng.normal(size=(1, d)), dtype=np.float64),            # skip
         ]
-        assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
+        assert finite_diff_check(OPS["selective_scan"][0], inputs, eps=1e-5) < 1e-4
 
     def test_series_branch_gradcheck(self):
         # state entries near zero put |delta * a| far under 1e-6 for one
@@ -256,7 +257,7 @@ class TestScanGradient:
         inputs.insert(1, tensor(a_log, dtype=np.float64))
         inputs += [tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),
                    tensor(rng.normal(size=(1, d)), dtype=np.float64)]
-        assert finite_diff_check("selective_scan", inputs, eps=1e-5) < 1e-4
+        assert finite_diff_check(OPS["selective_scan"][0], inputs, eps=1e-5) < 1e-4
 
 
 class TestChunkedScan:

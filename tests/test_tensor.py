@@ -1,18 +1,23 @@
 """Numerics core: op semantics, boundary behavior, and adjoint correctness."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+import sasmamba.sas as sas
+import sasmamba.ssm as ssm
 import sasmamba.tensor as tz
 from conftest import bilinear_by_corners, conv3x3_by_definition
-from sasmamba.checks import _op_inputs
+from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
-                             NumericError, UnsupportedOpError)
+                             NumericError)
 from sasmamba.tensor import (Conv3x3Params, DepthwiseConv3x3Params,
                              LinearParams, NormParams, bilinear_gather,
                              bilinear_weights, checked_mode, depthwise_conv3x3,
                              finite_diff_check, grid_conv3x3, layer_norm, linear,
-                             registered_ops, resolve_op, tensor)
+                             tensor)
 
 
 def t64(a, grad=False):
@@ -223,17 +228,16 @@ class TestScatterRows:
         np.testing.assert_array_equal(dst[6], ref[6].astype(dtype))
 
 
-# the function each registered op runs, where its registry key differs
-OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply", "reshape_flat": "reshape",
-               "stride_sample": "stride_scan"}
+# the function each op of the suite runs, where its key in OPS differs
+OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply", "reshape_flat": "reshape"}
 
 
 class TestCheckedMode:
-    @pytest.mark.parametrize("name", registered_ops())
+    @pytest.mark.parametrize("name", sorted(OPS))
     def test_rejects_nan_inside_block(self, name):
-        inputs = _op_inputs(name, np.random.default_rng(0))
+        op, draw = OPS[name]
+        inputs = draw(np.random.default_rng(0))
         inputs[0].data.fill(np.nan)
-        op = resolve_op(name)
         op(*inputs)
         with checked_mode():
             with pytest.raises(NumericError) as info:
@@ -328,16 +332,12 @@ class TestTape:
 class TestFiniteDiffCheck:
     def test_eps_domain(self):
         with pytest.raises(DomainError):
-            finite_diff_check("add", [t64([1.0]), t64([1.0])], eps=0.5)
-
-    def test_unregistered_op(self):
-        with pytest.raises(UnsupportedOpError):
-            finite_diff_check("no_such_op", [t64([1.0])])
+            finite_diff_check(tz.add, [t64([1.0]), t64([1.0])], eps=0.5)
 
     def test_linear_tight(self):
         rng = np.random.default_rng(5)
         err = finite_diff_check(
-            "linear",
+            OPS["linear"][0],
             [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(2, 4))),
              t64(rng.normal(size=2))],
             eps=1e-5)
@@ -346,7 +346,7 @@ class TestFiniteDiffCheck:
     def test_layer_norm(self):
         rng = np.random.default_rng(6)
         err = finite_diff_check(
-            "layer_norm",
+            OPS["layer_norm"][0],
             [t64(rng.normal(size=(3, 5))), t64(rng.normal(size=5)),
              t64(rng.normal(size=5))],
             eps=1e-5)
@@ -355,7 +355,7 @@ class TestFiniteDiffCheck:
     def test_bilinear_interior(self):
         rng = np.random.default_rng(7)
         err = finite_diff_check(
-            "bilinear_gather",
+            OPS["bilinear_gather"][0],
             [t64(rng.normal(size=(5, 6, 3))),
              t64(np.stack([rng.uniform(0.6, 3.4, size=8),
                            rng.uniform(0.6, 4.4, size=8)], axis=-1))],
@@ -367,22 +367,57 @@ class TestFiniteDiffCheck:
         rng = np.random.default_rng(seed)
         a = t64(rng.normal(size=(3, 4)))
         b = t64(rng.normal(size=(3, 4)))
-        for op in ("add", "sub", "mul"):
-            assert finite_diff_check(op, [a, b]) < 1e-4
-        for op in ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0"):
-            assert finite_diff_check(op, [a]) < 1e-4
+        for name in ("add", "sub", "mul"):
+            assert finite_diff_check(OPS[name][0], [a, b]) < 1e-4
+        for name in ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0",
+                     "scale"):
+            assert finite_diff_check(OPS[name][0], [a]) < 1e-4
         pos = t64(rng.uniform(0.4, 2.2, size=(3, 4)))
-        assert finite_diff_check("sqrt", [pos]) < 1e-4
+        assert finite_diff_check(OPS["sqrt"][0], [pos]) < 1e-4
 
     def test_conv_ops(self):
         rng = np.random.default_rng(8)
         x = t64(rng.normal(size=(4, 5, 3)))
         w = t64(rng.normal(size=(2, 3, 3, 3)))
         b = t64(rng.normal(size=2))
-        assert finite_diff_check("grid_conv3x3", [x, w, b]) < 1e-5
+        assert finite_diff_check(OPS["grid_conv3x3"][0], [x, w, b]) < 1e-5
         wd = t64(rng.normal(size=(3, 3, 3)))
         bd = t64(rng.normal(size=3))
-        assert finite_diff_check("depthwise_conv3x3", [x, wd, bd]) < 1e-5
+        assert finite_diff_check(OPS["depthwise_conv3x3"][0], [x, wd, bd]) < 1e-5
+
+
+def make_op_callers() -> set[str]:
+    """Qualified names of the functions and methods of ``tensor``, ``sas``
+    and ``ssm`` whose body calls ``make_op``, read from their source."""
+    names = set()
+    for mod in (tz, sas, ssm):
+        tree = ast.parse(inspect.getsource(mod))
+        scopes = [("", tree.body)] + [(f"{c.name}.", c.body) for c in tree.body
+                                      if isinstance(c, ast.ClassDef)]
+        for prefix, body in scopes:
+            for fn in body:
+                if isinstance(fn, ast.FunctionDef) and any(
+                        isinstance(c, ast.Call) and getattr(c.func, "id", None) == "make_op"
+                        for c in ast.walk(fn)):
+                    names.add(prefix + fn.name)
+    return names
+
+
+class TestGradientSuite:
+    def test_covers_every_taped_op(self, monkeypatch):
+        owners = set()
+        make_op = tz.make_op
+
+        def recording(out, parents, backward):
+            owners.add(backward.__qualname__.partition(".<locals>")[0])
+            return make_op(out, parents, backward)
+
+        for mod in (tz, sas, ssm):
+            monkeypatch.setattr(mod, "make_op", recording)
+        rng = np.random.default_rng(0)
+        for fn, draw in OPS.values():
+            fn(*draw(rng))
+        assert owners == make_op_callers()
 
 
 class TestGridConv:
