@@ -9,9 +9,8 @@ from .metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2, mpjve_metric,
                       procrustes_align)
 from .model import (Model, ModelConfig, count_macs, count_params, forward,
                     init_model)
-from .sas import (SaConvParams, SasLayerParams, StrideConfig,
-                  four_stream_scan, predict_offsets, sa_conv, sas_ssm_layer,
-                  stride_sample, stride_scan)
+from .sas import (SaConvParams, SasLayerParams, four_stream_scan, sa_conv,
+                  sas_ssm_layer, stride_groups, stride_scan)
 from .ssm import (SelectiveSsmParams, conv_apply, discretize, selective_scan,
                   ssm_kernel)
 from .tensor import (LinearParams, NormParams, Tensor, checked_mode,

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import ModelConfig, astype_model, forward, init_model
-from .sas import NeighborMixParams, StrideConfig, stride_scan
+from .sas import NeighborMixParams, stride_scan
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      NormParams, add, bilinear_gather, depthwise_conv3x3,
@@ -83,7 +83,7 @@ OPS = {
     "slice0": (lambda x: slice0(x, 1, x.shape[0]), _one),
     "sqrt": (sqrt, lambda rng: [tensor(rng.uniform(0.3, 2.5, size=(3, 4)), dtype=np.float64)]),
     # the three stride groups the model runs, on channel blocks of 2, 1 and 1
-    "stride_scan": (lambda x: stride_scan(x, StrideConfig()), lambda rng: [_t(rng, (3, 6, 4))]),
+    "stride_scan": (lambda x: stride_scan(x, (1, 2, 3)), lambda rng: [_t(rng, (3, 6, 4))]),
     "sub": (sub, _two),
     "sum_all": (sum_all, _one),
     "sum_last": (sum_last, _one),

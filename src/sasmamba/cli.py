@@ -253,6 +253,10 @@ def main(argv=None) -> int:
                   else f"cannot use path ({exc.strerror or type(exc).__name__})")
         print(f"error: {reason}: {exc.filename}", file=sys.stderr)
         return DATA_ERROR
+    except MemoryError as exc:
+        # a size no machine can hold, such as a huge frame count or width
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return DATA_ERROR
     except NumericError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return NUMERIC_ERROR

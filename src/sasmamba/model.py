@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .sas import (STREAM_ORDER, NeighborMixParams, SaConvParams,
-                  SasLayerParams, StrideConfig, sas_ssm_layer, tap_rank)
+                  SasLayerParams, sas_ssm_layer, stride_groups, tap_rank)
 from .ssm import SelectiveSsmParams, softplus_inverse
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      NormParams, Tensor, add, gelu, layer_norm, linear, slice0)
@@ -59,10 +59,6 @@ class ModelConfig:
             violations.append(f"N must be >= 1, got {self.N}")
         if self.mlp_ratio < 1:
             violations.append(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
-        if not self.strides:
-            violations.append("at least one stride must be given")
-        if any(s < 1 for s in self.strides):
-            violations.append(f"strides must be >= 1, got {self.strides}")
         if not self.streams:
             violations.append("at least one stream must be enabled")
         unknown = set(self.streams) - set(STREAM_ORDER)
@@ -73,7 +69,7 @@ class ModelConfig:
             violations.append(f"duplicate streams: {sorted(repeated)}")
         if violations:
             raise ConfigError("; ".join(violations))
-        self.stride_config()  # the stride groups must split D evenly
+        stride_groups(self.strides, self.D)
 
     @property
     def dt_rank(self) -> int:
@@ -83,15 +79,6 @@ class ModelConfig:
     def ordered_streams(self) -> tuple[str, ...]:
         """The enabled streams in ``STREAM_ORDER``, the order they stack in."""
         return tuple(name for name in STREAM_ORDER if name in self.streams)
-
-    def stride_config(self) -> StrideConfig:
-        if len(self.strides) == 3:
-            cfg = StrideConfig(strides=self.strides)
-        else:
-            n = len(self.strides)
-            cfg = StrideConfig(strides=self.strides, fractions=(1.0 / n,) * n)
-        cfg.split_points(self.D)  # validate divisibility eagerly
-        return cfg
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -290,7 +277,6 @@ def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
     for i in range(cfg.L):
         p = f"blocks.{i}"
         sa = SaConvParams(
-            kernel_size=cfg.K,
             offset_net=Conv3x3Params(params[f"{p}.sas.offset.weight"],
                                      params[f"{p}.sas.offset.bias"]),
             mix=NeighborMixParams(*(params[f"{p}.sas.taps.{f.name}"]
@@ -299,7 +285,7 @@ def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
                                               params[f"{p}.sas.local.bias"]))
         scan = SelectiveSsmParams(*(params[f"{p}.sas.scan.{f.name}"]
                                     for f in fields(SelectiveSsmParams)))
-        sas = SasLayerParams(sa=sa, stride_cfg=cfg.stride_config(), streams=streams,
+        sas = SasLayerParams(sa=sa, strides=cfg.strides, streams=streams,
                              scan=scan, gate=lin(f"{p}.sas.gate") if cfg.gated_streams else None)
         blocks.append(BlockParams(
             norm1=NormParams(params[f"{p}.norm1.gamma"], params[f"{p}.norm1.beta"]),

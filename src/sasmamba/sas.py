@@ -18,11 +18,13 @@ one (S, ...) tensor, so no call stacks or splits them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, DomainError
+from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
                      Tensor, add, bilinear_gather, depthwise_conv3x3,
@@ -99,49 +101,40 @@ class SaConvParams:
     per-channel 3x3 aggregation of the undisplaced neighborhood.
     """
 
-    kernel_size: int
     offset_net: Conv3x3Params          # C -> 2
     mix: NeighborMixParams             # K*K taps
     local_conv: DepthwiseConv3x3Params
 
     def __post_init__(self):
-        k = self.kernel_size
-        if k < 1 or k % 2 == 0:
-            raise ConfigError(f"kernel size must be odd and >= 1, got {k}")
+        taps = self.mix.diag.shape[0]
+        if self.kernel_size ** 2 != taps or taps % 2 == 0:
+            raise ConfigError(f"{taps} neighbor mixers do not fill an odd square grid")
         if self.offset_net.weight.shape[0] != 2:
             raise ConfigError("offset net must produce exactly 2 channels")
-        if self.mix.diag.shape[0] != k * k:
-            raise ConfigError(f"expected {k * k} neighbor mixers, got {self.mix.diag.shape[0]}")
+
+    @property
+    def kernel_size(self) -> int:
+        """K, the side of the K x K tap grid that ``mix`` holds."""
+        return math.isqrt(self.mix.diag.shape[0])
 
     def tensors(self) -> tuple[Tensor, ...]:
         return self.offset_net.tensors() + self.local_conv.tensors() + self.mix.tensors()
 
 
-@dataclass
-class StrideConfig:
-    strides: tuple[int, ...] = (1, 2, 3)
-    fractions: tuple[float, ...] = (0.5, 0.25, 0.25)
-
-    def __post_init__(self):
-        if len(self.strides) != len(self.fractions):
-            raise ConfigError("strides and fractions must align")
-        if any(s < 1 for s in self.strides):
-            raise ConfigError(f"strides must be >= 1, got {self.strides}")
-        if abs(sum(self.fractions) - 1.0) > 1e-9:
-            raise ConfigError(f"channel fractions must sum to 1, got {self.fractions}")
-
-    def split_points(self, channels: int) -> list[int]:
-        """Channel boundaries of each stride group; rejects indivisible widths."""
-        bounds = [0]
-        acc = 0.0
-        for frac in self.fractions:
-            acc += frac
-            edge = acc * channels
-            if abs(edge - round(edge)) > 1e-9:
-                raise ConfigError(
-                    f"channel count {channels} not divisible by fractions {self.fractions}")
-            bounds.append(int(round(edge)))
-        return bounds
+def stride_groups(strides: tuple[int, ...], channels: int) -> list[tuple[slice, int]]:
+    """The channel block and stride of each stride group: the model's split
+    rule, half and two quarters of the channels for three strides, equal
+    parts otherwise, in the order of ``strides``."""
+    if not strides:
+        raise ConfigError("at least one stride must be given")
+    if any(s < 1 for s in strides):
+        raise ConfigError(f"strides must be >= 1, got {tuple(strides)}")
+    parts = (2, 1, 1) if len(strides) == 3 else (1,) * len(strides)
+    unit, rest = divmod(channels, sum(parts))
+    if rest:
+        raise ConfigError(f"channel count {channels} not divisible into parts {parts}")
+    edges = [unit * e for e in accumulate(parts, initial=0)]
+    return [(slice(a, b), s) for a, b, s in zip(edges, edges[1:], strides)]
 
 
 @dataclass
@@ -151,7 +144,7 @@ class SasLayerParams:
     streams are gated: an (S, C, C) weight and an (S, C) bias."""
 
     sa: SaConvParams
-    stride_cfg: StrideConfig
+    strides: tuple[int, ...]
     streams: tuple[str, ...]
     scan: SelectiveSsmParams
     gate: LinearParams | None = None
@@ -159,15 +152,6 @@ class SasLayerParams:
     def tensors(self) -> tuple[Tensor, ...]:
         gate = () if self.gate is None else self.gate.tensors()
         return self.sa.tensors() + self.scan.tensors() + gate
-
-
-def predict_offsets(x: Tensor, p: SaConvParams) -> Tensor:
-    """Per-(frame, joint) displacement (dt, dv), unbounded; clamping happens
-    later in sampling."""
-    if x.shape[-1] != p.offset_net.weight.shape[1]:
-        raise DimensionError(
-            f"offset net expects {p.offset_net.weight.shape[1]} channels, got {x.shape[-1]}")
-    return grid_conv3x3(x, p.offset_net)
 
 
 def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
@@ -182,7 +166,7 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     """
     t_n, v_n, _ = x.shape
     half = (p.kernel_size - 1) // 2
-    offsets = predict_offsets(x, p)
+    offsets = grid_conv3x3(x, p.offset_net)
     grid = np.stack(np.meshgrid(np.arange(t_n, dtype=x.dtype), np.arange(v_n, dtype=x.dtype),
                                 indexing="ij"), axis=-1)
     steps = np.arange(-half, half + 1, dtype=x.dtype)
@@ -192,25 +176,16 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     return add(local, NeighborMixParams.apply(samples, p.mix))
 
 
-def stride_sample(x: Tensor, s: int) -> Tensor:
-    """Subsample joints at stride s, filling skipped joints with the
-    preceding valid joint: y(t, v) = x(t, floor(v/s)*s). The one-group case
-    of :func:`stride_scan`."""
-    if s < 1:
-        raise DomainError(f"stride must be >= 1, got {s}")
-    return stride_scan(x, StrideConfig(strides=(s,), fractions=(1.0,)))
-
-
-def stride_scan(x: Tensor, cfg: StrideConfig) -> Tensor:
-    """Split channels into stride groups and subsample each group's joints
-    at its stride, with preceding-valid fill, as one op.
+def stride_scan(x: Tensor, strides: tuple[int, ...]) -> Tensor:
+    """Split channels into the :func:`stride_groups` of ``strides`` and
+    subsample each group's joints at its stride, with preceding-valid fill,
+    as one op.
 
     Group i keeps channel block i of the input in place; its joint v reads
     joint floor(v/s)*s. Stride-1 channels pass verbatim; shape is preserved.
     """
-    bounds = cfg.split_points(x.shape[-1])
+    groups = stride_groups(strides, x.shape[-1])
     v_n = x.shape[1]
-    groups = [(slice(bounds[i], bounds[i + 1]), s) for i, s in enumerate(cfg.strides)]
     out = np.empty_like(x.data)
     for cols, s in groups:
         out[..., cols] = x.data[:, (np.arange(v_n) // s) * s, cols]
@@ -278,5 +253,5 @@ def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmPara
 
 def sas_ssm_layer(x: Tensor, p: SasLayerParams) -> Tensor:
     """Full structure-aware stride layer: sa_conv -> stride_scan -> streams."""
-    return four_stream_scan(stride_scan(sa_conv(x, p.sa), p.stride_cfg),
+    return four_stream_scan(stride_scan(sa_conv(x, p.sa), p.strides),
                             p.streams, p.scan, p.gate)

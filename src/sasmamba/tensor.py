@@ -27,6 +27,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, GraphConsumedError, NumericError
 
 DEFAULT_DTYPE = np.float32
+LAYER_NORM_EPS = 1e-5
 
 _checked = False
 
@@ -252,11 +253,6 @@ class LinearParams:
 class NormParams:
     gamma: Tensor
     beta: Tensor
-    epsilon: float = 1e-5
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise DomainError(f"epsilon must be positive, got {self.epsilon}")
 
     def tensors(self) -> tuple[Tensor, Tensor]:
         return (self.gamma, self.beta)
@@ -486,7 +482,7 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     mean = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mean
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(p.epsilon))
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
     xhat = centered * inv
     gamma = p.gamma.data
     out = gamma * xhat + p.beta.data

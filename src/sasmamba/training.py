@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DimensionError, DomainError, NumericError
 from .fileio import _atomic_write
+from .metrics import _check_pair
 from .model import Model, entry_name, forward
 from .tensor import (Tensor, add, mul, scale, slice0, sqrt, sub, sum_all,
                      sum_last)
@@ -36,18 +37,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x))
 
 
-def _check_pose_pair(pred: Tensor, gt: Tensor) -> None:
-    if pred.shape != gt.shape:
-        raise DimensionError(f"pose shapes differ: {pred.shape} vs {gt.shape}")
-    if pred.data.ndim != 3 or pred.shape[-1] != 3:
-        raise DimensionError(f"expected (T, V, 3) poses, got {pred.shape}")
-
-
 def wmpjpe(pred, gt, w: np.ndarray | None = None) -> Tensor:
     """Weighted mean per-joint distance between predicted and target poses;
     every joint weighs 1 when ``w`` is None."""
     pred, gt = _as_tensor(pred), _as_tensor(gt)
-    _check_pose_pair(pred, gt)
+    _check_pair(pred.data, gt.data, 3)
     t_n, v_n, _ = pred.shape
     diff = sub(pred, gt)
     dist = sqrt(sum_last(mul(diff, diff)))
@@ -80,7 +74,7 @@ def tc_loss(pred) -> Tensor:
 def mpjve(pred, gt) -> Tensor:
     """Mean per-joint error between prediction and target velocities."""
     pred, gt = _as_tensor(pred), _as_tensor(gt)
-    _check_pose_pair(pred, gt)
+    _check_pair(pred.data, gt.data, 3)
     t_n, v_n, _ = pred.shape
     if t_n < 2:
         warnings.warn("velocity error needs at least two frames; returning 0",

@@ -50,7 +50,7 @@ def random_sa(rng, c, k, dtype=np.float64, zero_offsets=False):
     local = DepthwiseConv3x3Params(tensor(rng.normal(size=(c, 3, 3)) * 0.3, dtype=dtype),
                                    tensor(rng.normal(size=c) * 0.3, dtype=dtype))
     mix = stack_taps([random_tap(rng, c, k, dtype) for _ in range(k * k)])
-    return SaConvParams(kernel_size=k, offset_net=offset, mix=mix, local_conv=local)
+    return SaConvParams(offset_net=offset, mix=mix, local_conv=local)
 
 
 def random_stream(rng, d, n=2, r=1, dtype=np.float64):

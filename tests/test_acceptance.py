@@ -14,8 +14,8 @@ from sasmamba.cli import main
 from sasmamba.fileio import load_ckpt, save_ckpt
 from sasmamba.metrics import mpjpe_p2, procrustes_align
 from sasmamba.model import ModelConfig, count_macs, count_params, forward, init_model
-from sasmamba.sas import (STREAM_ORDER, SaConvParams, StrideConfig, four_stream_scan,
-                          sa_conv, stride_sample, stride_scan)
+from sasmamba.sas import (STREAM_ORDER, SaConvParams, four_stream_scan, sa_conv,
+                          stride_scan)
 from sasmamba.ssm import conv_apply, discretize, frozen_params, selective_scan, softplus, ssm_kernel
 from sasmamba.tensor import Tensor, tensor
 from sasmamba.training import LossWeights, OptimState, gen_synthetic, train, wmpjpe
@@ -118,14 +118,14 @@ def test_criterion_06_stride_scan_invariants():
             shape = (int(rng.integers(1, 5)), int(rng.integers(1, 9)),
                      int(rng.integers(1, 7)))
             x = rng.normal(size=shape)
-            assert np.array_equal(stride_sample(Tensor(x), 1).data, x)
+            assert np.array_equal(stride_scan(Tensor(x), (1,)).data, x)
         for s, v in ((2, 5), (3, 7), (2, 17), (3, 17)):
             x = np.broadcast_to(np.arange(float(v))[None, :, None], (2, v, 1)).copy()
-            got = stride_sample(Tensor(x), s).data[0, :, 0]
+            got = stride_scan(Tensor(x), (s,)).data[0, :, 0]
             expect = [float(j if j % s == 0 else (j // s) * s) for j in range(v)]
             assert got.tolist() == expect
         x = Tensor(rng.normal(size=(3, 17, 16)))
-        out = stride_scan(x, StrideConfig())
+        out = stride_scan(x, (1, 2, 3))
         assert np.array_equal(out.data[..., :8], x.data[..., :8])
 
 
@@ -133,15 +133,15 @@ def test_criterion_07_sa_conv_degeneracy():
     with _Criterion(7, "SA-Conv degeneracy", 5.0):
         rng = np.random.default_rng(70)
         c = 6
-        ident = SaConvParams(1, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
+        ident = SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
         x = rng.normal(size=(7, 5, c))
         out = sa_conv(Tensor(x.astype(np.float64)), ident)
         assert np.array_equal(out.data, x)
-        shift = SaConvParams(1, zero_offset_net(c, bias=(1.0, 0.0)),
+        shift = SaConvParams(zero_offset_net(c, bias=(1.0, 0.0)),
                              stack_taps([identity_tap(c, 1)]), zero_local(c))
         out = sa_conv(Tensor(x.astype(np.float64)), shift).data
         assert np.max(np.abs(out[:-1] - x[1:])) < 1e-6
-        shift_v = SaConvParams(1, zero_offset_net(c, bias=(0.0, 2.0)),
+        shift_v = SaConvParams(zero_offset_net(c, bias=(0.0, 2.0)),
                                stack_taps([identity_tap(c, 1)]), zero_local(c))
         out = sa_conv(Tensor(x.astype(np.float64)), shift_v).data
         assert np.max(np.abs(out[:, :-2] - x[:, 2:])) < 1e-6

@@ -264,6 +264,10 @@ HOSTILE_INPUTS = {
     "manifest with invalid UTF-8": _infer_manifest(b'{"config": "\xff"}'),
     "config with invalid UTF-8": _init_bytes(b'{"L": "\xff"}'),
     "config with no strides": _init(strides=[]),
+    # sizes past any address space: the first allocation fails before it is touched
+    "init --config with a width of 4e16": _init(D=4 * 10**16),
+    "synth --frames 1e15": lambda tmp, ckpt, data: [
+        "synth", "--frames", 10**15, "--sequences", 1, "--out", tmp / "big"],
     "count --config with a stream named twice": _count(
         streams=["temporal_forward", "temporal_forward"]),
     "count --config with stride groups that cannot split the width": _count(

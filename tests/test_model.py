@@ -152,7 +152,7 @@ class TestForward:
         bp = m.blocks[0]
         sas_in = layer_norm(h, bp.norm1)
         sas_out = four_stream_scan(
-            stride_scan(sa_conv(sas_in, bp.sas.sa), bp.sas.stride_cfg),
+            stride_scan(sa_conv(sas_in, bp.sas.sa), bp.sas.strides),
             bp.sas.streams, bp.sas.scan)
         h = add(h, sas_out)
         h = add(h, linear(gelu(linear(layer_norm(h, bp.norm2), bp.mlp1)), bp.mlp2))

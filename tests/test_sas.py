@@ -10,11 +10,12 @@ from conftest import (bilinear_by_corners, conv3x3_by_definition,
                       random_stream, scan_by_unroll, stack_streams, stack_taps,
                       stream_set, zero_local, zero_offset_net, zero_tap)
 from sasmamba import sas
-from sasmamba.errors import ConfigError, DimensionError, DomainError
+from sasmamba.errors import ConfigError, DimensionError
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
-                          StrideConfig, four_stream_scan, predict_offsets,
-                          sa_conv, sas_ssm_layer, stride_sample, stride_scan)
-from sasmamba.tensor import LinearParams, finite_diff_check_leaves, tensor
+                          four_stream_scan, sa_conv, sas_ssm_layer,
+                          stride_groups, stride_scan)
+from sasmamba.tensor import (LinearParams, finite_diff_check_leaves,
+                             grid_conv3x3, tensor)
 
 
 def t64(a, grad=False):
@@ -51,22 +52,22 @@ class TestPredictOffsets:
         sa = random_sa(np.random.default_rng(0), c=3, k=1, zero_offsets=True)
         sa.offset_net.bias.data[:] = 0.0
         x = t64(np.random.default_rng(1).normal(size=(4, 5, 3)))
-        out = predict_offsets(x, sa)
+        out = grid_conv3x3(x, sa.offset_net)
         assert out.shape == (4, 5, 2)
         np.testing.assert_array_equal(out.data, np.zeros((4, 5, 2)))
 
     def test_bias_passthrough_on_zero_input(self):
         sa = random_sa(np.random.default_rng(0), c=3, k=1)
         sa.offset_net.bias.data[:] = [0.5, -0.5]
-        out = predict_offsets(t64(np.zeros((3, 4, 3))), sa)
+        out = grid_conv3x3(t64(np.zeros((3, 4, 3))), sa.offset_net)
         np.testing.assert_allclose(out.data, np.broadcast_to([0.5, -0.5], (3, 4, 2)))
 
     def test_translation_equivariance_on_interior(self):
         rng = np.random.default_rng(2)
         sa = random_sa(rng, c=2, k=1)
         x = rng.normal(size=(9, 4, 2))
-        a = predict_offsets(t64(x), sa).data
-        b = predict_offsets(t64(x[1:]), sa).data
+        a = grid_conv3x3(t64(x), sa.offset_net).data
+        b = grid_conv3x3(t64(x[1:]), sa.offset_net).data
         # row t of the shifted input sees the same 3x3 window as row t+1 of
         # the original, away from the clamped borders
         np.testing.assert_allclose(b[1:-1], a[2:-1], atol=1e-5)
@@ -74,13 +75,13 @@ class TestPredictOffsets:
     def test_channel_mismatch(self):
         sa = random_sa(np.random.default_rng(0), c=3, k=1)
         with pytest.raises(DimensionError):
-            predict_offsets(t64(np.zeros((2, 2, 5))), sa)
+            sa_conv(t64(np.zeros((2, 2, 5))), sa)
 
 
 class TestSaConv:
     def test_degenerate_identity(self):
         c = 3
-        sa = SaConvParams(1, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
+        sa = SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
         x = t64(np.random.default_rng(3).normal(size=(5, 4, c)))
         out = sa_conv(x, sa)
         np.testing.assert_allclose(out.data, x.data, atol=1e-12)
@@ -98,7 +99,7 @@ class TestSaConv:
 
     def test_integer_offset_gathers_shifted_frame(self):
         c = 2
-        sa = SaConvParams(1, zero_offset_net(c, bias=(1.0, 0.0)),
+        sa = SaConvParams(zero_offset_net(c, bias=(1.0, 0.0)),
                           stack_taps([identity_tap(c, 1)]), zero_local(c))
         t_n, v_n = 6, 3
         x = np.zeros((t_n, v_n, c))
@@ -150,58 +151,58 @@ class TestSaConv:
 
     def test_config_invariants(self):
         c = 2
-        with pytest.raises(ConfigError):
-            SaConvParams(2, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
-        with pytest.raises(ConfigError):
-            SaConvParams(3, zero_offset_net(c), stack_taps([identity_tap(c, 3)]), zero_local(c))
+        for taps in (2, 4):  # not a square; the square of an even kernel size
+            with pytest.raises(ConfigError):
+                SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 1)] * taps),
+                             zero_local(c))
+        assert SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 3)] * 9),
+                            zero_local(c)).kernel_size == 3
 
 
 class TestStrideSample:
     def test_stride_one_is_identity(self):
         rng = np.random.default_rng(6)
         x = t64(rng.normal(size=(3, 5, 2)))
-        np.testing.assert_array_equal(stride_sample(x, 1).data, x.data)
+        np.testing.assert_array_equal(stride_scan(x, (1,)).data, x.data)
 
     def test_fill_rule_s2_v5(self):
         x = np.broadcast_to(np.arange(5.0)[None, :, None], (2, 5, 1)).copy()
-        out = stride_sample(t64(x), 2)
+        out = stride_scan(t64(x), (2,))
         np.testing.assert_array_equal(out.data[0, :, 0], [0, 0, 2, 2, 4])
 
     def test_fill_rule_s3_v7(self):
         x = np.broadcast_to(np.arange(7.0)[None, :, None], (1, 7, 1)).copy()
-        out = stride_sample(t64(x), 3)
+        out = stride_scan(t64(x), (3,))
         np.testing.assert_array_equal(out.data[0, :, 0], [0, 0, 0, 3, 3, 3, 6])
 
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            stride_sample(t64(np.zeros((1, 2, 1))), 0)
+    def test_stride_zero_rejected(self):
+        with pytest.raises(ConfigError):
+            stride_scan(t64(np.zeros((1, 2, 1))), (0,))
 
     def test_prefix_property(self):
         # output at joint v depends only on joints <= v
         rng = np.random.default_rng(7)
         x = rng.normal(size=(2, 9, 3))
         for s in (2, 3, 4):
-            base = stride_sample(t64(x), s).data
+            base = stride_scan(t64(x), (s,)).data
             for v in (3, 6):
                 x2 = x.copy()
                 x2[:, v + 1:] = rng.normal(size=x2[:, v + 1:].shape)
-                out = stride_sample(t64(x2), s).data
+                out = stride_scan(t64(x2), (s,)).data
                 np.testing.assert_array_equal(out[:, :v + 1], base[:, :v + 1])
 
 
 class TestStrideScan:
     def test_identity_strides(self):
         rng = np.random.default_rng(8)
-        cfg = StrideConfig(strides=(1, 1, 1))
         x = t64(rng.normal(size=(3, 6, 8)))
-        np.testing.assert_array_equal(stride_scan(x, cfg).data, x.data)
+        np.testing.assert_array_equal(stride_scan(x, (1, 1, 1)).data, x.data)
 
     def test_groupwise_fill_rules(self):
-        cfg = StrideConfig()
         t_n, v_n = 2, 5
         x = np.broadcast_to(np.arange(v_n, dtype=np.float64)[None, :, None],
                             (t_n, v_n, 4)).copy()
-        out = stride_scan(t64(x), cfg).data
+        out = stride_scan(t64(x), (1, 2, 3)).data
         np.testing.assert_array_equal(out[..., 0], x[..., 0])       # stride 1
         np.testing.assert_array_equal(out[..., 1], x[..., 1])
         np.testing.assert_array_equal(out[0, :, 2], [0, 0, 2, 2, 4])  # stride 2
@@ -209,21 +210,28 @@ class TestStrideScan:
 
     def test_channel_count_preserved(self):
         x = t64(np.random.default_rng(9).normal(size=(2, 4, 8)))
-        assert stride_scan(x, StrideConfig()).shape == (2, 4, 8)
+        assert stride_scan(x, (1, 2, 3)).shape == (2, 4, 8)
 
     def test_first_half_channels_verbatim(self):
         rng = np.random.default_rng(10)
         x = t64(rng.normal(size=(3, 7, 12)))
-        out = stride_scan(x, StrideConfig())
+        out = stride_scan(x, (1, 2, 3))
         np.testing.assert_array_equal(out.data[..., :6], x.data[..., :6])
 
     def test_indivisible_channels_rejected(self):
         with pytest.raises(ConfigError):
-            stride_scan(t64(np.zeros((2, 3, 6))), StrideConfig())
+            stride_scan(t64(np.zeros((2, 3, 6))), (1, 2, 3))
 
-    def test_fraction_invariant(self):
-        with pytest.raises(ConfigError):
-            StrideConfig(fractions=(0.5, 0.3, 0.3))
+    def test_group_widths(self):
+        def blocks(strides, channels):
+            return [(cols.start, cols.stop, s) for cols, s in stride_groups(strides, channels)]
+        assert blocks((1, 2, 3), 8) == [(0, 4, 1), (4, 6, 2), (6, 8, 3)]
+        assert blocks((1, 3), 6) == [(0, 3, 1), (3, 6, 3)]
+        assert blocks((2,), 5) == [(0, 5, 2)]
+        assert blocks((1, 2, 3, 4), 8) == [(0, 2, 1), (2, 4, 2), (4, 6, 3), (6, 8, 4)]
+        for strides, channels in (((), 4), ((1, 0), 4), ((1, 3), 5), ((1, 2, 3), 6)):
+            with pytest.raises(ConfigError):
+                stride_groups(strides, channels)
 
 
 class TestFourStreamScan:
@@ -379,10 +387,9 @@ class TestFourStreamScan:
 
 class TestSasLayer:
     def _degenerate_layer(self, c):
-        sa = SaConvParams(1, zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
+        sa = SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 1)]), zero_local(c))
         scan = stack_streams([feedthrough_stream(c) for _ in STREAM_ORDER])
-        return SasLayerParams(sa=sa, stride_cfg=StrideConfig(strides=(1, 1, 1)),
-                              streams=STREAM_ORDER, scan=scan)
+        return SasLayerParams(sa=sa, strides=(1, 1, 1), streams=STREAM_ORDER, scan=scan)
 
     def test_degenerate_composition_is_proportional_to_input(self):
         c = 4
@@ -395,7 +402,7 @@ class TestSasLayer:
         rng = np.random.default_rng(16)
         for t_n, v_n, c in ((2, 3, 4), (5, 4, 8), (1, 7, 12)):
             sa = random_sa(rng, c, k=3)
-            layer = SasLayerParams(sa=sa, stride_cfg=StrideConfig(), streams=STREAM_ORDER,
+            layer = SasLayerParams(sa=sa, strides=(1, 2, 3), streams=STREAM_ORDER,
                                    scan=stream_set(rng, c, STREAM_ORDER))
             out = sas_ssm_layer(t64(rng.normal(size=(t_n, v_n, c))), layer)
             assert out.shape == (t_n, v_n, c)
@@ -405,20 +412,19 @@ class TestSasLayer:
         rng = np.random.default_rng(17)
         c = 4
         sa = random_sa(rng, c, k=3)
-        cfg = StrideConfig()
         names = ("temporal_forward", "spatial_backward")
         scan = stream_set(rng, c, names)
-        layer = SasLayerParams(sa=sa, stride_cfg=cfg, streams=names, scan=scan)
+        layer = SasLayerParams(sa=sa, strides=(1, 2, 3), streams=names, scan=scan)
         x = t64(rng.normal(size=(2, 4, c)))
         fused = sas_ssm_layer(x, layer)
-        step = four_stream_scan(stride_scan(sa_conv(x, sa), cfg), names, scan)
+        step = four_stream_scan(stride_scan(sa_conv(x, sa), (1, 2, 3)), names, scan)
         np.testing.assert_array_equal(fused.data, step.data)
 
     def test_full_layer_gradcheck(self):
         rng = np.random.default_rng(18)
         c = 8
         sa = random_sa(rng, c, k=3)
-        layer = SasLayerParams(sa=sa, stride_cfg=StrideConfig(), streams=STREAM_ORDER,
+        layer = SasLayerParams(sa=sa, strides=(1, 2, 3), streams=STREAM_ORDER,
                                scan=stream_set(rng, c, STREAM_ORDER))
         x = t64(rng.normal(size=(3, 4, c)), grad=True)
         leaves = [x] + [t for t in layer.tensors()]

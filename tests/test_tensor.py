@@ -13,11 +13,11 @@ from conftest import bilinear_by_corners, conv3x3_by_definition
 from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
-from sasmamba.tensor import (Conv3x3Params, DepthwiseConv3x3Params,
-                             LinearParams, NormParams, bilinear_gather,
-                             bilinear_weights, checked_mode, depthwise_conv3x3,
-                             finite_diff_check, grid_conv3x3, layer_norm, linear,
-                             tensor)
+from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params,
+                             DepthwiseConv3x3Params, LinearParams, NormParams,
+                             bilinear_gather, bilinear_weights, checked_mode,
+                             depthwise_conv3x3, finite_diff_check, grid_conv3x3,
+                             layer_norm, linear, tensor)
 
 
 def t64(a, grad=False):
@@ -85,9 +85,10 @@ class TestLayerNorm:
         np.testing.assert_allclose(y.data, [0.0, 0.0, 0.0], atol=1e-12)
 
     def test_two_point_slice(self):
-        p = NormParams(t64([1.0, 1.0]), t64([0.0, 0.0]), epsilon=1e-12)
+        p = NormParams(t64([1.0, 1.0]), t64([0.0, 0.0]))
         y = layer_norm(t64([1.0, 3.0]), p)
-        np.testing.assert_allclose(y.data, [-1.0, 1.0], atol=1e-6)
+        np.testing.assert_allclose(y.data, np.array([-1.0, 1.0]) / np.sqrt(1 + LAYER_NORM_EPS),
+                                   atol=1e-6)
 
     def test_zero_scale_returns_shift(self):
         p = NormParams(t64([0.0, 0.0]), t64([7.0, 7.0]))
@@ -98,10 +99,6 @@ class TestLayerNorm:
         p = NormParams(t64(np.ones(1)), t64(np.zeros(1)))
         with pytest.raises(DimensionError):
             layer_norm(tensor(np.zeros((3, 0))), p)
-
-    def test_epsilon_must_be_positive(self):
-        with pytest.raises(DomainError):
-            NormParams(t64([1.0]), t64([0.0]), epsilon=0.0)
 
 
 class TestBilinear:
