@@ -5,8 +5,7 @@ from .errors import (ChecksumError, ConfigError, CorruptionError,
                      GraphConsumedError, NumericError, SasMambaError,
                      VersionError)
 from .fileio import load_ckpt, read_keypoints, save_ckpt, write_keypoints
-from .metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2, mpjve_metric,
-                      procrustes_align)
+from .metrics import SimilarityTransform, mpjpe_p1, mpjpe_p2, procrustes_align
 from .model import (Model, ModelConfig, count_macs, count_params, forward,
                     init_model)
 from .sas import (SaConvParams, SasLayerParams, four_stream_scan, sa_conv,

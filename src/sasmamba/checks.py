@@ -14,11 +14,11 @@ from .errors import DomainError
 from .model import ModelConfig, astype_model, forward, init_model
 from .sas import NeighborMixParams, stride_scan
 from .ssm import SelectiveSsmParams, selective_scan
-from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     NormParams, add, bilinear_gather, depthwise_conv3x3,
-                     finite_diff_check, finite_diff_check_leaves, gather_sum,
-                     gelu, grid_conv3x3, layer_norm, linear, mul, reshape,
-                     scale, silu, slice0, sqrt, sub, sum_all, sum_last, tensor)
+from .tensor import (Conv3x3Params, LinearParams, NormParams, add,
+                     bilinear_gather, depthwise_conv3x3, finite_diff_check,
+                     finite_diff_check_leaves, gather_sum, gelu, grid_conv3x3,
+                     layer_norm, linear, mul, reshape, scale, silu, slice0,
+                     sqrt, sub, sum_all, sum_last, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
 OP_TOLERANCE = 1e-4
@@ -57,7 +57,7 @@ OPS = {
         _t(rng, (5, 6, 3)),
         tensor(rng.uniform((0.55, 0.55), (3.45, 4.45), size=(8, 2)), dtype=np.float64)]),
     "depthwise_conv3x3": (
-        lambda x, w, b: depthwise_conv3x3(x, DepthwiseConv3x3Params(w, b)),
+        lambda x, w, b: depthwise_conv3x3(x, Conv3x3Params(w, b)),
         lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (3, 3, 3), 0.4), _t(rng, (3,))]),
     # each row of a (3, C) input read twice: out[m] = x[m] + x[(m + 1) % 3]
     "gather_sum": (lambda x: gather_sum(x, np.array([[0, 1], [1, 2], [2, 0]]),

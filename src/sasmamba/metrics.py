@@ -133,13 +133,3 @@ def mpjpe_p2(pred, gt) -> float:
     aligned = scale[:, None, None] * pred @ np.swapaxes(rot, 1, 2) + translation[:, None]
     return float(np.linalg.norm(aligned - gt, axis=-1).mean())
 
-
-def mpjve_metric(pred, gt) -> float:
-    """Mean per-joint velocity error as a plain evaluation number."""
-    pred = np.asarray(pred, dtype=np.float64)
-    gt = np.asarray(gt, dtype=np.float64)
-    _check_pair(pred, gt, 3)
-    if pred.shape[0] < 2:
-        return 0.0
-    vel = np.diff(pred, axis=0) - np.diff(gt, axis=0)
-    return float(np.linalg.norm(vel, axis=-1).mean())

@@ -22,8 +22,8 @@ from .errors import ConfigError, DimensionError, DomainError, NumericError
 from .sas import (STREAM_ORDER, NeighborMixParams, SaConvParams,
                   SasLayerParams, sas_ssm_layer, stride_groups, tap_rank)
 from .ssm import SelectiveSsmParams, softplus_inverse
-from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     NormParams, Tensor, add, gelu, layer_norm, linear, slice0)
+from .tensor import (Conv3x3Params, LinearParams, NormParams, Tensor, add,
+                     gelu, layer_norm, linear, slice0)
 
 
 @dataclass
@@ -47,8 +47,8 @@ class ModelConfig:
         violations = []
         if self.L < 1:
             violations.append(f"L must be >= 1, got {self.L}")
-        if self.D < 4 or self.D % 4 != 0:
-            violations.append(f"D must be a positive multiple of 4, got {self.D}")
+        if self.D < 1:
+            violations.append(f"D must be >= 1, got {self.D}")
         if self.T < 1:
             violations.append(f"T must be >= 1, got {self.T}")
         if self.V < 1:
@@ -269,33 +269,25 @@ def _init_tensor(kind: str, shape: tuple[int, ...], rng: np.random.Generator,
 def build_model(cfg: ModelConfig, params: dict[str, Tensor]) -> Model:
     """Wire structured parameter views over the parameters that
     :func:`stack_params` builds from the config's manifest."""
-    def lin(prefix):
-        return LinearParams(params[f"{prefix}.weight"], params[f"{prefix}.bias"])
+    def record(cls, prefix):
+        return cls(*(params[f"{prefix}.{f.name}"] for f in fields(cls)))
 
-    streams = cfg.ordered_streams
     blocks = []
     for i in range(cfg.L):
         p = f"blocks.{i}"
-        sa = SaConvParams(
-            offset_net=Conv3x3Params(params[f"{p}.sas.offset.weight"],
-                                     params[f"{p}.sas.offset.bias"]),
-            mix=NeighborMixParams(*(params[f"{p}.sas.taps.{f.name}"]
-                                    for f in fields(NeighborMixParams))),
-            local_conv=DepthwiseConv3x3Params(params[f"{p}.sas.local.weight"],
-                                              params[f"{p}.sas.local.bias"]))
-        scan = SelectiveSsmParams(*(params[f"{p}.sas.scan.{f.name}"]
-                                    for f in fields(SelectiveSsmParams)))
-        sas = SasLayerParams(sa=sa, strides=cfg.strides, streams=streams,
-                             scan=scan, gate=lin(f"{p}.sas.gate") if cfg.gated_streams else None)
-        blocks.append(BlockParams(
-            norm1=NormParams(params[f"{p}.norm1.gamma"], params[f"{p}.norm1.beta"]),
-            sas=sas,
-            norm2=NormParams(params[f"{p}.norm2.gamma"], params[f"{p}.norm2.beta"]),
-            mlp1=lin(f"{p}.mlp1"),
-            mlp2=lin(f"{p}.mlp2")))
-    return Model(config=cfg, params=params, embed=lin("embed"),
+        sa = SaConvParams(offset_net=record(Conv3x3Params, f"{p}.sas.offset"),
+                          mix=record(NeighborMixParams, f"{p}.sas.taps"),
+                          local_conv=record(Conv3x3Params, f"{p}.sas.local"))
+        gate = record(LinearParams, f"{p}.sas.gate") if cfg.gated_streams else None
+        sas = SasLayerParams(sa=sa, strides=cfg.strides, streams=cfg.ordered_streams,
+                             scan=record(SelectiveSsmParams, f"{p}.sas.scan"), gate=gate)
+        blocks.append(BlockParams(norm1=record(NormParams, f"{p}.norm1"), sas=sas,
+                                  norm2=record(NormParams, f"{p}.norm2"),
+                                  mlp1=record(LinearParams, f"{p}.mlp1"),
+                                  mlp2=record(LinearParams, f"{p}.mlp2")))
+    return Model(config=cfg, params=params, embed=record(LinearParams, "embed"),
                  pos_spatial=params["pos_spatial"], pos_temporal=params["pos_temporal"],
-                 blocks=blocks, head=lin("head"))
+                 blocks=blocks, head=record(LinearParams, "head"))
 
 
 def init_model(cfg: ModelConfig, seed: int) -> Model:

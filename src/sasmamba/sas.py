@@ -26,10 +26,10 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
-from .tensor import (Conv3x3Params, DepthwiseConv3x3Params, LinearParams,
-                     Tensor, add, bilinear_gather, depthwise_conv3x3,
-                     gather_sum, grid_conv3x3, linear, make_op, mul,
-                     reshape, silu, tensor)
+from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
+                     bilinear_gather, depthwise_conv3x3, gather_sum,
+                     grid_conv3x3, linear, make_op, mul, reshape, silu,
+                     tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -41,7 +41,7 @@ def tap_rank(k: int) -> int:
 
 
 @dataclass
-class NeighborMixParams:
+class NeighborMixParams(Params):
     """The channel maps of all K*K taps, stacked on a leading tap axis.
 
     Tap k maps a feature vector s to ``diag[k] * s + up[k] @ (down[k] @ s)``.
@@ -52,9 +52,6 @@ class NeighborMixParams:
     diag: Tensor   # (K*K, C)
     down: Tensor   # (K*K, rho, C)
     up: Tensor     # (K*K, C, rho)
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.diag, self.down, self.up)
 
     @staticmethod
     def apply(s: Tensor, mix: NeighborMixParams) -> Tensor:
@@ -92,7 +89,7 @@ class NeighborMixParams:
 
 
 @dataclass
-class SaConvParams:
+class SaConvParams(Params):
     """Deformable spatiotemporal aggregation parameters.
 
     ``offset_net`` predicts one (dt, dv) displacement per joint from a 3x3
@@ -103,7 +100,7 @@ class SaConvParams:
 
     offset_net: Conv3x3Params          # C -> 2
     mix: NeighborMixParams             # K*K taps
-    local_conv: DepthwiseConv3x3Params
+    local_conv: Conv3x3Params          # depthwise, C -> C
 
     def __post_init__(self):
         taps = self.mix.diag.shape[0]
@@ -116,9 +113,6 @@ class SaConvParams:
     def kernel_size(self) -> int:
         """K, the side of the K x K tap grid that ``mix`` holds."""
         return math.isqrt(self.mix.diag.shape[0])
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        return self.offset_net.tensors() + self.local_conv.tensors() + self.mix.tensors()
 
 
 def stride_groups(strides: tuple[int, ...], channels: int) -> list[tuple[slice, int]]:
@@ -138,7 +132,7 @@ def stride_groups(strides: tuple[int, ...], channels: int) -> list[tuple[slice, 
 
 
 @dataclass
-class SasLayerParams:
+class SasLayerParams(Params):
     """One structure-aware stride layer. ``scan`` stacks the parameters of
     the enabled ``streams`` in that order, and so does ``gate``, when the
     streams are gated: an (S, C, C) weight and an (S, C) bias."""
@@ -148,10 +142,6 @@ class SasLayerParams:
     streams: tuple[str, ...]
     scan: SelectiveSsmParams
     gate: LinearParams | None = None
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        gate = () if self.gate is None else self.gate.tensors()
-        return self.sa.tensors() + self.scan.tensors() + gate
 
 
 def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Tensor, make_op, tensor
+from .tensor import Params, Tensor, make_op, tensor
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small
@@ -47,7 +47,7 @@ def softplus_inverse(y: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SelectiveSsmParams:
+class SelectiveSsmParams(Params):
     """Input-dependent state-space parameters of S scan streams, stacked.
 
     Every field carries a leading stream axis S; row s holds stream s. The
@@ -79,10 +79,6 @@ class SelectiveSsmParams:
             raise DimensionError("b/c projection shapes inconsistent with (S, D, N)")
         if self.skip.shape != (s, d) or self.dt_bias.shape != (s, d):
             raise DimensionError("skip/dt_bias must be (S, D)")
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.a_log, self.b_weight, self.b_bias, self.c_weight,
-                self.c_bias, self.dt_down, self.dt_up, self.dt_bias, self.skip)
 
 
 def _zoh(delta: np.ndarray, a: np.ndarray, a_bar=None, factor=None):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -232,52 +232,57 @@ def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
 # --- parameter containers -------------------------------------------------
 
 
+class Params:
+    """A parameter record: its fields hold its tensors, each field named as
+    the last part of their manifest keys. :meth:`tensors` collects the
+    :class:`Tensor` fields and the tensors of nested records in field order;
+    the rest, an absent part (None) or a setting such as the strides, holds
+    none."""
+
+    def tensors(self) -> tuple[Tensor, ...]:
+        out: list[Tensor] = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, Tensor):
+                out.append(value)
+            elif isinstance(value, Params):
+                out.extend(value.tensors())
+        return tuple(out)
+
+
 @dataclass
-class LinearParams:
-    """Weight is (..., out, in); bias, when present, has one entry per output
-    row, (..., out). Leading axes stack maps that read the same input."""
+class LinearParams(Params):
+    """Weight is (..., out, in); bias has one entry per output row,
+    (..., out). Leading axes stack maps that read the same input."""
 
     weight: Tensor
-    bias: Tensor | None = None
+    bias: Tensor
 
     def __post_init__(self):
-        if self.bias is not None and self.weight.shape[:-1] != self.bias.shape:
+        if self.weight.shape[:-1] != self.bias.shape:
             raise DimensionError(
                 f"weight rows {self.weight.shape[:-1]} != bias shape {self.bias.shape}")
 
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.weight,) if self.bias is None else (self.weight, self.bias)
-
 
 @dataclass
-class NormParams:
+class NormParams(Params):
     gamma: Tensor
     beta: Tensor
 
-    def tensors(self) -> tuple[Tensor, Tensor]:
-        return (self.gamma, self.beta)
-
 
 @dataclass
-class Conv3x3Params:
-    """Dense 3x3 grid convolution over (T, V); weight is (C_out, C_in, 3, 3)."""
+class Conv3x3Params(Params):
+    """3x3 grid convolution over (T, V): weight (C_out, C_in, 3, 3) for the
+    dense :func:`grid_conv3x3`, (C, 3, 3) for :func:`depthwise_conv3x3`; bias
+    has one entry per output channel."""
 
     weight: Tensor
-    bias: Tensor | None = None
+    bias: Tensor
 
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.weight,) if self.bias is None else (self.weight, self.bias)
-
-
-@dataclass
-class DepthwiseConv3x3Params:
-    """Per-channel 3x3 grid convolution over (T, V); weight is (C, 3, 3)."""
-
-    weight: Tensor
-    bias: Tensor | None = None
-
-    def tensors(self) -> tuple[Tensor, ...]:
-        return (self.weight,) if self.bias is None else (self.weight, self.bias)
+    def __post_init__(self):
+        if self.bias.shape != self.weight.shape[:1]:
+            raise DimensionError(
+                f"weight output channels {self.weight.shape[:1]} != bias shape {self.bias.shape}")
 
 
 # --- elementwise and shape ops ---------------------------------------------
@@ -452,11 +457,8 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
     xd, wd = x.data, w.data.reshape(-1, w.shape[-1])
-    out = xd @ wd.T
-    if b is not None:
-        out = out + b.data.reshape(-1)
-    parents = (x, w) if b is None else (x, w, b)
-    nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
+    out = xd @ wd.T + b.data.reshape(-1)
+    nx, nw, nb = x.grad_node, w.grad_node, b.grad_node
 
     def backward(g):
         if nx is not None:
@@ -468,7 +470,7 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
         if nb is not None:
             nb.accumulate_grad(g.reshape(-1, wd.shape[0]).sum(axis=0).reshape(nb.shape))
 
-    return make_op(out, parents, backward)
+    return make_op(out, (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, p: NormParams) -> Tensor:
@@ -565,10 +567,8 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
     xf = x.data.reshape(-1, c_in)
     out = xf[rows].reshape(-1, 9 * c_in) @ w_mat.T
-    if b is not None:
-        out += b.data
-    parents = (x, w) if b is None else (x, w, b)
-    nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
+    out += b.data
+    nx, nw, nb = x.grad_node, w.grad_node, b.grad_node
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
@@ -583,10 +583,10 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
             scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
             nx.accumulate_grad(dx.reshape(nx.shape))
 
-    return make_op(out.reshape(t_n, v_n, c_out), parents, backward)
+    return make_op(out.reshape(t_n, v_n, c_out), (x, w, b), backward)
 
 
-def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
+def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     """Per-channel 3x3 convolution over (T, V) with clamp-to-edge padding."""
     t_n, v_n, c = x.shape
     w, b = p.weight, p.bias
@@ -597,10 +597,8 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
     xf = x.data.reshape(-1, c)
     out = np.einsum("pkc,kc->pc", xf[rows], w_mat)
-    if b is not None:
-        out += b.data
-    parents = (x, w) if b is None else (x, w, b)
-    nx, nw, nb = x.grad_node, w.grad_node, None if b is None else b.grad_node
+    out += b.data
+    nx, nw, nb = x.grad_node, w.grad_node, b.grad_node
 
     def backward(g):
         g2 = g.reshape(-1, c)
@@ -614,7 +612,7 @@ def depthwise_conv3x3(x: Tensor, p: DepthwiseConv3x3Params) -> Tensor:
             scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
             nx.accumulate_grad(dx.reshape(nx.shape))
 
-    return make_op(out.reshape(x.shape), parents, backward)
+    return make_op(out.reshape(x.shape), (x, w, b), backward)
 
 
 # --- bilinear sampling ------------------------------------------------------

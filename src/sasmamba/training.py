@@ -103,6 +103,10 @@ def total_loss(pred, gt, weights: LossWeights | None = None) -> Tensor:
 
 # --- optimizer ---------------------------------------------------------------
 
+# moment decay rates, and the term that keeps the step finite at a zero moment
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class OptimState:
@@ -111,9 +115,6 @@ class OptimState:
     lr: float = 5e-4
     decay_factor: float = 0.99
     weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -151,7 +152,7 @@ def optim_step(model: Model, state: OptimState, lr: float | None = None) -> None
             state.m[name] = np.zeros_like(t.data, dtype=np.float64)
             state.v[name] = np.zeros_like(t.data, dtype=np.float64)
     state.step += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for name, t in model.named_params():
@@ -162,7 +163,7 @@ def optim_step(model: Model, state: OptimState, lr: float | None = None) -> None
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        update = (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
+        update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
         new = t.data.astype(np.float64) - lr * update - lr * state.weight_decay * t.data
         t.data = new.astype(t.data.dtype)
 
@@ -194,14 +195,13 @@ def project(pose3d: np.ndarray, camera: Camera) -> np.ndarray:
 
 
 def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
-                  noise_sigma: float = 0.0, amplitude: float = 0.15,
-                  root_index: int = 0) -> SyntheticDataset:
+                  noise_sigma: float = 0.0, amplitude: float = 0.15) -> SyntheticDataset:
     """Deterministic harmonic motions around a fixed skeleton template.
 
     Each sequence sums 2 to 4 low-frequency harmonics on top of a template
-    point cloud, is re-centered on the root joint per frame, and is projected
-    through a pinhole camera to produce the paired 2D input. With zero noise
-    the stored 2D is exactly the projection of the stored 3D.
+    point cloud, is re-centered per frame on the root, joint 0, and is
+    projected through a pinhole camera to produce the paired 2D input. With
+    zero noise the stored 2D is exactly the projection of the stored 3D.
     """
     if n_seqs < 1 or frames < 1 or joints < 1:
         raise DomainError("n_seqs, frames, and joints must all be >= 1")
@@ -212,7 +212,7 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
     rng = np.random.default_rng(seed)
     camera = Camera()
     template = rng.uniform(-0.5, 0.5, size=(joints, 3))
-    template[root_index] = 0.0
+    template[0] = 0.0
     pairs = []
     for _ in range(n_seqs):
         pose = np.broadcast_to(template, (frames, joints, 3)).copy()
@@ -223,7 +223,7 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
             phase = rng.uniform(0.0, 2.0 * np.pi)
             wave = np.sin(2.0 * np.pi * cycles * steps / max(frames, 2) + phase)
             pose += wave[:, None, None] * amp
-        pose -= pose[:, root_index:root_index + 1, :]
+        pose -= pose[:, :1, :]
         pose3d = pose.astype(np.float32)
         kp2d = project(pose3d, camera)
         if noise_sigma > 0:

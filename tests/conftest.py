@@ -4,7 +4,7 @@ import numpy as np
 
 from sasmamba.sas import NeighborMixParams, SaConvParams, tap_rank
 from sasmamba.ssm import SelectiveSsmParams, frozen_params
-from sasmamba.tensor import Conv3x3Params, DepthwiseConv3x3Params, tensor
+from sasmamba.tensor import Conv3x3Params, tensor
 
 
 def zero_offset_net(c, dtype=np.float64, bias=(0.0, 0.0)):
@@ -13,8 +13,8 @@ def zero_offset_net(c, dtype=np.float64, bias=(0.0, 0.0)):
 
 
 def zero_local(c, dtype=np.float64):
-    return DepthwiseConv3x3Params(tensor(np.zeros((c, 3, 3)), dtype=dtype),
-                                  tensor(np.zeros(c), dtype=dtype))
+    return Conv3x3Params(tensor(np.zeros((c, 3, 3)), dtype=dtype),
+                         tensor(np.zeros(c), dtype=dtype))
 
 
 def identity_tap(c, k, dtype=np.float64):
@@ -47,8 +47,8 @@ def random_sa(rng, c, k, dtype=np.float64, zero_offsets=False):
     else:
         offset = Conv3x3Params(tensor(rng.normal(size=(2, c, 3, 3)) * 0.1, dtype=dtype),
                                tensor(rng.normal(size=2) * 0.1, dtype=dtype))
-    local = DepthwiseConv3x3Params(tensor(rng.normal(size=(c, 3, 3)) * 0.3, dtype=dtype),
-                                   tensor(rng.normal(size=c) * 0.3, dtype=dtype))
+    local = Conv3x3Params(tensor(rng.normal(size=(c, 3, 3)) * 0.3, dtype=dtype),
+                          tensor(rng.normal(size=c) * 0.3, dtype=dtype))
     mix = stack_taps([random_tap(rng, c, k, dtype) for _ in range(k * k)])
     return SaConvParams(offset_net=offset, mix=mix, local_conv=local)
 

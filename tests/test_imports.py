@@ -1,4 +1,5 @@
-"""Every module of the package and of the tests uses each name it imports."""
+"""Every module of the package and of the tests uses each name it imports,
+and every top-level definition of the package is read somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -6,8 +7,12 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(p for p in (ROOT / "src" / "sasmamba").glob("*.py") if p.name != "__init__.py")
-MODULES += sorted((ROOT / "tests").glob("*.py"))
+PACKAGE = sorted(p for p in (ROOT / "src" / "sasmamba").glob("*.py") if p.name != "__init__.py")
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+# read only by tests: the convolution oracle of the scan, the one-cloud form
+# of the P2 alignment, and the context that checks every op for NaNs
+ONLY_TESTS_READ = {"discretize", "ssm_kernel", "conv_apply", "frozen_params",
+                   "procrustes_align", "checked_mode"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -34,3 +39,31 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     source = "import os\nimport numpy as np\nfrom a.b import c, d\n\nprint(np.pi, d)\n"
     assert unused_imports(source) == ["line 1: os", "line 3: c"]
+
+
+def unread_definitions(sources: list[str]) -> list[str]:
+    """Top-level functions and classes of ``sources`` that none of them reads,
+    by name or as an attribute."""
+    defined, read = [], set()
+    for source in sources:
+        tree = ast.parse(source)
+        defined += [node.name for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
+def test_every_definition_is_read():
+    unread = unread_definitions([p.read_text() for p in PACKAGE])
+    assert sorted(set(unread) - ONLY_TESTS_READ) == []
+
+
+def test_an_unread_definition_is_found():
+    # g is read by name and f as an attribute, in another module
+    sources = ["def f():\n    return g()\n\n\ndef g():\n    return 1\n",
+               "import m\n\n\nclass C:\n    pass\n\n\nclass D:\n    x = m.f\n"]
+    assert unread_definitions(sources) == ["C", "D"]

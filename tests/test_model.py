@@ -45,6 +45,9 @@ class TestConfig:
 
     def test_invalid_configs_list_violations(self):
         with pytest.raises(ConfigError, match="D must be"):
+            ModelConfig(D=0)
+        # the width rule is the stride split's alone
+        with pytest.raises(ConfigError, match="not divisible"):
             ModelConfig(D=30)
         with pytest.raises(ConfigError, match="K must be odd"):
             tiny_cfg(K=2)
@@ -76,6 +79,17 @@ class TestInit:
         # 8 channels in fifths: the config is rejected before anything counts it
         with pytest.raises(ConfigError, match="not divisible"):
             ModelConfig(D=8, strides=(1, 2, 3, 4, 5))
+
+    def test_width_the_stride_groups_split_runs(self):
+        # 6 channels in halves: no multiple of 4, yet the two stride groups split it
+        m = init_model(tiny_cfg(D=6, strides=(1, 3)), seed=0)
+        m.mark_trainable()
+        rng = np.random.default_rng(0)
+        out = forward(m, rng.normal(size=(6, 4, 2)))
+        total_loss(out, rng.normal(size=(6, 4, 3))).backward()
+        assert np.isfinite(out.data).all()
+        for _, t in m.named_params():
+            assert t.grad is not None and np.isfinite(t.grad).all()
 
     def test_state_matrix_negative_and_dt_in_range(self):
         m = init_model(tiny_cfg(N=3), seed=0)

@@ -13,11 +13,10 @@ from conftest import bilinear_by_corners, conv3x3_by_definition
 from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
-from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params,
-                             DepthwiseConv3x3Params, LinearParams, NormParams,
-                             bilinear_gather, bilinear_weights, checked_mode,
-                             depthwise_conv3x3, finite_diff_check, grid_conv3x3,
-                             layer_norm, linear, tensor)
+from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params, LinearParams,
+                             NormParams, bilinear_gather, bilinear_weights,
+                             checked_mode, depthwise_conv3x3, finite_diff_check,
+                             grid_conv3x3, layer_norm, linear, tensor)
 
 
 def t64(a, grad=False):
@@ -41,15 +40,19 @@ class TestLinear:
         np.testing.assert_allclose(y.data, [3.0, 1.0])
 
     def test_shape_mismatch_names_both_shapes(self):
-        p = LinearParams(t64(np.zeros((2, 3))), None)
+        p = LinearParams(t64(np.zeros((2, 3))), t64(np.zeros(2)))
         with pytest.raises(DimensionError, match=r"\(2,\).*\(2, 3\)"):
             linear(t64([1.0, 2.0]), p)
 
     def test_bias_length_invariant(self):
-        with pytest.raises(DimensionError):
-            LinearParams(t64(np.zeros((2, 3))), t64(np.zeros(3)))
-        with pytest.raises(DimensionError):
-            LinearParams(t64(np.zeros((4, 2, 3))), t64(np.zeros((2, 4))))
+        # one bias entry per output row of a linear, per output channel of a
+        # conv; a bias that would broadcast is refused when the record is built
+        cases = [(LinearParams, (2, 3), (3,)), (LinearParams, (4, 2, 3), (2, 4)),
+                 (Conv3x3Params, (2, 4, 3, 3), (1,)), (Conv3x3Params, (2, 4, 3, 3), (4,)),
+                 (Conv3x3Params, (4, 3, 3), (1,)), (Conv3x3Params, (4, 3, 3), ())]
+        for record, weight, bias in cases:
+            with pytest.raises(DimensionError):
+                record(t64(np.zeros(weight)), t64(np.zeros(bias)))
 
     def test_stacked_weight_is_side_by_side_linears(self):
         # an (S, out, in) weight maps x with each of its S maps; the outputs
@@ -318,8 +321,8 @@ class TestTape:
             y = grid_conv3x3(x, Conv3x3Params(t64(rng.normal(size=(8, 16, 3, 3)), True),
                                               t64(rng.normal(size=8), True)))
         else:
-            y = depthwise_conv3x3(x, DepthwiseConv3x3Params(
-                t64(rng.normal(size=(16, 3, 3)), True), t64(rng.normal(size=16), True)))
+            y = depthwise_conv3x3(x, Conv3x3Params(t64(rng.normal(size=(16, 3, 3)), True),
+                                                   t64(rng.normal(size=16), True)))
         kept = [c.cell_contents for c in y._node.backward.__closure__]
         assert not any(isinstance(k, tz.Tensor) for k in kept)
         sizes = [a.nbytes for a in kept if isinstance(a, np.ndarray)]
@@ -424,15 +427,15 @@ class TestGridConv:
         x = rng.normal(size=shape)
         w = rng.normal(size=(2, shape[2], 3, 3))
         wd = rng.normal(size=(shape[2], 3, 3))
-        y = grid_conv3x3(t64(x), Conv3x3Params(t64(w), None))
+        y = grid_conv3x3(t64(x), Conv3x3Params(t64(w), t64(np.zeros(2))))
         np.testing.assert_allclose(y.data, conv3x3_by_definition(x, w, False),
                                    rtol=1e-12, atol=1e-12)
-        y = depthwise_conv3x3(t64(x), DepthwiseConv3x3Params(t64(wd), None))
+        y = depthwise_conv3x3(t64(x), Conv3x3Params(t64(wd), t64(np.zeros(shape[2]))))
         np.testing.assert_allclose(y.data, conv3x3_by_definition(x, wd, True),
                                    rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch(self):
-        p = Conv3x3Params(t64(np.zeros((2, 4, 3, 3))), None)
+        p = Conv3x3Params(t64(np.zeros((2, 4, 3, 3))), t64(np.zeros(2)))
         with pytest.raises(DimensionError):
             grid_conv3x3(t64(np.zeros((3, 3, 3))), p)
 
@@ -441,5 +444,5 @@ class TestGridConv:
         x = t64(rng.normal(size=(4, 4, 2)))
         w = np.zeros((2, 3, 3))
         w[:, 1, 1] = 1.0
-        y = depthwise_conv3x3(x, DepthwiseConv3x3Params(t64(w), None))
+        y = depthwise_conv3x3(x, Conv3x3Params(t64(w), t64(np.zeros(2))))
         np.testing.assert_allclose(y.data, x.data, atol=1e-12)
