@@ -12,11 +12,12 @@ its input carries a stream axis, (L, S, D), and so does every field of its
 parameters, stored stacked: stream s reads row s. Every per-step array is
 laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
-rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each call writes its
-per-chunk temporaries into one reused workspace; the adjoint keeps only the
-states and recomputes ``a_bar`` and ``factor`` per chunk from the saved step
-sizes, as Mamba's recomputation does (Gu & Dao, arXiv 2312.00752, section
-3.3.2).
+rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each pass writes its
+per-chunk temporaries into one reused workspace. The adjoint keeps one state
+per chunk, the state entering it, and recomputes the chunk's states, ``a_bar``
+and ``factor`` from it and the saved step sizes, as Mamba's recomputation does
+(Gu & Dao, arXiv 2312.00752, section 3.3.2): gradient checkpointing at chunk
+granularity (Chen et al., arXiv 1604.06174).
 """
 
 from __future__ import annotations
@@ -125,6 +126,78 @@ def _batched(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.matmul(x.swapaxes(0, 1), w.swapaxes(1, 2)).swapaxes(0, 1))
 
 
+def _advance(delta, a, b, u, start, w):
+    """Run the recurrence over one chunk from the state ``start``.
+
+    ``delta`` and ``u`` are the chunk's (k, S, D) rows and ``b`` its (k, S, N)
+    input vectors. Returns ``a_bar``, ``factor`` and the chunk's states, all
+    (k, S, N, D), written into slots 0-2 of the workspace ``w``. The forward
+    and the adjoint both call this, so the adjoint recomputes the forward's
+    bits.
+    """
+    k = len(delta)
+    a_bar, factor = _zoh(delta, a, w[0, :k], w[1, :k])
+    # b_bar * u, advanced in place into the states of the chunk
+    hc = np.multiply(factor, b[..., None], out=w[2, :k])
+    hc *= u[:, :, None, :]
+    prev = start
+    for cur, step in zip(hc, a_bar):
+        cur += step * prev
+        prev = cur
+    return a_bar, factor, hc
+
+
+def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, ud, skip):
+    """Backpropagate ``g`` through the recurrence, walking the chunks in
+    reverse and recomputing each chunk's states from ``starts``.
+
+    Returns the gradients into u (through ``skip`` and ``b_bar * u``), b, c,
+    the step sizes and ``a_log``, the last laid out (S, N, D). The workspace
+    lives only in this call, so it is freed before the caller forms the
+    projections' gradients.
+    """
+    seq_len, (s_n, n, d), dt = len(g), starts.shape[1:], g.dtype
+    d_a_log = np.zeros((s_n, n, d), dtype=dt)
+    d_b = np.empty((seq_len, s_n, n), dtype=dt)
+    d_c = np.empty((seq_len, s_n, n), dtype=dt)
+    d_delta = np.empty((seq_len, s_n, d), dtype=dt)
+    du = g * skip
+    carry = np.zeros((s_n, n, d), dtype=dt)
+    wb = np.empty((5, chunks[0].stop, s_n, n, d), dtype=dt)
+    for ci in reversed(range(len(chunks))):
+        sl = chunks[ci]
+        k = sl.stop - sl.start
+        a_bar, factor, hc = _advance(delta[sl], a, b_seq[sl], ud[sl], starts[ci], wb)
+        d_c[sl] = np.einsum("lsd,lsnd->lsn", g[sl], hc)
+        # gradient into each state h_t; only this recurrence is sequential
+        dh = np.multiply(g[sl, :, None, :], c_seq[sl, :, :, None], out=wb[3, :k])
+        for cur, step in zip(dh[::-1], a_bar[::-1]):
+            cur += carry
+            carry = cur * step
+        # b_bar * u = factor * b * u: gradients into u, b and factor
+        q = np.multiply(dh, factor, out=wb[4, :k])
+        du[sl] += np.einsum("lsnd,lsn->lsd", q, b_seq[sl])
+        d_b[sl] = np.einsum("lsnd,lsd->lsn", q, ud[sl])
+        # q = dh h_prev, h_prev being the start state and then every state of
+        # the chunk but the last; d_factor then takes the place of dh
+        np.multiply(dh[0], starts[ci], out=q[0])
+        np.multiply(dh[1:], hc[:-1], out=q[1:])
+        d_factor = np.multiply(dh, ud[sl, :, None, :], out=dh)
+        d_factor *= b_seq[sl, :, :, None]
+        # a_bar = exp(delta a) and factor = expm1(delta a) / a with
+        # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
+        # delta a_bar - factor, so with q = a_bar (a dh h_prev + d_factor)
+        # d delta = sum_n q and d a_log = sum_l (delta q - d_factor factor)
+        q *= a
+        q += d_factor
+        q *= a_bar
+        d_delta[sl] = np.einsum("lsnd->lsd", q)
+        q *= delta[sl, :, None, :]
+        q -= np.multiply(d_factor, factor, out=d_factor)
+        d_a_log += q.sum(axis=0)
+    return du, d_b, d_c, d_delta, d_a_log
+
+
 def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     """Run the input-dependent recurrence over S independent streams.
 
@@ -137,12 +210,14 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     All streams run as one computation: the stacked weights make the
     projections one batched matmul, and one recurrence advances an (S, N, D)
     state, channels innermost. Steps are processed in chunks of
-    ``SCAN_CHUNK``: discretization and readout happen per chunk, and when
-    nothing requires a gradient no (L, S, N, D) array exists. Otherwise the
-    states ``hs`` are kept, and the adjoint walks the chunks in reverse,
-    recomputing ``a_bar`` and ``factor`` from the saved step sizes through
-    :func:`_zoh`. The per-chunk temporaries of either pass are written into
-    a workspace allocated once per call. The adjoint is exact.
+    ``SCAN_CHUNK``: discretization, the recurrence and the readout happen per
+    chunk, so no (L, S, N, D) array exists, with gradients or without. The
+    adjoint keeps ``starts``, the (S, N, D) state entering each chunk, and
+    walks the chunks in reverse; for each it recomputes ``a_bar`` and
+    ``factor`` through :func:`_zoh` and the chunk's states from its start,
+    with the forward's arithmetic, so they are the forward's bits. The
+    per-chunk temporaries of either pass are written into a workspace
+    allocated once per pass. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
     ud = u.data[:, None, :] if u.data.ndim == 2 else u.data
@@ -163,69 +238,25 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     skip = p.skip.data                                                  # (S, D)
 
     parents = (u,) + p.tensors()
-    keep = any(t.requires_grad for t in parents)
     nu, p_nodes = u.grad_node, [t.grad_node for t in p.tensors()]
     chunks = _chunks(seq_len)
-    # per-chunk (k, S, N, D) temporaries live in one workspace per call,
+    # the state entering each chunk, then the final one: all the adjoint
+    # keeps of the recurrence
+    starts = np.zeros((len(chunks) + 1, s_n, n, d), dtype=dt)
+    # per-chunk (k, S, N, D) temporaries live in one workspace per pass,
     # written with out= and sliced to the length of the last, partial chunk
-    ws_shape = (min(SCAN_CHUNK, seq_len), s_n, n, d)
-    hs = np.empty((seq_len, s_n, n, d), dtype=dt) if keep else None
-    ws = np.empty((2 if keep else 3,) + ws_shape, dtype=dt)
+    ws = np.empty((3, chunks[0].stop, s_n, n, d), dtype=dt)
     ys = np.empty((seq_len, s_n, d), dtype=dt)
-    h = np.zeros((s_n, n, d), dtype=dt)
-    for sl in chunks:
-        k = sl.stop - sl.start
-        a_bar, factor = _zoh(delta[sl], a, ws[0, :k], ws[1, :k])
-        # b_bar * u, advanced in place into the states of the chunk
-        hc = np.multiply(factor, b_seq[sl, :, :, None], out=hs[sl] if keep else ws[2, :k])
-        hc *= ud[sl, :, None, :]
-        prev = h
-        for cur, step in zip(hc, a_bar):
-            cur += step * prev
-            prev = cur
-        h[...] = prev  # the workspace is rewritten by the next chunk
+    for ci, sl in enumerate(chunks):
+        hc = _advance(delta[sl], a, b_seq[sl], ud[sl], starts[ci], ws)[2]
+        starts[ci + 1] = hc[-1]
         np.matmul(c_seq[sl, :, None, :], hc, out=ys[sl, :, None, :])
     ys += skip * ud
 
     def backward(gy):
         g = gy.reshape(ud.shape)
-        d_a_log = np.zeros((s_n, n, d), dtype=dt)
-        d_b = np.empty((seq_len, s_n, n), dtype=dt)
-        d_delta = np.empty((seq_len, s_n, d), dtype=dt)
-        du = g * skip
-        carry = np.zeros((s_n, n, d), dtype=dt)
-        wb = np.empty((5,) + ws_shape, dtype=dt)
-        for sl in reversed(chunks):
-            k = sl.stop - sl.start
-            a_bar, factor = _zoh(delta[sl], a, wb[0, :k], wb[1, :k])
-            # gradient into each state h_t; only this recurrence is sequential
-            dh = np.multiply(g[sl, :, None, :], c_seq[sl, :, :, None], out=wb[2, :k])
-            for cur, step in zip(dh[::-1], a_bar[::-1]):
-                cur += carry
-                carry = cur * step
-            if sl.start:
-                h_prev = hs[sl.start - 1:sl.stop - 1]
-            else:
-                h_prev = np.concatenate([np.zeros_like(hs[:1]), hs[:sl.stop - 1]])
-            # b_bar * u = factor * b * u: gradients into u, b and factor
-            q = np.multiply(dh, factor, out=wb[3, :k])
-            du[sl] += np.einsum("lsnd,lsn->lsd", q, b_seq[sl])
-            d_b[sl] = np.einsum("lsnd,lsd->lsn", q, ud[sl])
-            d_factor = np.multiply(dh, ud[sl, :, None, :], out=wb[4, :k])
-            d_factor *= b_seq[sl, :, :, None]
-            # a_bar = exp(delta a) and factor = expm1(delta a) / a with
-            # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
-            # delta a_bar - factor, so with q = a_bar (a dh h_prev + d_factor)
-            # d delta = sum_n q and d a_log = sum_l (delta q - d_factor factor)
-            np.multiply(dh, h_prev, out=q)
-            q *= a
-            q += d_factor
-            q *= a_bar
-            d_delta[sl] = np.einsum("lsnd->lsd", q)
-            q *= delta[sl, :, None, :]
-            q -= np.multiply(d_factor, factor, out=d_factor)
-            d_a_log += q.sum(axis=0)
-        d_c = np.einsum("lsd,lsnd->lsn", g, hs)
+        du, d_b, d_c, d_delta, d_a_log = _chunk_adjoint(g, chunks, starts, delta, a, b_seq,
+                                                        c_seq, ud, skip)
         # softplus' = sigmoid, which is 1 - exp(-softplus)
         dz = d_delta * -np.expm1(-delta)
         dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)

@@ -124,6 +124,8 @@ class OptimState:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {value}")
+        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise DomainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 def lr_at(epoch: int, base: float, factor: float) -> float:

@@ -1,9 +1,12 @@
 """Selective scan: discretization, recurrence semantics, and the kernel oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import random_stream, scan_by_unroll, stack_streams
+from sasmamba import ssm
 from sasmamba.checks import OPS
 from sasmamba.errors import DimensionError, DomainError
 from sasmamba.ssm import (SCAN_CHUNK, conv_apply, discretize, frozen_params,
@@ -260,19 +263,25 @@ class TestScanGradient:
         assert finite_diff_check(OPS["selective_scan"][0], inputs, eps=1e-5) < 1e-4
 
 
+def _carrying_streams(rng, d, n=2, s_n=2):
+    """Scan parameters of s_n streams whose state entries near -0.02 keep
+    a_bar near 1, so the state carried across a chunk boundary still moves
+    the outputs."""
+    streams = [random_stream(rng, d, n) for _ in range(s_n)]
+    for p in streams:
+        p.a_log.data[:] = np.log(0.02) + rng.normal(size=p.a_log.shape) * 0.3
+    return stack_streams(streams)
+
+
 class TestChunkedScan:
     """Two streams over L = 2 * SCAN_CHUNK + 3 steps: three chunks, the last
-    one partial. State entries near -0.02 keep a_bar near 1, so the state
-    carried across a chunk boundary still moves the outputs."""
+    one partial."""
 
     def _problem(self):
         rng = np.random.default_rng(31)
-        d = 3
-        streams = [random_stream(rng, d) for _ in range(2)]
-        for p in streams:
-            p.a_log.data[:] = np.log(0.02) + rng.normal(size=p.a_log.shape) * 0.3
-        u = tensor(rng.normal(size=(2 * SCAN_CHUNK + 3, 2, d)), dtype=np.float64)
-        return u, stack_streams(streams)
+        streams = _carrying_streams(rng, d=3)
+        u = tensor(rng.normal(size=(2 * SCAN_CHUNK + 3, 2, 3)), dtype=np.float64)
+        return u, streams
 
     def test_forward_matches_unroll(self):
         u, streams = self._problem()
@@ -288,3 +297,56 @@ class TestChunkedScan:
             leaf.requires_grad = True
         err = finite_diff_check_leaves(lambda: selective_scan(u, streams), leaves, sample=6)
         assert err < 1e-6
+
+
+class TestChunkBoundaries:
+    """The chunk size only groups the steps: any SCAN_CHUNK gives the output
+    of one chunk to the bit, and the gradients up to the order in which the
+    chunks' ``a_log`` terms are summed."""
+
+    def _run(self, monkeypatch, chunk, u_data, streams):
+        monkeypatch.setattr(ssm, "SCAN_CHUNK", chunk)
+        u = tensor(u_data, requires_grad=True, dtype=np.float64)
+        for t in streams.tensors():
+            t.requires_grad, t.grad = True, None
+        out = selective_scan(u, streams)
+        # a fixed random cotangent reaches every output
+        out.backward(np.random.default_rng(7).normal(size=out.shape))
+        return out.data, [u.grad] + [t.grad for t in streams.tensors()]
+
+    @pytest.mark.parametrize("length", [2, 3, 4, 63, 64, 65, 131])
+    def test_any_chunk_size_gives_one_chunks_result(self, monkeypatch, length):
+        # chunk sizes 1, 3 and 64 against one chunk: lengths below, at, one
+        # past and no multiple of each
+        rng = np.random.default_rng(length)
+        streams = _carrying_streams(rng, d=3)
+        u_data = rng.normal(size=(length, 2, 3))
+        whole, whole_grads = self._run(monkeypatch, length + 5, u_data, streams)
+        for chunk in (1, 3, 64):
+            out, grads = self._run(monkeypatch, chunk, u_data, streams)
+            assert out.tobytes() == whole.tobytes(), chunk
+            assert len(grads) == 10
+            for got, want in zip(grads, whole_grads):
+                err = np.abs(got - want).max() / np.abs(want).max()
+                assert err <= 1e-12, (chunk, err)
+
+
+class TestScanTape:
+    def test_forward_keeps_no_state_per_step(self):
+        # with gradients on, what a multi-chunk forward leaves allocated stays
+        # below one (L, S, N, D) array: the adjoint keeps one state per chunk
+        rng = np.random.default_rng(3)
+        s_n, n, d = 2, 32, 8
+        length = 3 * SCAN_CHUNK + 5
+        streams = _carrying_streams(rng, d, n, s_n)
+        for t in streams.tensors():
+            t.requires_grad = True
+        u = tensor(rng.normal(size=(length, s_n, d)), requires_grad=True, dtype=np.float64)
+        tracemalloc.start()
+        try:
+            out = selective_scan(u, streams)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held < length * s_n * n * d * 8, held

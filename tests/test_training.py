@@ -195,6 +195,13 @@ class TestOptim:
         with pytest.raises(DomainError, match=field):
             OptimState(**{field: value})
 
+    @pytest.mark.parametrize("value", [-1e-3, np.nan, np.inf, -np.inf])
+    def test_weight_decay_must_be_finite_and_non_negative(self, value):
+        # a NaN decay turned every weight into NaN and a negative one grew them
+        with pytest.raises(DomainError, match="weight_decay"):
+            OptimState(weight_decay=value)
+        assert OptimState(weight_decay=0.0).weight_decay == 0.0
+
 
 class TestLrSchedule:
     def test_epoch_zero(self):
