@@ -40,6 +40,12 @@ def tap_rank(k: int) -> int:
     return 2 * k * k
 
 
+def _low_rank(sf: np.ndarray, down: np.ndarray) -> np.ndarray:
+    """``down[k] @ sf[k]`` of every tap k side by side, (P, K*rho), tap-major."""
+    k_n, rho = down.shape[:2]
+    return np.matmul(sf, down.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, k_n * rho)
+
+
 @dataclass
 class NeighborMixParams(Params):
     """The channel maps of all K*K taps, stacked on a leading tap axis.
@@ -59,8 +65,10 @@ class NeighborMixParams(Params):
 
         ``s`` stacks one (..., C) sample per tap on its leading axis; the
         result drops that axis. All maps run as one op: a batched ``down``
-        product and one matmul with the ``up`` maps side by side. Call it
-        through the class, ``NeighborMixParams.apply(s, mix)``.
+        product and one matmul with the ``up`` maps side by side. The tape
+        keeps the samples, not the (P, K*rho) ``down`` products: the adjoint
+        rebuilds them for the ``up`` gradient with the forward's own matmul.
+        Call it through the class, ``NeighborMixParams.apply(s, mix)``.
         """
         k_n, c = s.shape[0], s.shape[-1]
         if k_n != mix.diag.shape[0]:
@@ -69,8 +77,7 @@ class NeighborMixParams(Params):
         rho = down.shape[1]
         up = mix.up.data.transpose(1, 0, 2).reshape(c, k_n * rho)
         sf = s.data.reshape(k_n, -1, c)                                 # (K, P, C)
-        lo = np.matmul(sf, down.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, k_n * rho)
-        out = np.einsum("kpc,kc->pc", sf, diag) + lo @ up.T
+        out = np.einsum("kpc,kc->pc", sf, diag) + _low_rank(sf, down) @ up.T
         ns, mix_nodes = s.grad_node, [t.grad_node for t in mix.tensors()]
 
         def backward(g):
@@ -80,7 +87,7 @@ class NeighborMixParams(Params):
                 ns.accumulate_grad((diag[:, None, :] * g2 + d_lo @ down).reshape(ns.shape))
             grads = (np.einsum("pc,kpc->kc", g2, sf),
                      d_lo.transpose(0, 2, 1) @ sf,
-                     (g2.T @ lo).reshape(c, k_n, rho).transpose(1, 0, 2))
+                     (g2.T @ _low_rank(sf, down)).reshape(c, k_n, rho).transpose(1, 0, 2))
             for node, d in zip(mix_nodes, grads):
                 if node is not None:
                     node.accumulate_grad(d)

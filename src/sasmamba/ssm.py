@@ -15,9 +15,11 @@ elementwise work broadcasting over the state axis N runs on contiguous
 rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each pass writes its
 per-chunk temporaries into one reused workspace. The adjoint keeps one state
 per chunk, the state entering it, and recomputes the chunk's states, ``a_bar``
-and ``factor`` from it and the saved step sizes, as Mamba's recomputation does
-(Gu & Dao, arXiv 2312.00752, section 3.3.2): gradient checkpointing at chunk
-granularity (Chen et al., arXiv 1604.06174).
+and ``factor`` from it, as Mamba's recomputation does (Gu & Dao, arXiv
+2312.00752, section 3.3.2): gradient checkpointing at chunk granularity (Chen
+et al., arXiv 1604.06174). It keeps no step sizes either: it rebuilds them
+from the bottleneck columns of the input projections, which it keeps anyway,
+with the forward's expression.
 """
 
 from __future__ import annotations
@@ -30,8 +32,11 @@ from .errors import DimensionError, DomainError
 from .tensor import Params, Tensor, make_op, tensor
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
-# large array ops, short enough that a chunk of (S, N, D) states stays small
-SCAN_CHUNK = 128
+# large array ops, short enough that a chunk of (S, N, D) states stays small.
+# The chunk also sizes the adjoint's five-slot (SCAN_CHUNK, S, N, D)
+# workspace, the last transient of a backward, which the tape-ratio test
+# of tests/test_model.py bounds
+SCAN_CHUNK = 64
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -126,6 +131,11 @@ def _batched(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(np.matmul(x.swapaxes(0, 1), w.swapaxes(1, 2)).swapaxes(0, 1))
 
 
+def _step_sizes(m1, dt_up, dt_bias):
+    """The (L, S, D) step sizes from the (L, S, r) bottleneck rows ``m1``."""
+    return softplus(_batched(m1, dt_up) + dt_bias)
+
+
 def _advance(delta, a, b, u, start, w):
     """Run the recurrence over one chunk from the state ``start``.
 
@@ -214,8 +224,11 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     chunk, so no (L, S, N, D) array exists, with gradients or without. The
     adjoint keeps ``starts``, the (S, N, D) state entering each chunk, and
     walks the chunks in reverse; for each it recomputes ``a_bar`` and
-    ``factor`` through :func:`_zoh` and the chunk's states from its start,
-    with the forward's arithmetic, so they are the forward's bits. The
+    ``factor`` through :func:`_zoh` and the chunk's states from its start.
+    It keeps no (L, S, D) step sizes: it rebuilds them through
+    :func:`_step_sizes` from the bottleneck columns of the projections,
+    which it keeps for the weight gradients. Both rebuilds run the forward's
+    code on the forward's inputs, so they are the forward's bits. The
     per-chunk temporaries of either pass are written into a workspace
     allocated once per pass. The adjoint is exact.
     """
@@ -233,8 +246,8 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     b_seq = proj[..., :n] + p.b_bias.data                               # (L, S, N)
     c_seq = proj[..., n:2 * n] + p.c_bias.data
     m1 = proj[..., 2 * n:]                                              # (L, S, r)
-    dt_up = p.dt_up.data                                                # (S, D, r)
-    delta = softplus(_batched(m1, dt_up) + p.dt_bias.data)              # (L, S, D)
+    dt_up, dt_bias = p.dt_up.data, p.dt_bias.data                       # (S, D, r), (S, D)
+    delta = _step_sizes(m1, dt_up, dt_bias)                             # (L, S, D)
     skip = p.skip.data                                                  # (S, D)
 
     parents = (u,) + p.tensors()
@@ -255,6 +268,7 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
 
     def backward(gy):
         g = gy.reshape(ud.shape)
+        delta = _step_sizes(m1, dt_up, dt_bias)
         du, d_b, d_c, d_delta, d_a_log = _chunk_adjoint(g, chunks, starts, delta, a, b_seq,
                                                         c_seq, ud, skip)
         # softplus' = sigmoid, which is 1 - exp(-softplus)

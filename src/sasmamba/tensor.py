@@ -352,17 +352,23 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact erf form."""
+    """Gaussian-error linear unit, exact erf form.
+
+    The tape keeps one array, the slope ``cdf + x * pdf``, formed in the
+    forward only when x needs a gradient; neither x nor the CDF is kept.
+    """
     from scipy.special import erf  # at first use, as in bilinear_gather
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
     out = (d * cdf).astype(d.dtype, copy=False)
     nx = x.grad_node
+    if nx is not None:
+        pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
+        slope = (cdf + d * pdf).astype(d.dtype, copy=False)
 
     def backward(g):
         if nx is not None:
-            pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-            nx.accumulate_grad(g * (cdf + d * pdf).astype(d.dtype, copy=False))
+            nx.accumulate_grad(g * slope)
 
     return make_op(out, (x,), backward)
 

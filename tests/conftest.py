@@ -1,6 +1,9 @@
 """Shared builders for degenerate and randomized layer parameters."""
 
+import types
+
 import numpy as np
+from scipy import sparse
 
 from sasmamba.sas import NeighborMixParams, SaConvParams, tap_rank
 from sasmamba.ssm import SelectiveSsmParams, frozen_params
@@ -121,3 +124,47 @@ def bilinear_by_corners(x, t, v):
     a, b = t - t0, v - v0
     return ((1 - a) * (1 - b) * x[t0, v0] + (1 - a) * b * x[t0, v1]
             + a * (1 - b) * x[t1, v0] + a * b * x[t1, v1])
+
+
+def _captured(obj):
+    """The base buffers of the arrays ``obj`` holds: an array, a list or
+    tuple of them, a sparse matrix (its data, indices and indptr) or a nested
+    function, through its own closure."""
+    if isinstance(obj, np.ndarray):
+        while isinstance(obj.base, np.ndarray):
+            obj = obj.base
+        yield obj
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _captured(item)
+    elif sparse.issparse(obj):
+        yield from _captured((obj.data, obj.indices, obj.indptr))
+    elif isinstance(obj, types.FunctionType):
+        for cell in obj.__closure__ or ():
+            yield from _captured(cell.cell_contents)
+
+
+def tape_captures(root):
+    """What the adjoint closures reachable from the tensor ``root`` keep.
+
+    Returns ``(op, bases)`` for each tape node with an adjoint, the op named
+    as checked mode names it. Every captured array is counted as its base
+    buffer and only once, under the first node of the walk that captures
+    it, so the bytes of all ``bases`` sum to the tape's size.
+    """
+    out, seen, visited = [], set(), set()
+    stack = [root._node]
+    while stack:
+        node = stack.pop()
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.extend(node.parents)
+        if node.backward is not None:
+            bases = []
+            for base in _captured(node.backward):
+                if id(base) not in seen:
+                    seen.add(id(base))
+                    bases.append(base)
+            out.append((node.backward.__qualname__.partition(".<locals>")[0], bases))
+    return out

@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import tape_captures
+
 import sasmamba.sas
 import sasmamba.ssm
 import sasmamba.tensor as tz
@@ -12,7 +14,7 @@ from sasmamba.errors import ConfigError, DimensionError, NumericError
 from sasmamba.model import (ModelConfig, astype_model, block_forward,
                             count_macs, count_params, forward, group_counts,
                             init_model, param_entries)
-from sasmamba.sas import four_stream_scan, sa_conv, stride_scan
+from sasmamba.sas import four_stream_scan, sa_conv, stride_scan, tap_rank
 from sasmamba.tensor import (Tensor, add, finite_diff_check_leaves, gelu,
                              layer_norm, linear, tensor)
 from sasmamba.training import gen_synthetic, total_loss
@@ -357,3 +359,25 @@ class TestTapeConsumption:
         finally:
             tracemalloc.stop()
         assert peak <= 1.3 * after_forward, peak / after_forward
+
+    def test_tape_keeps_only_what_adjoints_cannot_rebuild(self):
+        # gelu keeps its slope alone; the mixer rebuilds its (T*V, K*K*rho)
+        # low-rank products and the scan its (L, S, D) step sizes in the
+        # adjoint, so the scan keeps one array of that size: its input
+        cfg = ModelConfig(L=2, D=32, T=27)
+        kept = {}
+        for op, bases in tape_captures(self._step(cfg)[2]):
+            kept.setdefault(op, []).append(bases)
+        positions = cfg.T * cfg.V
+        assert len(kept["gelu"]) == cfg.L
+        for bases in kept["gelu"]:
+            assert [b.shape for b in bases] == [(cfg.T, cfg.V, cfg.mlp_ratio * cfg.D)]
+        assert len(kept["NeighborMixParams.apply"]) == cfg.L
+        low_rank = positions * cfg.K ** 2 * tap_rank(cfg.K)
+        for bases in kept["NeighborMixParams.apply"]:
+            assert [b.shape for b in bases if b.size == low_rank] == []
+        assert len(kept["selective_scan"]) == cfg.L
+        steps = positions * len(cfg.streams) * cfg.D
+        for bases in kept["selective_scan"]:
+            assert len([b for b in bases if b.dtype.kind == "f" and b.size == steps]) == 1
+

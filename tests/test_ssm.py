@@ -316,13 +316,13 @@ class TestChunkBoundaries:
 
     @pytest.mark.parametrize("length", [2, 3, 4, 63, 64, 65, 131])
     def test_any_chunk_size_gives_one_chunks_result(self, monkeypatch, length):
-        # chunk sizes 1, 3 and 64 against one chunk: lengths below, at, one
-        # past and no multiple of each
+        # chunk sizes 1, 3, 64 (the default) and 128 (the earlier default)
+        # against one chunk: lengths below, at, one past and no multiple of each
         rng = np.random.default_rng(length)
         streams = _carrying_streams(rng, d=3)
         u_data = rng.normal(size=(length, 2, 3))
         whole, whole_grads = self._run(monkeypatch, length + 5, u_data, streams)
-        for chunk in (1, 3, 64):
+        for chunk in (1, 3, 64, 128):
             out, grads = self._run(monkeypatch, chunk, u_data, streams)
             assert out.tobytes() == whole.tobytes(), chunk
             assert len(grads) == 10
@@ -333,8 +333,9 @@ class TestChunkBoundaries:
 
 class TestScanTape:
     def test_forward_keeps_no_state_per_step(self):
-        # with gradients on, what a multi-chunk forward leaves allocated stays
+        # with gradients on, what a four-chunk forward leaves allocated stays
         # below one (L, S, N, D) array: the adjoint keeps one state per chunk
+        # (about 0.58 of that array here, almost all of it the projections)
         rng = np.random.default_rng(3)
         s_n, n, d = 2, 32, 8
         length = 3 * SCAN_CHUNK + 5
