@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegeneracyError, DimensionError
+from .errors import DegeneracyError, DimensionError, DomainError
 
 # every check of one frame's alignment, in the order the frame runs them
 _CHECKS = ("target cloud is rank-deficient; alignment is ill-posed",
@@ -70,7 +70,7 @@ def mpjpe_p1(pred, gt, root_index: int = 0) -> float:
     _check_pair(pred, gt, 3)
     v = pred.shape[1]
     if not (0 <= root_index < v):
-        raise IndexError(f"root index {root_index} out of range for {v} joints")
+        raise DomainError(f"root index {root_index} out of range for {v} joints")
     pred = pred - pred[:, root_index:root_index + 1, :]
     gt = gt - gt[:, root_index:root_index + 1, :]
     return float(np.linalg.norm(pred - gt, axis=-1).mean())

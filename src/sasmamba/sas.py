@@ -78,19 +78,14 @@ class NeighborMixParams(Params):
         up = mix.up.data.transpose(1, 0, 2).reshape(c, k_n * rho)
         sf = s.data.reshape(k_n, -1, c)                                 # (K, P, C)
         out = np.einsum("kpc,kc->pc", sf, diag) + _low_rank(sf, down) @ up.T
-        ns, mix_nodes = s.grad_node, [t.grad_node for t in mix.tensors()]
+        s_shape = s.shape
 
         def backward(g):
             g2 = g.reshape(-1, c)
+            d_up = (g2.T @ _low_rank(sf, down)).reshape(c, k_n, rho).transpose(1, 0, 2)
             d_lo = np.ascontiguousarray((g2 @ up).reshape(-1, k_n, rho).transpose(1, 0, 2))
-            if ns is not None:
-                ns.accumulate_grad((diag[:, None, :] * g2 + d_lo @ down).reshape(ns.shape))
-            grads = (np.einsum("pc,kpc->kc", g2, sf),
-                     d_lo.transpose(0, 2, 1) @ sf,
-                     (g2.T @ _low_rank(sf, down)).reshape(c, k_n, rho).transpose(1, 0, 2))
-            for node, d in zip(mix_nodes, grads):
-                if node is not None:
-                    node.accumulate_grad(d)
+            return ((diag[:, None, :] * g2 + d_lo @ down).reshape(s_shape),
+                    np.einsum("pc,kpc->kc", g2, sf), d_lo.transpose(0, 2, 1) @ sf, d_up)
 
         return make_op(out.reshape(s.shape[1:]), (s,) + mix.tensors(), backward)
 
@@ -186,15 +181,13 @@ def stride_scan(x: Tensor, strides: tuple[int, ...]) -> Tensor:
     out = np.empty_like(x.data)
     for cols, s in groups:
         out[..., cols] = x.data[:, (np.arange(v_n) // s) * s, cols]
-    nx = x.grad_node
 
     def backward(g):
-        if nx is not None:
-            # joint block [v0, v0 + s) reads joint v0: its gradient is the block sum
-            dx = np.zeros(nx.shape, dtype=nx.dtype)
-            for cols, s in groups:
-                dx[:, ::s, cols] = np.add.reduceat(g[..., cols], np.arange(0, v_n, s), axis=1)
-            nx.accumulate_grad(dx)
+        # joint block [v0, v0 + s) reads joint v0: its gradient is the block sum
+        dx = np.zeros_like(g)
+        for cols, s in groups:
+            dx[:, ::s, cols] = np.add.reduceat(g[..., cols], np.arange(0, v_n, s), axis=1)
+        return (dx,)
 
     return make_op(out, (x,), backward)
 

@@ -250,8 +250,6 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     delta = _step_sizes(m1, dt_up, dt_bias)                             # (L, S, D)
     skip = p.skip.data                                                  # (S, D)
 
-    parents = (u,) + p.tensors()
-    nu, p_nodes = u.grad_node, [t.grad_node for t in p.tensors()]
     chunks = _chunks(seq_len)
     # the state entering each chunk, then the final one: all the adjoint
     # keeps of the recurrence
@@ -276,18 +274,13 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
         dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)
         dproj = np.concatenate([d_b, d_c, dm1], axis=2).swapaxes(0, 1)  # (S, L, 2N+r)
         dw = np.matmul(dproj.swapaxes(1, 2), ud.swapaxes(0, 1))         # (S, 2N+r, D)
-        grads = (d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
-                 dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
-                 np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),   # dt_up
-                 dz.sum(axis=0), (g * ud).sum(axis=0))
-        for node, grad in zip(p_nodes, grads):
-            if node is not None:
-                node.accumulate_grad(grad)
-        if nu is not None:
-            du += np.matmul(dproj, w).swapaxes(0, 1)
-            nu.accumulate_grad(du.reshape(nu.shape))
+        du += np.matmul(dproj, w).swapaxes(0, 1)
+        return (du.reshape(gy.shape), d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
+                dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
+                np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),    # dt_up
+                dz.sum(axis=0), (g * ud).sum(axis=0))
 
-    return make_op(ys.reshape(u.shape), parents, backward)
+    return make_op(ys.reshape(u.shape), (u,) + p.tensors(), backward)
 
 
 def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,

@@ -3,10 +3,11 @@
 Every differentiable operation here builds its output through :func:`make_op`,
 attaching a closure that knows the exact adjoint of the forward computation.
 The graph is made of :class:`Node` objects, kept apart from the values: an
-adjoint captures the arrays it reads and its parents' nodes, never a parent
-tensor, so an intermediate no adjoint reads is freed as soon as the forward
-code drops it. ``Tensor.backward`` replays the adjoints in reverse
-topological order and consumes the graph as it goes: one forward allows one
+adjoint captures only the arrays it reads, never a tensor or a node, so an
+intermediate no adjoint reads is freed as soon as the forward code drops it.
+An adjoint returns one gradient per op input; ``Tensor.backward`` replays the
+adjoints in reverse topological order, hands each gradient to its input's
+node in one place, and consumes the graph as it goes: one forward allows one
 backward, and afterwards only the leaves (and the root) hold gradients. There
 is no graph optimization; the contract is that every op in ``checks.OPS``
 survives :func:`finite_diff_check` against central differences in 64-bit mode.
@@ -48,18 +49,19 @@ def checked_mode():
 class Node:
     """The gradient side of a tensor: what backward needs, never the value.
 
-    ``parents`` are the nodes of the op inputs that require gradients and
-    ``backward`` is the op's adjoint; a leaf has neither. Adjoints capture
-    the arrays they read plus their parents' nodes, never a parent
-    :class:`Tensor`, so the tape keeps an intermediate's array only while an
-    adjoint reads it. ``grad`` is allocated on first accumulation, as a
-    contiguous copy of the incoming gradient in the node's shape and dtype.
+    ``parents`` holds one entry per op input, in input order: the input's
+    node, or None when the input needs no gradient. ``backward`` is the op's
+    adjoint; a leaf has neither. Adjoints capture only the arrays they read,
+    never a :class:`Tensor` or a node, so the tape keeps an intermediate's
+    array only while an adjoint reads it. ``grad`` is allocated on first
+    accumulation, as a contiguous copy of the incoming gradient in the node's
+    shape and dtype.
     """
 
     __slots__ = ("grad", "parents", "backward", "shape", "dtype")
 
-    def __init__(self, shape: tuple[int, ...], dtype, parents: tuple[Node, ...] = (),
-                 backward=None):
+    def __init__(self, shape: tuple[int, ...], dtype,
+                 parents: tuple[Node | None, ...] = (), backward=None):
         self.grad: np.ndarray | None = None
         self.parents = parents
         self.backward = backward
@@ -74,6 +76,18 @@ class Node:
                                  order="C")
         else:
             self.grad += g
+
+
+def _accumulate(nodes: tuple[Node | None, ...], grads) -> None:
+    """Add each gradient into its node, skipping inputs that need none.
+
+    Every gradient reaches a node through here. It is a function of its own
+    so that, once it returns, no local still holds the last gradient while
+    the next adjoint runs.
+    """
+    for node, g in zip(nodes, grads):
+        if node is not None:
+            node.accumulate_grad(g)
 
 
 class Tensor:
@@ -117,20 +131,12 @@ class Tensor:
         return node
 
     @property
-    def grad_node(self) -> Node | None:
-        """The node an adjoint accumulates into; None when no gradient is wanted."""
-        return self.node if self.requires_grad else None
-
-    @property
     def grad(self) -> np.ndarray | None:
         return None if self._node is None else self._node.grad
 
     @grad.setter
     def grad(self, value: np.ndarray | None) -> None:
         self.node.grad = value
-
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        self.node.accumulate_grad(g)
 
     def zero_grad(self) -> None:
         if self._node is not None:
@@ -177,17 +183,17 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node.parents:
-                if id(p) not in visited:
+                if p is not None and id(p) not in visited:
                     stack.append((p, False))
 
-        root.accumulate_grad(seed)
+        _accumulate((root,), (seed,))
         while order:
             # popped, so the list holds no reference once the node is done
             node = order.pop()
             if node.backward is None:
                 continue
             if node.grad is not None:
-                node.backward(node.grad)
+                _accumulate(node.parents, node.backward(node.grad))
             node.backward, node.parents = _consumed, ()
             if node is not root:
                 node.grad = None
@@ -209,23 +215,26 @@ def tensor(data, requires_grad: bool = False, dtype=None) -> Tensor:
 
 
 def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tensor:
-    """Wrap an op result, recording its parents' nodes and the adjoint.
+    """Wrap an op result, recording its inputs' nodes and the adjoint.
 
-    ``backward(g)`` receives the upstream gradient and must accumulate into
-    each parent's :attr:`Tensor.grad_node`, captured before the call, via
-    ``accumulate_grad``; it must not capture a parent :class:`Tensor`. The
-    adjoint is dropped when no parent requires gradients. In checked mode a
-    non-finite result raises :class:`NumericError` naming the op, the
-    function that defines the adjoint.
+    ``backward(g)`` receives the upstream gradient and returns one gradient
+    per input of ``parents``, in that order, each broadcastable to its
+    input's shape; ``Tensor.backward`` accumulates them, skipping inputs that
+    need no gradient. The adjoint captures arrays only, never a
+    :class:`Tensor` or a node. It is dropped when no input requires
+    gradients. In checked mode a non-finite result raises
+    :class:`NumericError` naming the op, the function that defines the
+    adjoint.
     """
     if _checked and not np.isfinite(out_data).all():
         op = backward.__qualname__.partition(".<locals>")[0]
         raise NumericError(f"non-finite values in the output of '{op}'")
     out = Tensor(out_data)
-    nodes = tuple(p.node for p in parents if p.requires_grad)
-    if nodes:
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
-        out._node = Node(out.data.shape, out.data.dtype, nodes, backward)
+        out._node = Node(out.data.shape, out.data.dtype,
+                         tuple(p.node if p.requires_grad else None for p in parents),
+                         backward)
     return out
 
 
@@ -300,55 +309,39 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data + b.data
-    na, nb = a.grad_node, b.grad_node
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        if na is not None:
-            na.accumulate_grad(_unbroadcast(g, na.shape))
-        if nb is not None:
-            nb.accumulate_grad(_unbroadcast(g, nb.shape))
+        return _unbroadcast(g, sa), _unbroadcast(g, sb)
 
-    return make_op(out, (a, b), backward)
+    return make_op(a.data + b.data, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-    na, nb = a.grad_node, b.grad_node
+    sa, sb = a.shape, b.shape
 
     def backward(g):
-        if na is not None:
-            na.accumulate_grad(_unbroadcast(g, na.shape))
-        if nb is not None:
-            nb.accumulate_grad(-_unbroadcast(g, nb.shape))
+        return _unbroadcast(g, sa), -_unbroadcast(g, sb)
 
-    return make_op(out, (a, b), backward)
+    return make_op(a.data - b.data, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     ad, bd = a.data, b.data
-    out = ad * bd
-    na, nb = a.grad_node, b.grad_node
 
     def backward(g):
-        if na is not None:
-            na.accumulate_grad(_unbroadcast(g * bd, na.shape))
-        if nb is not None:
-            nb.accumulate_grad(_unbroadcast(g * ad, nb.shape))
+        return _unbroadcast(g * bd, ad.shape), _unbroadcast(g * ad, bd.shape)
 
-    return make_op(out, (a, b), backward)
+    return make_op(ad * bd, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.data.dtype.type(c)
-    out = a.data * c
-    na = a.grad_node
 
     def backward(g):
-        if na is not None:
-            na.accumulate_grad(g * c)
+        return (g * c,)
 
-    return make_op(out, (a,), backward)
+    return make_op(a.data * c, (a,), backward)
 
 
 def gelu(x: Tensor) -> Tensor:
@@ -361,14 +354,12 @@ def gelu(x: Tensor) -> Tensor:
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
     out = (d * cdf).astype(d.dtype, copy=False)
-    nx = x.grad_node
-    if nx is not None:
+    if x.requires_grad:
         pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
         slope = (cdf + d * pdf).astype(d.dtype, copy=False)
 
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(g * slope)
+        return (g * slope,)
 
     return make_op(out, (x,), backward)
 
@@ -377,11 +368,9 @@ def silu(x: Tensor) -> Tensor:
     d = x.data
     sig = 1.0 / (1.0 + np.exp(-d))
     out = (d * sig).astype(d.dtype, copy=False)
-    nx = x.grad_node
 
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(g * (sig * (1.0 + d * (1.0 - sig))).astype(d.dtype, copy=False))
+        return (g * (sig * (1.0 + d * (1.0 - sig))).astype(d.dtype, copy=False),)
 
     return make_op(out, (x,), backward)
 
@@ -391,61 +380,47 @@ def sqrt(x: Tensor) -> Tensor:
     if np.any(x.data < 0):
         raise DomainError("sqrt of negative value")
     out = np.sqrt(x.data)
-    nx = x.grad_node
 
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(g / (2.0 * out))
+        return (g / (2.0 * out),)
 
     return make_op(out, (x,), backward)
 
 
 def sum_all(x: Tensor) -> Tensor:
-    out = np.asarray(x.data.sum(), dtype=x.dtype)
-    nx = x.grad_node
-
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(np.broadcast_to(g, nx.shape).astype(nx.dtype))
+        return (g,)                  # a scalar, broadcast over x when accumulated
 
-    return make_op(out, (x,), backward)
+    return make_op(np.asarray(x.data.sum(), dtype=x.dtype), (x,), backward)
 
 
 def sum_last(x: Tensor) -> Tensor:
-    out = x.data.sum(axis=-1)
-    nx = x.grad_node
-
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(np.repeat(g[..., None], nx.shape[-1], axis=-1))
+        return (g[..., None],)       # broadcast over x's last axis when accumulated
 
-    return make_op(out, (x,), backward)
+    return make_op(x.data.sum(axis=-1), (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-    nx = x.grad_node
+    x_shape = x.shape
 
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(g.reshape(nx.shape))
+        return (g.reshape(x_shape),)
 
-    return make_op(out, (x,), backward)
+    return make_op(x.data.reshape(shape), (x,), backward)
 
 
 def slice0(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for axis of size {x.shape[0]}")
-    out = x.data[start:stop].copy()
-    nx = x.grad_node
+    x_shape = x.shape
 
     def backward(g):
-        if nx is not None:
-            full = np.zeros(nx.shape, dtype=nx.dtype)
-            full[start:stop] = g
-            nx.accumulate_grad(full)
+        full = np.zeros(x_shape, dtype=g.dtype)
+        full[start:stop] = g
+        return (full,)
 
-    return make_op(out, (x,), backward)
+    return make_op(x.data[start:stop].copy(), (x,), backward)
 
 
 # --- core layers ------------------------------------------------------------
@@ -464,17 +439,12 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
     xd, wd = x.data, w.data.reshape(-1, w.shape[-1])
     out = xd @ wd.T + b.data.reshape(-1)
-    nx, nw, nb = x.grad_node, w.grad_node, b.grad_node
+    w_shape, b_shape = w.shape, b.shape
 
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(g @ wd)
-        if nw is not None:
-            g2 = g.reshape(-1, wd.shape[0])
-            x2 = xd.reshape(-1, wd.shape[1])
-            nw.accumulate_grad((g2.T @ x2).reshape(nw.shape))
-        if nb is not None:
-            nb.accumulate_grad(g.reshape(-1, wd.shape[0]).sum(axis=0).reshape(nb.shape))
+        g2 = g.reshape(-1, wd.shape[0])
+        return (g @ wd, (g2.T @ xd.reshape(-1, wd.shape[1])).reshape(w_shape),
+                g2.sum(axis=0).reshape(b_shape))
 
     return make_op(out, (x, w, b), backward)
 
@@ -494,18 +464,13 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     xhat = centered * inv
     gamma = p.gamma.data
     out = gamma * xhat + p.beta.data
-    nx, ngamma, nbeta = x.grad_node, p.gamma.grad_node, p.beta.grad_node
 
     def backward(g):
-        if ngamma is not None:
-            ngamma.accumulate_grad((g * xhat).reshape(-1, c).sum(axis=0))
-        if nbeta is not None:
-            nbeta.accumulate_grad(g.reshape(-1, c).sum(axis=0))
-        if nx is not None:
-            gx = g * gamma
-            m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            nx.accumulate_grad(inv * (gx - m1 - xhat * m2))
+        gx = g * gamma
+        m1 = gx.mean(axis=-1, keepdims=True)
+        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+        return (inv * (gx - m1 - xhat * m2), (g * xhat).reshape(-1, c).sum(axis=0),
+                g.reshape(-1, c).sum(axis=0))
 
     return make_op(out, (x, p.gamma, p.beta), backward)
 
@@ -540,14 +505,12 @@ def gather_sum(x: Tensor, rows: np.ndarray, inverse: np.ndarray) -> Tensor:
     with ``rows`` and ``inverse`` swapped, and needs no scatter.
     """
     c = x.shape[-1]
-    out = _take_rows(x.data, rows, c)
-    nx = x.grad_node
+    x_shape = x.shape
 
     def backward(g):
-        if nx is not None:
-            nx.accumulate_grad(_take_rows(g, inverse, c).reshape(nx.shape))
+        return (_take_rows(g, inverse, c).reshape(x_shape),)
 
-    return make_op(out, (x,), backward)
+    return make_op(_take_rows(x.data, rows, c), (x,), backward)
 
 
 def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
@@ -574,20 +537,14 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     xf = x.data.reshape(-1, c_in)
     out = xf[rows].reshape(-1, 9 * c_in) @ w_mat.T
     out += b.data
-    nx, nw, nb = x.grad_node, w.grad_node, b.grad_node
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
-        if nb is not None:
-            nb.accumulate_grad(g2.sum(axis=0))
-        if nw is not None:
-            # gathered again: at 9x the size of x, it is not kept on the tape
-            dw = (g2.T @ xf[rows].reshape(-1, 9 * c_in)).reshape(c_out, 3, 3, c_in)
-            nw.accumulate_grad(dw.transpose(0, 3, 1, 2))
-        if nx is not None:
-            dx = np.zeros((t_n * v_n, c_in), dtype=nx.dtype)
-            scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
-            nx.accumulate_grad(dx.reshape(nx.shape))
+        # gathered again: at 9x the size of x, it is not kept on the tape
+        dw = (g2.T @ xf[rows].reshape(-1, 9 * c_in)).reshape(c_out, 3, 3, c_in)
+        dx = np.zeros_like(xf)
+        scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
+        return dx.reshape(t_n, v_n, c_in), dw.transpose(0, 3, 1, 2), g2.sum(axis=0)
 
     return make_op(out.reshape(t_n, v_n, c_out), (x, w, b), backward)
 
@@ -604,19 +561,14 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     xf = x.data.reshape(-1, c)
     out = np.einsum("pkc,kc->pc", xf[rows], w_mat)
     out += b.data
-    nx, nw, nb = x.grad_node, w.grad_node, b.grad_node
 
     def backward(g):
         g2 = g.reshape(-1, c)
-        if nb is not None:
-            nb.accumulate_grad(g2.sum(axis=0))
-        if nw is not None:
-            # gathered again, as in grid_conv3x3
-            nw.accumulate_grad(np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3))
-        if nx is not None:
-            dx = np.zeros((t_n * v_n, c), dtype=nx.dtype)
-            scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
-            nx.accumulate_grad(dx.reshape(nx.shape))
+        # gathered again, as in grid_conv3x3
+        dw = np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3)
+        dx = np.zeros_like(xf)
+        scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
+        return dx.reshape(t_n, v_n, c), dw, g2.sum(axis=0)
 
     return make_op(out.reshape(x.shape), (x, w, b), backward)
 
@@ -685,17 +637,14 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
     w = sampling(corners)
     xf = x.data.reshape(-1, c)
     out = (w @ xf).reshape(pos.shape[:-1] + (c,))
-    nx, npos = x.grad_node, pos.grad_node
 
     def backward(g):
         g2 = g.reshape(n, c)
-        if nx is not None:
-            nx.accumulate_grad((w.T @ g2).reshape(nx.shape))
-        if npos is not None:
-            inside = (posd > 0.0) & (posd < np.array([t_n - 1, v_n - 1]))
-            d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
-            d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
-            npos.accumulate_grad(inside * np.stack((d_dt, d_dv), axis=-1).reshape(npos.shape))
+        inside = (posd > 0.0) & (posd < np.array([t_n - 1, v_n - 1]))
+        d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
+        d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
+        d_pos = inside * np.stack((d_dt, d_dv), axis=-1).reshape(posd.shape)
+        return (w.T @ g2).reshape(t_n, v_n, c), d_pos
 
     return make_op(out, (x, pos), backward)
 

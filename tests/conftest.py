@@ -159,7 +159,7 @@ def tape_captures(root):
         if id(node) in visited:
             continue
         visited.add(id(node))
-        stack.extend(node.parents)
+        stack.extend(p for p in node.parents if p is not None)
         if node.backward is not None:
             bases = []
             for base in _captured(node.backward):

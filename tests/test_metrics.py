@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sasmamba.errors import DegeneracyError, DimensionError
+from sasmamba.errors import DegeneracyError, DimensionError, DomainError
 from sasmamba.metrics import (SimilarityTransform, mpjpe_p1, mpjpe_p2,
                               procrustes_align)
 from sasmamba.training import mpjve
@@ -57,7 +57,7 @@ class TestP1:
         assert mpjpe_p1(pred, gt, root_index=0) == pytest.approx(2.5)
 
     def test_invalid_root(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(DomainError):
             mpjpe_p1(np.zeros((1, 2, 3)), np.zeros((1, 2, 3)), root_index=5)
 
     def test_joint_translation_invariance(self):

@@ -273,7 +273,7 @@ class TestTape:
         rng = np.random.default_rng(12)
         g = rng.normal(size=4)                           # float64 row
         t = tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
-        t.accumulate_grad(g)
+        t.node.accumulate_grad(g)
         ref = np.zeros((3, 4), dtype=np.float32)
         ref += g
         assert t.grad.dtype == np.float32 and t.grad.shape == (3, 4)
@@ -281,17 +281,17 @@ class TestTape:
         # same shape and dtype: still a copy, not the caller's array
         g32 = rng.normal(size=(3, 4)).astype(np.float32)
         u = tensor(np.zeros((3, 4), dtype=np.float32), requires_grad=True)
-        u.accumulate_grad(g32)
+        u.node.accumulate_grad(g32)
         assert not np.shares_memory(u.grad, g32)
         first = g32.copy()
         g32 += 1.0
         np.testing.assert_array_equal(u.grad, first)
         # later accumulations add in place
-        u.accumulate_grad(g32)
+        u.node.accumulate_grad(g32)
         np.testing.assert_array_equal(u.grad, first + g32)
         # a transposed gradient is stored row-major, like the data
         v = tensor(np.zeros((3, 4)), requires_grad=True)
-        v.accumulate_grad(g32.T.copy().T)
+        v.node.accumulate_grad(g32.T.copy().T)
         assert v.grad.flags.c_contiguous and v.grad.dtype == np.float64
         np.testing.assert_array_equal(v.grad, g32)
 
@@ -386,9 +386,10 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(OPS["depthwise_conv3x3"][0], [x, wd, bd]) < 1e-5
 
 
-def make_op_callers() -> set[str]:
+def functions_where(match) -> set[str]:
     """Qualified names of the functions and methods of ``tensor``, ``sas``
-    and ``ssm`` whose body calls ``make_op``, read from their source."""
+    and ``ssm`` whose body, nested functions included, holds an AST node
+    for which ``match`` is true, read from their source."""
     names = set()
     for mod in (tz, sas, ssm):
         tree = ast.parse(inspect.getsource(mod))
@@ -396,11 +397,14 @@ def make_op_callers() -> set[str]:
                                       if isinstance(c, ast.ClassDef)]
         for prefix, body in scopes:
             for fn in body:
-                if isinstance(fn, ast.FunctionDef) and any(
-                        isinstance(c, ast.Call) and getattr(c.func, "id", None) == "make_op"
-                        for c in ast.walk(fn)):
+                if isinstance(fn, ast.FunctionDef) and any(map(match, ast.walk(fn))):
                     names.add(prefix + fn.name)
     return names
+
+
+def make_op_callers() -> set[str]:
+    return functions_where(
+        lambda c: isinstance(c, ast.Call) and getattr(c.func, "id", None) == "make_op")
 
 
 class TestGradientSuite:
@@ -418,6 +422,54 @@ class TestGradientSuite:
         for fn, draw in OPS.values():
             fn(*draw(rng))
         assert owners == make_op_callers()
+
+    def test_gradients_are_accumulated_in_one_place(self):
+        # adjoints return their gradients; only backward's helper adds them
+        # into nodes, and nothing reads a node to accumulate into
+        assert functions_where(
+            lambda c: isinstance(c, ast.Call) and getattr(c.func, "attr", None)
+            == "accumulate_grad") == {"_accumulate"}
+        assert functions_where(
+            lambda a: isinstance(a, ast.Attribute) and a.attr == "grad_node") == set()
+
+
+class TestAdjointContract:
+    """``make_op``'s contract on every op of ``OPS``, at its own float64 draws."""
+
+    @staticmethod
+    def _inputs(name, constant=None):
+        draws = OPS[name][1](np.random.default_rng(0))
+        return [t64(t.data, grad=i != constant) for i, t in enumerate(draws)]
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_one_gradient_per_input(self, name):
+        xs = self._inputs(name)
+        out = OPS[name][0](*xs)
+        node = out._node
+        assert len(node.parents) == len(xs)
+        assert all(p is x.node for p, x in zip(node.parents, xs))
+        grads = node.backward(np.random.default_rng(1).normal(size=out.shape))
+        assert len(grads) == len(xs)
+        for g, x in zip(grads, xs):
+            assert isinstance(g, np.ndarray)
+            assert np.broadcast_shapes(g.shape, x.shape) == x.shape
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_a_constant_input_changes_no_other_gradient(self, name):
+        def grads(constant=None):
+            xs = self._inputs(name, constant)
+            out = OPS[name][0](*xs)
+            if out.requires_grad:
+                out.backward(np.random.default_rng(1).normal(size=out.shape))
+            return [x.grad for x in xs]
+
+        full = grads()
+        for i in range(len(full)):
+            partial = grads(constant=i)
+            assert partial[i] is None
+            for j, (g, ref) in enumerate(zip(partial, full)):
+                if j != i:
+                    assert g.tobytes() == ref.tobytes(), (i, j)
 
 
 class TestGridConv:
