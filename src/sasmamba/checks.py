@@ -37,10 +37,15 @@ def _two(rng):
     return [_t(rng, (3, 4)), _t(rng, (3, 4))]
 
 
+# two streams over five rows: the first reads them in order, the second
+# reversed, so the x gradient goes back through a non-identity order
+_SCAN_ORDER = np.stack([np.arange(5), np.arange(5)[::-1]], axis=1)
+
+
 def _scan_inputs(rng):
     s, d, n, r, length = 2, 3, 2, 2, 5
     return [
-        _t(rng, (length, s, d)), _t(rng, (s, d, n), 0.3),
+        _t(rng, (length, d)), _t(rng, (s, d, n), 0.3),
         _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
         _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),
         _t(rng, (s, r, d), 0.5), _t(rng, (s, d, r), 0.5),
@@ -77,8 +82,9 @@ OPS = {
                      _t(rng, (2, 3, 2), 0.5)]),
     "reshape_flat": (lambda x: reshape(x, (x.size,)), _one),
     "scale": (lambda x: scale(x, -0.7), _one),
-    "selective_scan": (lambda u, *fields: selective_scan(u, SelectiveSsmParams(*fields)),
-                       _scan_inputs),
+    "selective_scan": (
+        lambda x, *fields: selective_scan(x, SelectiveSsmParams(*fields), _SCAN_ORDER),
+        _scan_inputs),
     "silu": (silu, _one),
     "slice0": (lambda x: slice0(x, 1, x.shape[0]), _one),
     "sqrt": (sqrt, lambda rng: [tensor(rng.uniform(0.3, 2.5, size=(3, 4)), dtype=np.float64)]),

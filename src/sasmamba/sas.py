@@ -8,9 +8,10 @@ Inside :func:`sa_conv` the K*K taps are a leading axis and each sampling
 position is one (t, v) pair on a last axis of 2: one :func:`bilinear_gather`
 samples (K*K, T, V, C) at (K*K, T, V, 2) positions and one
 :meth:`NeighborMixParams.apply` mixes and sums them. Inside
-:func:`four_stream_scan` the enabled streams are a stream axis S of one
-(L, S, C) sequence, L = T*V, built by one index gather and scanned by one
-:func:`selective_scan` call whose state is (S, N, C), channels innermost.
+:func:`four_stream_scan` the enabled streams are a stream axis S: one
+:func:`selective_scan` call reads the (T*V, C) rows of the map in every
+stream's order, an (L, S) table with L = T*V, and returns an (L, S, C)
+sequence; its state is (S, N, C), channels innermost.
 The parameters are stored on the same axes: each field of the tap maps is
 one (K*K, ...) tensor and each field of the scan, and of the stream gates,
 one (S, ...) tensor, so no call stacks or splits them.
@@ -26,8 +27,8 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
-from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
-                     bilinear_gather, depthwise_conv3x3, gather_sum,
+from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, _inverse_rows,
+                     add, bilinear_gather, depthwise_conv3x3, gather_sum,
                      grid_conv3x3, linear, make_op, mul, reshape, silu,
                      tensor)
 
@@ -213,27 +214,27 @@ def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
         col = joint_major if name.startswith("spatial") else frame_major
         columns.append(col[::-1] if name.endswith("backward") else col)
     order = np.stack(columns, axis=1)
-    home = np.empty_like(order)
-    home[order, np.arange(len(names))] = np.arange(order.size).reshape(order.shape)
-    return order, home.reshape(t_n, v_n, len(names))
+    return order, _inverse_rows(order).reshape(t_n, v_n, len(names))
 
 
 def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmParams,
                      gate: LinearParams | None = None) -> Tensor:
     """Sum of the named directional scans; stream s runs with row s of ``scan``.
 
-    One gather puts the (T, V, C) map into every stream's scan order at once,
-    an (L, S, C) sequence; one :func:`selective_scan` runs all S streams; one
-    gather brings each stream's output back to its (t, v) row and adds the
-    streams in the order given. With a ``gate``, stacked as ``scan`` is,
-    stream s's output is multiplied by ``silu(gate[s](x))`` at the same row
-    before the sum: one :func:`linear` makes the (T, V, S*C) map of all S
-    gates and one gather puts it into scan order.
+    One :func:`selective_scan` runs all S streams over the (T, V, C) map,
+    each reading its rows in its own scan order, and returns an (L, S, C)
+    sequence; the scan gathers its input itself, so its tape keeps the map
+    once, not once per stream. One gather brings each stream's output back
+    to its (t, v) row and adds the streams in the order given. With a
+    ``gate``, stacked as ``scan`` is, stream s's output is multiplied by
+    ``silu(gate[s](x))`` at the same row before the sum: one :func:`linear`
+    makes the (T, V, S*C) map of all S gates and one gather puts it into
+    scan order.
     """
     t_n, v_n, c = x.shape
     s_n = len(streams)
     order, home = _scan_rows(t_n, v_n, streams)
-    y = selective_scan(gather_sum(x, order[..., None], home.reshape(-1, s_n)), scan)
+    y = selective_scan(x, scan, order)
     if gate is not None:
         z = reshape(silu(linear(x, gate)), (-1, c))             # row (t*V + v)*S + s
         y = mul(y, gather_sum(z, (order * s_n + np.arange(s_n))[..., None],

@@ -8,7 +8,8 @@ correctness oracle for the scan. The two sides share only the zero-order hold
 (:func:`discretize`), which is tested on its own against its closed form.
 
 :func:`selective_scan` runs several independent streams as one computation:
-its input carries a stream axis, (L, S, D), and so does every field of its
+every stream reads the same (L, D) rows, each in its own order, so its
+sequence carries a stream axis, (L, S, D), and so does every field of its
 parameters, stored stacked: stream s reads row s. Every per-step array is
 laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
@@ -17,9 +18,10 @@ per-chunk temporaries into one reused workspace. The adjoint keeps one state
 per chunk, the state entering it, and recomputes the chunk's states, ``a_bar``
 and ``factor`` from it, as Mamba's recomputation does (Gu & Dao, arXiv
 2312.00752, section 3.3.2): gradient checkpointing at chunk granularity (Chen
-et al., arXiv 1604.06174). It keeps no step sizes either: it rebuilds them
-from the bottleneck columns of the input projections, which it keeps anyway,
-with the forward's expression.
+et al., arXiv 1604.06174). It keeps neither the sequence in the streams'
+orders, which it gathers again from the rows, nor the step sizes and the
+input and output vectors, which it rebuilds from the input projections,
+kept anyway, with the forward's expressions.
 """
 
 from __future__ import annotations
@@ -29,14 +31,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Params, Tensor, make_op, tensor
+from .tensor import (Params, Tensor, _inverse_rows, _take_rows, make_op,
+                     tensor)
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
 # The chunk also sizes the adjoint's five-slot (SCAN_CHUNK, S, N, D)
-# workspace, the last transient of a backward, which the tape-ratio test
-# of tests/test_model.py bounds
-SCAN_CHUNK = 64
+# workspace, which sets the peak of a backward, bounded against the tape by
+# the tape-ratio test of tests/test_model.py: the smaller the tape, the
+# smaller the chunk that test allows
+SCAN_CHUNK = 32
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
@@ -157,27 +161,31 @@ def _advance(delta, a, b, u, start, w):
     return a_bar, factor, hc
 
 
-def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, ud, skip):
+def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, xf, order, skip):
     """Backpropagate ``g`` through the recurrence, walking the chunks in
     reverse and recomputing each chunk's states from ``starts``.
 
     Returns the gradients into u (through ``skip`` and ``b_bar * u``), b, c,
-    the step sizes and ``a_log``, the last laid out (S, N, D). The workspace
-    lives only in this call, so it is freed before the caller forms the
-    projections' gradients.
+    the step sizes' softplus argument and ``a_log``, the last laid out
+    (S, N, D). Each chunk gathers its own rows of u, ``xf[order[chunk]]``,
+    and the step sizes' gradient is written into ``delta``'s rows of the
+    chunk once it no longer reads them, so neither u nor that gradient
+    exists as an (L, S, D) array during the loop. The workspace lives only in
+    this call, so it is freed before the caller forms the projections'
+    gradients.
     """
     seq_len, (s_n, n, d), dt = len(g), starts.shape[1:], g.dtype
     d_a_log = np.zeros((s_n, n, d), dtype=dt)
     d_b = np.empty((seq_len, s_n, n), dtype=dt)
     d_c = np.empty((seq_len, s_n, n), dtype=dt)
-    d_delta = np.empty((seq_len, s_n, d), dtype=dt)
     du = g * skip
     carry = np.zeros((s_n, n, d), dtype=dt)
     wb = np.empty((5, chunks[0].stop, s_n, n, d), dtype=dt)
     for ci in reversed(range(len(chunks))):
         sl = chunks[ci]
         k = sl.stop - sl.start
-        a_bar, factor, hc = _advance(delta[sl], a, b_seq[sl], ud[sl], starts[ci], wb)
+        u = xf[order[sl]]
+        a_bar, factor, hc = _advance(delta[sl], a, b_seq[sl], u, starts[ci], wb)
         d_c[sl] = np.einsum("lsd,lsnd->lsn", g[sl], hc)
         # gradient into each state h_t; only this recurrence is sequential
         dh = np.multiply(g[sl, :, None, :], c_seq[sl, :, :, None], out=wb[3, :k])
@@ -187,12 +195,12 @@ def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, ud, skip):
         # b_bar * u = factor * b * u: gradients into u, b and factor
         q = np.multiply(dh, factor, out=wb[4, :k])
         du[sl] += np.einsum("lsnd,lsn->lsd", q, b_seq[sl])
-        d_b[sl] = np.einsum("lsnd,lsd->lsn", q, ud[sl])
+        d_b[sl] = np.einsum("lsnd,lsd->lsn", q, u)
         # q = dh h_prev, h_prev being the start state and then every state of
         # the chunk but the last; d_factor then takes the place of dh
         np.multiply(dh[0], starts[ci], out=q[0])
         np.multiply(dh[1:], hc[:-1], out=q[1:])
-        d_factor = np.multiply(dh, ud[sl, :, None, :], out=dh)
+        d_factor = np.multiply(dh, u[:, :, None, :], out=dh)
         d_factor *= b_seq[sl, :, :, None]
         # a_bar = exp(delta a) and factor = expm1(delta a) / a with
         # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
@@ -201,21 +209,30 @@ def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, ud, skip):
         q *= a
         q += d_factor
         q *= a_bar
-        d_delta[sl] = np.einsum("lsnd->lsd", q)
+        d_delta = np.einsum("lsnd->lsd", q)
         q *= delta[sl, :, None, :]
         q -= np.multiply(d_factor, factor, out=d_factor)
         d_a_log += q.sum(axis=0)
-    return du, d_b, d_c, d_delta, d_a_log
+        # softplus' = sigmoid, which is 1 - exp(-softplus)
+        np.multiply(d_delta, -np.expm1(-delta[sl]), out=delta[sl])
+    return du, d_b, d_c, delta, d_a_log
 
 
-def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
+def _input_vectors(proj, n, b_bias, c_bias):
+    """The (L, S, N) input and output vectors from the projection rows."""
+    return proj[..., :n] + b_bias, proj[..., n:2 * n] + c_bias
+
+
+def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tensor:
     """Run the input-dependent recurrence over S independent streams.
 
-    ``u`` is (L, S, D), or (L, D) when S = 1: stream s scans ``u[:, s]`` with
-    row s of every field of ``p``. Per step: project the input to step sizes,
-    input and output vectors; discretize; advance
-    ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero state; emit
-    ``y_t = C_t h_t + skip * u_t``.
+    ``x`` holds the rows the streams read, viewed as (R, D), and ``order``
+    is (L, S) with L = R: each column is a permutation of the rows, and
+    stream s reads row ``order[l, s]`` at step l, with row s of every field
+    of ``p``. The result is (L, S, D), stream s's step l at [l, s]. Per
+    step: project the input to step sizes, input and output vectors;
+    discretize; advance ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero
+    state; emit ``y_t = C_t h_t + skip * u_t``.
 
     All streams run as one computation: the stacked weights make the
     projections one batched matmul, and one recurrence advances an (S, N, D)
@@ -225,26 +242,32 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
     adjoint keeps ``starts``, the (S, N, D) state entering each chunk, and
     walks the chunks in reverse; for each it recomputes ``a_bar`` and
     ``factor`` through :func:`_zoh` and the chunk's states from its start.
-    It keeps no (L, S, D) step sizes: it rebuilds them through
-    :func:`_step_sizes` from the bottleneck columns of the projections,
-    which it keeps for the weight gradients. Both rebuilds run the forward's
-    code on the forward's inputs, so they are the forward's bits. The
-    per-chunk temporaries of either pass are written into a workspace
-    allocated once per pass. The adjoint is exact.
+    The tape keeps x, not the (L, S, D) sequence in scan order: the adjoint
+    gathers it again, and returns x's gradient through the inverse of
+    ``order``, each row's S terms added in stream order as in the adjoint of
+    :func:`gather_sum`. It keeps no (L, S, D) step sizes and no (L, S, N)
+    input or output vectors either: it rebuilds them through
+    :func:`_step_sizes` and :func:`_input_vectors` from the projections,
+    which it keeps for the weight gradients. Every rebuild runs the forward's
+    code on the forward's inputs, so it is the forward's bits. The per-chunk
+    temporaries of either pass are written into a workspace allocated once
+    per pass. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
-    ud = u.data[:, None, :] if u.data.ndim == 2 else u.data
-    if ud.ndim != 3 or ud.shape[1:] != (s_n, d):
-        raise DimensionError(f"selective_scan expects (L, {s_n}, {d}) input, or (L, {d}) "
-                             f"when S = 1, got {u.shape}")
-    seq_len = ud.shape[0]
-    dt = ud.dtype
+    if x.shape[-1] != d or np.shape(order) != (x.size // d, s_n):
+        raise DimensionError(f"selective_scan expects rows of {d} channels and an "
+                             f"(L, {s_n}) order over them, got {x.shape} and "
+                             f"{np.shape(order)}")
+    xf, x_shape = x.data.reshape(-1, d), x.shape
+    ud = xf[order]                                                      # (L, S, D)
+    seq_len = len(order)
+    dt = xf.dtype
     a = -np.exp(np.ascontiguousarray(p.a_log.data.swapaxes(1, 2)))     # (S, N, D)
     w = np.concatenate([p.b_weight.data, p.c_weight.data, p.dt_down.data],
                        axis=1)                                          # (S, 2N+r, D)
     proj = _batched(ud, w)                                              # (L, S, 2N+r)
-    b_seq = proj[..., :n] + p.b_bias.data                               # (L, S, N)
-    c_seq = proj[..., n:2 * n] + p.c_bias.data
+    b_bias, c_bias = p.b_bias.data, p.c_bias.data                       # (S, N)
+    b_seq, c_seq = _input_vectors(proj, n, b_bias, c_bias)              # (L, S, N)
     m1 = proj[..., 2 * n:]                                              # (L, S, r)
     dt_up, dt_bias = p.dt_up.data, p.dt_bias.data                       # (S, D, r), (S, D)
     delta = _step_sizes(m1, dt_up, dt_bias)                             # (L, S, D)
@@ -264,23 +287,29 @@ def selective_scan(u: Tensor, p: SelectiveSsmParams) -> Tensor:
         np.matmul(c_seq[sl, :, None, :], hc, out=ys[sl, :, None, :])
     ys += skip * ud
 
-    def backward(gy):
-        g = gy.reshape(ud.shape)
-        delta = _step_sizes(m1, dt_up, dt_bias)
-        du, d_b, d_c, d_delta, d_a_log = _chunk_adjoint(g, chunks, starts, delta, a, b_seq,
-                                                        c_seq, ud, skip)
-        # softplus' = sigmoid, which is 1 - exp(-softplus)
-        dz = d_delta * -np.expm1(-delta)
+    def backward(g):
+        b_seq, c_seq = _input_vectors(proj, n, b_bias, c_bias)
+        du, d_b, d_c, dz, d_a_log = _chunk_adjoint(g, chunks, starts,
+                                                   _step_sizes(m1, dt_up, dt_bias), a,
+                                                   b_seq, c_seq, xf, order, skip)
         dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)
         dproj = np.concatenate([d_b, d_c, dm1], axis=2).swapaxes(0, 1)  # (S, L, 2N+r)
+        ud = xf[order]
         dw = np.matmul(dproj.swapaxes(1, 2), ud.swapaxes(0, 1))         # (S, 2N+r, D)
+        # the skip gradient is formed in the gathered input's place, which
+        # is then freed before du's last term and its gather back to x's
+        # rows each make an (L, S, D) transient
+        ud *= g
+        d_skip = ud.sum(axis=0)
+        del ud
         du += np.matmul(dproj, w).swapaxes(0, 1)
-        return (du.reshape(gy.shape), d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
+        return (_take_rows(du, _inverse_rows(order), d).reshape(x_shape),
+                d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
                 dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
                 np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),    # dt_up
-                dz.sum(axis=0), (g * ud).sum(axis=0))
+                dz.sum(axis=0), d_skip)
 
-    return make_op(ys.reshape(u.shape), (u,) + p.tensors(), backward)
+    return make_op(ys, (x,) + p.tensors(), backward)
 
 
 def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,

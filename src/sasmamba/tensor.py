@@ -495,6 +495,15 @@ def _take_rows(a: np.ndarray, rows: np.ndarray, c: int) -> np.ndarray:
     return taken[..., 0, :] if rows.shape[-1] == 1 else taken.sum(axis=-2)
 
 
+def _inverse_rows(order: np.ndarray) -> np.ndarray:
+    """The inverse of an (L, S) ``order`` whose every column is a permutation
+    of L rows: an (L, S) array whose entry [r, s] is the flat position
+    ``l * S + s`` at which column s reads row r."""
+    home = np.empty_like(order)
+    home[order, np.arange(order.shape[1])] = np.arange(order.size).reshape(order.shape)
+    return home
+
+
 def gather_sum(x: Tensor, rows: np.ndarray, inverse: np.ndarray) -> Tensor:
     """``out[m] = sum_j x[rows[m, j]]`` over the rows of x, viewed as (R, C).
 
@@ -532,15 +541,16 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
         raise DimensionError(
             f"grid_conv3x3: input channels {c_in} != weight in-channels {w.shape[1]}")
     c_out = w.shape[0]
-    rows = _neighbor_rows(t_n, v_n)
     w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
     xf = x.data.reshape(-1, c_in)
-    out = xf[rows].reshape(-1, 9 * c_in) @ w_mat.T
+    out = xf[_neighbor_rows(t_n, v_n)].reshape(-1, 9 * c_in) @ w_mat.T
     out += b.data
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
-        # gathered again: at 9x the size of x, it is not kept on the tape
+        # the rows and the gather are rebuilt, not kept: the gather is 9x the
+        # size of x, and the rows take a fraction of a millisecond to remake
+        rows = _neighbor_rows(t_n, v_n)
         dw = (g2.T @ xf[rows].reshape(-1, 9 * c_in)).reshape(c_out, 3, 3, c_in)
         dx = np.zeros_like(xf)
         scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
@@ -556,15 +566,15 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     if w.shape[0] != c:
         raise DimensionError(
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
-    rows = _neighbor_rows(t_n, v_n)
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
     xf = x.data.reshape(-1, c)
-    out = np.einsum("pkc,kc->pc", xf[rows], w_mat)
+    out = np.einsum("pkc,kc->pc", xf[_neighbor_rows(t_n, v_n)], w_mat)
     out += b.data
 
     def backward(g):
         g2 = g.reshape(-1, c)
-        # gathered again, as in grid_conv3x3
+        # rows and gather rebuilt, as in grid_conv3x3
+        rows = _neighbor_rows(t_n, v_n)
         dw = np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3)
         dx = np.zeros_like(xf)
         scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
@@ -609,9 +619,11 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
     t (or v) entry fills the same pattern with the weights' derivative in t
     (or v), multiplies by x and takes the row-wise dot with g; the clamp has
     zero slope unless the coordinate lies strictly inside the grid. The tape
-    keeps only the pattern, weights and positions, never an (n, C) gather. A
-    non-finite position raises :class:`NumericError` whether or not checked
-    mode is on: a NaN has no corner, and would cast to a negative column index.
+    keeps only x and the positions: the adjoint rebuilds the pattern and the
+    weights from the positions through the helper the forward calls, so they
+    are the forward's bits, and keeps no (n, C) gather either. A non-finite
+    position raises :class:`NumericError` whether or not checked mode is on:
+    a NaN has no corner, and would cast to a negative column index.
     """
     from scipy.sparse import csr_array  # at first use, as in scatter_rows
 
@@ -621,30 +633,37 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
         raise DimensionError(f"positions must end in a (t, v) axis of 2, got {posd.shape}")
     if not np.isfinite(posd).all():
         raise NumericError("non-finite sampling positions")
-    (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(posd[..., 0], posd[..., 1],
-                                                             t_n, v_n)
     n = pos.size // 2
-    cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
-                    axis=-1).reshape(-1)
-    rows = np.arange(0, 4 * n + 1, 4)
     dt = x.dtype
 
-    def sampling(weights) -> csr_array:
-        # in x's dtype, so that the product neither upcasts x nor its result
-        data = np.stack(weights, axis=-1).astype(dt).reshape(-1)
-        return csr_array((data, cols, rows), shape=(n, t_n * v_n))
+    def pattern():
+        # the corner weights, the fractions (wt, wv) they are made of, and a
+        # builder of the sampling matrix holding given per-corner entries
+        (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(posd[..., 0], posd[..., 1],
+                                                                 t_n, v_n)
+        cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
+                        axis=-1).reshape(-1)
+        rows = np.arange(0, 4 * n + 1, 4)
 
-    w = sampling(corners)
+        def sampling(weights) -> csr_array:
+            # in x's dtype, so that the product neither upcasts x nor its result
+            data = np.stack(weights, axis=-1).astype(dt).reshape(-1)
+            return csr_array((data, cols, rows), shape=(n, t_n * v_n))
+
+        return sampling, corners, wt, wv
+
+    sampling, corners, _, _ = pattern()
     xf = x.data.reshape(-1, c)
-    out = (w @ xf).reshape(pos.shape[:-1] + (c,))
+    out = (sampling(corners) @ xf).reshape(pos.shape[:-1] + (c,))
 
     def backward(g):
+        sampling, corners, wt, wv = pattern()
         g2 = g.reshape(n, c)
         inside = (posd > 0.0) & (posd < np.array([t_n - 1, v_n - 1]))
         d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
         d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
         d_pos = inside * np.stack((d_dt, d_dv), axis=-1).reshape(posd.shape)
-        return (w.T @ g2).reshape(t_n, v_n, c), d_pos
+        return (sampling(corners).T @ g2).reshape(t_n, v_n, c), d_pos
 
     return make_op(out, (x, pos), backward)
 

@@ -72,6 +72,12 @@ def stack_streams(streams):
                                 for f in zip(*(p.tensors() for p in streams))))
 
 
+def identity_order(length, streams=1):
+    """The scan order of ``streams`` streams that all read ``length`` rows
+    in order: (L, S), column s the rows 0 .. L-1."""
+    return np.tile(np.arange(length)[:, None], (1, streams))
+
+
 def scan_by_unroll(seq, p, s=0):
     """Plain-numpy selective scan of one (L, D) sequence by stream s of p,
     step by step."""

@@ -8,7 +8,8 @@ import time
 
 import numpy as np
 
-from conftest import identity_tap, random_stream, stack_taps, zero_local, zero_offset_net
+from conftest import (identity_order, identity_tap, random_stream, stack_taps, zero_local,
+                      zero_offset_net)
 from sasmamba.checks import check_registered_ops, check_tiny_model
 from sasmamba.cli import main
 from sasmamba.fileio import load_ckpt, save_ckpt
@@ -88,7 +89,8 @@ def test_criterion_04_scan_equivalence_oracle():
                 b_const=rng.normal(size=n), c_const=rng.normal(size=n),
                 a=-rng.uniform(0.2, 3.0, size=(d, n)), skip=rng.normal(size=d))
             u = rng.normal(size=(length, d))
-            via_scan = selective_scan(tensor(u, dtype=np.float64), p).data
+            via_scan = selective_scan(tensor(u, dtype=np.float64), p,
+                                      identity_order(length)).data[:, 0]
             delta = softplus(p.dt_bias.data[0])
             a_bar, b_bar = discretize(np.broadcast_to(delta, (length, d)),
                                       -np.exp(p.a_log.data[0]),

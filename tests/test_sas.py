@@ -360,8 +360,8 @@ class TestFourStreamScan:
         buffers = []
         scan = sas.selective_scan
 
-        def recording_scan(u, p):
-            y = scan(u, p)
+        def recording_scan(x, p, order):
+            y = scan(x, p, order)
             buf = y.data
             while isinstance(buf.base, np.ndarray):
                 buf = buf.base

@@ -5,12 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_stream, scan_by_unroll, stack_streams
+from conftest import identity_order, random_stream, scan_by_unroll, stack_streams
 from sasmamba import ssm
-from sasmamba.checks import OPS
 from sasmamba.errors import DimensionError, DomainError
-from sasmamba.ssm import (SCAN_CHUNK, conv_apply, discretize, frozen_params,
-                          selective_scan, softplus, softplus_inverse,
+from sasmamba.ssm import (SCAN_CHUNK, SelectiveSsmParams, conv_apply, discretize,
+                          frozen_params, selective_scan, softplus, softplus_inverse,
                           ssm_kernel)
 from sasmamba.tensor import finite_diff_check, finite_diff_check_leaves, tensor
 
@@ -29,7 +28,13 @@ def random_frozen(rng, d, n, dtype=np.float64):
 
 
 def scan_np(u, p):
-    return selective_scan(tensor(u, dtype=np.float64), p).data
+    """One stream's (L, D) output over the rows of u read in order."""
+    return selective_scan(tensor(u, dtype=np.float64), p, identity_order(len(u))).data[:, 0]
+
+
+def one_stream(u, *fields):
+    """The scan of one stream (fields with S = 1) over the rows of u in order."""
+    return selective_scan(u, SelectiveSsmParams(*fields), identity_order(u.shape[0]))
 
 
 class TestDiscretize:
@@ -140,6 +145,11 @@ class TestSelectiveScan:
         p = random_frozen(rng, 4, 2)
         with pytest.raises(DimensionError):
             scan_np(rng.normal(size=(5, 3)), p)
+        # the order must read every one of the 5 rows, with one column per stream
+        x = tensor(rng.normal(size=(5, 4)))
+        for order in (identity_order(4), identity_order(5, streams=2), np.arange(5)):
+            with pytest.raises(DimensionError):
+                selective_scan(x, p, order)
 
     def test_causality(self):
         rng = np.random.default_rng(3)
@@ -244,7 +254,7 @@ class TestScanGradient:
             tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),      # dt_bias
             tensor(rng.normal(size=(1, d)), dtype=np.float64),            # skip
         ]
-        assert finite_diff_check(OPS["selective_scan"][0], inputs, eps=1e-5) < 1e-4
+        assert finite_diff_check(one_stream, inputs, eps=1e-5) < 1e-4
 
     def test_series_branch_gradcheck(self):
         # state entries near zero put |delta * a| far under 1e-6 for one
@@ -260,7 +270,7 @@ class TestScanGradient:
         inputs.insert(1, tensor(a_log, dtype=np.float64))
         inputs += [tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),
                    tensor(rng.normal(size=(1, d)), dtype=np.float64)]
-        assert finite_diff_check(OPS["selective_scan"][0], inputs, eps=1e-5) < 1e-4
+        assert finite_diff_check(one_stream, inputs, eps=1e-5) < 1e-4
 
 
 def _carrying_streams(rng, d, n=2, s_n=2):
@@ -280,23 +290,55 @@ class TestChunkedScan:
     def _problem(self):
         rng = np.random.default_rng(31)
         streams = _carrying_streams(rng, d=3)
-        u = tensor(rng.normal(size=(2 * SCAN_CHUNK + 3, 2, 3)), dtype=np.float64)
-        return u, streams
+        u = tensor(rng.normal(size=(2 * SCAN_CHUNK + 3, 3)), dtype=np.float64)
+        return u, streams, identity_order(len(u.data), streams=2)
 
     def test_forward_matches_unroll(self):
-        u, streams = self._problem()
-        out = selective_scan(u, streams).data
+        u, streams, order = self._problem()
+        out = selective_scan(u, streams, order).data
         for s in range(2):
-            np.testing.assert_allclose(out[:, s], scan_by_unroll(u.data[:, s], streams, s),
+            np.testing.assert_allclose(out[:, s], scan_by_unroll(u.data, streams, s),
                                        rtol=1e-10, atol=1e-12)
 
     def test_gradients_against_finite_differences(self):
-        u, streams = self._problem()
+        u, streams, order = self._problem()
         leaves = [u] + list(streams.tensors())
         for leaf in leaves:
             leaf.requires_grad = True
-        err = finite_diff_check_leaves(lambda: selective_scan(u, streams), leaves, sample=6)
+        err = finite_diff_check_leaves(lambda: selective_scan(u, streams, order), leaves,
+                                       sample=6)
         assert err < 1e-6
+
+
+class TestScanOrder:
+    def test_order_reads_the_gathered_sequence(self):
+        # stream s over (x, order) is stream s alone over the sequence
+        # x[order[:, s]] read in order, and x's gradient is the sum of the
+        # streams' sequence gradients taken back through order; three chunks,
+        # one stream in order, one reversed, one shuffled
+        rng = np.random.default_rng(41)
+        length, d, s_n = 2 * SCAN_CHUNK + 3, 3, 3
+        streams = _carrying_streams(rng, d, s_n=s_n)
+        order = np.stack([np.arange(length), np.arange(length)[::-1],
+                          rng.permutation(length)], axis=1)
+        x = tensor(rng.normal(size=(length, d)), requires_grad=True, dtype=np.float64)
+        for t in streams.tensors():
+            t.requires_grad = True
+        out = selective_scan(x, streams, order)
+        cot = rng.normal(size=out.shape)
+        out.backward(cot)
+        dx = np.zeros_like(x.data)
+        for s in range(s_n):
+            alone = SelectiveSsmParams(*(tensor(t.data[s:s + 1], requires_grad=True)
+                                         for t in streams.tensors()))
+            seq = tensor(x.data[order[:, s]], requires_grad=True)
+            y = selective_scan(seq, alone, identity_order(length))
+            np.testing.assert_allclose(out.data[:, s], y.data[:, 0], rtol=1e-12, atol=1e-14)
+            y.backward(cot[:, s:s + 1])
+            dx[order[:, s]] += seq.grad
+            for got, want in zip(streams.tensors(), alone.tensors()):
+                np.testing.assert_allclose(got.grad[s], want.grad[0], rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-12, atol=1e-14)
 
 
 class TestChunkBoundaries:
@@ -309,20 +351,20 @@ class TestChunkBoundaries:
         u = tensor(u_data, requires_grad=True, dtype=np.float64)
         for t in streams.tensors():
             t.requires_grad, t.grad = True, None
-        out = selective_scan(u, streams)
+        out = selective_scan(u, streams, identity_order(len(u_data), streams=2))
         # a fixed random cotangent reaches every output
         out.backward(np.random.default_rng(7).normal(size=out.shape))
         return out.data, [u.grad] + [t.grad for t in streams.tensors()]
 
-    @pytest.mark.parametrize("length", [2, 3, 4, 63, 64, 65, 131])
+    @pytest.mark.parametrize("length", [2, 3, 4, 31, 32, 33, 63, 64, 65, 131])
     def test_any_chunk_size_gives_one_chunks_result(self, monkeypatch, length):
-        # chunk sizes 1, 3, 64 (the default) and 128 (the earlier default)
+        # chunk sizes 1, 3, 32 (the default), 64 and 128 (earlier defaults)
         # against one chunk: lengths below, at, one past and no multiple of each
         rng = np.random.default_rng(length)
         streams = _carrying_streams(rng, d=3)
-        u_data = rng.normal(size=(length, 2, 3))
+        u_data = rng.normal(size=(length, 3))
         whole, whole_grads = self._run(monkeypatch, length + 5, u_data, streams)
-        for chunk in (1, 3, 64, 128):
+        for chunk in (1, 3, 32, 64, 128):
             out, grads = self._run(monkeypatch, chunk, u_data, streams)
             assert out.tobytes() == whole.tobytes(), chunk
             assert len(grads) == 10
@@ -335,17 +377,18 @@ class TestScanTape:
     def test_forward_keeps_no_state_per_step(self):
         # with gradients on, what a four-chunk forward leaves allocated stays
         # below one (L, S, N, D) array: the adjoint keeps one state per chunk
-        # (about 0.58 of that array here, almost all of it the projections)
+        # (about 0.37 of that array here, two thirds of it the projections)
         rng = np.random.default_rng(3)
         s_n, n, d = 2, 32, 8
         length = 3 * SCAN_CHUNK + 5
         streams = _carrying_streams(rng, d, n, s_n)
         for t in streams.tensors():
             t.requires_grad = True
-        u = tensor(rng.normal(size=(length, s_n, d)), requires_grad=True, dtype=np.float64)
+        u = tensor(rng.normal(size=(length, d)), requires_grad=True, dtype=np.float64)
+        order = identity_order(length, s_n)
         tracemalloc.start()
         try:
-            out = selective_scan(u, streams)
+            out = selective_scan(u, streams, order)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
