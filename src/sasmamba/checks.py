@@ -16,9 +16,9 @@ from .sas import NeighborMixParams, stride_scan
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, NormParams, add,
                      bilinear_gather, depthwise_conv3x3, finite_diff_check,
-                     finite_diff_check_leaves, gather_sum, gelu, grid_conv3x3,
-                     layer_norm, linear, mul, reshape, scale, silu, slice0,
-                     sqrt, sub, sum_all, sum_last, tensor)
+                     finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm,
+                     linear, mul, reshape, scale, silu, slice0, sqrt, sub,
+                     sum_all, sum_axis, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
 OP_TOLERANCE = 1e-4
@@ -64,9 +64,6 @@ OPS = {
     "depthwise_conv3x3": (
         lambda x, w, b: depthwise_conv3x3(x, Conv3x3Params(w, b)),
         lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (3, 3, 3), 0.4), _t(rng, (3,))]),
-    # each row of a (3, C) input read twice: out[m] = x[m] + x[(m + 1) % 3]
-    "gather_sum": (lambda x: gather_sum(x, np.array([[0, 1], [1, 2], [2, 0]]),
-                                        np.array([[0, 2], [1, 0], [2, 1]])), _one),
     "gelu": (gelu, _one),
     "grid_conv3x3": (
         lambda x, w, b: grid_conv3x3(x, Conv3x3Params(w, b)),
@@ -92,7 +89,8 @@ OPS = {
     "stride_scan": (lambda x: stride_scan(x, (1, 2, 3)), lambda rng: [_t(rng, (3, 6, 4))]),
     "sub": (sub, _two),
     "sum_all": (sum_all, _one),
-    "sum_last": (sum_last, _one),
+    # over a middle axis, as the scan's streams are summed
+    "sum_axis": (lambda x: sum_axis(x, -2), lambda rng: [_t(rng, (3, 2, 4))]),
 }
 
 

@@ -8,6 +8,7 @@ partial outputs behind.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import os
 import sys
 from pathlib import Path
@@ -25,6 +26,23 @@ from .training import (LossWeights, OptimState, SyntheticDataset, Camera,
                        gen_synthetic, train, write_trace_csv)
 
 USAGE_ERROR, DATA_ERROR, NUMERIC_ERROR = 1, 2, 3
+
+
+def _one_blas_thread() -> None:
+    """Run numpy's OpenBLAS at one thread unless a thread variable is set, as
+    the thread count splits a product's sums and so would move seeded results.
+    The variables act only before numpy's first import, hence OpenBLAS's own
+    setter, found as threadpoolctl finds it; another BLAS is left alone."""
+    if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & set(os.environ):
+        return
+    core = ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
+    for name in ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_",
+                 "openblas_set_num_threads"):
+        if hasattr(core, name):
+            setter = getattr(core, name)
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(1)
+            return
 
 
 class _Parser(argparse.ArgumentParser):
@@ -236,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _one_blas_thread()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

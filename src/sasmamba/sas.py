@@ -10,8 +10,10 @@ samples (K*K, T, V, C) at (K*K, T, V, 2) positions and one
 :meth:`NeighborMixParams.apply` mixes and sums them. Inside
 :func:`four_stream_scan` the enabled streams are a stream axis S: one
 :func:`selective_scan` call reads the (T*V, C) rows of the map in every
-stream's order, an (L, S) table with L = T*V, and returns an (L, S, C)
-sequence; its state is (S, N, C), channels innermost.
+stream's order, an (L, S) table with L = T*V, and returns each stream's
+output at the row it read, (T, V, S, C), which one sum over S adds, as
+VMamba's cross-merge does (Liu et al., arXiv 2401.10166); its state is
+(S, N, C), channels innermost.
 The parameters are stored on the same axes: each field of the tap maps is
 one (K*K, ...) tensor and each field of the scan, and of the stream gates,
 one (S, ...) tensor, so no call stacks or splits them.
@@ -27,9 +29,9 @@ import numpy as np
 
 from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
-from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, _inverse_rows,
-                     add, bilinear_gather, depthwise_conv3x3, gather_sum,
-                     grid_conv3x3, linear, make_op, mul, reshape, silu,
+from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
+                     bilinear_gather, depthwise_conv3x3, grid_conv3x3, linear,
+                     make_op, mul, reshape, scatter_rows, silu, sum_axis,
                      tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
@@ -176,31 +178,33 @@ def stride_scan(x: Tensor, strides: tuple[int, ...]) -> Tensor:
 
     Group i keeps channel block i of the input in place; its joint v reads
     joint floor(v/s)*s. Stride-1 channels pass verbatim; shape is preserved.
+    The adjoint is one :func:`scatter_rows` per group over the (T*V) rows.
     """
     groups = stride_groups(strides, x.shape[-1])
-    v_n = x.shape[1]
+    t_n, v_n, _ = x.shape
     out = np.empty_like(x.data)
     for cols, s in groups:
         out[..., cols] = x.data[:, (np.arange(v_n) // s) * s, cols]
 
     def backward(g):
-        # joint block [v0, v0 + s) reads joint v0: its gradient is the block sum
-        dx = np.zeros_like(g)
+        # joint block [v0, v0 + s) reads joint v0: its gradient is the block
+        # sum, added left to right
+        dx = np.empty_like(g)
         for cols, s in groups:
-            dx[:, ::s, cols] = np.add.reduceat(g[..., cols], np.arange(0, v_n, s), axis=1)
+            reads = np.arange(t_n)[:, None] * v_n + (np.arange(v_n) // s) * s
+            dx[..., cols] = scatter_rows(g[..., cols], reads[..., None],
+                                         t_n * v_n).reshape(t_n, v_n, -1)
         return (dx,)
 
     return make_op(out, (x,), backward)
 
 
-def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
-    """Where each named stream reads the frame-major rows of a (T, V) map.
+def _scan_rows(t_n: int, v_n: int, names) -> np.ndarray:
+    """Where each named stream reads the frame-major rows of a (T, V) map:
+    ``order``, (L, S) with L = T*V, the row stream s reads at step l.
 
-    Returns ``order``, (L, S) with L = T*V: the row stream s reads at step l;
-    and ``home``, (T, V, S): the flat position ``l * S + s`` of an (L, S)
-    array at which stream s reads row (t, v). Temporal streams flatten
-    frame-major (all joints of frame 0 first), spatial streams joint-major;
-    backward streams read their order reversed.
+    Temporal streams flatten frame-major (all joints of frame 0 first),
+    spatial streams joint-major; backward streams read their order reversed.
     """
     if not names:
         raise ConfigError("at least one scan stream must be enabled")
@@ -213,8 +217,7 @@ def _scan_rows(t_n: int, v_n: int, names) -> tuple[np.ndarray, np.ndarray]:
     for name in names:
         col = joint_major if name.startswith("spatial") else frame_major
         columns.append(col[::-1] if name.endswith("backward") else col)
-    order = np.stack(columns, axis=1)
-    return order, _inverse_rows(order).reshape(t_n, v_n, len(names))
+    return np.stack(columns, axis=1)
 
 
 def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmParams,
@@ -222,24 +225,19 @@ def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmPara
     """Sum of the named directional scans; stream s runs with row s of ``scan``.
 
     One :func:`selective_scan` runs all S streams over the (T, V, C) map,
-    each reading its rows in its own scan order, and returns an (L, S, C)
-    sequence; the scan gathers its input itself, so its tape keeps the map
-    once, not once per stream. One gather brings each stream's output back
-    to its (t, v) row and adds the streams in the order given. With a
+    each reading its rows in its own scan order, and returns each stream's
+    output at the row it read, (T, V, S, C); the scan gathers its input
+    itself, so its tape keeps the map once, not once per stream. With a
     ``gate``, stacked as ``scan`` is, stream s's output is multiplied by
-    ``silu(gate[s](x))`` at the same row before the sum: one :func:`linear`
-    makes the (T, V, S*C) map of all S gates and one gather puts it into
-    scan order.
+    ``silu(gate[s](x))`` at the same row: one :func:`linear` makes the
+    (T, V, S*C) map of all S gates, read as (T, V, S, C). One sum over the
+    stream axis adds the streams in the order given.
     """
-    t_n, v_n, c = x.shape
-    s_n = len(streams)
-    order, home = _scan_rows(t_n, v_n, streams)
-    y = selective_scan(x, scan, order)
+    t_n, v_n, _ = x.shape
+    y = selective_scan(x, scan, _scan_rows(t_n, v_n, streams))
     if gate is not None:
-        z = reshape(silu(linear(x, gate)), (-1, c))             # row (t*V + v)*S + s
-        y = mul(y, gather_sum(z, (order * s_n + np.arange(s_n))[..., None],
-                              home.reshape(-1, 1)))
-    return gather_sum(y, home, order.reshape(-1, 1))
+        y = mul(y, reshape(silu(linear(x, gate)), y.shape))
+    return sum_axis(y, -2)
 
 
 def sas_ssm_layer(x: Tensor, p: SasLayerParams) -> Tensor:

@@ -10,7 +10,9 @@ correctness oracle for the scan. The two sides share only the zero-order hold
 :func:`selective_scan` runs several independent streams as one computation:
 every stream reads the same (L, D) rows, each in its own order, so its
 sequence carries a stream axis, (L, S, D), and so does every field of its
-parameters, stored stacked: stream s reads row s. Every per-step array is
+parameters, stored stacked: stream s reads row s. Its output goes back to
+the rows, (R, S, D), each stream's step at the row it read, so a caller
+adds the streams with one sum over the stream axis. Every per-step array is
 laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
 rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each pass writes its
@@ -31,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import (Params, Tensor, _inverse_rows, _take_rows, make_op,
-                     tensor)
+from .tensor import Params, Tensor, make_op, tensor
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
@@ -44,9 +45,13 @@ SCAN_CHUNK = 32
 
 
 def softplus(z: np.ndarray) -> np.ndarray:
-    # log(1 + e^z) without overflow; np.logaddexp computes the same but runs
-    # about ten times slower
-    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    # max(z, 0) + log1p(e^-|z|), log(1 + e^z) without overflow and with two
+    # z-sized temporaries; np.logaddexp is the same but about ten times slower
+    out = -np.abs(z)
+    np.exp(out, out=out)
+    np.log1p(out, out=out)
+    out += np.maximum(z, 0.0)
+    return out
 
 
 def softplus_inverse(y: np.ndarray) -> np.ndarray:
@@ -137,7 +142,9 @@ def _batched(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 def _step_sizes(m1, dt_up, dt_bias):
     """The (L, S, D) step sizes from the (L, S, r) bottleneck rows ``m1``."""
-    return softplus(_batched(m1, dt_up) + dt_bias)
+    z = _batched(m1, dt_up)
+    z += dt_bias
+    return softplus(z)
 
 
 def _advance(delta, a, b, u, start, w):
@@ -165,30 +172,34 @@ def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, xf, order, skip):
     """Backpropagate ``g`` through the recurrence, walking the chunks in
     reverse and recomputing each chunk's states from ``starts``.
 
-    Returns the gradients into u (through ``skip`` and ``b_bar * u``), b, c,
-    the step sizes' softplus argument and ``a_log``, the last laid out
-    (S, N, D). Each chunk gathers its own rows of u, ``xf[order[chunk]]``,
+    ``g`` is the output's gradient in row layout, (R, S, D). Returns the
+    gradients into u (through ``skip`` and ``b_bar * u``), b, c, the step
+    sizes' softplus argument and ``a_log``, the last laid out (S, N, D).
+    Each chunk gathers its own rows of u, ``xf[order[chunk]]``, and of g,
     and the step sizes' gradient is written into ``delta``'s rows of the
-    chunk once it no longer reads them, so neither u nor that gradient
-    exists as an (L, S, D) array during the loop. The workspace lives only in
-    this call, so it is freed before the caller forms the projections'
-    gradients.
+    chunk once it no longer reads them, so none of u, g in scan order and
+    that gradient exists as an (L, S, D) array during the loop. The
+    workspace lives only in this call, so it is freed before the caller
+    forms the projections' gradients.
     """
     seq_len, (s_n, n, d), dt = len(g), starts.shape[1:], g.dtype
+    streams = np.arange(s_n)
     d_a_log = np.zeros((s_n, n, d), dtype=dt)
     d_b = np.empty((seq_len, s_n, n), dtype=dt)
     d_c = np.empty((seq_len, s_n, n), dtype=dt)
-    du = g * skip
+    du = np.empty((seq_len, s_n, d), dtype=dt)
     carry = np.zeros((s_n, n, d), dtype=dt)
     wb = np.empty((5, chunks[0].stop, s_n, n, d), dtype=dt)
     for ci in reversed(range(len(chunks))):
         sl = chunks[ci]
         k = sl.stop - sl.start
         u = xf[order[sl]]
+        gc = g[order[sl], streams]
         a_bar, factor, hc = _advance(delta[sl], a, b_seq[sl], u, starts[ci], wb)
-        d_c[sl] = np.einsum("lsd,lsnd->lsn", g[sl], hc)
+        d_c[sl] = np.einsum("lsd,lsnd->lsn", gc, hc)
+        np.multiply(gc, skip, out=du[sl])
         # gradient into each state h_t; only this recurrence is sequential
-        dh = np.multiply(g[sl, :, None, :], c_seq[sl, :, :, None], out=wb[3, :k])
+        dh = np.multiply(gc[:, :, None, :], c_seq[sl, :, :, None], out=wb[3, :k])
         for cur, step in zip(dh[::-1], a_bar[::-1]):
             cur += carry
             carry = cur * step
@@ -229,7 +240,9 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     ``x`` holds the rows the streams read, viewed as (R, D), and ``order``
     is (L, S) with L = R: each column is a permutation of the rows, and
     stream s reads row ``order[l, s]`` at step l, with row s of every field
-    of ``p``. The result is (L, S, D), stream s's step l at [l, s]. Per
+    of ``p``. The result is x's leading shape + (S, D): stream s's step l
+    goes back to the row it read, ``[order[l, s], s]`` of the result viewed
+    as (R, S, D), so the streams' outputs for one row sit side by side. Per
     step: project the input to step sizes, input and output vectors;
     discretize; advance ``h_t = a_bar_t h_{t-1} + b_bar_t u_t`` from a zero
     state; emit ``y_t = C_t h_t + skip * u_t``.
@@ -241,17 +254,17 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     chunk, so no (L, S, N, D) array exists, with gradients or without. The
     adjoint keeps ``starts``, the (S, N, D) state entering each chunk, and
     walks the chunks in reverse; for each it recomputes ``a_bar`` and
-    ``factor`` through :func:`_zoh` and the chunk's states from its start.
-    The tape keeps x, not the (L, S, D) sequence in scan order: the adjoint
-    gathers it again, and returns x's gradient through the inverse of
-    ``order``, each row's S terms added in stream order as in the adjoint of
-    :func:`gather_sum`. It keeps no (L, S, D) step sizes and no (L, S, N)
-    input or output vectors either: it rebuilds them through
-    :func:`_step_sizes` and :func:`_input_vectors` from the projections,
-    which it keeps for the weight gradients. Every rebuild runs the forward's
-    code on the forward's inputs, so it is the forward's bits. The per-chunk
-    temporaries of either pass are written into a workspace allocated once
-    per pass. The adjoint is exact.
+    ``factor`` through :func:`_zoh` and the chunk's states from its start. The
+    tape keeps x, not the (L, S, D) sequence in scan order: the adjoint
+    gathers it again, reads g back into scan order one chunk at a time, and
+    writes x's (L, S, D) gradient terms to their rows as the forward writes
+    its output, adding each row's S terms in stream order. It keeps no
+    (L, S, D) step sizes and no (L, S, N) input or output vectors either: it
+    rebuilds them through :func:`_step_sizes` and :func:`_input_vectors` from
+    the projections, which it keeps for the weight gradients. Every rebuild
+    runs the forward's code on the forward's inputs, so it is the forward's
+    bits. The per-chunk temporaries of either pass are written into a
+    workspace allocated once per pass. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
     if x.shape[-1] != d or np.shape(order) != (x.size // d, s_n):
@@ -286,30 +299,37 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
         starts[ci + 1] = hc[-1]
         np.matmul(c_seq[sl, :, None, :], hc, out=ys[sl, :, None, :])
     ys += skip * ud
+    # each stream's step l back at the row it read, stream s at [..., s, :]
+    out = np.empty(x_shape[:-1] + (s_n, d), dtype=dt)
+    out.reshape(-1, s_n, d)[order, np.arange(s_n)] = ys
 
     def backward(g):
+        g = g.reshape(-1, s_n, d)
         b_seq, c_seq = _input_vectors(proj, n, b_bias, c_bias)
         du, d_b, d_c, dz, d_a_log = _chunk_adjoint(g, chunks, starts,
                                                    _step_sizes(m1, dt_up, dt_bias), a,
                                                    b_seq, c_seq, xf, order, skip)
         dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)
+        d_dt_up = np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1))
+        d_dt_bias = dz.sum(axis=0)
+        del dz
         dproj = np.concatenate([d_b, d_c, dm1], axis=2).swapaxes(0, 1)  # (S, L, 2N+r)
         ud = xf[order]
         dw = np.matmul(dproj.swapaxes(1, 2), ud.swapaxes(0, 1))         # (S, 2N+r, D)
-        # the skip gradient is formed in the gathered input's place, which
-        # is then freed before du's last term and its gather back to x's
-        # rows each make an (L, S, D) transient
-        ud *= g
+        # the skip gradient is formed in the gathered input's place, with g
+        # gathered into scan order beside it once the step sizes' gradient
+        # is freed; that buffer then takes x's gradient terms at their rows,
+        # each row's S terms added in stream order
+        streams = np.arange(s_n)
+        ud *= g[order, streams]
         d_skip = ud.sum(axis=0)
-        del ud
         du += np.matmul(dproj, w).swapaxes(0, 1)
-        return (_take_rows(du, _inverse_rows(order), d).reshape(x_shape),
+        ud[order, streams] = du
+        return (ud.sum(axis=1).reshape(x_shape),
                 d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
-                dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:],
-                np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1)),    # dt_up
-                dz.sum(axis=0), d_skip)
+                dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:], d_dt_up, d_dt_bias, d_skip)
 
-    return make_op(ys, (x,) + p.tensors(), backward)
+    return make_op(out, (x,) + p.tensors(), backward)
 
 
 def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,

@@ -350,7 +350,7 @@ def gelu(x: Tensor) -> Tensor:
     The tape keeps one array, the slope ``cdf + x * pdf``, formed in the
     forward only when x needs a gradient; neither x nor the CDF is kept.
     """
-    from scipy.special import erf  # at first use, as in bilinear_gather
+    from scipy.special import erf  # at first use, as in row_selection
     d = x.data
     cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
     out = (d * cdf).astype(d.dtype, copy=False)
@@ -394,11 +394,11 @@ def sum_all(x: Tensor) -> Tensor:
     return make_op(np.asarray(x.data.sum(), dtype=x.dtype), (x,), backward)
 
 
-def sum_last(x: Tensor) -> Tensor:
+def sum_axis(x: Tensor, axis: int) -> Tensor:
     def backward(g):
-        return (g[..., None],)       # broadcast over x's last axis when accumulated
+        return (np.expand_dims(g, axis),)   # broadcast over that axis when accumulated
 
-    return make_op(x.data.sum(axis=-1), (x,), backward)
+    return make_op(x.data.sum(axis=axis), (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -475,51 +475,27 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     return make_op(out, (x, p.gamma, p.beta), backward)
 
 
-def scatter_rows(dst: np.ndarray, rows: np.ndarray, vals: np.ndarray) -> None:
-    """Accumulate vals[m] into dst[rows[m]] for a (R, C) destination.
+def row_selection(cols: np.ndarray, n_rows: int, weights, dtype):
+    """The (M, n_rows) CSR matrix whose row m holds ``weights[m, j]``, or one
+    when ``weights`` is None, at column ``cols[m, j]``, for ``cols`` of shape
+    M + (J,) and ``weights`` of the same shape; M is flattened. Entries are
+    in ``dtype``, so a product with an array of that dtype neither upcasts it
+    nor its result."""
+    from scipy.sparse import csr_array  # at first use: commands without a model skip it
 
-    Computed as one sparse product: an (R, M) CSC matrix holding a single one
-    per column m, at row ``rows[m]``, times vals. The sums run in order of m,
-    so the result is deterministic whatever rows repeat.
-    """
-    from scipy.sparse import csc_array  # at first use: commands without a model skip it
-
-    m = rows.shape[0]
-    pick = csc_array((np.ones(m, dtype=vals.dtype), rows, np.arange(m + 1)),
-                     shape=(dst.shape[0], m))
-    dst += pick @ vals
-
-
-def _take_rows(a: np.ndarray, rows: np.ndarray, c: int) -> np.ndarray:
-    taken = a.reshape(-1, c)[rows]
-    return taken[..., 0, :] if rows.shape[-1] == 1 else taken.sum(axis=-2)
+    j = cols.shape[-1]
+    data = np.ones(cols.size, dtype) if weights is None else weights.astype(dtype).reshape(-1)
+    return csr_array((data, cols.reshape(-1), np.arange(0, cols.size + 1, j)),
+                     shape=(cols.size // j, n_rows))
 
 
-def _inverse_rows(order: np.ndarray) -> np.ndarray:
-    """The inverse of an (L, S) ``order`` whose every column is a permutation
-    of L rows: an (L, S) array whose entry [r, s] is the flat position
-    ``l * S + s`` at which column s reads row r."""
-    home = np.empty_like(order)
-    home[order, np.arange(order.shape[1])] = np.arange(order.size).reshape(order.shape)
-    return home
-
-
-def gather_sum(x: Tensor, rows: np.ndarray, inverse: np.ndarray) -> Tensor:
-    """``out[m] = sum_j x[rows[m, j]]`` over the rows of x, viewed as (R, C).
-
-    ``rows`` has shape M + (J,) and the result M + (C,); the J terms are
-    added in order. ``inverse`` is the same relation read the other way, an
-    (R, K) array: row r of x is read at the K flat positions ``inverse[r]``
-    of M, every row equally often. The adjoint is therefore the same gather
-    with ``rows`` and ``inverse`` swapped, and needs no scatter.
-    """
-    c = x.shape[-1]
-    x_shape = x.shape
-
-    def backward(g):
-        return (_take_rows(g, inverse, c).reshape(x_shape),)
-
-    return make_op(_take_rows(x.data, rows, c), (x,), backward)
+def scatter_rows(g: np.ndarray, cols: np.ndarray, n_rows: int, weights=None) -> np.ndarray:
+    """Every gradient scatter: the transposed :func:`row_selection` times g,
+    viewed as (M, C), which adds ``weights[m, j] * g[m]`` (or ``g[m]``) into
+    row ``cols[m, j]`` of an (n_rows, C) result. Each row's terms are added
+    in order of m, so the result is deterministic whatever columns repeat,
+    and a row that nothing selects stays exactly zero."""
+    return row_selection(cols, n_rows, weights, g.dtype).T @ g.reshape(-1, g.shape[-1])
 
 
 def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
@@ -552,8 +528,7 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
         # size of x, and the rows take a fraction of a millisecond to remake
         rows = _neighbor_rows(t_n, v_n)
         dw = (g2.T @ xf[rows].reshape(-1, 9 * c_in)).reshape(c_out, 3, 3, c_in)
-        dx = np.zeros_like(xf)
-        scatter_rows(dx, rows.ravel(), (g2 @ w_mat).reshape(-1, c_in))
+        dx = scatter_rows((g2 @ w_mat).reshape(-1, c_in), rows[..., None], t_n * v_n)
         return dx.reshape(t_n, v_n, c_in), dw.transpose(0, 3, 1, 2), g2.sum(axis=0)
 
     return make_op(out.reshape(t_n, v_n, c_out), (x, w, b), backward)
@@ -576,8 +551,7 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
         # rows and gather rebuilt, as in grid_conv3x3
         rows = _neighbor_rows(t_n, v_n)
         dw = np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3)
-        dx = np.zeros_like(xf)
-        scatter_rows(dx, rows.ravel(), (g2[:, None, :] * w_mat).reshape(-1, c))
+        dx = scatter_rows((g2[:, None, :] * w_mat).reshape(-1, c), rows[..., None], t_n * v_n)
         return dx.reshape(t_n, v_n, c), dw, g2.sum(axis=0)
 
     return make_op(out.reshape(x.shape), (x, w, b), backward)
@@ -587,11 +561,13 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
 
 
 def bilinear_weights(pt: np.ndarray, pv: np.ndarray, t_n: int, v_n: int):
-    """Corner indices and weights for clamp-to-edge bilinear interpolation.
+    """Corner columns and weights for clamp-to-edge bilinear interpolation.
 
-    Weights use the standard product form (1-|dt|)(1-|dv|) per corner, which
-    is nonnegative, sums to one, and reproduces grid values exactly at
-    integer positions.
+    The columns of the corners 00, 01, 10, 11 are the flat ``t * V + v`` rows
+    of the (T, V) grid, stacked on a last axis of 4; the weights come with the
+    fractions (wt, wv) they are made of. Weights use the standard product form
+    (1-|dt|)(1-|dv|) per corner, which is nonnegative, sums to one, and
+    reproduces grid values exactly at integer positions.
     """
     pct = np.clip(pt, 0.0, float(t_n - 1))
     pcv = np.clip(pv, 0.0, float(v_n - 1))
@@ -605,7 +581,8 @@ def bilinear_weights(pt: np.ndarray, pv: np.ndarray, t_n: int, v_n: int):
     w01 = (1.0 - wt) * wv
     w10 = wt * (1.0 - wv)
     w11 = wt * wv
-    return (t0, t1, v0, v1), (w00, w01, w10, w11), (wt, wv)
+    cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1], axis=-1)
+    return cols, (w00, w01, w10, w11), (wt, wv)
 
 
 def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
@@ -613,57 +590,44 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
 
     ``pos`` has shape S + (2,), one (t, v) position per sample on its last
     axis; the result has shape S + (C,). The n = prod(S) samples are one
-    sparse product ``W @ x`` with x viewed as (T*V, C): W is (n, T*V) CSR with
-    four entries per row, the corners 00, 01, 10, 11 and their weights. The x
-    adjoint is ``W.T @ g``. The position adjoint is one S + (2,) gradient: its
-    t (or v) entry fills the same pattern with the weights' derivative in t
-    (or v), multiplies by x and takes the row-wise dot with g; the clamp has
-    zero slope unless the coordinate lies strictly inside the grid. The tape
-    keeps only x and the positions: the adjoint rebuilds the pattern and the
-    weights from the positions through the helper the forward calls, so they
-    are the forward's bits, and keeps no (n, C) gather either. A non-finite
-    position raises :class:`NumericError` whether or not checked mode is on:
-    a NaN has no corner, and would cast to a negative column index.
+    sparse product ``W @ x`` with x viewed as (T*V, C): W is the (n, T*V)
+    :func:`row_selection` with four entries per row, the corners 00, 01, 10,
+    11 and their weights. The x adjoint is :func:`scatter_rows` with the same
+    corners, ``W.T @ g``. The position adjoint is one S + (2,) gradient: its t
+    (or v) entry fills the same pattern with the weights' derivative in t (or
+    v), multiplies by x and takes the row-wise dot with g; the clamp has zero
+    slope unless the coordinate lies strictly inside the grid. The tape keeps
+    only x and the positions: the adjoint rebuilds the pattern and the weights
+    from the positions through :func:`bilinear_weights`, as the forward does,
+    so they are the forward's bits, and keeps no (n, C) gather either. A non-finite position
+    raises :class:`NumericError` whether or not checked mode is on: a NaN has
+    no corner, and would cast to a negative column index.
     """
-    from scipy.sparse import csr_array  # at first use, as in scatter_rows
-
     t_n, v_n, c = x.shape
     posd = pos.data
     if posd.ndim < 1 or posd.shape[-1] != 2:
         raise DimensionError(f"positions must end in a (t, v) axis of 2, got {posd.shape}")
     if not np.isfinite(posd).all():
         raise NumericError("non-finite sampling positions")
-    n = pos.size // 2
     dt = x.dtype
-
-    def pattern():
-        # the corner weights, the fractions (wt, wv) they are made of, and a
-        # builder of the sampling matrix holding given per-corner entries
-        (t0, t1, v0, v1), corners, (wt, wv) = bilinear_weights(posd[..., 0], posd[..., 1],
-                                                                 t_n, v_n)
-        cols = np.stack([t0 * v_n + v0, t0 * v_n + v1, t1 * v_n + v0, t1 * v_n + v1],
-                        axis=-1).reshape(-1)
-        rows = np.arange(0, 4 * n + 1, 4)
-
-        def sampling(weights) -> csr_array:
-            # in x's dtype, so that the product neither upcasts x nor its result
-            data = np.stack(weights, axis=-1).astype(dt).reshape(-1)
-            return csr_array((data, cols, rows), shape=(n, t_n * v_n))
-
-        return sampling, corners, wt, wv
-
-    sampling, corners, _, _ = pattern()
     xf = x.data.reshape(-1, c)
-    out = (sampling(corners) @ xf).reshape(pos.shape[:-1] + (c,))
+
+    def sample(cols, weights):
+        # x's corner rows blended with the given four per-corner weights
+        return row_selection(cols, t_n * v_n, np.stack(weights, axis=-1), dt) @ xf
+
+    cols, corners, _ = bilinear_weights(posd[..., 0], posd[..., 1], t_n, v_n)
+    out = sample(cols, corners).reshape(pos.shape[:-1] + (c,))
 
     def backward(g):
-        sampling, corners, wt, wv = pattern()
-        g2 = g.reshape(n, c)
+        cols, corners, (wt, wv) = bilinear_weights(posd[..., 0], posd[..., 1], t_n, v_n)
+        g2 = g.reshape(-1, c)
         inside = (posd > 0.0) & (posd < np.array([t_n - 1, v_n - 1]))
-        d_dt = np.einsum("nc,nc->n", sampling((wv - 1.0, -wv, 1.0 - wv, wv)) @ xf, g2)
-        d_dv = np.einsum("nc,nc->n", sampling((wt - 1.0, 1.0 - wt, -wt, wt)) @ xf, g2)
+        d_dt = np.einsum("nc,nc->n", sample(cols, (wv - 1.0, -wv, 1.0 - wv, wv)), g2)
+        d_dv = np.einsum("nc,nc->n", sample(cols, (wt - 1.0, 1.0 - wt, -wt, wt)), g2)
         d_pos = inside * np.stack((d_dt, d_dv), axis=-1).reshape(posd.shape)
-        return (sampling(corners).T @ g2).reshape(t_n, v_n, c), d_pos
+        dx = scatter_rows(g2, cols, t_n * v_n, np.stack(corners, axis=-1))
+        return dx.reshape(t_n, v_n, c), d_pos
 
     return make_op(out, (x, pos), backward)
 

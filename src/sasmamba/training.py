@@ -20,7 +20,7 @@ from .fileio import _atomic_write
 from .metrics import _check_pair
 from .model import Model, entry_name, forward
 from .tensor import (Tensor, add, mul, scale, slice0, sqrt, sub, sum_all,
-                     sum_last)
+                     sum_axis)
 
 
 @dataclass
@@ -44,7 +44,7 @@ def wmpjpe(pred, gt, w: np.ndarray | None = None) -> Tensor:
     _check_pair(pred.data, gt.data, 3)
     t_n, v_n, _ = pred.shape
     diff = sub(pred, gt)
-    dist = sqrt(sum_last(mul(diff, diff)))
+    dist = sqrt(sum_axis(mul(diff, diff), -1))
     if w is not None:
         wv = np.asarray(w, dtype=pred.dtype)
         if wv.shape != (v_n,):
@@ -68,7 +68,7 @@ def tc_loss(pred) -> Tensor:
                       RuntimeWarning, stacklevel=2)
         return Tensor(np.zeros((), dtype=pred.dtype))
     vel = _velocity(pred)
-    return scale(sum_all(sum_last(mul(vel, vel))), 1.0 / ((t_n - 1) * v_n))
+    return scale(sum_all(sum_axis(mul(vel, vel), -1)), 1.0 / ((t_n - 1) * v_n))
 
 
 def mpjve(pred, gt) -> Tensor:
@@ -81,7 +81,7 @@ def mpjve(pred, gt) -> Tensor:
                       RuntimeWarning, stacklevel=2)
         return Tensor(np.zeros((), dtype=pred.dtype))
     diff = sub(_velocity(pred), _velocity(gt))
-    return scale(sum_all(sqrt(sum_last(mul(diff, diff)))), 1.0 / ((t_n - 1) * v_n))
+    return scale(sum_all(sqrt(sum_axis(mul(diff, diff), -1))), 1.0 / ((t_n - 1) * v_n))
 
 
 def _objective(pred: Tensor, gt: Tensor, weights: LossWeights) -> tuple[Tensor, dict]:

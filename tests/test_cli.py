@@ -88,6 +88,34 @@ def test_cli_import_leaves_scipy_out(module):
     assert proc.stdout.strip() == "False"
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def test_seeded_train_does_not_depend_on_the_core_count(tmp_path):
+    # a BLAS thread count splits a matrix product's sums its own way, so a
+    # seeded train must write the same bytes with the thread variables
+    # unset, where BLAS would take every core, as at one thread
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"L": 2, "D": 32, "T": 27}))
+    base = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    base["PYTHONPATH"] = str(SRC)
+
+    def cli(*argv, **env):
+        proc = subprocess.run([sys.executable, "-m", "sasmamba.cli", *map(str, argv)],
+                              env={**base, **env}, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr
+
+    cli("synth", "--seed", 1, "--sequences", 2, "--frames", 27, "--out", tmp_path / "data")
+    cli("init", "--config", cfg, "--seed", 0, "--out", tmp_path / "m.ckpt")
+    outs = {}
+    for name, env in (("unset", {}), ("one", {"OPENBLAS_NUM_THREADS": "1"})):
+        outs[name] = tmp_path / f"{name}.ckpt"
+        cli("train", "--data", tmp_path / "data", "--model", tmp_path / "m.ckpt",
+            "--epochs", 2, "--batch", 2, "--seed", 0, "--out", outs[name], **env)
+    assert outs["unset"].read_bytes() == outs["one"].read_bytes()
+
+
 class TestUsageErrors:
     def test_unknown_flag(self, capsys):
         rc, _, stderr = run(["count", "--bogus"], capsys)

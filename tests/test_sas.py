@@ -347,9 +347,9 @@ class TestFourStreamScan:
         assert err < 1e-6
 
     def test_scan_output_is_freed_when_the_layer_returns(self, monkeypatch):
-        # no adjoint reads the (L, S, C) scan output: the output gather keeps
-        # only its indices, so the array dies with its Tensor, before any
-        # backward, while the gradients through the scan stay exact
+        # no adjoint reads the (T, V, S, C) scan output: the stream sum keeps
+        # nothing, so the array dies with its Tensor, before any backward,
+        # while the gradients through the scan stay exact
         rng = np.random.default_rng(21)
         d = 4
         streams = stream_set(rng, d, STREAM_ORDER)

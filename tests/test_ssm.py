@@ -94,6 +94,20 @@ class TestDiscretize:
 
 
 class TestSoftplus:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_form_keeps_the_two_expression_bits(self, dtype):
+        # the buffer-reusing softplus against max(z, 0) + log1p(exp(-|z|))
+        # written out, over |z| well past 88, where e^z overflows float32;
+        # the input is left as it was
+        z = np.concatenate([np.linspace(-300.0, 300.0, 60001),
+                            np.random.default_rng(5).normal(size=5000) * 20.0,
+                            [0.0, -0.0, 88.7, -88.7, 89.0, -104.0, 710.0, -745.0]]).astype(dtype)
+        before = z.copy()
+        expect = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+        got = softplus(z)
+        assert got.dtype == dtype and got.tobytes() == expect.tobytes()
+        assert z.tobytes() == before.tobytes()
+
     def test_inverse_roundtrip(self):
         y = np.array([1e-3, 0.05, 0.1, 2.0])
         np.testing.assert_allclose(softplus(softplus_inverse(y)), y, rtol=1e-10)
@@ -325,6 +339,7 @@ class TestScanOrder:
         for t in streams.tensors():
             t.requires_grad = True
         out = selective_scan(x, streams, order)
+        assert out.shape == (length, s_n, d)
         cot = rng.normal(size=out.shape)
         out.backward(cot)
         dx = np.zeros_like(x.data)
@@ -333,8 +348,10 @@ class TestScanOrder:
                                          for t in streams.tensors()))
             seq = tensor(x.data[order[:, s]], requires_grad=True)
             y = selective_scan(seq, alone, identity_order(length))
-            np.testing.assert_allclose(out.data[:, s], y.data[:, 0], rtol=1e-12, atol=1e-14)
-            y.backward(cot[:, s:s + 1])
+            # the output is in row layout: stream s's step l at row order[l, s]
+            np.testing.assert_allclose(out.data[order[:, s], s], y.data[:, 0],
+                                       rtol=1e-12, atol=1e-14)
+            y.backward(cot[order[:, s], s:s + 1])
             dx[order[:, s]] += seq.grad
             for got, want in zip(streams.tensors(), alone.tensors()):
                 np.testing.assert_allclose(got.grad[s], want.grad[0], rtol=1e-12, atol=1e-14)

@@ -215,17 +215,52 @@ class TestBilinear:
 class TestScatterRows:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_duplicate_rows_match_add_at(self, dtype):
+        # every row but the last is read several times; each row's terms are
+        # added in order of m, as np.add.at adds them, so the bits agree
         rng = np.random.default_rng(11)
-        rows = rng.integers(0, 6, size=40)          # every row several times
-        vals = rng.normal(size=(40, 3)).astype(dtype)
-        dst = rng.normal(size=(7, 3)).astype(dtype)
-        ref = dst.astype(np.float64)
-        np.add.at(ref, rows, vals.astype(np.float64))
-        tz.scatter_rows(dst, rows, vals)
-        assert dst.dtype == dtype
-        tol = 1e-5 if dtype == np.float32 else 1e-13
-        np.testing.assert_allclose(dst, ref, rtol=tol, atol=tol)
-        np.testing.assert_array_equal(dst[6], ref[6].astype(dtype))
+        cols = rng.integers(0, 6, size=(40, 1))
+        g = rng.normal(size=(40, 3)).astype(dtype)
+        ref = np.zeros((7, 3), dtype=dtype)
+        np.add.at(ref, cols[:, 0], g)
+        out = tz.scatter_rows(g, cols, 7)
+        assert out.dtype == dtype and out.shape == (7, 3)
+        assert out.tobytes() == ref.tobytes()
+        assert not out[6].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weighted_corners_match_add_at(self, dtype):
+        # the bilinear case: four weighted columns per source row, M = (5, 2),
+        # with repeats inside a row as at a clamped corner; destination row 9
+        # is never selected and stays exactly zero
+        rng = np.random.default_rng(12)
+        cols = rng.integers(0, 9, size=(5, 2, 4))
+        cols[0, 0] = [3, 3, 4, 4]
+        weights = rng.uniform(0.0, 1.0, size=(5, 2, 4))
+        g = rng.normal(size=(5, 2, 3)).astype(dtype)
+        ref = np.zeros((10, 3))
+        np.add.at(ref, cols.reshape(-1),
+                  (weights.astype(dtype)[..., None] * g[..., None, :]).reshape(-1, 3))
+        out = tz.scatter_rows(g, cols, 10, weights)
+        assert out.dtype == dtype and out.shape == (10, 3)
+        tol = 1e-6 if dtype == np.float32 else 1e-14
+        np.testing.assert_allclose(out, ref, rtol=tol, atol=tol)
+        assert not out[9].any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_selection_gathers_what_scatter_returns(self, dtype):
+        # <S x, g> = <x, S.T g>: the scatter is the gather's adjoint
+        rng = np.random.default_rng(13)
+        cols = rng.integers(0, 6, size=(8, 4))
+        weights = rng.uniform(0.0, 1.0, size=(8, 4))
+        x = rng.normal(size=(6, 3)).astype(dtype)
+        g = rng.normal(size=(8, 3)).astype(dtype)
+        gathered = tz.row_selection(cols, 6, weights, dtype) @ x
+        assert gathered.dtype == dtype
+        np.testing.assert_allclose(
+            gathered, np.einsum("mj,mjc->mc", weights, x[cols]), rtol=1e-5)
+        np.testing.assert_allclose(np.vdot(gathered, g),
+                                   np.vdot(x, tz.scatter_rows(g, cols, 6, weights)),
+                                   rtol=1e-5)
 
 
 # the function each op of the suite runs, where its key in OPS differs
@@ -369,7 +404,7 @@ class TestFiniteDiffCheck:
         b = t64(rng.normal(size=(3, 4)))
         for name in ("add", "sub", "mul"):
             assert finite_diff_check(OPS[name][0], [a, b]) < 1e-4
-        for name in ("gelu", "silu", "sum_all", "sum_last", "reshape_flat", "slice0",
+        for name in ("gelu", "silu", "sum_all", "sum_axis", "reshape_flat", "slice0",
                      "scale"):
             assert finite_diff_check(OPS[name][0], [a]) < 1e-4
         pos = t64(rng.uniform(0.4, 2.2, size=(3, 4)))
