@@ -53,14 +53,30 @@ def _scan_inputs(rng):
     ]
 
 
+def _sampling_inputs(rng):
+    """x on a (4, 5) grid, (9, 6, 2) positions and rank-2 maps of nine taps.
+    Four taps reach past one edge each; one has exact integers past the
+    edges, which the clamp puts on edge lines and corners. Inside the grid
+    an exact integer is a kink, which central differences average."""
+    t_n, v_n, c, k_n, n = 4, 5, 3, 9, 6
+    pos = np.stack([rng.integers(0, t_n - 1, size=(k_n, n)),
+                    rng.integers(0, v_n - 1, size=(k_n, n))], axis=-1)
+    pos = pos + rng.uniform(0.1, 0.9, size=(k_n, n, 2))
+    pos[0, :, 0] -= t_n + 0.5
+    pos[1, :, 0] += t_n + 0.5
+    pos[2, :, 1] -= v_n + 0.5
+    pos[3, :, 1] += v_n + 0.5
+    pos[4] = [(-1.0, 2.5), (t_n + 1.0, 0.5), (1.5, -2.0), (2.5, v_n + 1.0),
+              (-3.0, -1.0), (t_n + 2.0, v_n + 1.0)]
+    return [_t(rng, (t_n, v_n, c)), tensor(pos, dtype=np.float64), _t(rng, (k_n, c)),
+            _t(rng, (k_n, 2, c), 0.5), _t(rng, (k_n, c, 2), 0.5)]
+
+
 # One entry per function of tensor, sas and ssm that calls make_op (a test
 # holds the table to that list): name -> (fn, inputs), where ``inputs(rng)``
 # draws the randomized 64-bit tensors that ``fn`` takes.
 OPS = {
     "add": (add, _two),
-    "bilinear_gather": (bilinear_gather, lambda rng: [
-        _t(rng, (5, 6, 3)),
-        tensor(rng.uniform((0.55, 0.55), (3.45, 4.45), size=(8, 2)), dtype=np.float64)]),
     "depthwise_conv3x3": (
         lambda x, w, b: depthwise_conv3x3(x, Conv3x3Params(w, b)),
         lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (3, 3, 3), 0.4), _t(rng, (3,))]),
@@ -73,10 +89,11 @@ OPS = {
     "linear": (lambda x, w, b: linear(x, LinearParams(w, b)),
                lambda rng: [_t(rng, (3, 4)), _t(rng, (2, 4)), _t(rng, (2,))]),
     "mul": (mul, _two),
+    # sampling and mixing, one op over nine taps of x's (4, 5) grid
     "neighbor_mix": (
-        lambda s, *mix: NeighborMixParams.apply(s, NeighborMixParams(*mix)),
-        lambda rng: [_t(rng, (2, 4, 2, 3)), _t(rng, (2, 3)), _t(rng, (2, 2, 3), 0.5),
-                     _t(rng, (2, 3, 2), 0.5)]),
+        lambda x, pos, *mix: NeighborMixParams.apply(x, pos, bilinear_gather(x, pos),
+                                                     NeighborMixParams(*mix)),
+        _sampling_inputs),
     "reshape_flat": (lambda x: reshape(x, (x.size,)), _one),
     "scale": (lambda x: scale(x, -0.7), _one),
     "selective_scan": (

@@ -7,8 +7,11 @@ directions, summed. Shapes are (T, V, C) throughout, with two exceptions.
 Inside :func:`sa_conv` the K*K taps are a leading axis and each sampling
 position is one (t, v) pair on a last axis of 2: one :func:`bilinear_gather`
 samples (K*K, T, V, C) at (K*K, T, V, 2) positions and one
-:meth:`NeighborMixParams.apply` mixes and sums them. Inside
-:func:`four_stream_scan` the enabled streams are a stream axis S: one
+:meth:`NeighborMixParams.apply` mixes and sums them. That op is the one
+taped: it differentiates the sampling and the mixing together, keeping x and
+the positions, and its adjoint rebuilds the samples one tap at a time, as
+deformable convolution rebuilds its sampled columns (Dai et al., ICCV 2017).
+Inside :func:`four_stream_scan` the enabled streams are a stream axis S: one
 :func:`selective_scan` call reads the (T*V, C) rows of the map in every
 stream's order, an (L, S) table with L = T*V, and returns each stream's
 output at the row it read, (T, V, S, C), which one sum over S adds, as
@@ -30,9 +33,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
-                     bilinear_gather, depthwise_conv3x3, grid_conv3x3, linear,
-                     make_op, mul, reshape, scatter_rows, silu, sum_axis,
-                     tensor)
+                     bilinear_gather, bilinear_weights, depthwise_conv3x3,
+                     grid_conv3x3, linear, make_op, mul, reshape, row_selection,
+                     scatter_rows, silu, sum_axis, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -63,34 +66,66 @@ class NeighborMixParams(Params):
     up: Tensor     # (K*K, C, rho)
 
     @staticmethod
-    def apply(s: Tensor, mix: NeighborMixParams) -> Tensor:
-        """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``.
+    def apply(x: Tensor, pos: Tensor, samples: np.ndarray,
+              mix: NeighborMixParams) -> Tensor:
+        """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``,
+        s[k] being x sampled at tap k's positions: the one op of both the
+        bilinear sampling and the mixing.
 
-        ``s`` stacks one (..., C) sample per tap on its leading axis; the
-        result drops that axis. All maps run as one op: a batched ``down``
-        product and one matmul with the ``up`` maps side by side. The tape
-        keeps the samples, not the (P, K*rho) ``down`` products: the adjoint
-        rebuilds them for the ``up`` gradient with the forward's own matmul.
-        Call it through the class, ``NeighborMixParams.apply(s, mix)``.
+        ``pos`` stacks one (..., 2) block of (t, v) positions per tap on its
+        leading axis, and ``samples`` is :func:`bilinear_gather` of x there,
+        (K*K, ..., C), which the forward mixes with a batched ``down`` product
+        and one matmul of the ``up`` maps side by side; the result drops the
+        tap axis. The tape keeps x and the positions, not the samples, and the
+        adjoint walks the taps: for tap k it rebuilds the corners and weights
+        through :func:`bilinear_weights`, and one :func:`row_selection`
+        product gives the (P, C) samples, with the forward's bits, and their
+        derivatives in t and in v. With ``ds = diag[k] * g + (g @ up[k]) @
+        down[k]``, :func:`scatter_rows` adds ``W_k.T @ ds`` into x's gradient,
+        the positions' gradient is the row-wise dot of ``ds`` with the
+        derivatives, zero where the clamp is flat, and the samples give the
+        maps' gradients. Call it through the class.
         """
-        k_n, c = s.shape[0], s.shape[-1]
-        if k_n != mix.diag.shape[0]:
-            raise DimensionError(f"{k_n} stacked samples for {mix.diag.shape[0]} taps")
-        diag, down = mix.diag.data, mix.down.data                       # (K, C), (K, R, C)
-        rho = down.shape[1]
-        up = mix.up.data.transpose(1, 0, 2).reshape(c, k_n * rho)
-        sf = s.data.reshape(k_n, -1, c)                                 # (K, P, C)
-        out = np.einsum("kpc,kc->pc", sf, diag) + _low_rank(sf, down) @ up.T
-        s_shape = s.shape
+        t_n, v_n, c = x.shape
+        k_n = mix.diag.shape[0]
+        if pos.shape[0] != k_n:
+            raise DimensionError(f"{pos.shape[0]} stacked positions for {k_n} taps")
+        if samples.shape != pos.shape[:-1] + (c,):
+            raise DimensionError(f"samples {samples.shape} do not match positions "
+                                 f"{pos.shape} of {c} channels")
+        diag, down, up = mix.diag.data, mix.down.data, mix.up.data     # (K, C), (K, R, C), (K, C, R)
+        sf = samples.reshape(k_n, -1, c)                                # (K, P, C)
+        out = (np.einsum("kpc,kc->pc", sf, diag)
+               + _low_rank(sf, down) @ up.transpose(1, 0, 2).reshape(c, -1).T)
+        xf, posd = x.data.reshape(-1, c), pos.data.reshape(k_n, -1, 2)
+        x_shape, pos_shape, edge = x.shape, pos.shape, (t_n - 1, v_n - 1)
 
         def backward(g):
             g2 = g.reshape(-1, c)
-            d_up = (g2.T @ _low_rank(sf, down)).reshape(c, k_n, rho).transpose(1, 0, 2)
-            d_lo = np.ascontiguousarray((g2 @ up).reshape(-1, k_n, rho).transpose(1, 0, 2))
-            return ((diag[:, None, :] * g2 + d_lo @ down).reshape(s_shape),
-                    np.einsum("pc,kpc->kc", g2, sf), d_lo.transpose(0, 2, 1) @ sf, d_up)
+            inside = (posd > 0.0) & (posd < edge)     # the clamp is flat elsewhere
+            dx = np.zeros_like(xf)
+            d_pos = np.empty_like(posd)
+            d_diag, d_down, d_up = np.empty_like(diag), np.empty_like(down), np.empty_like(up)
+            for k, pk in enumerate(posd):
+                cols, corners, (wt, wv) = bilinear_weights(pk[:, 0], pk[:, 1], t_n, v_n)
+                # each corner's weight, then its derivatives in t and in v,
+                # (3, 4, P): they blend tap k's samples and their derivatives
+                weights = np.stack(corners + (wv - 1.0, -wv, 1.0 - wv, wv)
+                                   + (wt - 1.0, 1.0 - wt, -wt, wt)).reshape(3, 4, -1)
+                w = row_selection(np.broadcast_to(cols, (3,) + cols.shape), len(xf),
+                                  weights.transpose(0, 2, 1), xf.dtype)
+                blend = (w @ xf).reshape(3, -1, c)
+                s_k, d_s = blend[0], blend[1:]
+                d_lo = g2 @ up[k]                                       # (P, R)
+                ds = diag[k] * g2 + d_lo @ down[k]
+                dx += scatter_rows(ds, cols, len(xf), weights[0].T)
+                d_pos[k] = inside[k] * np.einsum("qpc,pc->pq", d_s, ds)
+                d_diag[k] = np.einsum("pc,pc->c", g2, s_k)
+                d_down[k] = d_lo.T @ s_k
+                d_up[k] = g2.T @ (s_k @ down[k].T)
+            return dx.reshape(x_shape), d_pos.reshape(pos_shape), d_diag, d_down, d_up
 
-        return make_op(out.reshape(s.shape[1:]), (s,) + mix.tensors(), backward)
+        return make_op(out.reshape(pos_shape[1:-1] + (c,)), (x, pos) + mix.tensors(), backward)
 
 
 @dataclass
@@ -157,7 +192,8 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     of 2: the (T, V, 2) offsets plus the (T, V, 2) grid p0 plus the
     (K*K, 1, 1, 2) tap offsets pn in the order of the tap axis of ``p.mix``
     (dt outer, dv inner). One :func:`bilinear_gather` samples all (K*K, T, V)
-    positions and one :meth:`NeighborMixParams.apply` mixes them.
+    positions and one :meth:`NeighborMixParams.apply` mixes them; the second
+    is the op whose adjoint differentiates both.
     """
     t_n, v_n, _ = x.shape
     half = (p.kernel_size - 1) // 2
@@ -167,8 +203,9 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     steps = np.arange(-half, half + 1, dtype=x.dtype)
     taps = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 1, 1, 2)
     local = depthwise_conv3x3(x, p.local_conv)
-    samples = bilinear_gather(x, add(add(offsets, tensor(grid)), tensor(taps)))
-    return add(local, NeighborMixParams.apply(samples, p.mix))
+    pos = add(add(offsets, tensor(grid)), tensor(taps))
+    samples = bilinear_gather(x, pos)
+    return add(local, NeighborMixParams.apply(x, pos, samples, p.mix))
 
 
 def stride_scan(x: Tensor, strides: tuple[int, ...]) -> Tensor:

@@ -37,7 +37,7 @@ from .tensor import Params, Tensor, make_op, tensor
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
-# The chunk also sizes the adjoint's five-slot (SCAN_CHUNK, S, N, D)
+# The chunk also sizes the adjoint's four-slot (SCAN_CHUNK, S, N, D)
 # workspace, which sets the peak of a backward, bounded against the tape by
 # the tape-ratio test of tests/test_model.py: the smaller the tape, the
 # smaller the chunk that test allows
@@ -189,7 +189,7 @@ def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, xf, order, skip):
     d_c = np.empty((seq_len, s_n, n), dtype=dt)
     du = np.empty((seq_len, s_n, d), dtype=dt)
     carry = np.zeros((s_n, n, d), dtype=dt)
-    wb = np.empty((5, chunks[0].stop, s_n, n, d), dtype=dt)
+    wb = np.empty((4, chunks[0].stop, s_n, n, d), dtype=dt)
     for ci in reversed(range(len(chunks))):
         sl = chunks[ci]
         k = sl.stop - sl.start
@@ -203,26 +203,30 @@ def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, xf, order, skip):
         for cur, step in zip(dh[::-1], a_bar[::-1]):
             cur += carry
             carry = cur * step
-        # b_bar * u = factor * b * u: gradients into u, b and factor
-        q = np.multiply(dh, factor, out=wb[4, :k])
+        # b_bar * u = factor * b * u: gradients into u and b through
+        # q = dh factor, formed in factor's place, which nothing reads after
+        q = np.multiply(dh, factor, out=factor)
         du[sl] += np.einsum("lsnd,lsn->lsd", q, b_seq[sl])
         d_b[sl] = np.einsum("lsnd,lsd->lsn", q, u)
+        # a_bar = exp(delta a) and factor = expm1(delta a) / a with
+        # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
+        # delta a_bar - factor, so with d_factor = dh u b and
+        # q = a_bar (a dh h_prev + d_factor), d delta = sum_n q and
+        # d a_log = sum_l delta q - sum_l d_factor factor; the second sum is
+        # taken first, from dh factor u b, so that q's slot is free for the
+        # first and the pass needs four slots
+        d_a_log -= np.einsum("lsnd,lsd,lsn->snd", q, u, b_seq[sl])
         # q = dh h_prev, h_prev being the start state and then every state of
         # the chunk but the last; d_factor then takes the place of dh
         np.multiply(dh[0], starts[ci], out=q[0])
         np.multiply(dh[1:], hc[:-1], out=q[1:])
         d_factor = np.multiply(dh, u[:, :, None, :], out=dh)
         d_factor *= b_seq[sl, :, :, None]
-        # a_bar = exp(delta a) and factor = expm1(delta a) / a with
-        # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
-        # delta a_bar - factor, so with q = a_bar (a dh h_prev + d_factor)
-        # d delta = sum_n q and d a_log = sum_l (delta q - d_factor factor)
         q *= a
         q += d_factor
         q *= a_bar
         d_delta = np.einsum("lsnd->lsd", q)
         q *= delta[sl, :, None, :]
-        q -= np.multiply(d_factor, factor, out=d_factor)
         d_a_log += q.sum(axis=0)
         # softplus' = sigmoid, which is 1 - exp(-softplus)
         np.multiply(d_delta, -np.expm1(-delta[sl]), out=delta[sl])

@@ -585,23 +585,19 @@ def bilinear_weights(pt: np.ndarray, pv: np.ndarray, t_n: int, v_n: int):
     return cols, (w00, w01, w10, w11), (wt, wv)
 
 
-def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
+def bilinear_gather(x: Tensor, pos: Tensor) -> np.ndarray:
     """Sample x at fractional (t, v) positions; positions clamp to the edge.
 
     ``pos`` has shape S + (2,), one (t, v) position per sample on its last
-    axis; the result has shape S + (C,). The n = prod(S) samples are one
-    sparse product ``W @ x`` with x viewed as (T*V, C): W is the (n, T*V)
-    :func:`row_selection` with four entries per row, the corners 00, 01, 10,
-    11 and their weights. The x adjoint is :func:`scatter_rows` with the same
-    corners, ``W.T @ g``. The position adjoint is one S + (2,) gradient: its t
-    (or v) entry fills the same pattern with the weights' derivative in t (or
-    v), multiplies by x and takes the row-wise dot with g; the clamp has zero
-    slope unless the coordinate lies strictly inside the grid. The tape keeps
-    only x and the positions: the adjoint rebuilds the pattern and the weights
-    from the positions through :func:`bilinear_weights`, as the forward does,
-    so they are the forward's bits, and keeps no (n, C) gather either. A non-finite position
-    raises :class:`NumericError` whether or not checked mode is on: a NaN has
-    no corner, and would cast to a negative column index.
+    axis; the result is an array of shape S + (C,). The n = prod(S) samples
+    are one sparse product ``W @ x`` with x viewed as (T*V, C): W is the
+    (n, T*V) :func:`row_selection` with four entries per row, the corners 00,
+    01, 10, 11 and their :func:`bilinear_weights`. The sampler is not taped:
+    the op that consumes the samples, ``sas.NeighborMixParams.apply``,
+    differentiates them with respect to x and the positions, rebuilding W
+    one tap at a time. A non-finite position raises :class:`NumericError`
+    whether or not checked mode is on: a NaN has no corner, and would cast
+    to a negative column index.
     """
     t_n, v_n, c = x.shape
     posd = pos.data
@@ -609,27 +605,9 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> Tensor:
         raise DimensionError(f"positions must end in a (t, v) axis of 2, got {posd.shape}")
     if not np.isfinite(posd).all():
         raise NumericError("non-finite sampling positions")
-    dt = x.dtype
-    xf = x.data.reshape(-1, c)
-
-    def sample(cols, weights):
-        # x's corner rows blended with the given four per-corner weights
-        return row_selection(cols, t_n * v_n, np.stack(weights, axis=-1), dt) @ xf
-
     cols, corners, _ = bilinear_weights(posd[..., 0], posd[..., 1], t_n, v_n)
-    out = sample(cols, corners).reshape(pos.shape[:-1] + (c,))
-
-    def backward(g):
-        cols, corners, (wt, wv) = bilinear_weights(posd[..., 0], posd[..., 1], t_n, v_n)
-        g2 = g.reshape(-1, c)
-        inside = (posd > 0.0) & (posd < np.array([t_n - 1, v_n - 1]))
-        d_dt = np.einsum("nc,nc->n", sample(cols, (wv - 1.0, -wv, 1.0 - wv, wv)), g2)
-        d_dv = np.einsum("nc,nc->n", sample(cols, (wt - 1.0, 1.0 - wt, -wt, wt)), g2)
-        d_pos = inside * np.stack((d_dt, d_dv), axis=-1).reshape(posd.shape)
-        dx = scatter_rows(g2, cols, t_n * v_n, np.stack(corners, axis=-1))
-        return dx.reshape(t_n, v_n, c), d_pos
-
-    return make_op(out, (x, pos), backward)
+    w = row_selection(cols, t_n * v_n, np.stack(corners, axis=-1), x.dtype)
+    return (w @ x.data.reshape(-1, c)).reshape(posd.shape[:-1] + (c,))
 
 
 # --- finite-difference validation -------------------------------------------

@@ -10,7 +10,7 @@ from conftest import (bilinear_by_corners, conv3x3_by_definition,
                       random_stream, scan_by_unroll, stack_streams, stack_taps,
                       stream_set, zero_local, zero_offset_net, zero_tap)
 from sasmamba import sas
-from sasmamba.errors import ConfigError, DimensionError
+from sasmamba.errors import ConfigError, DimensionError, NumericError
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
                           four_stream_scan, sa_conv, sas_ssm_layer,
                           stride_groups, stride_scan)
@@ -40,9 +40,10 @@ def sa_conv_by_taps(x, sa):
     return out, off
 
 
-def clamping_sa(rng, c):
-    """K=3 parameters whose offsets reach past every edge of a small grid."""
-    sa = random_sa(rng, c, k=3)
+def clamping_sa(rng, c, k=3):
+    """Parameters of K x K taps whose offsets reach past every edge of a
+    small grid."""
+    sa = random_sa(rng, c, k=k)
     sa.offset_net.weight.data[:] = rng.normal(size=sa.offset_net.weight.shape) * 1.5
     return sa
 
@@ -140,14 +141,26 @@ class TestSaConv:
             assert pv.min() < 0 and pv.max() > v_n - 1
 
     def test_gradients_against_finite_differences(self):
+        # K=3 probes every element; K=5 walks 25 taps whose outer rings sit
+        # past the 4 x 3 grid, and probes a sample of each leaf
         rng = np.random.default_rng(13)
-        sa = clamping_sa(rng, c=2)
-        x = t64(rng.normal(size=(4, 3, 2)), grad=True)
-        leaves = [x, sa.offset_net.weight, sa.offset_net.bias, *sa.mix.tensors()]
-        for leaf in leaves:
-            leaf.requires_grad = True
-        err = finite_diff_check_leaves(lambda: sa_conv(x, sa), leaves, eps=1e-6)
-        assert err < 1e-6
+        for k, sample in ((3, None), (5, 40)):
+            sa = clamping_sa(rng, c=2, k=k)
+            x = t64(rng.normal(size=(4, 3, 2)), grad=True)
+            leaves = [x, sa.offset_net.weight, sa.offset_net.bias, *sa.mix.tensors()]
+            for leaf in leaves:
+                leaf.requires_grad = True
+            err = finite_diff_check_leaves(lambda: sa_conv(x, sa), leaves, eps=1e-6,
+                                           sample=sample, rng=rng)
+            assert err < 1e-6, k
+
+    def test_non_finite_offsets_name_the_sampling_positions(self):
+        # outside checked mode too, as bilinear_gather raises it
+        rng = np.random.default_rng(14)
+        sa = random_sa(rng, 2, k=3)
+        sa.offset_net.bias.data[0] = np.nan
+        with pytest.raises(NumericError, match="sampling positions"):
+            sa_conv(t64(rng.normal(size=(4, 3, 2))), sa)
 
     def test_config_invariants(self):
         c = 2

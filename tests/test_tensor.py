@@ -9,7 +9,8 @@ import pytest
 import sasmamba.sas as sas
 import sasmamba.ssm as ssm
 import sasmamba.tensor as tz
-from conftest import bilinear_by_corners, conv3x3_by_definition
+from conftest import (bilinear_by_corners, conv3x3_by_definition,
+                      identity_tap, stack_taps)
 from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
@@ -109,19 +110,19 @@ class TestBilinear:
         rng = np.random.default_rng(1)
         x = t64(rng.normal(size=(4, 5, 3)))
         y = bilinear_gather(x, t64([1.0, 2.0]))
-        np.testing.assert_array_equal(y.data, x.data[1, 2])
+        np.testing.assert_array_equal(y, x.data[1, 2])
 
     def test_cell_center_averages_corners(self):
         x = np.zeros((2, 2, 1))
         x[0, 0], x[0, 1], x[1, 0], x[1, 1] = 1.0, 2.0, 3.0, 4.0
         y = bilinear_gather(t64(x), t64([0.5, 0.5]))
-        np.testing.assert_allclose(y.data, [(1.0 + 2.0 + 3.0 + 4.0) / 4])
+        np.testing.assert_allclose(y, [(1.0 + 2.0 + 3.0 + 4.0) / 4])
 
     def test_clamp_to_edge(self):
         rng = np.random.default_rng(2)
         x = t64(rng.normal(size=(3, 4, 2)))
         y = bilinear_gather(x, t64([-3.7, 0.0]))
-        np.testing.assert_allclose(y.data, x.data[0, 0])
+        np.testing.assert_allclose(y, x.data[0, 0])
 
     def test_weights_sum_to_one_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -142,7 +143,7 @@ class TestBilinear:
         pvs = rng.uniform(0.0, v_n - 1.0, size=50)
         y = bilinear_gather(t64(x), tensor(np.stack([pts, pvs], axis=-1)))
         expected = 0.7 * pts - 1.3 * pvs + 0.25
-        np.testing.assert_allclose(y.data[:, 0], expected, atol=1e-6)
+        np.testing.assert_allclose(y[:, 0], expected, atol=1e-6)
 
     def test_non_finite_position_rejected(self):
         # outside checked mode too: a NaN would become a negative sparse index
@@ -162,7 +163,9 @@ class TestBilinear:
 
     def test_stacked_taps_match_four_corner_reference(self):
         # (K*K, T, V) positions: a 3x3 tap grid around every cell, perturbed,
-        # with a block past each edge and a block on exact grid lines
+        # with a block past each edge and a block on exact grid lines. The
+        # sampler's forward, and the gradients of the op that samples and
+        # mixes, with identity tap maps, so every tap's samples get g
         rng = np.random.default_rng(10)
         t_n, v_n, c = 5, 4, 3
         x = rng.normal(size=(t_n, v_n, c))
@@ -177,31 +180,32 @@ class TestBilinear:
         pv[4] = np.round(pv[4])
         pt[5], pv[5] = np.zeros((t_n, v_n)), np.full((t_n, v_n), v_n - 1.0)
         pt[6], pv[6] = np.full((t_n, v_n), t_n - 1.0), np.zeros((t_n, v_n))
-        g = rng.normal(size=(9, t_n, v_n, c))
+        g = rng.normal(size=(t_n, v_n, c))
         xt, post = t64(x, grad=True), t64(np.stack([pt, pv], axis=-1), grad=True)
         y = bilinear_gather(xt, post)
-        y.backward(g)
+        mix = stack_taps([identity_tap(c, 3)] * 9)
+        sas.NeighborMixParams.apply(xt, post, y, mix).backward(g)
 
         ref = np.empty((9, t_n, v_n, c))
         ref_dx = np.zeros_like(x)
         ref_dt, ref_dv = np.zeros_like(pt), np.zeros_like(pv)
         for i in np.ndindex(pt.shape):
-            t, v = pt[i], pv[i]
+            t, v, gi = pt[i], pv[i], g[i[1:]]
             ref[i] = bilinear_by_corners(x, t, v)
             for dt, dv in ((0, 0), (0, 1), (1, 0), (1, 1)):
                 tc, vc = min(max(t, 0.0), t_n - 1.0), min(max(v, 0.0), v_n - 1.0)
                 t0, v0 = int(np.floor(tc)), int(np.floor(vc))
                 wt = (tc - t0) if dt else 1.0 - (tc - t0)
                 wv = (vc - v0) if dv else 1.0 - (vc - v0)
-                ref_dx[min(t0 + dt, t_n - 1), min(v0 + dv, v_n - 1)] += wt * wv * g[i]
+                ref_dx[min(t0 + dt, t_n - 1), min(v0 + dv, v_n - 1)] += wt * wv * gi
             if 0.0 < t < t_n - 1.0:
                 ref_dt[i] = (bilinear_by_corners(x, np.floor(t) + 1.0, v)
-                             - bilinear_by_corners(x, np.floor(t), v)) @ g[i]
+                             - bilinear_by_corners(x, np.floor(t), v)) @ gi
             if 0.0 < v < v_n - 1.0:
                 ref_dv[i] = (bilinear_by_corners(x, t, np.floor(v) + 1.0)
-                             - bilinear_by_corners(x, t, np.floor(v))) @ g[i]
+                             - bilinear_by_corners(x, t, np.floor(v))) @ gi
         assert y.shape == (9, t_n, v_n, c)
-        np.testing.assert_allclose(y.data, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(xt.grad, ref_dx, rtol=1e-12, atol=1e-12)
         assert post.grad.shape == (9, t_n, v_n, 2)
         np.testing.assert_allclose(post.grad[..., 0], ref_dt, rtol=1e-12, atol=1e-12)
@@ -210,6 +214,16 @@ class TestBilinear:
         assert not post.grad[..., 0][(pt <= 0.0) | (pt >= t_n - 1.0)].any()
         assert not post.grad[..., 1][(pv <= 0.0) | (pv >= v_n - 1.0)].any()
         assert ((pt <= 0.0) | (pt >= t_n - 1.0)).sum() >= 2 * t_n * v_n
+
+    def test_mixing_checks_the_samples_shape(self):
+        rng = np.random.default_rng(11)
+        x, pos = t64(rng.normal(size=(3, 4, 2))), t64(rng.uniform(0, 2, size=(9, 5, 2)))
+        mix = stack_taps([identity_tap(2, 3)] * 9)
+        samples = bilinear_gather(x, pos)
+        with pytest.raises(DimensionError, match="samples"):
+            sas.NeighborMixParams.apply(x, pos, samples[:, :4], mix)
+        with pytest.raises(DimensionError, match="taps"):
+            sas.NeighborMixParams.apply(x, t64(pos.data[:4]), samples[:4], mix)
 
 
 class TestScatterRows:
@@ -388,12 +402,15 @@ class TestFiniteDiffCheck:
         assert err < 1e-5
 
     def test_bilinear_interior(self):
+        # sampling and mixing over nine taps, every position inside the grid
         rng = np.random.default_rng(7)
         err = finite_diff_check(
-            OPS["bilinear_gather"][0],
+            OPS["neighbor_mix"][0],
             [t64(rng.normal(size=(5, 6, 3))),
-             t64(np.stack([rng.uniform(0.6, 3.4, size=8),
-                           rng.uniform(0.6, 4.4, size=8)], axis=-1))],
+             t64(np.stack([rng.uniform(0.6, 3.4, size=(9, 4)),
+                           rng.uniform(0.6, 4.4, size=(9, 4))], axis=-1)),
+             t64(rng.normal(size=(9, 3))), t64(rng.normal(size=(9, 2, 3)) * 0.5),
+             t64(rng.normal(size=(9, 3, 2)) * 0.5)],
             eps=1e-5)
         assert err < 1e-5
 
