@@ -160,8 +160,6 @@ def _cmd_eval(args) -> int:
     else:
         value = mpjpe_p2(pred, gt)
     print(f"{value:.6f}")
-    if args.unit:
-        print(f"unit: {args.unit}", file=sys.stderr)
     return 0
 
 
@@ -238,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--protocol", choices=("p1", "p2"), default="p1")
     p.add_argument("--root", type=int, default=0)
     p.add_argument("--center-only", action="store_true")
-    p.add_argument("--unit", help="display label only; does not rescale")
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("count", help="parameter and MAC accounting")

@@ -21,7 +21,9 @@ import numpy as np
 
 from .errors import (ChecksumError, ConfigError, CorruptionError, FormatError,
                      NumericError, VersionError)
-from .model import Model, ModelConfig, build_model, param_entries, stack_params
+from .model import (Model, ModelConfig, build_model, non_finite_entry,
+                    param_entries, stack_params)
+from .tensor import Tensor
 
 MAGIC = b"SASM"
 FORMAT_VERSION = 1
@@ -74,28 +76,17 @@ def _json_rows(arr: np.ndarray) -> str:
     return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
-def write_keypoints(path, seq: np.ndarray, fps: float = 50.0,
-                    confidence: np.ndarray | None = None) -> None:
-    """Write a (T, V, 2) or (T, V, 3) sequence as a single-line keypoint JSON file."""
+def write_keypoints(path, seq: np.ndarray) -> None:
+    """Write a (T, V, 2) or (T, V, 3) sequence as a single-line keypoint JSON
+    file at 50 frames per second, without confidences."""
     arr = np.asarray(seq, dtype=np.float32)
     if arr.ndim != 3 or arr.shape[-1] not in (2, 3) or 0 in arr.shape:
         raise FormatError(f"sequence must be (T, V, 2|3) with T, V >= 1, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("sequence contains non-finite values")
-    fps = float(fps)
-    if not 0.0 < fps < math.inf:
-        raise FormatError(f"fps must be a finite positive number, got {fps}")
-    head = json.dumps({"version": 1, "fps": fps, "num_joints": int(arr.shape[1]),
+    head = json.dumps({"version": 1, "fps": 50.0, "num_joints": int(arr.shape[1]),
                        "dims": int(arr.shape[2])}, separators=(",", ":"))
-    text = f'{head[:-1]},"frames":[{_json_rows(arr)}]'
-    if confidence is not None:
-        conf = np.asarray(confidence, dtype=np.float32)
-        if conf.shape != arr.shape[:2]:
-            raise FormatError(f"confidence shape {conf.shape} != {arr.shape[:2]}")
-        if not np.all(np.isfinite(conf)):
-            raise FormatError("confidence contains non-finite values")
-        text += f',"confidence":[{_json_rows(conf)}]'
-    _atomic_write(path, (text + "}\n").encode("utf-8"))
+    _atomic_write(path, f'{head[:-1]},"frames":[{_json_rows(arr)}]}}\n'.encode("utf-8"))
 
 
 def _float32_array(value, field: str) -> np.ndarray:
@@ -157,15 +148,14 @@ def _tensor_layout(cfg: ModelConfig) -> Iterator[tuple[dict, str, int | None]]:
         offset += math.prod(shape) * 4
 
 
-def _check_finite(payload: bytes, entries: list[dict], error: type[Exception]) -> None:
-    """Raise ``error`` naming the first tensor of the payload that holds a
-    NaN or an infinity."""
-    finite = np.isfinite(np.frombuffer(payload, dtype="<f4"))
-    if not finite.all():
-        first = int(np.argmin(finite))
-        name = next(e["name"] for e in entries
-                    if first < e["offset"] // 4 + math.prod(e["shape"]))
-        raise error(f"tensor '{name}' holds non-finite values")
+def _check_finite(cfg: ModelConfig, payload: bytes, params: dict[str, Tensor],
+                  error: type[Exception]) -> None:
+    """Raise ``error`` naming the first tensor of ``params``, which the
+    payload holds as float32, with a NaN or an infinity, if the payload has
+    one."""
+    if not np.isfinite(np.frombuffer(payload, dtype="<f4")).all():
+        arrays = {key: t.data.astype("<f4") for key, t in params.items()}
+        raise error(f"tensor '{non_finite_entry(cfg, arrays)}' holds non-finite values")
 
 
 def save_ckpt(model: Model, path) -> None:
@@ -176,7 +166,7 @@ def save_ckpt(model: Model, path) -> None:
                         else model.params[key].data[index]).astype("<f4").tobytes()
                        for _, key, index in layout)
     entries = [entry for entry, _, _ in layout]
-    _check_finite(payload, entries, NumericError)
+    _check_finite(model.config, payload, model.params, NumericError)
     manifest = json.dumps({"config": model.config.to_dict(), "checksum": zlib.crc32(payload),
                            "tensors": entries},
                           sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -228,13 +218,12 @@ def load_ckpt(path) -> Model:
             f"payload holds {len(payload) // 4} scalars, config requires {total}")
     if zlib.crc32(payload) != checksum:
         raise ChecksumError("stored payload checksum does not match payload bytes")
-    # save_ckpt writes no non-finite value, so the file is corrupt
-    _check_finite(payload, entries, CorruptionError)
-
     params = stack_params(
         (key, index, np.frombuffer(payload, dtype="<f4", count=math.prod(entry["shape"]),
                                    offset=entry["offset"]).reshape(entry["shape"]))
         for entry, key, index in layout)
+    # save_ckpt writes no non-finite value, so the file is corrupt
+    _check_finite(cfg, payload, params, CorruptionError)
     try:
         return build_model(cfg, params)
     except ConfigError as exc:

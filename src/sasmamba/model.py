@@ -134,9 +134,9 @@ class Model:
         for t in self.params.values():
             t.zero_grad()
 
-    def mark_trainable(self, flag: bool = True) -> None:
+    def mark_trainable(self) -> None:
         for t in self.params.values():
-            t.requires_grad = flag
+            t.requires_grad = True
 
 
 def param_entries(cfg: ModelConfig) -> Iterator[
@@ -213,12 +213,12 @@ def param_entries(cfg: ModelConfig) -> Iterator[
     )
 
 
-def entry_name(cfg: ModelConfig, key: str, values: np.ndarray) -> str:
-    """The manifest name of the first tensor held in ``params[key]`` whose
-    part of ``values``, an array of that parameter's shape, is not all
-    finite."""
-    return next(name for name, _, _, k, index in param_entries(cfg)
-                if k == key and not np.isfinite(values if index is None else values[index]).all())
+def non_finite_entry(cfg: ModelConfig, arrays: dict[str, np.ndarray]) -> str:
+    """The manifest name of the first tensor, in manifest order, whose part
+    of ``arrays``, a map from each parameter key to an array of that
+    parameter's shape, is not all finite."""
+    return next(name for name, _, _, key, index in param_entries(cfg)
+                if not np.isfinite(arrays[key] if index is None else arrays[key][index]).all())
 
 
 def stack_params(slices) -> dict[str, Tensor]:

@@ -34,7 +34,7 @@ from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
                      bilinear_gather, bilinear_weights, depthwise_conv3x3,
-                     grid_conv3x3, linear, make_op, mul, reshape, row_selection,
+                     grid_conv3x3, linear, make_op, mul, row_selection,
                      scatter_rows, silu, sum_axis, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
@@ -267,13 +267,13 @@ def four_stream_scan(x: Tensor, streams: tuple[str, ...], scan: SelectiveSsmPara
     itself, so its tape keeps the map once, not once per stream. With a
     ``gate``, stacked as ``scan`` is, stream s's output is multiplied by
     ``silu(gate[s](x))`` at the same row: one :func:`linear` makes the
-    (T, V, S*C) map of all S gates, read as (T, V, S, C). One sum over the
-    stream axis adds the streams in the order given.
+    (T, V, S, C) map of all S gates. One sum over the stream axis adds the
+    streams in the order given.
     """
     t_n, v_n, _ = x.shape
     y = selective_scan(x, scan, _scan_rows(t_n, v_n, streams))
     if gate is not None:
-        y = mul(y, reshape(silu(linear(x, gate)), y.shape))
+        y = mul(y, silu(linear(x, gate)))
     return sum_axis(y, -2)
 
 

@@ -262,7 +262,8 @@ class Params:
 @dataclass
 class LinearParams(Params):
     """Weight is (..., out, in); bias has one entry per output row,
-    (..., out). Leading axes stack maps that read the same input."""
+    (..., out). Leading axes stack maps that read the same input, and
+    :func:`linear` keeps them as axes of its output."""
 
     weight: Tensor
     bias: Tensor
@@ -401,15 +402,6 @@ def sum_axis(x: Tensor, axis: int) -> Tensor:
     return make_op(x.data.sum(axis=axis), (x,), backward)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    x_shape = x.shape
-
-    def backward(g):
-        return (g.reshape(x_shape),)
-
-    return make_op(x.data.reshape(shape), (x,), backward)
-
-
 def slice0(x: Tensor, start: int, stop: int) -> Tensor:
     if not (0 <= start < stop <= x.shape[0]):
         raise DimensionError(f"slice [{start}:{stop}] out of range for axis of size {x.shape[0]}")
@@ -429,19 +421,20 @@ def slice0(x: Tensor, start: int, stop: int) -> Tensor:
 def linear(x: Tensor, p: LinearParams) -> Tensor:
     """y[..., o] = sum_i weight[o, i] * x[..., i] + bias[o].
 
-    A stacked (..., out, in) weight and (..., out) bias act as their
-    flattened rows, one (n_out, in) map with n_out = prod(...) * out, so the
-    output's last axis holds the stacked maps side by side.
+    A stacked (S..., out, in) weight and (S..., out) bias are S maps of x, and
+    y is x's leading shape followed by (S..., out). The products treat them as
+    their flattened rows, one (n_out, in) map with n_out = prod(S...) * out.
     """
     w, b = p.weight, p.bias
     if x.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
     xd, wd = x.data, w.data.reshape(-1, w.shape[-1])
-    out = xd @ wd.T + b.data.reshape(-1)
+    out = (xd @ wd.T + b.data.reshape(-1)).reshape(x.shape[:-1] + b.shape)
     w_shape, b_shape = w.shape, b.shape
 
     def backward(g):
+        g = g.reshape(xd.shape[:-1] + (wd.shape[0],))
         g2 = g.reshape(-1, wd.shape[0])
         return (g @ wd, (g2.T @ xd.reshape(-1, wd.shape[1])).reshape(w_shape),
                 g2.sum(axis=0).reshape(b_shape))

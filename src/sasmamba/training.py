@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimensionError, DomainError, NumericError
 from .fileio import _atomic_write
 from .metrics import _check_pair
-from .model import Model, entry_name, forward
+from .model import Model, forward, non_finite_entry
 from .tensor import (Tensor, add, mul, scale, slice0, sqrt, sub, sum_all,
                      sum_axis)
 
@@ -103,29 +103,28 @@ def total_loss(pred, gt, weights: LossWeights | None = None) -> Tensor:
 
 # --- optimizer ---------------------------------------------------------------
 
-# moment decay rates, and the term that keeps the step finite at a zero moment
+# moment decay rates, the term that keeps the step finite at a zero moment,
+# and the decoupled weight decay
 ADAM_BETAS = (0.9, 0.999)
 ADAM_EPS = 1e-8
+ADAM_WEIGHT_DECAY = 0.01
 
 
 @dataclass
 class OptimState:
-    """Adaptive-moment optimizer state with decoupled weight decay."""
+    """Adaptive-moment optimizer settings and state."""
 
     lr: float = 5e-4
     decay_factor: float = 0.99
-    weight_decay: float = 0.01
-    step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    step: int = field(default=0, init=False)
+    m: dict[str, np.ndarray] = field(default_factory=dict, init=False)
+    v: dict[str, np.ndarray] = field(default_factory=dict, init=False)
 
     def __post_init__(self):
         for name in ("lr", "decay_factor"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise DomainError(f"{name} must be finite and > 0, got {value}")
-        if not (math.isfinite(self.weight_decay) and self.weight_decay >= 0):
-            raise DomainError(f"weight_decay must be finite and >= 0, got {self.weight_decay}")
 
 
 def lr_at(epoch: int, base: float, factor: float) -> float:
@@ -138,27 +137,26 @@ def lr_at(epoch: int, base: float, factor: float) -> float:
 def optim_step(model: Model, state: OptimState, lr: float | None = None) -> None:
     """One decoupled-weight-decay adaptive update over all model parameters.
 
-    Decay multiplies weights directly by (1 - lr * wd); the moment update
-    never sees it. Rejects the step if any gradient is non-finite.
+    Decay multiplies weights directly by (1 - lr * ADAM_WEIGHT_DECAY); the
+    moment update never sees it. Rejects the step if any gradient is
+    non-finite, naming the first such tensor in manifest order.
     """
     if lr is None:
         lr = lr_at(0, state.lr, state.decay_factor)
-    for name, t in model.named_params():
-        g = t.grad
-        if g is None:
-            g = np.zeros_like(t.data)
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in "
-                               f"'{entry_name(model.config, name, g)}'; step rejected")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(t.data, dtype=np.float64)
-            state.v[name] = np.zeros_like(t.data, dtype=np.float64)
+    grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
+             for name, t in model.named_params()}
+    if not all(np.isfinite(g).all() for g in grads.values()):
+        raise NumericError(f"non-finite gradient in "
+                           f"'{non_finite_entry(model.config, grads)}'; step rejected")
     state.step += 1
     b1, b2 = ADAM_BETAS
     bc1 = 1.0 - b1 ** state.step
     bc2 = 1.0 - b2 ** state.step
     for name, t in model.named_params():
-        g = (t.grad if t.grad is not None else np.zeros_like(t.data)).astype(np.float64)
+        g = grads[name].astype(np.float64)
+        if name not in state.m:
+            state.m[name] = np.zeros_like(t.data, dtype=np.float64)
+            state.v[name] = np.zeros_like(t.data, dtype=np.float64)
         m = state.m[name]
         v = state.v[name]
         m *= b1
@@ -166,7 +164,7 @@ def optim_step(model: Model, state: OptimState, lr: float | None = None) -> None
         v *= b2
         v += (1.0 - b2) * g * g
         update = (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
-        new = t.data.astype(np.float64) - lr * update - lr * state.weight_decay * t.data
+        new = t.data.astype(np.float64) - lr * update - lr * ADAM_WEIGHT_DECAY * t.data
         t.data = new.astype(t.data.dtype)
 
 
@@ -197,13 +195,14 @@ def project(pose3d: np.ndarray, camera: Camera) -> np.ndarray:
 
 
 def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
-                  noise_sigma: float = 0.0, amplitude: float = 0.15) -> SyntheticDataset:
+                  noise_sigma: float = 0.0) -> SyntheticDataset:
     """Deterministic harmonic motions around a fixed skeleton template.
 
-    Each sequence sums 2 to 4 low-frequency harmonics on top of a template
-    point cloud, is re-centered per frame on the root, joint 0, and is
-    projected through a pinhole camera to produce the paired 2D input. With
-    zero noise the stored 2D is exactly the projection of the stored 3D.
+    Each sequence sums 2 to 4 low-frequency harmonics, of amplitude up to
+    0.15 per joint coordinate, on top of a template point cloud, is
+    re-centered per frame on the root, joint 0, and is projected through a
+    pinhole camera to produce the paired 2D input. With zero noise the stored
+    2D is exactly the projection of the stored 3D.
     """
     if n_seqs < 1 or frames < 1 or joints < 1:
         raise DomainError("n_seqs, frames, and joints must all be >= 1")
@@ -220,7 +219,7 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
         pose = np.broadcast_to(template, (frames, joints, 3)).copy()
         steps = np.arange(frames, dtype=np.float64)
         for _ in range(int(rng.integers(2, 5))):
-            amp = rng.uniform(-amplitude, amplitude, size=(joints, 3))
+            amp = rng.uniform(-0.15, 0.15, size=(joints, 3))
             cycles = rng.uniform(0.5, 3.0)
             phase = rng.uniform(0.0, 2.0 * np.pi)
             wave = np.sin(2.0 * np.pi * cycles * steps / max(frames, 2) + phase)

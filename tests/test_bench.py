@@ -38,3 +38,21 @@ def test_tiny_traced_run_is_correct(workload):
         # the traced make_op wraps taped ops and times their adjoints
         assert metrics["ssm.selective_scan.bwd_s"] > 0
         assert metrics["tensor.tape_mb"] > 0
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_tiny_io_eval_run_is_correct(trace):
+    # the keypoint writer and reader, the checkpoint round trip and both eval
+    # protocols, called as the benchmark calls them
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "io-eval", "--seed", "1",
+         "--seconds", "0.5", "--tiny", "--trace", trace],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    if trace == "1":
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+        for call in ("write_keypoints", "read_keypoints", "save_ckpt", "load_ckpt"):
+            assert metrics[f"fileio.{call}.calls"] > 0
+        assert metrics["metrics.mpjpe_p2.s"] > 0

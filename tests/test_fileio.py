@@ -17,6 +17,7 @@ from sasmamba.errors import (ChecksumError, CorruptionError, FormatError,
 from sasmamba.fileio import (FORMAT_VERSION, MAGIC, load_ckpt, read_keypoints,
                              save_ckpt, write_keypoints)
 from sasmamba.model import ModelConfig, count_params, forward, init_model
+from sasmamba.training import OptimState, optim_step
 
 TINY = ModelConfig(L=1, D=8, T=5, V=4, K=1, N=2)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -28,18 +29,18 @@ class TestKeypointFiles:
         rng = np.random.default_rng(0)
         seq = rng.normal(size=(6, 5, 2)).astype(np.float32)
         path = tmp_path / "kp.json"
-        write_keypoints(path, seq, fps=25.0)
+        write_keypoints(path, seq)
         np.testing.assert_array_equal(read_keypoints(path), seq)
 
     def test_roundtrip_3d_with_confidence(self, tmp_path):
+        # the writer writes no confidences; files from elsewhere may hold them
         rng = np.random.default_rng(1)
         seq = rng.normal(size=(4, 3, 3)).astype(np.float32)
         conf = rng.uniform(0, 1, size=(4, 3)).astype(np.float32)
         path = tmp_path / "pose.json"
-        write_keypoints(path, seq, confidence=conf)
+        path.write_text(json.dumps({"version": 1, "fps": 50.0, "num_joints": 3, "dims": 3,
+                                    "frames": seq.tolist(), "confidence": conf.tolist()}))
         np.testing.assert_array_equal(read_keypoints(path), seq)
-        doc = json.loads(path.read_text())
-        assert doc["dims"] == 3 and doc["num_joints"] == 3
 
     def test_bad_dims_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -83,20 +84,6 @@ class TestKeypointFiles:
             write_keypoints(tmp_path / "empty.json", np.zeros(shape))
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_confidence_write_rejected(self, tmp_path, value):
-        conf = np.ones((2, 3), dtype=np.float32)
-        conf[1, 2] = value
-        with pytest.raises(FormatError, match="confidence"):
-            write_keypoints(tmp_path / "conf.json", np.zeros((2, 3, 2)), confidence=conf)
-        assert list(tmp_path.iterdir()) == []
-
-    @pytest.mark.parametrize("fps", [np.nan, np.inf, -5.0, 0.0])
-    def test_bad_fps_write_rejected(self, tmp_path, fps):
-        with pytest.raises(FormatError, match="fps"):
-            write_keypoints(tmp_path / "fps.json", np.zeros((2, 3, 2)), fps=fps)
-        assert list(tmp_path.iterdir()) == []
-
     @pytest.mark.parametrize("fps", [float("nan"), float("inf"), -5, 0, "50", True, None])
     def test_bad_fps_read_rejected(self, tmp_path, fps):
         path = tmp_path / "fps.json"
@@ -120,12 +107,9 @@ class TestKeypointFiles:
         -0.0, 0.0, 1e8, 16777217.0])
     def test_extreme_values_read_back_bit_identical(self, tmp_path, value):
         seq = np.full((2, 3, 3), value, dtype=np.float32)
-        conf = np.full((2, 3), value, dtype=np.float32)
         path = tmp_path / "extreme.json"
-        write_keypoints(path, seq, confidence=conf)
+        write_keypoints(path, seq)
         np.testing.assert_array_equal(read_keypoints(path).view(np.uint32), seq.view(np.uint32))
-        stored = np.asarray(json.loads(path.read_text())["confidence"], dtype=np.float32)
-        np.testing.assert_array_equal(stored.view(np.uint32), conf.view(np.uint32))
 
     def test_random_bit_patterns_read_back_bit_identical(self, tmp_path):
         # about 1.5% of float32 values need the ninth significant digit
@@ -139,12 +123,24 @@ class TestKeypointFiles:
 
     def test_file_is_one_line_with_the_keys_in_order(self, tmp_path):
         path = tmp_path / "kp.json"
-        write_keypoints(path, np.zeros((2, 3, 2)), fps=25.0, confidence=np.ones((2, 3)))
+        write_keypoints(path, np.zeros((2, 3, 2)))
         text = path.read_text()
         assert text.count("\n") == 1 and text.endswith("}\n")
         doc = json.loads(text)
-        assert list(doc) == ["version", "fps", "num_joints", "dims", "frames", "confidence"]
-        assert (doc["version"], doc["fps"], doc["num_joints"], doc["dims"]) == (1, 25.0, 3, 2)
+        assert list(doc) == ["version", "fps", "num_joints", "dims", "frames"]
+        assert (doc["version"], doc["fps"], doc["num_joints"], doc["dims"]) == (1, 50.0, 3, 2)
+
+    def test_written_bytes_are_pinned(self, tmp_path):
+        # -0.0 at a row's start and end, nine significant digits, and
+        # integral values printed without a fraction
+        seq = np.array([[[-0.0, 0.1, 16777216.0], [1.0, -2.5, 1 / 3]],
+                        [[0.0, -1e-8, 3.4e38], [0.2, 100.0, -0.0]]], dtype=np.float32)
+        path = tmp_path / "kp.json"
+        write_keypoints(path, seq)
+        assert path.read_bytes() == (
+            b'{"version":1,"fps":50.0,"num_joints":2,"dims":3,"frames":'
+            b'[[[-0.0,0.100000001,16777216],[1,-2.5,0.333333343]],'
+            b'[[0,-9.99999994e-09,3.39999995e+38],[0.200000003,100,-0.0]]]}\n')
 
     def test_indented_file_still_reads(self, tmp_path):
         # the layout written before keypoint files became a single line
@@ -289,6 +285,35 @@ class TestCheckpoint:
             save_ckpt(model, tmp_path / "m.ckpt")
         # nothing is written, not even a temporary file
         assert list(tmp_path.iterdir()) == []
+
+    def test_every_path_names_the_first_non_finite_tensor_in_manifest_order(self, tmp_path):
+        # NaNs in tap 1's diag and tap 0's down; tap 0's maps come first in
+        # the manifest, so the step, the save and the load all name tap0.down
+        model = init_model(ModelConfig(L=1, D=8, T=5, V=4, K=3, N=2), seed=9)
+        path = tmp_path / "m.ckpt"
+        save_ckpt(model, path)
+        blob = path.read_bytes()
+        mlen = struct.unpack_from("<I", blob, 8)[0]
+        manifest = json.loads(blob[12:12 + mlen])
+        payload = bytearray(blob[12 + mlen:])
+        for entry in manifest["tensors"]:
+            if entry["name"] in ("blocks.0.sas.tap1.diag", "blocks.0.sas.tap0.down"):
+                struct.pack_into("<f", payload, entry["offset"], float("nan"))
+        manifest["checksum"] = zlib.crc32(payload)
+        text = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(blob[:8] + struct.pack("<I", len(text)) + text + payload)
+        name = r"'blocks\.0\.sas\.tap0\.down'"
+        with pytest.raises(CorruptionError, match=name):
+            load_ckpt(path)
+        for key, row in (("blocks.0.sas.taps.diag", 1), ("blocks.0.sas.taps.down", 0)):
+            t = model.params[key]
+            t.grad = np.zeros_like(t.data)
+            t.grad[row] = np.nan
+            t.data[row] = np.nan
+        with pytest.raises(NumericError, match=name):
+            optim_step(model, OptimState(), lr=1e-3)
+        with pytest.raises(NumericError, match=name):
+            save_ckpt(model, tmp_path / "nan.ckpt")
 
     def test_magic_constant(self):
         assert MAGIC == b"SASM"

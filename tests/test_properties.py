@@ -92,24 +92,18 @@ finite_float32 = (st.floats(width=32, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def keypoint_arrays(draw):
-    """A finite float32 (T, V, 2|3) sequence and, half the time, a (T, V) confidence."""
+    """A finite float32 (T, V, 2|3) sequence."""
     shape = (draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.sampled_from([2, 3])))
-    seq = draw(arrays(np.float32, shape, elements=finite_float32))
-    conf = draw(st.none() | arrays(np.float32, shape[:2], elements=finite_float32))
-    return seq, conf
+    return draw(arrays(np.float32, shape, elements=finite_float32))
 
 
 @PROPERTY
-@given(case=keypoint_arrays())
-def test_keypoint_write_read_is_bit_identical(scratch, case):
-    seq, conf = case
+@given(seq=keypoint_arrays())
+def test_keypoint_write_read_is_bit_identical(scratch, seq):
     path = scratch / "roundtrip.json"
-    write_keypoints(path, seq, confidence=conf)
+    write_keypoints(path, seq)
     # compared as bits, so that -0.0 must come back as -0.0
     np.testing.assert_array_equal(read_keypoints(path).view(np.uint32), seq.view(np.uint32))
-    if conf is not None:
-        stored = np.asarray(json.loads(path.read_bytes())["confidence"], dtype=np.float32)
-        np.testing.assert_array_equal(stored.view(np.uint32), conf.view(np.uint32))
 
 
 TINY = ModelConfig(L=1, D=8, T=3, V=2, K=1, N=1, strides=(1, 2))

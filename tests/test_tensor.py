@@ -57,17 +57,17 @@ class TestLinear:
 
     def test_stacked_weight_is_side_by_side_linears(self):
         # an (S, out, in) weight maps x with each of its S maps; the outputs
-        # sit side by side on the last axis, map s in columns s*out:(s+1)*out
+        # keep the stacked axis, map s at [..., s, :]
         rng = np.random.default_rng(3)
         s_n, out, inp = 3, 2, 4
         x = t64(rng.normal(size=(5, 2, inp)), grad=True)
         w = t64(rng.normal(size=(s_n, out, inp)), grad=True)
         b = t64(rng.normal(size=(s_n, out)), grad=True)
         y = linear(x, LinearParams(w, b))
-        assert y.shape == (5, 2, s_n * out)
+        assert y.shape == (5, 2, s_n, out)
         for s in range(s_n):
             one = linear(x, LinearParams(t64(w.data[s]), t64(b.data[s])))
-            np.testing.assert_allclose(y.data[..., s * out:(s + 1) * out], one.data,
+            np.testing.assert_allclose(y.data[..., s, :], one.data,
                                        rtol=1e-13, atol=1e-13)
         err = tz.finite_diff_check_leaves(lambda: linear(x, LinearParams(w, b)), [x, w, b])
         assert err < 1e-8
@@ -278,7 +278,7 @@ class TestScatterRows:
 
 
 # the function each op of the suite runs, where its key in OPS differs
-OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply", "reshape_flat": "reshape"}
+OP_FUNCTION = {"neighbor_mix": "NeighborMixParams.apply"}
 
 
 class TestCheckedMode:
@@ -421,8 +421,7 @@ class TestFiniteDiffCheck:
         b = t64(rng.normal(size=(3, 4)))
         for name in ("add", "sub", "mul"):
             assert finite_diff_check(OPS[name][0], [a, b]) < 1e-4
-        for name in ("gelu", "silu", "sum_all", "sum_axis", "reshape_flat", "slice0",
-                     "scale"):
+        for name in ("gelu", "silu", "sum_all", "sum_axis", "slice0", "scale"):
             assert finite_diff_check(OPS[name][0], [a]) < 1e-4
         pos = t64(rng.uniform(0.4, 2.2, size=(3, 4)))
         assert finite_diff_check(OPS["sqrt"][0], [pos]) < 1e-4
