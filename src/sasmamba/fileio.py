@@ -90,16 +90,34 @@ def write_keypoints(path, seq: np.ndarray) -> None:
 
 
 def _float32_array(value, field: str) -> np.ndarray:
+    """A JSON array of numbers as float32. The array is read with numpy's own
+    type inference, then cast, so strings, booleans, nulls and objects are
+    rejected rather than converted; a bool among numbers reads as 0 or 1."""
     try:
-        # a float past the float32 range becomes inf, which callers reject
-        # as non-finite; numpy's overflow warning would be a second stderr line
-        with np.errstate(over="ignore"):
-            return np.asarray(value, dtype=np.float32)
+        arr = np.asarray(value)
     except (ValueError, TypeError) as exc:
         raise FormatError(
             f"field '{field}' is not a rectangular array of numbers: {exc}") from exc
+    kind = arr.dtype.kind
+    if kind == "O" and all(type(v) in (int, float, bool) for v in arr.flat):
+        kind = "f"      # integers past 64 bits among numbers
+    if kind not in "iuf":
+        got = {"U": "strings", "b": "booleans"}.get(kind, "values of other types")
+        raise FormatError(f"field '{field}' must hold numbers only, got {got}")
+    try:
+        # a number past the float32 range becomes inf, which callers reject
+        # as non-finite; numpy's overflow warning would be a second stderr line
+        with np.errstate(over="ignore"):
+            return arr.astype(np.float32)
     except OverflowError as exc:
         raise FormatError(f"field '{field}' holds a number past the float range") from exc
+
+
+def _positive_int(doc: dict, field: str) -> int:
+    value = doc.get(field)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise FormatError(f"field '{field}' must be a positive integer, got {value!r}")
+    return value
 
 
 def read_keypoints(path) -> np.ndarray:
@@ -115,13 +133,13 @@ def read_keypoints(path) -> np.ndarray:
     if "fps" in doc and (isinstance(fps, bool) or not isinstance(fps, (int, float))
                          or not 0 < fps < math.inf):
         raise FormatError("field 'fps' must be a finite positive number")
-    dims = doc.get("dims")
+    dims = _positive_int(doc, "dims")
     if dims not in (2, 3):
         raise FormatError(f"field 'dims' must be 2 or 3, got {dims!r}")
     frames = doc.get("frames")
     if not isinstance(frames, list) or not frames:
         raise FormatError("field 'frames' must be a nonempty array")
-    v = doc.get("num_joints")
+    v = _positive_int(doc, "num_joints")
     arr = _float32_array(frames, "frames")
     if arr.shape[1:] != (v, dims):
         raise FormatError(f"field 'frames' must be (T, {v}, {dims}), got shape {arr.shape}")

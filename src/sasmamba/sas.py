@@ -46,12 +46,6 @@ def tap_rank(k: int) -> int:
     return 2 * k * k
 
 
-def _low_rank(sf: np.ndarray, down: np.ndarray) -> np.ndarray:
-    """``down[k] @ sf[k]`` of every tap k side by side, (P, K*rho), tap-major."""
-    k_n, rho = down.shape[:2]
-    return np.matmul(sf, down.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(-1, k_n * rho)
-
-
 @dataclass
 class NeighborMixParams(Params):
     """The channel maps of all K*K taps, stacked on a leading tap axis.
@@ -75,6 +69,7 @@ class NeighborMixParams(Params):
         ``pos`` stacks one (..., 2) block of (t, v) positions per tap on its
         leading axis, and ``samples`` is :func:`bilinear_gather` of x there,
         (K*K, ..., C), which the forward mixes with a batched ``down`` product
+        that writes every tap's low-rank rows once, side by side as (P, K*R),
         and one matmul of the ``up`` maps side by side; the result drops the
         tap axis. The tape keeps x and the positions, not the samples, and the
         adjoint walks the taps: for tap k it rebuilds the corners and weights
@@ -95,8 +90,11 @@ class NeighborMixParams(Params):
                                  f"{pos.shape} of {c} channels")
         diag, down, up = mix.diag.data, mix.down.data, mix.up.data     # (K, C), (K, R, C), (K, C, R)
         sf = samples.reshape(k_n, -1, c)                                # (K, P, C)
+        # tap k's low-rank rows down[k] @ s go straight to their (P, K*R) place
+        low = np.empty((sf.shape[1], k_n, down.shape[1]), dtype=sf.dtype)
+        np.matmul(sf, down.transpose(0, 2, 1), out=low.transpose(1, 0, 2))
         out = (np.einsum("kpc,kc->pc", sf, diag)
-               + _low_rank(sf, down) @ up.transpose(1, 0, 2).reshape(c, -1).T)
+               + low.reshape(len(low), -1) @ up.transpose(1, 0, 2).reshape(c, -1).T)
         xf, posd = x.data.reshape(-1, c), pos.data.reshape(k_n, -1, 2)
         x_shape, pos_shape, edge = x.shape, pos.shape, (t_n - 1, v_n - 1)
 

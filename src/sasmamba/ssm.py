@@ -16,8 +16,10 @@ adds the streams with one sum over the stream axis. Every per-step array is
 laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
 rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each pass writes its
-per-chunk temporaries into one reused workspace. The adjoint keeps one state
-per chunk, the state entering it, and recomputes the chunk's states, ``a_bar``
+per-chunk temporaries into one reused workspace; the forward gathers each
+chunk's input and writes the chunk's output to its rows, so it builds no
+(L, S, D) array besides its output. The adjoint keeps one state per chunk,
+the state entering it, and recomputes the chunk's states, ``a_bar``
 and ``factor`` from it, as Mamba's recomputation does (Gu & Dao, arXiv
 2312.00752, section 3.3.2): gradient checkpointing at chunk granularity (Chen
 et al., arXiv 1604.06174). It keeps neither the sequence in the streams'
@@ -135,14 +137,11 @@ def _chunks(seq_len: int) -> list[slice]:
     return [slice(i, min(i + SCAN_CHUNK, seq_len)) for i in range(0, seq_len, SCAN_CHUNK)]
 
 
-def _batched(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``out[l, s] = w[s] @ x[l, s]``: one matmul over the stream axis."""
-    return np.ascontiguousarray(np.matmul(x.swapaxes(0, 1), w.swapaxes(1, 2)).swapaxes(0, 1))
-
-
 def _step_sizes(m1, dt_up, dt_bias):
-    """The (L, S, D) step sizes from the (L, S, r) bottleneck rows ``m1``."""
-    z = _batched(m1, dt_up)
+    """The (L, S, D) step sizes from the (L, S, r) bottleneck rows ``m1``:
+    ``softplus(dt_up[s] @ m1[l, s] + dt_bias[s])``, one matmul over the
+    stream axis."""
+    z = np.ascontiguousarray(np.matmul(m1.swapaxes(0, 1), dt_up.swapaxes(1, 2)).swapaxes(0, 1))
     z += dt_bias
     return softplus(z)
 
@@ -252,22 +251,26 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     state; emit ``y_t = C_t h_t + skip * u_t``.
 
     All streams run as one computation: the stacked weights make the
-    projections one batched matmul, and one recurrence advances an (S, N, D)
-    state, channels innermost. Steps are processed in chunks of
-    ``SCAN_CHUNK``: discretization, the recurrence and the readout happen per
-    chunk, so no (L, S, N, D) array exists, with gradients or without. The
-    adjoint keeps ``starts``, the (S, N, D) state entering each chunk, and
-    walks the chunks in reverse; for each it recomputes ``a_bar`` and
-    ``factor`` through :func:`_zoh` and the chunk's states from its start. The
-    tape keeps x, not the (L, S, D) sequence in scan order: the adjoint
-    gathers it again, reads g back into scan order one chunk at a time, and
-    writes x's (L, S, D) gradient terms to their rows as the forward writes
-    its output, adding each row's S terms in stream order. It keeps no
-    (L, S, D) step sizes and no (L, S, N) input or output vectors either: it
-    rebuilds them through :func:`_step_sizes` and :func:`_input_vectors` from
-    the projections, which it keeps for the weight gradients. Every rebuild
-    runs the forward's code on the forward's inputs, so it is the forward's
-    bits. The per-chunk temporaries of either pass are written into a
+    projections of every row one product, gathered into the streams' orders,
+    and one recurrence advances an (S, N, D) state, channels innermost. Steps
+    are processed in chunks of ``SCAN_CHUNK``: each chunk gathers its input
+    rows, forms its step sizes and input and output vectors, discretizes,
+    advances the recurrence, reads out and writes its outputs to their rows,
+    so the output is the forward's only (L, S, D) array and no (L, S, N, D)
+    array exists, with gradients or without. The adjoint keeps ``starts``,
+    the (S, N, D) state entering each chunk, and walks the chunks in reverse;
+    for each it recomputes ``a_bar`` and ``factor`` through :func:`_zoh` and
+    the chunk's states from its start. The tape keeps x, not the (L, S, D)
+    sequence in scan order: the adjoint gathers it again, reads g back into
+    scan order one chunk at a time, and writes x's (L, S, D) gradient terms
+    to their rows as the forward writes its output, adding each row's S
+    terms in stream order. It keeps no (L, S, D) step sizes and no (L, S, N)
+    input or output vectors either: it rebuilds them through
+    :func:`_step_sizes` and :func:`_input_vectors` from the projections,
+    which it keeps for the weight gradients, over the whole sequence at
+    once; row for row that is the bits of the forward's per-chunk calls, so
+    the rebuilt states are the forward's too. The per-chunk temporaries of
+    either pass are written into a
     workspace allocated once per pass. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
@@ -276,36 +279,37 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
                              f"(L, {s_n}) order over them, got {x.shape} and "
                              f"{np.shape(order)}")
     xf, x_shape = x.data.reshape(-1, d), x.shape
-    ud = xf[order]                                                      # (L, S, D)
-    seq_len = len(order)
     dt = xf.dtype
+    streams = np.arange(s_n)
     a = -np.exp(np.ascontiguousarray(p.a_log.data.swapaxes(1, 2)))     # (S, N, D)
     w = np.concatenate([p.b_weight.data, p.c_weight.data, p.dt_down.data],
                        axis=1)                                          # (S, 2N+r, D)
-    proj = _batched(ud, w)                                              # (L, S, 2N+r)
+    # every stream's projections of every row in one product, then gathered
+    # into the streams' orders
+    proj = (xf @ w.reshape(-1, d).T).reshape(-1, s_n, w.shape[1])[order, streams]
     b_bias, c_bias = p.b_bias.data, p.c_bias.data                       # (S, N)
-    b_seq, c_seq = _input_vectors(proj, n, b_bias, c_bias)              # (L, S, N)
     m1 = proj[..., 2 * n:]                                              # (L, S, r)
     dt_up, dt_bias = p.dt_up.data, p.dt_bias.data                       # (S, D, r), (S, D)
-    delta = _step_sizes(m1, dt_up, dt_bias)                             # (L, S, D)
     skip = p.skip.data                                                  # (S, D)
 
-    chunks = _chunks(seq_len)
+    chunks = _chunks(len(order))
     # the state entering each chunk, then the final one: all the adjoint
     # keeps of the recurrence
     starts = np.zeros((len(chunks) + 1, s_n, n, d), dtype=dt)
     # per-chunk (k, S, N, D) temporaries live in one workspace per pass,
     # written with out= and sliced to the length of the last, partial chunk
     ws = np.empty((3, chunks[0].stop, s_n, n, d), dtype=dt)
-    ys = np.empty((seq_len, s_n, d), dtype=dt)
-    for ci, sl in enumerate(chunks):
-        hc = _advance(delta[sl], a, b_seq[sl], ud[sl], starts[ci], ws)[2]
-        starts[ci + 1] = hc[-1]
-        np.matmul(c_seq[sl, :, None, :], hc, out=ys[sl, :, None, :])
-    ys += skip * ud
     # each stream's step l back at the row it read, stream s at [..., s, :]
     out = np.empty(x_shape[:-1] + (s_n, d), dtype=dt)
-    out.reshape(-1, s_n, d)[order, np.arange(s_n)] = ys
+    rows = out.reshape(-1, s_n, d)
+    for ci, sl in enumerate(chunks):
+        u = xf[order[sl]]                                               # (k, S, D)
+        b_seq, c_seq = _input_vectors(proj[sl], n, b_bias, c_bias)      # (k, S, N)
+        hc = _advance(_step_sizes(m1[sl], dt_up, dt_bias), a, b_seq, u, starts[ci], ws)[2]
+        starts[ci + 1] = hc[-1]
+        y = np.matmul(c_seq[:, :, None, :], hc)[:, :, 0]
+        y += skip * u
+        rows[order[sl], streams] = y
 
     def backward(g):
         g = g.reshape(-1, s_n, d)

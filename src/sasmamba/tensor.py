@@ -349,15 +349,25 @@ def gelu(x: Tensor) -> Tensor:
     """Gaussian-error linear unit, exact erf form.
 
     The tape keeps one array, the slope ``cdf + x * pdf``, formed in the
-    forward only when x needs a gradient; neither x nor the CDF is kept.
+    forward only when x needs a gradient; neither x nor the CDF is kept. The
+    CDF is formed in one buffer, which then takes the output, and the slope
+    in another, each step written in place.
     """
     from scipy.special import erf  # at first use, as in row_selection
     d = x.data
-    cdf = 0.5 * (1.0 + erf(d / math.sqrt(2.0)))
-    out = (d * cdf).astype(d.dtype, copy=False)
+    cdf = np.divide(d, math.sqrt(2.0))
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
     if x.requires_grad:
-        pdf = np.exp(-0.5 * d * d) / math.sqrt(2.0 * math.pi)
-        slope = (cdf + d * pdf).astype(d.dtype, copy=False)
+        # x * pdf with pdf = exp(-x^2 / 2) / sqrt(2 pi), then the CDF added
+        slope = np.multiply(d, -0.5)
+        slope *= d
+        np.exp(slope, out=slope)
+        slope /= math.sqrt(2.0 * math.pi)
+        slope *= d
+        slope += cdf
+    out = np.multiply(cdf, d, out=cdf)
 
     def backward(g):
         return (g * slope,)
@@ -423,23 +433,25 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
 
     A stacked (S..., out, in) weight and (S..., out) bias are S maps of x, and
     y is x's leading shape followed by (S..., out). The products treat them as
-    their flattened rows, one (n_out, in) map with n_out = prod(S...) * out.
+    their flattened rows, one (n_out, in) map with n_out = prod(S...) * out,
+    and x as its flattened rows, (n, in), so each product of either pass is
+    one 2-D BLAS call; numpy would run a (T, V, in) input as T (V, in) ones.
     """
     w, b = p.weight, p.bias
     if x.shape[-1] != w.shape[-1]:
         raise DimensionError(
             f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
-    xd, wd = x.data, w.data.reshape(-1, w.shape[-1])
-    out = (xd @ wd.T + b.data.reshape(-1)).reshape(x.shape[:-1] + b.shape)
-    w_shape, b_shape = w.shape, b.shape
+    xd, wd = x.data.reshape(-1, w.shape[-1]), w.data.reshape(-1, w.shape[-1])
+    out = xd @ wd.T
+    out += b.data.reshape(-1)
+    x_shape, w_shape, b_shape = x.shape, w.shape, b.shape
 
     def backward(g):
-        g = g.reshape(xd.shape[:-1] + (wd.shape[0],))
-        g2 = g.reshape(-1, wd.shape[0])
-        return (g @ wd, (g2.T @ xd.reshape(-1, wd.shape[1])).reshape(w_shape),
-                g2.sum(axis=0).reshape(b_shape))
+        g = g.reshape(-1, wd.shape[0])
+        return ((g @ wd).reshape(x_shape), (g.T @ xd).reshape(w_shape),
+                g.sum(axis=0).reshape(b_shape))
 
-    return make_op(out, (x, w, b), backward)
+    return make_op(out.reshape(x_shape[:-1] + b_shape), (x, w, b), backward)
 
 
 def layer_norm(x: Tensor, p: NormParams) -> Tensor:
@@ -503,26 +515,38 @@ def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
 
 
 def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
-    """3x3 convolution over the leading (T, V) grid with clamp-to-edge padding."""
+    """3x3 convolution over the leading (T, V) grid with clamp-to-edge padding.
+
+    Tap-major: one product maps every row through all nine taps' weights,
+    (T*V, C_in) @ (C_in, 9*C_out), and each position sums its neighbours'
+    rows of the tap that reads them, a (T*V, 9, C_out) gather through
+    :func:`_neighbor_rows`. No (T*V, 9*C_in) gather of x is built in either
+    pass: the adjoint scatters g through the same rows with one
+    :func:`scatter_rows` and takes two small products.
+    """
     t_n, v_n, c_in = x.shape
     w, b = p.weight, p.bias
     if w.shape[1] != c_in:
         raise DimensionError(
             f"grid_conv3x3: input channels {c_in} != weight in-channels {w.shape[1]}")
     c_out = w.shape[0]
-    w_mat = w.data.transpose(0, 2, 3, 1).reshape(c_out, 9 * c_in)
+    w_taps = w.data.transpose(1, 2, 3, 0).reshape(c_in, 9 * c_out)
     xf = x.data.reshape(-1, c_in)
-    out = xf[_neighbor_rows(t_n, v_n)].reshape(-1, 9 * c_in) @ w_mat.T
+
+    def tap_rows():
+        # tap k of row r is row 9r + k of the products viewed as (9*T*V, C_out)
+        return _neighbor_rows(t_n, v_n) * 9 + np.arange(9)
+
+    out = (xf @ w_taps).reshape(-1, c_out)[tap_rows()].sum(axis=1)
     out += b.data
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
-        # the rows and the gather are rebuilt, not kept: the gather is 9x the
-        # size of x, and the rows take a fraction of a millisecond to remake
-        rows = _neighbor_rows(t_n, v_n)
-        dw = (g2.T @ xf[rows].reshape(-1, 9 * c_in)).reshape(c_out, 3, 3, c_in)
-        dx = scatter_rows((g2 @ w_mat).reshape(-1, c_in), rows[..., None], t_n * v_n)
-        return dx.reshape(t_n, v_n, c_in), dw.transpose(0, 3, 1, 2), g2.sum(axis=0)
+        # the rows are rebuilt, not kept: they take a fraction of a
+        # millisecond to remake
+        dy = scatter_rows(g2, tap_rows(), 9 * len(xf)).reshape(-1, 9 * c_out)
+        dw = (xf.T @ dy).reshape(c_in, 3, 3, c_out)
+        return (dy @ w_taps.T).reshape(t_n, v_n, c_in), dw.transpose(3, 0, 1, 2), g2.sum(axis=0)
 
     return make_op(out.reshape(t_n, v_n, c_out), (x, w, b), backward)
 
@@ -541,7 +565,8 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, c)
-        # rows and gather rebuilt, as in grid_conv3x3
+        # the rows and the gather are rebuilt, not kept: the gather is 9x the
+        # size of x, and the rows take a fraction of a millisecond to remake
         rows = _neighbor_rows(t_n, v_n)
         dw = np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3)
         dx = scatter_rows((g2[:, None, :] * w_mat).reshape(-1, c), rows[..., None], t_n * v_n)

@@ -1,5 +1,6 @@
 """Shared builders for degenerate and randomized layer parameters."""
 
+import tracemalloc
 import types
 
 import numpy as np
@@ -174,3 +175,17 @@ def tape_captures(root):
                     bases.append(base)
             out.append((node.backward.__qualname__.partition(".<locals>")[0], bases))
     return out
+
+
+def traced_peak(fn):
+    """The most memory traced while ``fn()`` runs, above what was traced
+    when it started, in bytes; what ``fn`` returns is still held at its end,
+    so an op's output counts."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

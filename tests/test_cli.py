@@ -272,6 +272,11 @@ HOSTILE_INPUTS = {
     "object coordinate": _infer(frames=[[[{}, 1]] * 4]),
     "ragged confidence": _infer(confidence=[[1] * 4, [1] * 3]),
     "string confidence": _infer(confidence=[["x"] * 4]),
+    # numbers written as strings, and a joint count that only equals an integer
+    "numeric string coordinates": _infer(frames=[[["1.5", "2"]] * 4]),
+    "numeric string confidence": _infer(confidence=[["0.5"] * 4]),
+    "float num_joints": _infer(num_joints=4.0),
+    "boolean num_joints": _infer(num_joints=True, frames=[[[0, 0]]]),
     "four-dimensional frames": _infer(frames=[[[[1], [2]]] * 4]),
     "train --batch 0": _train("--batch", 0),
     "train --batch -1": _train("--batch", -1),

@@ -93,6 +93,34 @@ class TestKeypointFiles:
         with pytest.raises(FormatError, match="'fps'"):
             read_keypoints(path)
 
+    @pytest.mark.parametrize("num_joints", [True, 1.0, "1", 0, -1, None])
+    def test_num_joints_must_be_a_positive_integer(self, tmp_path, num_joints):
+        # True == 1 and 1.0 == 1, so a shape check alone lets both through
+        path = tmp_path / "joints.json"
+        doc = {"version": 1, "num_joints": num_joints, "dims": 2, "frames": [[[0, 0]]]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="'num_joints'"):
+            read_keypoints(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("frames", [[["1.5", "2"]]]), ("frames", [[[True, False]]]),
+        ("frames", [[[None, 1]]]), ("confidence", [["0.5"]]), ("confidence", [[False]])])
+    def test_non_numbers_are_not_converted(self, tmp_path, field, value):
+        path = tmp_path / "kinds.json"
+        doc = {"version": 1, "num_joints": 1, "dims": 2, "frames": [[[0, 0]]], field: value}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"'{field}' must hold numbers only"):
+            read_keypoints(path)
+
+    def test_numbers_of_every_json_kind_read_as_float32(self, tmp_path):
+        # integers, floats, integers past 64 bits, and a bool among numbers,
+        # which numpy's inference reads as 0 or 1 (README)
+        path = tmp_path / "numbers.json"
+        path.write_text('{"version": 1, "num_joints": 2, "dims": 2, '
+                        '"frames": [[[1, 2.5], [36893488147419103232, true]]]}')
+        np.testing.assert_array_equal(read_keypoints(path),
+                                      np.array([[[1, 2.5], [2.0**65, 1]]], np.float32))
+
     def test_non_finite_confidence_read_rejected(self, tmp_path):
         path = tmp_path / "conf.json"
         doc = {"version": 1, "fps": 50.0, "num_joints": 2, "dims": 2,

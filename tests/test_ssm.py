@@ -5,9 +5,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import identity_order, random_stream, scan_by_unroll, stack_streams
+from conftest import (identity_order, random_stream, scan_by_unroll, stack_streams,
+                      traced_peak)
 from sasmamba import ssm
 from sasmamba.errors import DimensionError, DomainError
+from sasmamba.sas import STREAM_ORDER, _scan_rows
 from sasmamba.ssm import (SCAN_CHUNK, SelectiveSsmParams, conv_apply, discretize,
                           frozen_params, selective_scan, softplus, softplus_inverse,
                           ssm_kernel)
@@ -411,3 +413,62 @@ class TestScanTape:
             tracemalloc.stop()
         assert out.requires_grad
         assert held < length * s_n * n * d * 8, held
+
+
+def _model_scan(t_n, d, dtype, seed=0):
+    """The four streams' scan of a (T, 17, D) map at the model's N = 4 and
+    dt rank D // 16: its input, parameters and order."""
+    rng = np.random.default_rng(seed)
+    p = stack_streams([random_stream(rng, d, 4, d // 16, dtype) for _ in STREAM_ORDER])
+    x = tensor(rng.normal(size=(t_n, 17, d)), dtype=dtype)
+    return x, p, _scan_rows(t_n, 17, STREAM_ORDER)
+
+
+class TestScanWorkingSet:
+    @pytest.mark.parametrize("t_n, d", [(27, 32), (243, 64)])
+    def test_forward_builds_no_sequence_array_besides_its_output(self, t_n, d):
+        # the forward gathers each chunk's input, forms its step sizes and
+        # vectors and writes its output rows one chunk at a time, so beyond
+        # the (L, S, D) output it holds the (L, S, 2N + r) projections, the
+        # states entering each chunk, the three-slot workspace and a few
+        # chunk-sized temporaries. Measured at 6,158,140 bytes at T=243
+        # D=64, where the forward that built its (L, S, D) input, step
+        # sizes and readouts whole peaked at 19,276,652
+        x, p, order = _model_scan(t_n, d, np.float32)
+        selective_scan(x, p, order)   # imports and first-call caches outside the count
+        peak = traced_peak(lambda: selective_scan(x, p, order))
+        rows, s_n, n, r, item = t_n * 17, len(STREAM_ORDER), 4, d // 16, 4
+        output = rows * s_n * d * item
+        projections = rows * s_n * (2 * n + r) * item
+        states = (-(-rows // SCAN_CHUNK) + 1 + 3 * SCAN_CHUNK) * s_n * n * d * item
+        chunk = SCAN_CHUNK * s_n * d * item
+        bound = output + projections + states + 12 * chunk
+        assert peak <= bound, (peak, bound)
+        # one more (L, S, D) array would not fit under the bound
+        assert peak + output > bound, (peak, bound)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("t_n", [243, 27, 9, 7, 5])
+    def test_adjoint_rebuilds_the_forwards_step_sizes(self, monkeypatch, t_n, dtype):
+        # the forward forms the step sizes per chunk and the adjoint over the
+        # whole sequence at once; the states it recomputes from them are the
+        # forward's only if every row's step sizes keep their bits. Copies
+        # are recorded: the adjoint writes a gradient into its step sizes
+        made = []
+
+        def recorded(*args, real=ssm._step_sizes):
+            delta = real(*args)
+            made.append(delta.copy())
+            return delta
+
+        monkeypatch.setattr(ssm, "_step_sizes", recorded)
+        x, p, order = _model_scan(t_n, 64, dtype, seed=t_n)
+        for t in p.tensors():
+            t.requires_grad = True
+        out = selective_scan(x, p, order)
+        forward = np.concatenate(made)
+        assert len(made) == -(-len(order) // SCAN_CHUNK)
+        made.clear()
+        out.backward(np.ones_like(out.data))
+        assert len(made) == 1
+        assert made[0].tobytes() == forward.tobytes()

@@ -10,14 +10,14 @@ import sasmamba.sas as sas
 import sasmamba.ssm as ssm
 import sasmamba.tensor as tz
 from conftest import (bilinear_by_corners, conv3x3_by_definition,
-                      identity_tap, stack_taps)
+                      identity_tap, stack_taps, traced_peak)
 from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
 from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params, LinearParams,
                              NormParams, bilinear_gather, bilinear_weights,
                              checked_mode, depthwise_conv3x3, finite_diff_check,
-                             grid_conv3x3, layer_norm, linear, tensor)
+                             gelu, grid_conv3x3, layer_norm, linear, tensor)
 
 
 def t64(a, grad=False):
@@ -72,6 +72,25 @@ class TestLinear:
         err = tz.finite_diff_check_leaves(lambda: linear(x, LinearParams(w, b)), [x, w, b])
         assert err < 1e-8
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_rows_of_a_grid_are_one_flat_product(self, dtype):
+        # a (T, V, in) input is its (T*V, in) rows in both passes, bit for
+        # bit: numpy would run the 3-D product as T products of (V, in),
+        # which at the MLP's second map gives other bits
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(27, 17, 256)).astype(dtype)
+        w, b = (rng.normal(size=(64, 256)) * 0.1).astype(dtype), rng.normal(size=64).astype(dtype)
+        g = rng.normal(size=(27 * 17, 64)).astype(dtype)
+        passes = []
+        for rows in (x, x.reshape(-1, 256)):
+            leaves = [tensor(a, True) for a in (rows, w, b)]
+            y = linear(leaves[0], LinearParams(*leaves[1:]))
+            y.backward(g.reshape(y.shape))
+            passes.append([y.data.reshape(g.shape), leaves[0].grad.reshape(x.shape)]
+                          + [t.grad for t in leaves[1:]])
+        assert passes[0][0].tobytes() == (x.reshape(-1, 256) @ w.T + b).tobytes()
+        assert [a.tobytes() for a in passes[0]] == [a.tobytes() for a in passes[1]]
+
     def test_deterministic(self):
         rng = np.random.default_rng(0)
         x = tensor(rng.normal(size=(4, 3)).astype(np.float32))
@@ -80,6 +99,30 @@ class TestLinear:
         a = linear(x, p).data
         b = linear(x, p).data
         assert np.array_equal(a, b)
+
+
+class TestGelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_steps_keep_the_expressions_bits(self, dtype):
+        from scipy.special import erf
+        d = np.random.default_rng(6).normal(size=(27, 17, 128)).astype(dtype) * 3
+        x = tensor(d, requires_grad=True)
+        y = gelu(x)
+        y.backward(np.ones_like(d))
+        # Python floats, so that float32 stays float32
+        cdf = 0.5 * (1.0 + erf(d / 2.0 ** 0.5))
+        slope = cdf + d * (np.exp(-0.5 * d * d) / (2.0 * np.pi) ** 0.5)
+        assert y.data.tobytes() == (d * cdf).tobytes()
+        assert x.grad.tobytes() == slope.tobytes()
+
+    def test_forward_holds_its_output_and_slope(self):
+        # the CDF's buffer becomes the output and the slope has its own; the
+        # expressions written out held four to five x-sized arrays at once
+        x = tensor(np.random.default_rng(7).normal(size=(27, 17, 128)), True, np.float32)
+        gelu(x)   # scipy.special is imported at first use
+        assert traced_peak(lambda: gelu(x)) <= 2.1 * x.data.nbytes
+        x.requires_grad = False
+        assert traced_peak(lambda: gelu(x)) <= 1.1 * x.data.nbytes
 
 
 class TestLayerNorm:
