@@ -13,7 +13,7 @@ import numpy as np
 from .errors import DomainError
 from .model import ModelConfig, astype_model, forward, init_model
 from .sas import NeighborMixParams, stride_scan
-from .ssm import SelectiveSsmParams, selective_scan
+from .ssm import SCAN_CHUNK, SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, NormParams, add,
                      bilinear_gather, depthwise_conv3x3, finite_diff_check,
                      finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm,
@@ -37,13 +37,14 @@ def _two(rng):
     return [_t(rng, (3, 4)), _t(rng, (3, 4))]
 
 
-# two streams over five rows: the first reads them in order, the second
-# reversed, so the x gradient goes back through a non-identity order
-_SCAN_ORDER = np.stack([np.arange(5), np.arange(5)[::-1]], axis=1)
+# two streams over two chunks of rows: the first reads them in order, the
+# second reversed, so the x gradient goes back through a non-identity order
+# and the state crosses a chunk boundary
+_SCAN_ORDER = np.stack([np.arange(SCAN_CHUNK + 3), np.arange(SCAN_CHUNK + 3)[::-1]], axis=1)
 
 
 def _scan_inputs(rng):
-    s, d, n, r, length = 2, 3, 2, 2, 5
+    s, d, n, r, length = 2, 3, 2, 2, SCAN_CHUNK + 3
     return [
         _t(rng, (length, d)), _t(rng, (s, d, n), 0.3),
         _t(rng, (s, n, d), 0.5), _t(rng, (s, n), 0.5),

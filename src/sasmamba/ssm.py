@@ -15,17 +15,19 @@ the rows, (R, S, D), each stream's step at the row it read, so a caller
 adds the streams with one sum over the stream axis. Every per-step array is
 laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
-rows. Steps are taken in chunks of ``SCAN_CHUNK``, and each pass writes its
-per-chunk temporaries into one reused workspace; the forward gathers each
-chunk's input and writes the chunk's output to its rows, so it builds no
-(L, S, D) array besides its output. The adjoint keeps one state per chunk,
-the state entering it, and recomputes the chunk's states, ``a_bar``
-and ``factor`` from it, as Mamba's recomputation does (Gu & Dao, arXiv
-2312.00752, section 3.3.2): gradient checkpointing at chunk granularity (Chen
-et al., arXiv 1604.06174). It keeps neither the sequence in the streams'
-orders, which it gathers again from the rows, nor the step sizes and the
-input and output vectors, which it rebuilds from the input projections,
-kept anyway, with the forward's expressions.
+rows. Steps are taken in chunks of ``SCAN_CHUNK``, and one builder forms a
+chunk's inputs for both passes: its input rows, step sizes and input and
+output vectors, from the input projections, which the tape keeps. Each pass
+writes its per-chunk temporaries into one reused workspace; the forward
+writes each chunk's output to its rows, so it builds no (L, S, D) array
+besides its output. The adjoint keeps one state per chunk, the state
+entering it; it builds each chunk's inputs again and recomputes the chunk's
+states, ``a_bar`` and ``factor`` from that state, as Mamba's recomputation
+does (Gu & Dao, arXiv 2312.00752, section 3.3.2): gradient checkpointing at
+chunk granularity (Chen et al., arXiv 1604.06174). It writes its gradients
+into x and into the projections at their rows, so what follows the chunks
+is row work: the projections' adjoint is two flat products, as
+``tensor.linear``'s is.
 """
 
 from __future__ import annotations
@@ -40,9 +42,10 @@ from .tensor import Params, Tensor, make_op, tensor
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
 # The chunk also sizes the adjoint's four-slot (SCAN_CHUNK, S, N, D)
-# workspace, which sets the peak of a backward, bounded against the tape by
-# the tape-ratio test of tests/test_model.py: the smaller the tape, the
-# smaller the chunk that test allows
+# workspace, which with x's (L, S, D) gradient terms and the (L, S, 2N+r)
+# projection gradients makes the adjoint's transient, bounded against the
+# tape by the tape-ratio test of tests/test_model.py: the smaller the tape,
+# the smaller the chunk that test allows
 SCAN_CHUNK = 32
 
 
@@ -152,8 +155,8 @@ def _advance(delta, a, b, u, start, w):
     ``delta`` and ``u`` are the chunk's (k, S, D) rows and ``b`` its (k, S, N)
     input vectors. Returns ``a_bar``, ``factor`` and the chunk's states, all
     (k, S, N, D), written into slots 0-2 of the workspace ``w``. The forward
-    and the adjoint both call this, so the adjoint recomputes the forward's
-    bits.
+    and the adjoint both call this on the chunk's inputs from one builder,
+    so the adjoint recomputes the forward's bits.
     """
     k = len(delta)
     a_bar, factor = _zoh(delta, a, w[0, :k], w[1, :k])
@@ -165,76 +168,6 @@ def _advance(delta, a, b, u, start, w):
         cur += step * prev
         prev = cur
     return a_bar, factor, hc
-
-
-def _chunk_adjoint(g, chunks, starts, delta, a, b_seq, c_seq, xf, order, skip):
-    """Backpropagate ``g`` through the recurrence, walking the chunks in
-    reverse and recomputing each chunk's states from ``starts``.
-
-    ``g`` is the output's gradient in row layout, (R, S, D). Returns the
-    gradients into u (through ``skip`` and ``b_bar * u``), b, c, the step
-    sizes' softplus argument and ``a_log``, the last laid out (S, N, D).
-    Each chunk gathers its own rows of u, ``xf[order[chunk]]``, and of g,
-    and the step sizes' gradient is written into ``delta``'s rows of the
-    chunk once it no longer reads them, so none of u, g in scan order and
-    that gradient exists as an (L, S, D) array during the loop. The
-    workspace lives only in this call, so it is freed before the caller
-    forms the projections' gradients.
-    """
-    seq_len, (s_n, n, d), dt = len(g), starts.shape[1:], g.dtype
-    streams = np.arange(s_n)
-    d_a_log = np.zeros((s_n, n, d), dtype=dt)
-    d_b = np.empty((seq_len, s_n, n), dtype=dt)
-    d_c = np.empty((seq_len, s_n, n), dtype=dt)
-    du = np.empty((seq_len, s_n, d), dtype=dt)
-    carry = np.zeros((s_n, n, d), dtype=dt)
-    wb = np.empty((4, chunks[0].stop, s_n, n, d), dtype=dt)
-    for ci in reversed(range(len(chunks))):
-        sl = chunks[ci]
-        k = sl.stop - sl.start
-        u = xf[order[sl]]
-        gc = g[order[sl], streams]
-        a_bar, factor, hc = _advance(delta[sl], a, b_seq[sl], u, starts[ci], wb)
-        d_c[sl] = np.einsum("lsd,lsnd->lsn", gc, hc)
-        np.multiply(gc, skip, out=du[sl])
-        # gradient into each state h_t; only this recurrence is sequential
-        dh = np.multiply(gc[:, :, None, :], c_seq[sl, :, :, None], out=wb[3, :k])
-        for cur, step in zip(dh[::-1], a_bar[::-1]):
-            cur += carry
-            carry = cur * step
-        # b_bar * u = factor * b * u: gradients into u and b through
-        # q = dh factor, formed in factor's place, which nothing reads after
-        q = np.multiply(dh, factor, out=factor)
-        du[sl] += np.einsum("lsnd,lsn->lsd", q, b_seq[sl])
-        d_b[sl] = np.einsum("lsnd,lsd->lsn", q, u)
-        # a_bar = exp(delta a) and factor = expm1(delta a) / a with
-        # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
-        # delta a_bar - factor, so with d_factor = dh u b and
-        # q = a_bar (a dh h_prev + d_factor), d delta = sum_n q and
-        # d a_log = sum_l delta q - sum_l d_factor factor; the second sum is
-        # taken first, from dh factor u b, so that q's slot is free for the
-        # first and the pass needs four slots
-        d_a_log -= np.einsum("lsnd,lsd,lsn->snd", q, u, b_seq[sl])
-        # q = dh h_prev, h_prev being the start state and then every state of
-        # the chunk but the last; d_factor then takes the place of dh
-        np.multiply(dh[0], starts[ci], out=q[0])
-        np.multiply(dh[1:], hc[:-1], out=q[1:])
-        d_factor = np.multiply(dh, u[:, :, None, :], out=dh)
-        d_factor *= b_seq[sl, :, :, None]
-        q *= a
-        q += d_factor
-        q *= a_bar
-        d_delta = np.einsum("lsnd->lsd", q)
-        q *= delta[sl, :, None, :]
-        d_a_log += q.sum(axis=0)
-        # softplus' = sigmoid, which is 1 - exp(-softplus)
-        np.multiply(d_delta, -np.expm1(-delta[sl]), out=delta[sl])
-    return du, d_b, d_c, delta, d_a_log
-
-
-def _input_vectors(proj, n, b_bias, c_bias):
-    """The (L, S, N) input and output vectors from the projection rows."""
-    return proj[..., :n] + b_bias, proj[..., n:2 * n] + c_bias
 
 
 def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tensor:
@@ -253,25 +186,21 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     All streams run as one computation: the stacked weights make the
     projections of every row one product, gathered into the streams' orders,
     and one recurrence advances an (S, N, D) state, channels innermost. Steps
-    are processed in chunks of ``SCAN_CHUNK``: each chunk gathers its input
-    rows, forms its step sizes and input and output vectors, discretizes,
-    advances the recurrence, reads out and writes its outputs to their rows,
-    so the output is the forward's only (L, S, D) array and no (L, S, N, D)
-    array exists, with gradients or without. The adjoint keeps ``starts``,
-    the (S, N, D) state entering each chunk, and walks the chunks in reverse;
-    for each it recomputes ``a_bar`` and ``factor`` through :func:`_zoh` and
-    the chunk's states from its start. The tape keeps x, not the (L, S, D)
-    sequence in scan order: the adjoint gathers it again, reads g back into
-    scan order one chunk at a time, and writes x's (L, S, D) gradient terms
-    to their rows as the forward writes its output, adding each row's S
-    terms in stream order. It keeps no (L, S, D) step sizes and no (L, S, N)
-    input or output vectors either: it rebuilds them through
-    :func:`_step_sizes` and :func:`_input_vectors` from the projections,
-    which it keeps for the weight gradients, over the whole sequence at
-    once; row for row that is the bits of the forward's per-chunk calls, so
-    the rebuilt states are the forward's too. The per-chunk temporaries of
-    either pass are written into a
-    workspace allocated once per pass. The adjoint is exact.
+    are processed in chunks of ``SCAN_CHUNK``, and one builder forms a
+    chunk's inputs for both passes: its gathered input rows, its step sizes
+    and its input and output vectors, from the projections. The forward
+    discretizes each chunk, advances the recurrence, reads out and writes
+    its outputs to their rows, so the output is the forward's only (L, S, D)
+    array and no (L, S, N, D) array exists, with gradients or without. The
+    tape keeps x, the projections and ``starts``, the (S, N, D) state
+    entering each chunk. The adjoint walks the chunks in reverse, builds
+    each chunk's inputs again, recomputes its states from its start to the
+    forward's bits and writes x's per-stream gradient terms and the
+    projections' gradients straight to their rows. What follows is row
+    work: the skip terms, and the projections' adjoint as two flat products
+    of the rows, as :func:`~sasmamba.tensor.linear`'s. The per-chunk
+    (k, S, N, D) temporaries of either pass are written into a workspace
+    allocated once per pass. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
     if x.shape[-1] != d or np.shape(order) != (x.size // d, s_n):
@@ -288,9 +217,15 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     # into the streams' orders
     proj = (xf @ w.reshape(-1, d).T).reshape(-1, s_n, w.shape[1])[order, streams]
     b_bias, c_bias = p.b_bias.data, p.c_bias.data                       # (S, N)
-    m1 = proj[..., 2 * n:]                                              # (L, S, r)
     dt_up, dt_bias = p.dt_up.data, p.dt_bias.data                       # (S, D, r), (S, D)
     skip = p.skip.data                                                  # (S, D)
+
+    def chunk_inputs(sl):
+        """The chunk's (k, S, D) input rows and step sizes and its (k, S, N)
+        input and output vectors."""
+        pc = proj[sl]
+        return (xf[order[sl]], _step_sizes(pc[..., 2 * n:], dt_up, dt_bias),
+                pc[..., :n] + b_bias, pc[..., n:2 * n] + c_bias)
 
     chunks = _chunks(len(order))
     # the state entering each chunk, then the final one: all the adjoint
@@ -303,39 +238,79 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     out = np.empty(x_shape[:-1] + (s_n, d), dtype=dt)
     rows = out.reshape(-1, s_n, d)
     for ci, sl in enumerate(chunks):
-        u = xf[order[sl]]                                               # (k, S, D)
-        b_seq, c_seq = _input_vectors(proj[sl], n, b_bias, c_bias)      # (k, S, N)
-        hc = _advance(_step_sizes(m1[sl], dt_up, dt_bias), a, b_seq, u, starts[ci], ws)[2]
+        u, delta, b, c = chunk_inputs(sl)
+        hc = _advance(delta, a, b, u, starts[ci], ws)[2]
         starts[ci + 1] = hc[-1]
-        y = np.matmul(c_seq[:, :, None, :], hc)[:, :, 0]
+        y = np.matmul(c[:, :, None, :], hc)[:, :, 0]
         y += skip * u
         rows[order[sl], streams] = y
 
     def backward(g):
         g = g.reshape(-1, s_n, d)
-        b_seq, c_seq = _input_vectors(proj, n, b_bias, c_bias)
-        du, d_b, d_c, dz, d_a_log = _chunk_adjoint(g, chunks, starts,
-                                                   _step_sizes(m1, dt_up, dt_bias), a,
-                                                   b_seq, c_seq, xf, order, skip)
-        dm1 = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)        # (L, S, r)
-        d_dt_up = np.matmul(dz.transpose(1, 2, 0), m1.swapaxes(0, 1))
-        d_dt_bias = dz.sum(axis=0)
-        del dz
-        dproj = np.concatenate([d_b, d_c, dm1], axis=2).swapaxes(0, 1)  # (S, L, 2N+r)
-        ud = xf[order]
-        dw = np.matmul(dproj.swapaxes(1, 2), ud.swapaxes(0, 1))         # (S, 2N+r, D)
-        # the skip gradient is formed in the gathered input's place, with g
-        # gathered into scan order beside it once the step sizes' gradient
-        # is freed; that buffer then takes x's gradient terms at their rows,
-        # each row's S terms added in stream order
         streams = np.arange(s_n)
-        ud *= g[order, streams]
-        d_skip = ud.sum(axis=0)
-        du += np.matmul(dproj, w).swapaxes(0, 1)
-        ud[order, streams] = du
-        return (ud.sum(axis=1).reshape(x_shape),
-                d_a_log.swapaxes(1, 2), dw[:, :n], d_b.sum(axis=0),
-                dw[:, n:2 * n], d_c.sum(axis=0), dw[:, 2 * n:], d_dt_up, d_dt_bias, d_skip)
+        # x's gradient terms at their rows, stream s at [:, s]: the skip
+        # terms, then each chunk's terms through the recurrence. Each column
+        # of order is a permutation, so every (row, stream) is written once
+        dx = g * skip
+        dproj = np.empty((len(g), s_n, w.shape[1]), dtype=dt)          # (R, S, 2N+r)
+        d_a_log = np.zeros((s_n, n, d), dtype=dt)
+        d_dt_up, d_dt_bias = np.zeros_like(dt_up), np.zeros_like(dt_bias)
+        carry = np.zeros((s_n, n, d), dtype=dt)
+        wb = np.empty((4, chunks[0].stop, s_n, n, d), dtype=dt)
+        for ci in reversed(range(len(chunks))):
+            sl = chunks[ci]
+            k = sl.stop - sl.start
+            u, delta, b, c = chunk_inputs(sl)
+            gc = g[order[sl], streams]
+            a_bar, factor, hc = _advance(delta, a, b, u, starts[ci], wb)
+            # the chunk's gradients into b, c and m1, side by side as proj's
+            dpc = np.empty((k, s_n, w.shape[1]), dtype=dt)
+            np.einsum("lsd,lsnd->lsn", gc, hc, out=dpc[..., n:2 * n])
+            # gradient into each state h_t; only this recurrence is sequential
+            dh = np.multiply(gc[:, :, None, :], c[..., None], out=wb[3, :k])
+            for cur, step in zip(dh[::-1], a_bar[::-1]):
+                cur += carry
+                carry = cur * step
+            # b_bar * u = factor * b * u: gradients into u and b through
+            # q = dh factor, formed in factor's place, which nothing reads after
+            q = np.multiply(dh, factor, out=factor)
+            dx[order[sl], streams] += np.einsum("lsnd,lsn->lsd", q, b)
+            np.einsum("lsnd,lsd->lsn", q, u, out=dpc[..., :n])
+            # a_bar = exp(delta a) and factor = expm1(delta a) / a with
+            # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
+            # delta a_bar - factor, so with d_factor = dh u b and
+            # q = a_bar (a dh h_prev + d_factor), d delta = sum_n q and
+            # d a_log = sum_l delta q - sum_l d_factor factor; the second sum is
+            # taken first, from dh factor u b, so that q's slot is free for the
+            # first and the pass needs four slots
+            d_a_log -= np.einsum("lsnd,lsd,lsn->snd", q, u, b)
+            # q = dh h_prev, h_prev being the start state and then every state of
+            # the chunk but the last; d_factor then takes the place of dh
+            np.multiply(dh[0], starts[ci], out=q[0])
+            np.multiply(dh[1:], hc[:-1], out=q[1:])
+            d_factor = np.multiply(dh, u[:, :, None, :], out=dh)
+            d_factor *= b[..., None]
+            q *= a
+            q += d_factor
+            q *= a_bar
+            dz = np.einsum("lsnd->lsd", q)
+            q *= delta[:, :, None, :]
+            d_a_log += q.sum(axis=0)
+            # the softplus argument's gradient: softplus' = sigmoid, which is
+            # 1 - exp(-softplus)
+            dz *= -np.expm1(-delta)
+            dpc[..., 2 * n:] = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)
+            d_dt_up += np.matmul(dz.transpose(1, 2, 0), proj[sl, :, 2 * n:].swapaxes(0, 1))
+            d_dt_bias += dz.sum(axis=0)
+            dproj[order[sl], streams] = dpc
+        # the projections' adjoint as linear's: two flat products of the rows
+        flat = dproj.reshape(len(g), -1)                                # (R, S(2N+r))
+        dw = (flat.T @ xf).reshape(w.shape)
+        dx = dx.sum(axis=1)
+        dx += flat @ w.reshape(-1, d)
+        return (dx.reshape(x_shape), d_a_log.swapaxes(1, 2), dw[:, :n],
+                dproj[..., :n].sum(axis=0), dw[:, n:2 * n], dproj[..., n:2 * n].sum(axis=0),
+                dw[:, 2 * n:], d_dt_up, d_dt_bias, np.einsum("rsd,rd->sd", g, xf))
 
     return make_op(out, (x,) + p.tensors(), backward)
 

@@ -447,13 +447,43 @@ class TestScanWorkingSet:
         # one more (L, S, D) array would not fit under the bound
         assert peak + output > bound, (peak, bound)
 
+    @pytest.mark.parametrize("t_n, d", [(27, 32), (243, 64)])
+    def test_adjoint_builds_no_sequence_array_besides_xs_terms(self, t_n, d):
+        # the adjoint builds each chunk's inputs again and writes x's
+        # per-stream gradient terms and the projections' gradients to their
+        # rows one chunk at a time, so beyond the root's copy of the seed it
+        # holds one (R, S, D) array, x's terms, which it sums into x's (R, D)
+        # gradient, the (R, S, 2N + r) projection gradients, the four-slot
+        # workspace and a few chunk-sized temporaries. Measured at 959,986
+        # bytes at T=27 D=32 and 11,007,852 at T=243 D=64, where the adjoint
+        # that rebuilt its step sizes and vectors whole and gathered x and g
+        # into scan order peaked at 1,211,670 and 19,129,800
+        x, p, order = _model_scan(t_n, d, np.float32)
+        for t in (x,) + p.tensors():
+            t.requires_grad = True
+        seed = np.ones((t_n, 17, len(STREAM_ORDER), d), dtype=np.float32)
+        selective_scan(x, p, order).backward(seed)   # first-call caches outside the count
+        for t in (x,) + p.tensors():
+            t.grad = None
+        out = selective_scan(x, p, order)
+        peak = traced_peak(lambda: out.backward(seed))
+        rows, s_n, n, r, item = t_n * 17, len(STREAM_ORDER), 4, d // 16, 4
+        output = rows * s_n * d * item
+        projections = rows * s_n * (2 * n + r) * item
+        workspace = 4 * SCAN_CHUNK * s_n * n * d * item
+        chunk = SCAN_CHUNK * s_n * d * item
+        bound = 2 * output + rows * d * item + projections + workspace + 12 * chunk
+        assert peak <= bound, (peak, bound)
+        # one more (L, S, D) array would not fit under the bound
+        assert peak + output > bound, (peak, bound)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("t_n", [243, 27, 9, 7, 5])
     def test_adjoint_rebuilds_the_forwards_step_sizes(self, monkeypatch, t_n, dtype):
-        # the forward forms the step sizes per chunk and the adjoint over the
-        # whole sequence at once; the states it recomputes from them are the
-        # forward's only if every row's step sizes keep their bits. Copies
-        # are recorded: the adjoint writes a gradient into its step sizes
+        # both passes form a chunk's step sizes through one builder, the
+        # adjoint walking the chunks in reverse; the states it recomputes are
+        # the forward's only if each chunk's step sizes keep their bits.
+        # Copies are recorded, so a pass may reuse the step sizes' buffer
         made = []
 
         def recorded(*args, real=ssm._step_sizes):
@@ -466,9 +496,10 @@ class TestScanWorkingSet:
         for t in p.tensors():
             t.requires_grad = True
         out = selective_scan(x, p, order)
-        forward = np.concatenate(made)
-        assert len(made) == -(-len(order) // SCAN_CHUNK)
+        forward = made[:]
+        assert len(forward) == -(-len(order) // SCAN_CHUNK)
         made.clear()
         out.backward(np.ones_like(out.data))
-        assert len(made) == 1
-        assert made[0].tobytes() == forward.tobytes()
+        assert len(made) == len(forward)
+        for got, want in zip(made, reversed(forward)):
+            assert got.tobytes() == want.tobytes()
