@@ -10,10 +10,9 @@ from .model import (Model, ModelConfig, count_macs, count_params, forward,
                     init_model)
 from .sas import (SaConvParams, SasLayerParams, four_stream_scan, sa_conv,
                   sas_ssm_layer, stride_groups, stride_scan)
-from .ssm import (SelectiveSsmParams, conv_apply, discretize, selective_scan,
-                  ssm_kernel)
+from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (LinearParams, NormParams, Tensor, checked_mode,
-                     finite_diff_check, layer_norm, linear)
+                     finite_diff_check_leaves, layer_norm, linear)
 from .training import (LossWeights, OptimState, SyntheticDataset, gen_synthetic,
                        lr_at, mpjve, optim_step, tc_loss, total_loss, train,
                        wmpjpe)

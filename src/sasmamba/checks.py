@@ -15,10 +15,9 @@ from .model import ModelConfig, astype_model, forward, init_model
 from .sas import NeighborMixParams, stride_scan
 from .ssm import SCAN_CHUNK, SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, NormParams, add,
-                     bilinear_gather, depthwise_conv3x3, finite_diff_check,
-                     finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm,
-                     linear, mul, scale, silu, slice0, sqrt, sub, sum_all,
-                     sum_axis, tensor)
+                     bilinear_gather, depthwise_conv3x3, finite_diff_check_leaves,
+                     gelu, grid_conv3x3, layer_norm, linear, mul, scale, silu,
+                     slice0, sqrt, sub, sum_all, sum_axis, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
 OP_TOLERANCE = 1e-4
@@ -114,8 +113,13 @@ OPS = {
 def check_registered_ops(seed: int) -> dict[str, float]:
     """Max finite-difference error of every op in :data:`OPS` at one seed."""
     rng = np.random.default_rng(seed)
-    return {name: finite_diff_check(fn, inputs(rng), eps=1e-5)
-            for name, (fn, inputs) in sorted(OPS.items())}
+    errors = {}
+    for name, (fn, inputs) in sorted(OPS.items()):
+        xs = inputs(rng)
+        for x in xs:
+            x.requires_grad = True
+        errors[name] = finite_diff_check_leaves(lambda: fn(*xs), xs, eps=1e-5)
+    return errors
 
 
 def check_losses(seed: int) -> dict[str, float]:

@@ -126,19 +126,14 @@ def _cmd_infer(args) -> int:
     seq = read_keypoints(args.input)
     if seq.shape[-1] != 2:
         raise FormatError(f"inference input must be 2d keypoints, got dims={seq.shape[-1]}")
+    # windows of T frames, the remainder as a shorter one; a model that
+    # overflows shows as one non-finite output error, not numpy warnings
     window = model.config.T
-    t_in = seq.shape[0]
-    if t_in <= window:
-        out = forward(model, seq).data
-    else:
-        n_windows = t_in // window
-        rem = t_in - n_windows * window
-        if rem:
-            print(f"warning: dropping {rem} trailing frames "
-                  f"(input {t_in} is not a multiple of window {window})", file=sys.stderr)
-        chunks = [forward(model, seq[i * window:(i + 1) * window]).data
-                  for i in range(n_windows)]
-        out = np.concatenate(chunks, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.concatenate([forward(model, seq[i:i + window]).data
+                              for i in range(0, len(seq), window)])
+    if not np.all(np.isfinite(out)):
+        raise NumericError("non-finite values in the model output")
     write_keypoints(args.output, out)
     print(f"wrote {out.shape[0]} frames of 3d poses -> {args.output}")
     return 0

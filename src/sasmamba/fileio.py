@@ -242,7 +242,4 @@ def load_ckpt(path) -> Model:
         for entry, key, index in layout)
     # save_ckpt writes no non-finite value, so the file is corrupt
     _check_finite(cfg, payload, params, CorruptionError)
-    try:
-        return build_model(cfg, params)
-    except ConfigError as exc:
-        raise CorruptionError(f"checkpoint config builds no model: {exc}") from exc
+    return build_model(cfg, params)

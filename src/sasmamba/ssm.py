@@ -2,10 +2,7 @@
 
 The sequential scan is the reference computation: an input-dependent linear
 recurrence evaluated strictly left to right, with a single fused adjoint that
-backpropagates through the whole recurrence. ``ssm_kernel`` plus
-``conv_apply`` realize the time-invariant convolutional form and serve as a
-correctness oracle for the scan. The two sides share only the zero-order hold
-(:func:`discretize`), which is tested on its own against its closed form.
+backpropagates through the whole recurrence.
 
 :func:`selective_scan` runs several independent streams as one computation:
 every stream reads the same (L, D) rows, each in its own order, so its
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, DomainError
-from .tensor import Params, Tensor, make_op, tensor
+from .tensor import Params, Tensor, make_op
 
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
@@ -102,7 +99,8 @@ class SelectiveSsmParams(Params):
 
 
 def _zoh(delta: np.ndarray, a: np.ndarray, a_bar=None, factor=None):
-    """The zero-order hold of :func:`discretize` without the input vector.
+    """The zero-order hold of Mamba (Gu & Dao, arXiv 2312.00752, eq. 4)
+    without the input vector.
 
     ``delta`` is (..., D) and ``a`` is (N, D), or (S, N, D) against a stream
     axis at ``delta[..., S, D]``. Returns ``a_bar = exp(delta * a)`` and
@@ -117,23 +115,6 @@ def _zoh(delta: np.ndarray, a: np.ndarray, a_bar=None, factor=None):
     factor = np.expm1(da, out=factor)
     factor /= a
     return np.exp(da, out=da), factor
-
-
-def discretize(delta: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """Zero-order-hold discretization of a diagonal-per-channel system.
-
-    ``a_bar = exp(delta * a)`` and ``b_bar = (expm1(delta * a) / a) * b``,
-    the hold of Mamba (Gu & Dao, arXiv 2312.00752, eq. 4) with ``expm1`` in
-    place of ``exp(.) - 1``, which cancels when ``|delta * a|`` is small.
-
-    Shapes: delta (L, D), a (D, N), b (L, N) -> a_bar, b_bar both (L, D, N).
-    """
-    delta = np.asarray(delta)
-    b = np.asarray(b)
-    if np.any(delta <= 0):
-        raise DomainError("discretize requires strictly positive step sizes")
-    a_bar, factor = _zoh(delta, np.asarray(a).T)
-    return a_bar.swapaxes(1, 2), (factor * b[:, :, None]).swapaxes(1, 2)
 
 
 def _chunks(seq_len: int) -> list[slice]:
@@ -314,56 +295,3 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
 
     return make_op(out, (x,) + p.tensors(), backward)
 
-
-def frozen_params(d: int, n: int, delta: np.ndarray, b_const: np.ndarray,
-                  c_const: np.ndarray, a: np.ndarray, skip: np.ndarray,
-                  dtype=np.float64) -> SelectiveSsmParams:
-    """Build one stream's scan parameters (S = 1) whose projections ignore
-    the input.
-
-    Zero projection weights with biases set from the constants make the scan
-    time-invariant; ``delta`` is realized through the softplus bias.
-    """
-    a = np.asarray(a, dtype=dtype)
-    if np.any(a >= 0):
-        raise DomainError("state matrix entries must be strictly negative")
-    fields = (np.log(-a), np.zeros((n, d)), b_const, np.zeros((n, d)), c_const,
-              np.zeros((1, d)), np.zeros((d, 1)),
-              softplus_inverse(np.broadcast_to(delta, (d,))), skip)
-    return SelectiveSsmParams(*(tensor(np.asarray(f)[None], dtype=dtype) for f in fields))
-
-
-def ssm_kernel(a_bar: np.ndarray, b_bar: np.ndarray, c: np.ndarray, length: int) -> np.ndarray:
-    """Impulse-response kernel of the time-invariant system.
-
-    ``kernel[l, d] = sum_n c[n] * a_bar[d, n]**l * b_bar[d, n]`` for
-    ``l = 0 .. length-1``. This is the convolutional view of the recurrence
-    and is used purely as an oracle.
-    """
-    if length <= 0:
-        raise DomainError(f"kernel length must be positive, got {length}")
-    a_bar = np.asarray(a_bar, dtype=np.float64)
-    b_bar = np.asarray(b_bar, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    d, n = a_bar.shape
-    kernel = np.empty((length, d), dtype=np.float64)
-    power = np.ones_like(a_bar)
-    for l in range(length):
-        kernel[l] = (power * b_bar) @ c
-        power = power * a_bar
-    return kernel
-
-
-def conv_apply(u: np.ndarray, kernel: np.ndarray, skip: np.ndarray) -> np.ndarray:
-    """Causal convolution ``y_t = sum_{tau<=t} kernel[t-tau] u_tau + skip*u_t``."""
-    u = np.asarray(u, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.shape[0] != u.shape[0]:
-        raise DimensionError(
-            f"kernel length {kernel.shape[0]} != sequence length {u.shape[0]}")
-    seq_len = u.shape[0]
-    y = np.zeros_like(u)
-    for t in range(seq_len):
-        lags = kernel[:t + 1]                 # (t+1, D), lag 0 .. t
-        y[t] = (lags * u[t::-1]).sum(axis=0)
-    return y + np.asarray(skip, dtype=np.float64) * u

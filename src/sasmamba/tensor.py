@@ -10,7 +10,8 @@ adjoints in reverse topological order, hands each gradient to its input's
 node in one place, and consumes the graph as it goes: one forward allows one
 backward, and afterwards only the leaves (and the root) hold gradients. There
 is no graph optimization; the contract is that every op in ``checks.OPS``
-survives :func:`finite_diff_check` against central differences in 64-bit mode.
+survives :func:`finite_diff_check_leaves` against central differences in
+64-bit mode.
 
 Precision: 32-bit floats are the working dtype, 64-bit is used for gradient
 validation. Checked mode (see :func:`checked_mode`) checks each op's output
@@ -631,20 +632,10 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> np.ndarray:
 # --- finite-difference validation -------------------------------------------
 
 
-def finite_diff_check(fn, inputs: list[Tensor], eps: float = 1e-5) -> float:
-    """Max relative error between the analytic adjoints of ``fn(*inputs)``
-    and central differences.
-
-    The output is scalar-reduced by summation. Inputs are promoted to
-    64-bit; relative error uses ``|a - n| / max(1, |a|, |n|)`` per element.
-    """
-    xs = [Tensor(t.data.astype(np.float64), requires_grad=True) for t in inputs]
-    return finite_diff_check_leaves(lambda: fn(*xs), xs, eps)
-
-
 def finite_diff_check_leaves(fn, leaves: list[Tensor], eps: float = 1e-5,
                              sample: int | None = None, rng=None) -> float:
-    """Finite-difference check for composite computations.
+    """Max relative error between the analytic adjoints of ``fn()`` and
+    central differences, ``|a - n| / max(1, |a|, |n|)`` per probed element.
 
     ``fn()`` evaluates the computation from the given leaf tensors (which it
     must reference directly) and returns a Tensor; the comparison scalar is

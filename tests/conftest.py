@@ -1,4 +1,5 @@
-"""Shared builders for degenerate and randomized layer parameters."""
+"""Shared builders for degenerate and randomized layer parameters, and the
+plain-numpy oracles the ops are tested against."""
 
 import tracemalloc
 import types
@@ -6,8 +7,9 @@ import types
 import numpy as np
 from scipy import sparse
 
+from sasmamba.errors import DimensionError, DomainError
 from sasmamba.sas import NeighborMixParams, SaConvParams, tap_rank
-from sasmamba.ssm import SelectiveSsmParams, frozen_params
+from sasmamba.ssm import SelectiveSsmParams, _zoh, softplus_inverse
 from sasmamba.tensor import Conv3x3Params, tensor
 
 
@@ -94,6 +96,69 @@ def scan_by_unroll(seq, p, s=0):
         h = a_bar * h + (a_bar - 1.0) / a * b[None, :] * u[:, None]
         ys.append(h @ c + skip * u)
     return np.array(ys)
+
+
+def discretize(delta, a, b):
+    """Zero-order-hold discretization of a diagonal-per-channel system.
+
+    ``a_bar = exp(delta * a)`` and ``b_bar = (expm1(delta * a) / a) * b``,
+    the scan's own hold (``ssm._zoh``) with the input vector applied.
+
+    Shapes: delta (L, D), a (D, N), b (L, N) -> a_bar, b_bar both (L, D, N).
+    """
+    delta = np.asarray(delta)
+    b = np.asarray(b)
+    if np.any(delta <= 0):
+        raise DomainError("discretize requires strictly positive step sizes")
+    a_bar, factor = _zoh(delta, np.asarray(a).T)
+    return a_bar.swapaxes(1, 2), (factor * b[:, :, None]).swapaxes(1, 2)
+
+
+def frozen_params(d, n, delta, b_const, c_const, a, skip, dtype=np.float64):
+    """One stream's scan parameters (S = 1) whose projections ignore the input.
+
+    Zero projection weights with biases set from the constants make the scan
+    time-invariant; ``delta`` is realized through the softplus bias.
+    """
+    a = np.asarray(a, dtype=dtype)
+    if np.any(a >= 0):
+        raise DomainError("state matrix entries must be strictly negative")
+    fields = (np.log(-a), np.zeros((n, d)), b_const, np.zeros((n, d)), c_const,
+              np.zeros((1, d)), np.zeros((d, 1)),
+              softplus_inverse(np.broadcast_to(delta, (d,))), skip)
+    return SelectiveSsmParams(*(tensor(np.asarray(f)[None], dtype=dtype) for f in fields))
+
+
+def ssm_kernel(a_bar, b_bar, c, length):
+    """Impulse-response kernel of the time-invariant system, the
+    convolutional view of the recurrence:
+    ``kernel[l, d] = sum_n c[n] * a_bar[d, n]**l * b_bar[d, n]`` for
+    ``l = 0 .. length-1``."""
+    if length <= 0:
+        raise DomainError(f"kernel length must be positive, got {length}")
+    a_bar = np.asarray(a_bar, dtype=np.float64)
+    b_bar = np.asarray(b_bar, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    kernel = np.empty((length, a_bar.shape[0]), dtype=np.float64)
+    power = np.ones_like(a_bar)
+    for l in range(length):
+        kernel[l] = (power * b_bar) @ c
+        power = power * a_bar
+    return kernel
+
+
+def conv_apply(u, kernel, skip):
+    """Causal convolution ``y_t = sum_{tau<=t} kernel[t-tau] u_tau + skip*u_t``."""
+    u = np.asarray(u, dtype=np.float64)
+    kernel = np.asarray(kernel, dtype=np.float64)
+    if kernel.shape[0] != u.shape[0]:
+        raise DimensionError(
+            f"kernel length {kernel.shape[0]} != sequence length {u.shape[0]}")
+    y = np.zeros_like(u)
+    for t in range(u.shape[0]):
+        lags = kernel[:t + 1]                 # (t+1, D), lag 0 .. t
+        y[t] = (lags * u[t::-1]).sum(axis=0)
+    return y + np.asarray(skip, dtype=np.float64) * u
 
 
 def feedthrough_stream(d, n=1, dtype=np.float64):

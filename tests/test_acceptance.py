@@ -8,8 +8,8 @@ import time
 
 import numpy as np
 
-from conftest import (identity_order, identity_tap, random_stream, stack_taps, zero_local,
-                      zero_offset_net)
+from conftest import (conv_apply, discretize, frozen_params, identity_order, identity_tap,
+                      random_stream, ssm_kernel, stack_taps, zero_local, zero_offset_net)
 from sasmamba.checks import check_registered_ops, check_tiny_model
 from sasmamba.cli import main
 from sasmamba.fileio import load_ckpt, save_ckpt
@@ -17,7 +17,7 @@ from sasmamba.metrics import mpjpe_p2, procrustes_align
 from sasmamba.model import ModelConfig, count_macs, count_params, forward, init_model
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, four_stream_scan, sa_conv,
                           stride_scan)
-from sasmamba.ssm import conv_apply, discretize, frozen_params, selective_scan, softplus, ssm_kernel
+from sasmamba.ssm import selective_scan, softplus
 from sasmamba.tensor import Tensor, tensor
 from sasmamba.training import LossWeights, OptimState, gen_synthetic, train, wmpjpe
 

@@ -1,6 +1,7 @@
 """Command-line workflows: init, synth, train, infer, eval, count."""
 
 import json
+import math
 import os
 import struct
 import subprocess
@@ -13,7 +14,8 @@ import numpy as np
 import pytest
 
 from sasmamba.cli import main
-from sasmamba.fileio import read_keypoints, write_keypoints
+from sasmamba.fileio import load_ckpt, read_keypoints, write_keypoints
+from sasmamba.model import forward
 
 TINY_CFG = dict(L=1, D=8, T=6, V=4, K=1, N=2)
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -235,20 +237,40 @@ def _infer_manifest(text):
     return argv
 
 
+def _poisoned_checkpoint(ckpt, tmp, tensor_name, value, count=None):
+    """A copy of ckpt whose first ``count`` values of one tensor, all of them
+    when None, are ``value``, under a valid CRC."""
+    blob = bytearray(ckpt.read_bytes())
+    mlen = struct.unpack_from("<I", blob, 8)[0]
+    entries = json.loads(blob[12:12 + mlen])["tensors"]
+    entry = next(e for e in entries if e["name"] == tensor_name)
+    count = math.prod(entry["shape"]) if count is None else count
+    start = 12 + mlen + entry["offset"]
+    blob[start:start + 4 * count] = struct.pack(f"<{count}f", *[value] * count)
+    poisoned = tmp / "poisoned.ckpt"
+    poisoned.write_bytes(blob)
+    return _edited_checkpoint(poisoned, tmp / "edited.ckpt",
+                              _set("checksum", zlib.crc32(blob[12 + mlen:])))
+
+
 def _infer_nan_in(tensor_name):
     """infer with a checkpoint whose first value of one tensor is NaN, under a valid CRC."""
     def argv(tmp, ckpt, data):
-        blob = bytearray(ckpt.read_bytes())
-        mlen = struct.unpack_from("<I", blob, 8)[0]
-        entries = json.loads(blob[12:12 + mlen])["tensors"]
-        start = 12 + mlen + next(e["offset"] for e in entries if e["name"] == tensor_name)
-        blob[start:start + 4] = struct.pack("<f", float("nan"))
-        poisoned = tmp / "nan.ckpt"
-        poisoned.write_bytes(blob)
-        edited = _edited_checkpoint(poisoned, tmp / "edited.ckpt",
-                                    _set("checksum", zlib.crc32(blob[12 + mlen:])))
+        edited = _poisoned_checkpoint(ckpt, tmp, tensor_name, float("nan"), count=1)
         return ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
                 "--output", tmp / "out.json"]
+    return argv
+
+
+def _train_on(*files):
+    """train on a directory of copies of the synthetic files, each given as
+    (source name, copy name)."""
+    def argv(tmp, ckpt, data):
+        pairs = tmp / "pairs"
+        pairs.mkdir()
+        for src, name in files:
+            (pairs / name).write_bytes((data / src).read_bytes())
+        return ["train", "--data", pairs, "--model", ckpt, "--out", tmp / "t.ckpt"]
     return argv
 
 
@@ -334,6 +356,19 @@ HOSTILE_INPUTS = {
     "train --trace into a missing directory": lambda tmp, ckpt, data: [
         "train", "--data", data, "--model", ckpt, "--epochs", 1, "--out", tmp / "t.ckpt",
         "--trace", tmp / "missing" / "t.csv"],
+    # the trace is written first, and removed when the checkpoint then fails
+    "train --out into a missing directory after a --trace": lambda tmp, ckpt, data: [
+        "train", "--data", data, "--model", ckpt, "--epochs", 1,
+        "--out", tmp / "missing" / "t.ckpt", "--trace", tmp / "t.csv"],
+    "train on a 2d file with no 3d counterpart": _train_on(("seq_0000_2d.json", "a_2d.json")),
+    "train on a pair whose 3d file holds 2d": _train_on(("seq_0000_2d.json", "a_2d.json"),
+                                                         ("seq_0000_2d.json", "a_3d.json")),
+    "train on a directory with no pairs": _train_on(),
+    "infer on 3d keypoints": lambda tmp, ckpt, data: [
+        "infer", "--model", ckpt, "--input", data / "seq_0000_3d.json",
+        "--output", tmp / "out.json"],
+    "eval on 2d keypoints": lambda tmp, ckpt, data: [
+        "eval", "--pred", data / "seq_0000_2d.json", "--gt", data / "seq_0000_2d.json"],
     # rejected before the output directory is made
     "synth --sequences 0": lambda tmp, ckpt, data: [
         "synth", "--sequences", 0, "--out", tmp / "new"],
@@ -432,9 +467,41 @@ class TestSynthTrainInferEval:
         write_keypoints(inp, seq)
         rc, _, stderr = run(["infer", "--model", ckpt, "--input", inp,
                              "--output", outp], capsys)
-        assert rc == 0
-        assert "dropping 3 trailing frames" in stderr
-        assert read_keypoints(outp).shape == (12, 4, 3)
+        assert rc == 0 and stderr == ""
+        out = read_keypoints(outp)
+        assert out.shape == (15, 4, 3)
+        # the 3 leftover frames run as a window of their own
+        np.testing.assert_array_equal(out[12:], forward(load_ckpt(ckpt), seq[12:]).data)
+
+    @pytest.mark.parametrize("tensor_name", ["blocks.0.mlp1.weight",
+                                             "blocks.0.sas.offset.weight"])
+    def test_infer_overflow_exits_3_with_one_line(self, tensor_name, tmp_path, capsys):
+        # 3e38 is finite in float32, so the checkpoint loads; the forward
+        # overflows, in the MLP to a non-finite output, in the offset net to
+        # non-finite sampling positions
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(L=1, D=8, T=9, V=4, N=2)))
+        ckpt, data = tmp_path / "m.ckpt", tmp_path / "data"
+        run(["init", "--config", config, "--out", ckpt], capsys)
+        run(["synth", "--sequences", 1, "--frames", 9, "--joints", 4, "--out", data], capsys)
+        edited = _poisoned_checkpoint(ckpt, tmp_path, tensor_name, 3e38)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, _, stderr = run(["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
+                                 "--output", tmp_path / "out.json"], capsys)
+        assert rc == 3
+        assert stderr.startswith("error: non-finite") and stderr.count("\n") == 1
+        assert not (tmp_path / "out.json").exists()
+
+    def test_synth_noise_moves_only_the_2d(self, tmp_path, capsys):
+        clean, noisy = tmp_path / "clean", tmp_path / "noisy"
+        for out, noise in ((clean, 0.0), (noisy, 0.01)):
+            assert run(["synth", "--seed", 4, "--sequences", 1, "--frames", 6, "--joints", 4,
+                        "--noise", noise, "--out", out], capsys)[0] == 0
+        name3d, name2d = "seq_0000_3d.json", "seq_0000_2d.json"
+        assert (clean / name3d).read_bytes() == (noisy / name3d).read_bytes()
+        diff = np.abs(read_keypoints(noisy / name2d) - read_keypoints(clean / name2d))
+        assert 0 < diff.max() < 0.1
 
     def test_infer_deterministic(self, tmp_path, tiny_config_path, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -9,10 +9,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted(p for p in (ROOT / "src" / "sasmamba").glob("*.py") if p.name != "__init__.py")
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
-# read only by tests: the convolution oracle of the scan, the one-cloud form
-# of the P2 alignment, and the context that checks every op for NaNs
-ONLY_TESTS_READ = {"discretize", "ssm_kernel", "conv_apply", "frozen_params",
-                   "procrustes_align", "checked_mode"}
+# read only by tests: the one-cloud form of the P2 alignment, and the
+# context that checks every op for NaNs
+ONLY_TESTS_READ = {"procrustes_align", "checked_mode"}
 
 
 def unused_imports(source: str) -> list[str]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (bilinear_by_corners, conv3x3_by_definition,
-                      feedthrough_stream, identity_tap, random_sa,
+                      feedthrough_stream, frozen_params, identity_tap, random_sa,
                       random_stream, scan_by_unroll, stack_streams, stack_taps,
                       stream_set, zero_local, zero_offset_net, zero_tap)
 from sasmamba import sas
@@ -269,7 +269,6 @@ class TestFourStreamScan:
         rng = np.random.default_rng(13)
         d = 1
         delta, a, b, c, skip = 0.4, -0.8, 1.2, 0.7, 0.3
-        from sasmamba.ssm import frozen_params
         scan = stack_streams([frozen_params(d, 1, delta=np.array([delta]),
                                             b_const=np.array([b]), c_const=np.array([c]),
                                             a=np.array([[a]]), skip=np.array([skip]))

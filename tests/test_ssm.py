@@ -5,15 +5,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import (identity_order, random_stream, scan_by_unroll, stack_streams,
+from conftest import (conv_apply, discretize, frozen_params, identity_order,
+                      random_stream, scan_by_unroll, ssm_kernel, stack_streams,
                       traced_peak)
 from sasmamba import ssm
 from sasmamba.errors import DimensionError, DomainError
 from sasmamba.sas import STREAM_ORDER, _scan_rows
-from sasmamba.ssm import (SCAN_CHUNK, SelectiveSsmParams, conv_apply, discretize,
-                          frozen_params, selective_scan, softplus, softplus_inverse,
-                          ssm_kernel)
-from sasmamba.tensor import finite_diff_check, finite_diff_check_leaves, tensor
+from sasmamba.ssm import (SCAN_CHUNK, SelectiveSsmParams, selective_scan, softplus,
+                          softplus_inverse)
+from sasmamba.tensor import finite_diff_check_leaves, tensor
 
 
 def random_frozen(rng, d, n, dtype=np.float64):
@@ -270,7 +270,9 @@ class TestScanGradient:
             tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),      # dt_bias
             tensor(rng.normal(size=(1, d)), dtype=np.float64),            # skip
         ]
-        assert finite_diff_check(one_stream, inputs, eps=1e-5) < 1e-4
+        for x in inputs:
+            x.requires_grad = True
+        assert finite_diff_check_leaves(lambda: one_stream(*inputs), inputs, eps=1e-5) < 1e-4
 
     def test_series_branch_gradcheck(self):
         # state entries near zero put |delta * a| far under 1e-6 for one
@@ -286,7 +288,9 @@ class TestScanGradient:
         inputs.insert(1, tensor(a_log, dtype=np.float64))
         inputs += [tensor(rng.normal(size=(1, d)) - 1.5, dtype=np.float64),
                    tensor(rng.normal(size=(1, d)), dtype=np.float64)]
-        assert finite_diff_check(one_stream, inputs, eps=1e-5) < 1e-4
+        for x in inputs:
+            x.requires_grad = True
+        assert finite_diff_check_leaves(lambda: one_stream(*inputs), inputs, eps=1e-5) < 1e-4
 
 
 def _carrying_streams(rng, d, n=2, s_n=2):

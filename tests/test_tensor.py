@@ -16,8 +16,9 @@ from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
 from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params, LinearParams,
                              NormParams, bilinear_gather, bilinear_weights,
-                             checked_mode, depthwise_conv3x3, finite_diff_check,
-                             gelu, grid_conv3x3, layer_norm, linear, tensor)
+                             checked_mode, depthwise_conv3x3,
+                             finite_diff_check_leaves, gelu, grid_conv3x3,
+                             layer_norm, linear, tensor)
 
 
 def t64(a, grad=False):
@@ -423,61 +424,59 @@ class TestTape:
 
 class TestFiniteDiffCheck:
     def test_eps_domain(self):
+        xs = [t64([1.0], True), t64([1.0], True)]
         with pytest.raises(DomainError):
-            finite_diff_check(tz.add, [t64([1.0]), t64([1.0])], eps=0.5)
+            finite_diff_check_leaves(lambda: tz.add(*xs), xs, eps=0.5)
 
     def test_linear_tight(self):
         rng = np.random.default_rng(5)
-        err = finite_diff_check(
-            OPS["linear"][0],
-            [t64(rng.normal(size=(3, 4))), t64(rng.normal(size=(2, 4))),
-             t64(rng.normal(size=2))],
-            eps=1e-5)
+        xs = [t64(rng.normal(size=(3, 4)), True), t64(rng.normal(size=(2, 4)), True),
+              t64(rng.normal(size=2), True)]
+        err = finite_diff_check_leaves(lambda: OPS["linear"][0](*xs), xs, eps=1e-5)
         assert err < 1e-6
 
     def test_layer_norm(self):
         rng = np.random.default_rng(6)
-        err = finite_diff_check(
-            OPS["layer_norm"][0],
-            [t64(rng.normal(size=(3, 5))), t64(rng.normal(size=5)),
-             t64(rng.normal(size=5))],
-            eps=1e-5)
+        xs = [t64(rng.normal(size=(3, 5)), True), t64(rng.normal(size=5), True),
+              t64(rng.normal(size=5), True)]
+        err = finite_diff_check_leaves(lambda: OPS["layer_norm"][0](*xs), xs, eps=1e-5)
         assert err < 1e-5
 
     def test_bilinear_interior(self):
         # sampling and mixing over nine taps, every position inside the grid
         rng = np.random.default_rng(7)
-        err = finite_diff_check(
-            OPS["neighbor_mix"][0],
-            [t64(rng.normal(size=(5, 6, 3))),
-             t64(np.stack([rng.uniform(0.6, 3.4, size=(9, 4)),
-                           rng.uniform(0.6, 4.4, size=(9, 4))], axis=-1)),
-             t64(rng.normal(size=(9, 3))), t64(rng.normal(size=(9, 2, 3)) * 0.5),
-             t64(rng.normal(size=(9, 3, 2)) * 0.5)],
-            eps=1e-5)
+        xs = [t64(rng.normal(size=(5, 6, 3)), True),
+              t64(np.stack([rng.uniform(0.6, 3.4, size=(9, 4)),
+                            rng.uniform(0.6, 4.4, size=(9, 4))], axis=-1), True),
+              t64(rng.normal(size=(9, 3)), True), t64(rng.normal(size=(9, 2, 3)) * 0.5, True),
+              t64(rng.normal(size=(9, 3, 2)) * 0.5, True)]
+        err = finite_diff_check_leaves(lambda: OPS["neighbor_mix"][0](*xs), xs, eps=1e-5)
         assert err < 1e-5
 
     @pytest.mark.parametrize("seed", range(20))
     def test_randomized_registered_elementwise_ops(self, seed):
         rng = np.random.default_rng(seed)
-        a = t64(rng.normal(size=(3, 4)))
-        b = t64(rng.normal(size=(3, 4)))
+        a = t64(rng.normal(size=(3, 4)), True)
+        b = t64(rng.normal(size=(3, 4)), True)
         for name in ("add", "sub", "mul"):
-            assert finite_diff_check(OPS[name][0], [a, b]) < 1e-4
+            assert finite_diff_check_leaves(lambda: OPS[name][0](a, b), [a, b]) < 1e-4
         for name in ("gelu", "silu", "sum_all", "sum_axis", "slice0", "scale"):
-            assert finite_diff_check(OPS[name][0], [a]) < 1e-4
-        pos = t64(rng.uniform(0.4, 2.2, size=(3, 4)))
-        assert finite_diff_check(OPS["sqrt"][0], [pos]) < 1e-4
+            assert finite_diff_check_leaves(lambda: OPS[name][0](a), [a]) < 1e-4
+        pos = t64(rng.uniform(0.4, 2.2, size=(3, 4)), True)
+        assert finite_diff_check_leaves(lambda: OPS["sqrt"][0](pos), [pos]) < 1e-4
 
     def test_conv_ops(self):
         rng = np.random.default_rng(8)
-        x = t64(rng.normal(size=(4, 5, 3)))
-        w = t64(rng.normal(size=(2, 3, 3, 3)))
-        b = t64(rng.normal(size=2))
-        assert finite_diff_check(OPS["grid_conv3x3"][0], [x, w, b]) < 1e-5
-        wd = t64(rng.normal(size=(3, 3, 3)))
-        bd = t64(rng.normal(size=3))
-        assert finite_diff_check(OPS["depthwise_conv3x3"][0], [x, wd, bd]) < 1e-5
+        x = t64(rng.normal(size=(4, 5, 3)), True)
+        w = t64(rng.normal(size=(2, 3, 3, 3)), True)
+        b = t64(rng.normal(size=2), True)
+        err = finite_diff_check_leaves(lambda: OPS["grid_conv3x3"][0](x, w, b), [x, w, b])
+        assert err < 1e-5
+        wd = t64(rng.normal(size=(3, 3, 3)), True)
+        bd = t64(rng.normal(size=3), True)
+        err = finite_diff_check_leaves(lambda: OPS["depthwise_conv3x3"][0](x, wd, bd),
+                                       [x, wd, bd])
+        assert err < 1e-5
 
 
 def functions_where(match) -> set[str]:
