@@ -14,10 +14,9 @@ from .errors import DomainError
 from .model import ModelConfig, astype_model, forward, init_model
 from .sas import NeighborMixParams, stride_scan
 from .ssm import SCAN_CHUNK, SelectiveSsmParams, selective_scan
-from .tensor import (Conv3x3Params, LinearParams, NormParams, add,
-                     bilinear_gather, depthwise_conv3x3, finite_diff_check_leaves,
-                     gelu, grid_conv3x3, layer_norm, linear, mul, scale, silu,
-                     slice0, sqrt, sub, sum_all, sum_axis, tensor)
+from .tensor import (Conv3x3Params, LinearParams, NormParams, add, depthwise_conv3x3,
+                     finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm, linear,
+                     mul, scale, silu, slice0, sqrt, sub, sum_all, sum_axis, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
 OP_TOLERANCE = 1e-4
@@ -91,8 +90,7 @@ OPS = {
     "mul": (mul, _two),
     # sampling and mixing, one op over nine taps of x's (4, 5) grid
     "neighbor_mix": (
-        lambda x, pos, *mix: NeighborMixParams.apply(x, pos, bilinear_gather(x, pos),
-                                                     NeighborMixParams(*mix)),
+        lambda x, pos, *mix: NeighborMixParams.apply(x, pos, NeighborMixParams(*mix)),
         _sampling_inputs),
     "scale": (lambda x: scale(x, -0.7), _one),
     "selective_scan": (

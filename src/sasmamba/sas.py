@@ -5,12 +5,14 @@ then multi-stride joint subsampling with preceding-valid fill (every stride
 group in one :func:`stride_scan` op), then selective scans over four flatten
 directions, summed. Shapes are (T, V, C) throughout, with two exceptions.
 Inside :func:`sa_conv` the K*K taps are a leading axis and each sampling
-position is one (t, v) pair on a last axis of 2: one :func:`bilinear_gather`
-samples (K*K, T, V, C) at (K*K, T, V, 2) positions and one
-:meth:`NeighborMixParams.apply` mixes and sums them. That op is the one
-taped: it differentiates the sampling and the mixing together, keeping x and
-the positions, and its adjoint rebuilds the samples one tap at a time, as
-deformable convolution rebuilds its sampled columns (Dai et al., ICCV 2017).
+position is one (t, v) pair on a last axis of 2: one
+:meth:`NeighborMixParams.apply` samples x at the (K*K, T, V, 2) positions and
+mixes and sums the taps. Its forward samples one block of rows at a time,
+(K*K, rows, C) through :func:`bilinear_gather`, and mixes it before the next
+block. That op is the one taped: it differentiates the sampling and the
+mixing together, keeping x and the positions, and its adjoint rebuilds the
+samples one tap at a time. Deformable convolution forms and rebuilds its
+sampled columns in the same way, in steps (Dai et al., ICCV 2017).
 Inside :func:`four_stream_scan` the enabled streams are a stream axis S: one
 :func:`selective_scan` call reads the (T*V, C) rows of the map in every
 stream's order, an (L, S) table with L = T*V, and returns each stream's
@@ -34,8 +36,8 @@ from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
                      bilinear_gather, bilinear_weights, depthwise_conv3x3,
-                     grid_conv3x3, linear, make_op, mul, row_selection,
-                     scatter_rows, silu, sum_axis, tensor)
+                     grid_conv3x3, linear, make_op, mul, row_blocks,
+                     row_selection, scatter_rows, silu, sum_axis, tensor)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -60,20 +62,22 @@ class NeighborMixParams(Params):
     up: Tensor     # (K*K, C, rho)
 
     @staticmethod
-    def apply(x: Tensor, pos: Tensor, samples: np.ndarray,
-              mix: NeighborMixParams) -> Tensor:
+    def apply(x: Tensor, pos: Tensor, mix: NeighborMixParams) -> Tensor:
         """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``,
         s[k] being x sampled at tap k's positions: the one op of both the
         bilinear sampling and the mixing.
 
         ``pos`` stacks one (..., 2) block of (t, v) positions per tap on its
-        leading axis, and ``samples`` is :func:`bilinear_gather` of x there,
-        (K*K, ..., C), which the forward mixes with a batched ``down`` product
-        that writes every tap's low-rank rows once, side by side as (P, K*R),
-        and one matmul of the ``up`` maps side by side; the result drops the
-        tap axis. The tape keeps x and the positions, not the samples, and the
-        adjoint walks the taps: for tap k it rebuilds the corners and weights
-        through :func:`bilinear_weights`, and one :func:`row_selection`
+        leading axis; the result drops the tap axis. The forward walks the P
+        positions in :func:`row_blocks`: per block, one :func:`bilinear_gather`
+        samples every tap, (K*K, rows, C), a batched ``down`` product writes
+        every tap's low-rank rows once, side by side as (rows, K*R), and one
+        matmul of the ``up`` maps side by side writes the block's output rows.
+        So neither the (K*K, P, C) samples nor their CSR matrix is ever whole,
+        and each product keeps the bits of one whole-map call, as the blocks
+        are near-equal. The tape keeps x and the positions, not the samples,
+        and the adjoint walks the taps: for tap k it rebuilds the corners and
+        weights through :func:`bilinear_weights`, and one :func:`row_selection`
         product gives the (P, C) samples, with the forward's bits, and their
         derivatives in t and in v. With ``ds = diag[k] * g + (g @ up[k]) @
         down[k]``, :func:`scatter_rows` adds ``W_k.T @ ds`` into x's gradient,
@@ -83,19 +87,20 @@ class NeighborMixParams(Params):
         """
         t_n, v_n, c = x.shape
         k_n = mix.diag.shape[0]
-        if pos.shape[0] != k_n:
-            raise DimensionError(f"{pos.shape[0]} stacked positions for {k_n} taps")
-        if samples.shape != pos.shape[:-1] + (c,):
-            raise DimensionError(f"samples {samples.shape} do not match positions "
-                                 f"{pos.shape} of {c} channels")
+        if pos.shape[0] != k_n or pos.shape[-1] != 2:
+            raise DimensionError(f"positions {pos.shape} are not (t, v) pairs of {k_n} taps")
         diag, down, up = mix.diag.data, mix.down.data, mix.up.data     # (K, C), (K, R, C), (K, C, R)
-        sf = samples.reshape(k_n, -1, c)                                # (K, P, C)
-        # tap k's low-rank rows down[k] @ s go straight to their (P, K*R) place
-        low = np.empty((sf.shape[1], k_n, down.shape[1]), dtype=sf.dtype)
-        np.matmul(sf, down.transpose(0, 2, 1), out=low.transpose(1, 0, 2))
-        out = (np.einsum("kpc,kc->pc", sf, diag)
-               + low.reshape(len(low), -1) @ up.transpose(1, 0, 2).reshape(c, -1).T)
         xf, posd = x.data.reshape(-1, c), pos.data.reshape(k_n, -1, 2)
+        up_rows = up.transpose(1, 0, 2).reshape(c, -1).T                # (K*R, C)
+        out = np.empty((posd.shape[1], c), np.result_type(xf, diag))
+        for rows in row_blocks(posd.shape[1]):
+            sf = bilinear_gather(x, Tensor(posd[:, rows]))              # (K, rows, C)
+            # tap k's low-rank rows down[k] @ s go straight to their (rows, K*R) place
+            low = np.empty((sf.shape[1], k_n, down.shape[1]), dtype=sf.dtype)
+            np.matmul(sf, down.transpose(0, 2, 1), out=low.transpose(1, 0, 2))
+            np.add(np.einsum("kpc,kc->pc", sf, diag), low.reshape(len(low), -1) @ up_rows,
+                   out=out[rows])
+            del sf, low                             # before the next block's gather
         x_shape, pos_shape, edge = x.shape, pos.shape, (t_n - 1, v_n - 1)
 
         def backward(g):
@@ -189,9 +194,9 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     Every sampling position p0 + pn + dp is one (t, v) pair on a last axis
     of 2: the (T, V, 2) offsets plus the (T, V, 2) grid p0 plus the
     (K*K, 1, 1, 2) tap offsets pn in the order of the tap axis of ``p.mix``
-    (dt outer, dv inner). One :func:`bilinear_gather` samples all (K*K, T, V)
-    positions and one :meth:`NeighborMixParams.apply` mixes them; the second
-    is the op whose adjoint differentiates both.
+    (dt outer, dv inner). One :meth:`NeighborMixParams.apply` samples all
+    (K*K, T, V) positions, a block of rows at a time, and mixes them; its
+    adjoint differentiates both.
     """
     t_n, v_n, _ = x.shape
     half = (p.kernel_size - 1) // 2
@@ -202,8 +207,7 @@ def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
     taps = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 1, 1, 2)
     local = depthwise_conv3x3(x, p.local_conv)
     pos = add(add(offsets, tensor(grid)), tensor(taps))
-    samples = bilinear_gather(x, pos)
-    return add(local, NeighborMixParams.apply(x, pos, samples, p.mix))
+    return add(local, NeighborMixParams.apply(x, pos, p.mix))
 
 
 def stride_scan(x: Tensor, strides: tuple[int, ...]) -> Tensor:

@@ -504,6 +504,21 @@ def scatter_rows(g: np.ndarray, cols: np.ndarray, n_rows: int, weights=None) -> 
     return row_selection(cols, n_rows, weights, g.dtype).T @ g.reshape(-1, g.shape[-1])
 
 
+# SA-Conv's forward gathers its samples and neighbourhoods at most this many
+# rows at a time, so no whole-map gather is built
+ROW_BLOCK = 1024
+
+
+def row_blocks(n: int) -> list[slice]:
+    """``ceil(n / ROW_BLOCK)`` slices of near-equal length covering rows
+    0..n in order. Not ROW_BLOCK rows and a short remainder: OpenBLAS takes
+    another path for a few leftover rows, and the products of those rows
+    would not keep the bits of one whole-map product."""
+    nb = max(-(-n // ROW_BLOCK), 1)
+    edges = [i * n // nb for i in range(nb + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
 def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
     """Flat (t, v) rows of each position's clamp-to-edge 3x3 neighbourhood.
 
@@ -553,7 +568,10 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
 
 
 def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
-    """Per-channel 3x3 convolution over (T, V) with clamp-to-edge padding."""
+    """Per-channel 3x3 convolution over (T, V) with clamp-to-edge padding.
+
+    The forward gathers and contracts each position's (9, C) neighbourhood
+    in :func:`row_blocks`, so the (T*V, 9, C) gather is never whole."""
     t_n, v_n, c = x.shape
     w, b = p.weight, p.bias
     if w.shape[0] != c:
@@ -561,7 +579,10 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
     xf = x.data.reshape(-1, c)
-    out = np.einsum("pkc,kc->pc", xf[_neighbor_rows(t_n, v_n)], w_mat)
+    rows = _neighbor_rows(t_n, v_n)
+    out = np.empty(xf.shape, np.result_type(xf, w_mat))
+    for blk in row_blocks(len(xf)):
+        np.einsum("pkc,kc->pc", xf[rows[blk]], w_mat, out=out[blk])
     out += b.data
 
     def backward(g):
@@ -612,9 +633,11 @@ def bilinear_gather(x: Tensor, pos: Tensor) -> np.ndarray:
     are one sparse product ``W @ x`` with x viewed as (T*V, C): W is the
     (n, T*V) :func:`row_selection` with four entries per row, the corners 00,
     01, 10, 11 and their :func:`bilinear_weights`. The sampler is not taped:
-    the op that consumes the samples, ``sas.NeighborMixParams.apply``,
-    differentiates them with respect to x and the positions, rebuilding W
-    one tap at a time. A non-finite position raises :class:`NumericError`
+    the op that consumes the samples, ``sas.NeighborMixParams.apply``, calls
+    it once per block of rows and differentiates the samples with respect to
+    x and the positions, rebuilding W one tap at a time. Each sample is its
+    own row of the product, so a block's samples have the bits they have in
+    a whole-map call. A non-finite position raises :class:`NumericError`
     whether or not checked mode is on: a NaN has no corner, and would cast
     to a negative column index.
     """

@@ -202,7 +202,8 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
     0.15 per joint coordinate, on top of a template point cloud, is
     re-centered per frame on the root, joint 0, and is projected through a
     pinhole camera to produce the paired 2D input. With zero noise the stored
-    2D is exactly the projection of the stored 3D.
+    2D is exactly the projection of the stored 3D. The 2D noise comes from a
+    generator of its own, so a noisy dataset is the clean one plus noise.
     """
     if n_seqs < 1 or frames < 1 or joints < 1:
         raise DomainError("n_seqs, frames, and joints must all be >= 1")
@@ -211,6 +212,7 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
     if not (np.isfinite(noise_sigma) and noise_sigma >= 0.0):
         raise DomainError(f"noise sigma must be finite and >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
+    noise_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     camera = Camera()
     template = rng.uniform(-0.5, 0.5, size=(joints, 3))
     template[0] = 0.0
@@ -228,7 +230,7 @@ def gen_synthetic(seed: int, n_seqs: int, frames: int, joints: int,
         pose3d = pose.astype(np.float32)
         kp2d = project(pose3d, camera)
         if noise_sigma > 0:
-            kp2d = (kp2d + rng.normal(0.0, noise_sigma, size=kp2d.shape)).astype(np.float32)
+            kp2d = (kp2d + noise_rng.normal(0.0, noise_sigma, size=kp2d.shape)).astype(np.float32)
         pairs.append((kp2d, pose3d))
     return SyntheticDataset(pairs=pairs, seed=seed, camera=camera)
 

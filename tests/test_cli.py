@@ -1,5 +1,6 @@
 """Command-line workflows: init, synth, train, infer, eval, count."""
 
+import ctypes
 import json
 import math
 import os
@@ -9,10 +10,12 @@ import sys
 import warnings
 import zlib
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from sasmamba import cli
 from sasmamba.cli import main
 from sasmamba.fileio import load_ckpt, read_keypoints, write_keypoints
 from sasmamba.model import forward
@@ -116,6 +119,45 @@ def test_seeded_train_does_not_depend_on_the_core_count(tmp_path):
         cli("train", "--data", tmp_path / "data", "--model", tmp_path / "m.ckpt",
             "--epochs", 2, "--batch", 2, "--seed", 0, "--out", outs[name], **env)
     assert outs["unset"].read_bytes() == outs["one"].read_bytes()
+
+
+class _Mallopt:
+    """A stand-in for libc's ``mallopt`` that records its calls."""
+
+    def __init__(self):
+        self.calls = []
+
+    def __call__(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestHeapSetting:
+    @pytest.fixture
+    def no_malloc_vars(self, monkeypatch):
+        for name in [k for k in os.environ if k.startswith("MALLOC_") and k.endswith("_")]:
+            monkeypatch.delenv(name)
+
+    @pytest.fixture
+    def mallopt(self, no_malloc_vars, monkeypatch):
+        mallopt = _Mallopt()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+        return mallopt
+
+    def test_sets_the_mmap_and_trim_thresholds(self, mallopt):
+        # glibc's M_MMAP_THRESHOLD is -3 and M_TRIM_THRESHOLD -1
+        cli._heap_keeps_freed_memory()
+        assert mallopt.calls == [(-3, 32 << 20), (-1, 64 << 20)]
+        assert mallopt.argtypes == [ctypes.c_int, ctypes.c_int]
+
+    def test_a_malloc_variable_leaves_the_allocator_alone(self, mallopt, monkeypatch):
+        monkeypatch.setenv("MALLOC_TRIM_THRESHOLD_", "131072")
+        cli._heap_keeps_freed_memory()
+        assert mallopt.calls == []
+
+    def test_a_libc_without_mallopt_is_left_alone(self, no_malloc_vars, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace())
+        cli._heap_keeps_freed_memory()
 
 
 class TestUsageErrors:

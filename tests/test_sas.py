@@ -8,9 +8,11 @@ import pytest
 from conftest import (bilinear_by_corners, conv3x3_by_definition,
                       feedthrough_stream, frozen_params, identity_tap, random_sa,
                       random_stream, scan_by_unroll, stack_streams, stack_taps,
-                      stream_set, zero_local, zero_offset_net, zero_tap)
+                      stream_set, traced_peak, zero_local, zero_offset_net, zero_tap)
 from sasmamba import sas
+from sasmamba import tensor as tz
 from sasmamba.errors import ConfigError, DimensionError, NumericError
+from sasmamba.model import ModelConfig, astype_model, init_model
 from sasmamba.sas import (STREAM_ORDER, SaConvParams, SasLayerParams,
                           four_stream_scan, sa_conv, sas_ssm_layer,
                           stride_groups, stride_scan)
@@ -170,6 +172,88 @@ class TestSaConv:
                              zero_local(c))
         assert SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 3)] * 9),
                             zero_local(c)).kernel_size == 3
+
+
+def k5_gated_sa():
+    """The SA-Conv parameters of a float64 model with K=5, gated streams and
+    two strides, over 9 x 4 grids of 8 channels."""
+    cfg = ModelConfig(L=1, D=8, T=9, V=4, K=5, N=2, strides=(1, 3), gated_streams=True)
+    sa = astype_model(init_model(cfg, seed=8), np.float64).blocks[0].sas.sa
+    for leaf in sa.tensors():
+        leaf.requires_grad = True
+    return sa
+
+
+class TestRowBlocks:
+    """SA-Conv's forward samples, mixes and convolves its rows in blocks of
+    at most ``tensor.ROW_BLOCK``; at 5 rows a 9 x 4 grid's 36 rows split into
+    eight uneven blocks of 4 and 5, which must give the one-block results."""
+
+    @pytest.mark.parametrize("n", [4, 5, 6, 36])
+    def test_blocks_cover_the_rows_once_in_order(self, n, monkeypatch):
+        monkeypatch.setattr(tz, "ROW_BLOCK", 5)
+        blocks = tz.row_blocks(n)
+        assert len(blocks) == -(-n // 5)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert all(0 < b.stop - b.start <= 5 for b in blocks)
+
+    def _one_and_five(self, monkeypatch, run):
+        """``run()``'s arrays with one block, then with blocks of 5 rows."""
+        runs = [run()]
+        monkeypatch.setattr(tz, "ROW_BLOCK", 5)
+        runs.append(run())
+        for one, blocked in zip(*runs):
+            np.testing.assert_allclose(blocked, one, rtol=0, atol=1e-12)
+
+    def test_sa_conv_and_its_gradients_do_not_depend_on_the_block(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        x_data, g = rng.normal(size=(2, 9, 4, 8))
+
+        def run():
+            sa, x = k5_gated_sa(), t64(x_data, grad=True)
+            out = sa_conv(x, sa)
+            out.backward(g)
+            leaves = [x, *sa.mix.tensors(), sa.local_conv.weight, sa.local_conv.bias,
+                      *sa.offset_net.tensors()]
+            return [out.data] + [leaf.grad for leaf in leaves]
+
+        self._one_and_five(monkeypatch, run)
+
+    def test_positions_gradient_does_not_depend_on_the_block(self, monkeypatch):
+        # positions past every edge of the grid, so some clamp in every block
+        rng = np.random.default_rng(22)
+        x_data, g = rng.normal(size=(2, 9, 4, 8))
+        pos_data = rng.uniform(-1.5, 1.0, size=(25, 9, 4, 2)) * (10.0, 5.0)
+
+        def run():
+            sa, x, pos = k5_gated_sa(), t64(x_data, grad=True), t64(pos_data, grad=True)
+            out = sas.NeighborMixParams.apply(x, pos, sa.mix)
+            out.backward(g)
+            return [out.data, x.grad, pos.grad] + [t.grad for t in sa.mix.tensors()]
+
+        self._one_and_five(monkeypatch, run)
+
+    def test_non_finite_position_in_the_last_block_raises(self, monkeypatch):
+        monkeypatch.setattr(tz, "ROW_BLOCK", 5)
+        rng = np.random.default_rng(23)
+        pos = rng.uniform(0.0, 3.0, size=(25, 9, 4, 2))
+        pos[24, 8, 3, 1] = np.nan
+        with pytest.raises(NumericError, match="sampling positions"):
+            sas.NeighborMixParams.apply(t64(rng.normal(size=(9, 4, 8))), t64(pos),
+                                        k5_gated_sa().mix)
+
+    def test_sa_conv_peak_stays_at_its_measured_bound(self):
+        # a no-grad SA-Conv at the default layer shape peaked at 15,776,276-
+        # 15,776,756 bytes while its forward gathered the (K*K, T*V, C)
+        # samples and the (T*V, 9, C) neighbourhood whole, and at 5,390,170-
+        # 5,390,284 in blocks of at most 1024 rows
+        rng = np.random.default_rng(24)
+        sa = random_sa(rng, 64, k=3, dtype=np.float32)
+        x = tensor(rng.normal(size=(243, 17, 64)), dtype=np.float32)
+        sa_conv(x, sa)
+        peak = traced_peak(lambda: sa_conv(x, sa))
+        assert peak <= 5_391_000, peak
 
 
 class TestStrideSample:

@@ -228,7 +228,7 @@ class TestBilinear:
         xt, post = t64(x, grad=True), t64(np.stack([pt, pv], axis=-1), grad=True)
         y = bilinear_gather(xt, post)
         mix = stack_taps([identity_tap(c, 3)] * 9)
-        sas.NeighborMixParams.apply(xt, post, y, mix).backward(g)
+        sas.NeighborMixParams.apply(xt, post, mix).backward(g)
 
         ref = np.empty((9, t_n, v_n, c))
         ref_dx = np.zeros_like(x)
@@ -259,15 +259,14 @@ class TestBilinear:
         assert not post.grad[..., 1][(pv <= 0.0) | (pv >= v_n - 1.0)].any()
         assert ((pt <= 0.0) | (pt >= t_n - 1.0)).sum() >= 2 * t_n * v_n
 
-    def test_mixing_checks_the_samples_shape(self):
+    def test_mixing_checks_the_positions_shape(self):
         rng = np.random.default_rng(11)
         x, pos = t64(rng.normal(size=(3, 4, 2))), t64(rng.uniform(0, 2, size=(9, 5, 2)))
         mix = stack_taps([identity_tap(2, 3)] * 9)
-        samples = bilinear_gather(x, pos)
-        with pytest.raises(DimensionError, match="samples"):
-            sas.NeighborMixParams.apply(x, pos, samples[:, :4], mix)
         with pytest.raises(DimensionError, match="taps"):
-            sas.NeighborMixParams.apply(x, t64(pos.data[:4]), samples[:4], mix)
+            sas.NeighborMixParams.apply(x, t64(pos.data[:4]), mix)
+        with pytest.raises(DimensionError, match="pairs"):
+            sas.NeighborMixParams.apply(x, t64(pos.data[..., :1]), mix)
 
 
 class TestScatterRows:

@@ -218,6 +218,15 @@ class TestSynthetic:
             assert k1.tobytes() == k2.tobytes()
             assert p1.tobytes() == p2.tobytes()
 
+    def test_noise_moves_only_the_2d(self):
+        # the noise has a generator of its own, so drawing it moves no later
+        # sequence's 3D poses
+        clean = gen_synthetic(seed=4, n_seqs=3, frames=6, joints=4)
+        noisy = gen_synthetic(seed=4, n_seqs=3, frames=6, joints=4, noise_sigma=0.01)
+        for (k_clean, p_clean), (k_noisy, p_noisy) in zip(clean.pairs, noisy.pairs):
+            assert p_clean.tobytes() == p_noisy.tobytes()
+            assert 0 < np.abs(k_noisy - k_clean).max() < 0.1
+
     def test_root_centering(self):
         ds = gen_synthetic(seed=5, n_seqs=1, frames=6, joints=5)
         _, pose3d = ds.pairs[0]
