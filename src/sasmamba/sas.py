@@ -94,7 +94,7 @@ class NeighborMixParams(Params):
         up_rows = up.transpose(1, 0, 2).reshape(c, -1).T                # (K*R, C)
         out = np.empty((posd.shape[1], c), np.result_type(xf, diag))
         for rows in row_blocks(posd.shape[1]):
-            sf = bilinear_gather(x, Tensor(posd[:, rows]))              # (K, rows, C)
+            sf = bilinear_gather(x.data, posd[:, rows])                 # (K, rows, C)
             # tap k's low-rank rows down[k] @ s go straight to their (rows, K*R) place
             low = np.empty((sf.shape[1], k_n, down.shape[1]), dtype=sf.dtype)
             np.matmul(sf, down.transpose(0, 2, 1), out=low.transpose(1, 0, 2))

@@ -530,13 +530,19 @@ def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
     return (ti[:, None, :, None] * v_n + vi[None, :, None, :]).reshape(t_n * v_n, 9)
 
 
+def _tap_rows(t_n: int, v_n: int) -> np.ndarray:
+    """:func:`_neighbor_rows` in a tap-major (9*T*V, C) array, whose row
+    ``9r + k`` is tap k of row r: what each output sums and each adjoint scatters."""
+    return _neighbor_rows(t_n, v_n) * 9 + np.arange(9)
+
+
 def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     """3x3 convolution over the leading (T, V) grid with clamp-to-edge padding.
 
     Tap-major: one product maps every row through all nine taps' weights,
     (T*V, C_in) @ (C_in, 9*C_out), and each position sums its neighbours'
     rows of the tap that reads them, a (T*V, 9, C_out) gather through
-    :func:`_neighbor_rows`. No (T*V, 9*C_in) gather of x is built in either
+    :func:`_tap_rows`. No (T*V, 9*C_in) gather of x is built in either
     pass: the adjoint scatters g through the same rows with one
     :func:`scatter_rows` and takes two small products.
     """
@@ -548,19 +554,14 @@ def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     c_out = w.shape[0]
     w_taps = w.data.transpose(1, 2, 3, 0).reshape(c_in, 9 * c_out)
     xf = x.data.reshape(-1, c_in)
-
-    def tap_rows():
-        # tap k of row r is row 9r + k of the products viewed as (9*T*V, C_out)
-        return _neighbor_rows(t_n, v_n) * 9 + np.arange(9)
-
-    out = (xf @ w_taps).reshape(-1, c_out)[tap_rows()].sum(axis=1)
+    out = (xf @ w_taps).reshape(-1, c_out)[_tap_rows(t_n, v_n)].sum(axis=1)
     out += b.data
 
     def backward(g):
         g2 = g.reshape(-1, c_out)
         # the rows are rebuilt, not kept: they take a fraction of a
         # millisecond to remake
-        dy = scatter_rows(g2, tap_rows(), 9 * len(xf)).reshape(-1, 9 * c_out)
+        dy = scatter_rows(g2, _tap_rows(t_n, v_n), 9 * len(xf)).reshape(-1, 9 * c_out)
         dw = (xf.T @ dy).reshape(c_in, 3, 3, c_out)
         return (dy @ w_taps.T).reshape(t_n, v_n, c_in), dw.transpose(3, 0, 1, 2), g2.sum(axis=0)
 
@@ -571,7 +572,9 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
     """Per-channel 3x3 convolution over (T, V) with clamp-to-edge padding.
 
     The forward gathers and contracts each position's (9, C) neighbourhood
-    in :func:`row_blocks`, so the (T*V, 9, C) gather is never whole."""
+    in :func:`row_blocks`, so the (T*V, 9, C) gather is never whole. The
+    adjoint is :func:`grid_conv3x3`'s, one :func:`scatter_rows` of g through
+    :func:`_tap_rows` and two contractions, gathering no neighbourhood of x."""
     t_n, v_n, c = x.shape
     w, b = p.weight, p.bias
     if w.shape[0] != c:
@@ -587,12 +590,9 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
 
     def backward(g):
         g2 = g.reshape(-1, c)
-        # the rows and the gather are rebuilt, not kept: the gather is 9x the
-        # size of x, and the rows take a fraction of a millisecond to remake
-        rows = _neighbor_rows(t_n, v_n)
-        dw = np.einsum("pc,pkc->ck", g2, xf[rows]).reshape(c, 3, 3)
-        dx = scatter_rows((g2[:, None, :] * w_mat).reshape(-1, c), rows[..., None], t_n * v_n)
-        return dx.reshape(t_n, v_n, c), dw, g2.sum(axis=0)
+        dy = scatter_rows(g2, _tap_rows(t_n, v_n), 9 * len(xf)).reshape(-1, 9, c)
+        dw = np.einsum("rc,rkc->ck", xf, dy).reshape(c, 3, 3)
+        return np.einsum("rkc,kc->rc", dy, w_mat).reshape(t_n, v_n, c), dw, g2.sum(axis=0)
 
     return make_op(out.reshape(x.shape), (x, w, b), backward)
 
@@ -625,31 +625,30 @@ def bilinear_weights(pt: np.ndarray, pv: np.ndarray, t_n: int, v_n: int):
     return cols, (w00, w01, w10, w11), (wt, wv)
 
 
-def bilinear_gather(x: Tensor, pos: Tensor) -> np.ndarray:
+def bilinear_gather(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """Sample x at fractional (t, v) positions; positions clamp to the edge.
 
-    ``pos`` has shape S + (2,), one (t, v) position per sample on its last
-    axis; the result is an array of shape S + (C,). The n = prod(S) samples
-    are one sparse product ``W @ x`` with x viewed as (T*V, C): W is the
-    (n, T*V) :func:`row_selection` with four entries per row, the corners 00,
-    01, 10, 11 and their :func:`bilinear_weights`. The sampler is not taped:
-    the op that consumes the samples, ``sas.NeighborMixParams.apply``, calls
-    it once per block of rows and differentiates the samples with respect to
-    x and the positions, rebuilding W one tap at a time. Each sample is its
-    own row of the product, so a block's samples have the bits they have in
-    a whole-map call. A non-finite position raises :class:`NumericError`
-    whether or not checked mode is on: a NaN has no corner, and would cast
-    to a negative column index.
+    x is a (T, V, C) array and ``pos`` an S + (2,) one, a (t, v) position per
+    sample on its last axis; the result has shape S + (C,). The n = prod(S)
+    samples are one sparse product ``W @ x`` with x viewed as (T*V, C): W is
+    the (n, T*V) :func:`row_selection` with four entries per row, the corners
+    00, 01, 10, 11 and their :func:`bilinear_weights`. The sampler is not
+    taped: the op that consumes the samples, ``sas.NeighborMixParams.apply``,
+    calls it once per block of rows and differentiates the samples with
+    respect to x and the positions, rebuilding W one tap at a time. Each
+    sample is its own row of the product, so a block's samples have the bits
+    they have in a whole-map call. A non-finite position raises
+    :class:`NumericError` whether or not checked mode is on: a NaN has no
+    corner, and would cast to a negative column index.
     """
     t_n, v_n, c = x.shape
-    posd = pos.data
-    if posd.ndim < 1 or posd.shape[-1] != 2:
-        raise DimensionError(f"positions must end in a (t, v) axis of 2, got {posd.shape}")
-    if not np.isfinite(posd).all():
+    if pos.ndim < 1 or pos.shape[-1] != 2:
+        raise DimensionError(f"positions must end in a (t, v) axis of 2, got {pos.shape}")
+    if not np.isfinite(pos).all():
         raise NumericError("non-finite sampling positions")
-    cols, corners, _ = bilinear_weights(posd[..., 0], posd[..., 1], t_n, v_n)
+    cols, corners, _ = bilinear_weights(pos[..., 0], pos[..., 1], t_n, v_n)
     w = row_selection(cols, t_n * v_n, np.stack(corners, axis=-1), x.dtype)
-    return (w @ x.data.reshape(-1, c)).reshape(posd.shape[:-1] + (c,))
+    return (w @ x.reshape(-1, c)).reshape(pos.shape[:-1] + (c,))
 
 
 # --- finite-difference validation -------------------------------------------

@@ -8,9 +8,11 @@ import numpy as np
 from scipy import sparse
 
 from sasmamba.errors import DimensionError, DomainError
+from sasmamba.model import ModelConfig, astype_model, forward, init_model
 from sasmamba.sas import NeighborMixParams, SaConvParams, tap_rank
 from sasmamba.ssm import SelectiveSsmParams, _zoh, softplus_inverse
 from sasmamba.tensor import Conv3x3Params, tensor
+from sasmamba.training import gen_synthetic, total_loss
 
 
 def zero_offset_net(c, dtype=np.float64, bias=(0.0, 0.0)):
@@ -254,3 +256,22 @@ def traced_peak(fn):
         return tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()
+
+
+# gated streams, K=5, two strides and N=2; T*V = 36 rows, past one SCAN_CHUNK
+GOLDEN_STEP = ModelConfig(L=2, D=8, T=9, V=4, K=5, N=2, strides=(1, 3), gated_streams=True)
+
+
+def golden_step():
+    """One float64 training step of ``GOLDEN_STEP``: its forward output
+    ``out``, its ``loss`` and each parameter's gradient ``grad/<name>``, the
+    arrays that ``tests/data/golden_float64_step.npz`` holds."""
+    cfg = GOLDEN_STEP
+    model = astype_model(init_model(cfg, seed=0), np.float64)
+    model.mark_trainable()
+    kp2d, pose3d = gen_synthetic(1, 1, cfg.T, cfg.V).pairs[0]
+    out = forward(model, kp2d.astype(np.float64))
+    loss = total_loss(out, pose3d.astype(np.float64))
+    loss.backward()
+    return {"out": out.data, "loss": loss.data,
+            **{f"grad/{name}": t.grad for name, t in model.named_params()}}

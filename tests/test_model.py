@@ -1,11 +1,12 @@
 """Network assembly: init determinism, forward contracts, accounting."""
 
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import tape_captures
+from conftest import golden_step, tape_captures
 
 import sasmamba.sas
 import sasmamba.ssm
@@ -323,6 +324,20 @@ class TestModelGradient:
         err = finite_diff_check_leaves(lambda: forward(m, x), leaves,
                                        sample=1, rng=rng)
         assert err < 1e-3
+
+    def test_float64_step_matches_its_golden_file(self):
+        # the finite-difference checks above hold adjoints to 1e-4; this holds
+        # every gradient of one step to 1e-12 of the arrays that
+        # tests/make_golden_step.py wrote, so an adjoint rewrite may move
+        # them only by rounding
+        arrays = golden_step()
+        with np.load(Path(__file__).resolve().parent / "data" / "golden_float64_step.npz") as f:
+            golden = {name: f[name] for name in f.files}
+        assert sorted(golden) == sorted(arrays)
+        for name, ref in golden.items():
+            assert arrays[name].shape == ref.shape, name
+            diff = np.abs(arrays[name] - ref).max() / np.abs(ref).max()
+            assert diff <= 1e-12, (name, diff)
 
 
 class TestTapeConsumption:

@@ -1,4 +1,5 @@
-"""Property tests of the file readers: every input loads or raises FormatError.
+"""Property tests of the file readers, where every input loads or raises
+FormatError, and of small model configs, which all run, train and round-trip.
 
 Examples are derandomized and bounded, so a run is short and repeats itself
 as long as the code does not change. It is not fixed across edits to
@@ -19,7 +20,9 @@ from hypothesis.extra.numpy import arrays
 
 from sasmamba.errors import FormatError
 from sasmamba.fileio import MAGIC, load_ckpt, read_keypoints, save_ckpt, write_keypoints
-from sasmamba.model import Model, ModelConfig, init_model
+from sasmamba.model import Model, ModelConfig, astype_model, forward, init_model
+from sasmamba.sas import STREAM_ORDER
+from sasmamba.training import gen_synthetic, total_loss
 
 PROPERTY = settings(derandomize=True, deadline=None, database=None, max_examples=250,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -197,3 +200,39 @@ def test_checkpoint_reader_accepts_the_valid_file(valid_blob, scratch):
     path = scratch / "valid.ckpt"
     path.write_bytes(valid_blob)
     assert load_ckpt(path).config == TINY
+
+
+@st.composite
+def model_configs(draw):
+    """A small config: any grid from 1 x 1 up, any tap grid, stride set,
+    non-empty stream subset in any order, and gating."""
+    strides = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+    # the stride groups split D into (2, 1, 1) parts for three strides, equal ones otherwise
+    parts = 4 if len(strides) == 3 else len(strides)
+    return ModelConfig(
+        L=draw(st.integers(1, 2)), D=parts * draw(st.integers(1, 3)),
+        T=draw(st.integers(1, 8)), V=draw(st.integers(1, 5)),
+        K=draw(st.sampled_from([1, 3, 5, 7])), N=draw(st.integers(1, 3)), strides=strides,
+        streams=tuple(draw(st.lists(st.sampled_from(STREAM_ORDER), min_size=1, unique=True))),
+        mlp_ratio=draw(st.integers(1, 2)), gated_streams=draw(st.booleans()))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(cfg=model_configs(), seed=st.integers(0, 3))
+def test_small_configs_run_train_and_round_trip(scratch, cfg, seed):
+    model = init_model(cfg, seed)
+    model.mark_trainable()
+    kp2d, pose3d = gen_synthetic(seed, 1, cfg.T, cfg.V).pairs[0]
+    out = forward(model, kp2d)
+    assert out.shape == (cfg.T, cfg.V, 3) and out.dtype == np.float32
+    assert np.isfinite(out.data).all()
+    ref = forward(astype_model(model, np.float64), kp2d.astype(np.float64)).data
+    assert np.abs(out.data - ref).max() <= 1e-4 * np.abs(ref).max()
+    total_loss(out, pose3d).backward()
+    for name, t in model.named_params():
+        assert t.grad is not None and np.isfinite(t.grad).all(), name
+    path = scratch / "config.ckpt"
+    save_ckpt(model, path)
+    blob = path.read_bytes()
+    save_ckpt(load_ckpt(path), path)
+    assert path.read_bytes() == blob

@@ -152,21 +152,21 @@ class TestLayerNorm:
 class TestBilinear:
     def test_integer_position_is_gather(self):
         rng = np.random.default_rng(1)
-        x = t64(rng.normal(size=(4, 5, 3)))
-        y = bilinear_gather(x, t64([1.0, 2.0]))
-        np.testing.assert_array_equal(y, x.data[1, 2])
+        x = rng.normal(size=(4, 5, 3))
+        y = bilinear_gather(x, np.array([1.0, 2.0]))
+        np.testing.assert_array_equal(y, x[1, 2])
 
     def test_cell_center_averages_corners(self):
         x = np.zeros((2, 2, 1))
         x[0, 0], x[0, 1], x[1, 0], x[1, 1] = 1.0, 2.0, 3.0, 4.0
-        y = bilinear_gather(t64(x), t64([0.5, 0.5]))
+        y = bilinear_gather(x, np.array([0.5, 0.5]))
         np.testing.assert_allclose(y, [(1.0 + 2.0 + 3.0 + 4.0) / 4])
 
     def test_clamp_to_edge(self):
         rng = np.random.default_rng(2)
-        x = t64(rng.normal(size=(3, 4, 2)))
-        y = bilinear_gather(x, t64([-3.7, 0.0]))
-        np.testing.assert_allclose(y, x.data[0, 0])
+        x = rng.normal(size=(3, 4, 2))
+        y = bilinear_gather(x, np.array([-3.7, 0.0]))
+        np.testing.assert_allclose(y, x[0, 0])
 
     def test_weights_sum_to_one_and_bounded(self):
         rng = np.random.default_rng(3)
@@ -185,25 +185,25 @@ class TestBilinear:
         rng = np.random.default_rng(4)
         pts = rng.uniform(0.0, t_n - 1.0, size=50)
         pvs = rng.uniform(0.0, v_n - 1.0, size=50)
-        y = bilinear_gather(t64(x), tensor(np.stack([pts, pvs], axis=-1)))
+        y = bilinear_gather(x, np.stack([pts, pvs], axis=-1))
         expected = 0.7 * pts - 1.3 * pvs + 0.25
         np.testing.assert_allclose(y[:, 0], expected, atol=1e-6)
 
     def test_non_finite_position_rejected(self):
         # outside checked mode too: a NaN would become a negative sparse index
-        x = t64(np.zeros((2, 2, 1)))
+        x = np.zeros((2, 2, 1))
         for bad in (np.nan, np.inf, -np.inf):
             for pos in ((bad, 0.0), (0.0, bad)):
                 with pytest.raises(NumericError, match="sampling positions"):
-                    bilinear_gather(x, t64(pos))
+                    bilinear_gather(x, np.array(pos))
                 with pytest.raises(NumericError, match="sampling positions"):
-                    bilinear_gather(x, t64([(0.5, 0.5), pos]))
+                    bilinear_gather(x, np.array([(0.5, 0.5), pos]))
 
     def test_positions_need_a_last_axis_of_two(self):
-        x = t64(np.zeros((2, 2, 1)))
+        x = np.zeros((2, 2, 1))
         for bad in (np.zeros(3), np.zeros((4, 1)), np.zeros(())):
             with pytest.raises(DimensionError, match="positions"):
-                bilinear_gather(x, t64(bad))
+                bilinear_gather(x, bad)
 
     def test_stacked_taps_match_four_corner_reference(self):
         # (K*K, T, V) positions: a 3x3 tap grid around every cell, perturbed,
@@ -226,7 +226,7 @@ class TestBilinear:
         pt[6], pv[6] = np.full((t_n, v_n), t_n - 1.0), np.zeros((t_n, v_n))
         g = rng.normal(size=(t_n, v_n, c))
         xt, post = t64(x, grad=True), t64(np.stack([pt, pv], axis=-1), grad=True)
-        y = bilinear_gather(xt, post)
+        y = bilinear_gather(x, post.data)
         mix = stack_taps([identity_tap(c, 3)] * 9)
         sas.NeighborMixParams.apply(xt, post, mix).backward(g)
 
@@ -567,16 +567,27 @@ class TestAdjointContract:
 class TestGridConv:
     @pytest.mark.parametrize("shape", [(1, 1, 2), (1, 5, 3), (4, 1, 2), (4, 6, 3)])
     def test_convs_match_definition(self, shape):
+        # and so do their adjoints, by the dot-product test: the definition is
+        # linear in x and in w, so <dx, u> = <g, conv(u, w)> and <dw, u> =
+        # <g, conv(x, u)>. On these grids taps clamp onto shared rows, so the
+        # tap-row scatter adds several terms into one row
         rng = np.random.default_rng(sum(shape))
         x = rng.normal(size=shape)
         w = rng.normal(size=(2, shape[2], 3, 3))
         wd = rng.normal(size=(shape[2], 3, 3))
-        y = grid_conv3x3(t64(x), Conv3x3Params(t64(w), t64(np.zeros(2))))
-        np.testing.assert_allclose(y.data, conv3x3_by_definition(x, w, False),
-                                   rtol=1e-12, atol=1e-12)
-        y = depthwise_conv3x3(t64(x), Conv3x3Params(t64(wd), t64(np.zeros(shape[2]))))
-        np.testing.assert_allclose(y.data, conv3x3_by_definition(x, wd, True),
-                                   rtol=1e-12, atol=1e-12)
+        for op, weight, depthwise in ((grid_conv3x3, w, False), (depthwise_conv3x3, wd, True)):
+            xt, wt = t64(x, grad=True), t64(weight, grad=True)
+            y = op(xt, Conv3x3Params(wt, t64(np.zeros(weight.shape[0]))))
+            np.testing.assert_allclose(y.data, conv3x3_by_definition(x, weight, depthwise),
+                                       rtol=1e-12, atol=1e-12)
+            g, ux, uw = (rng.normal(size=a.shape) for a in (y.data, x, weight))
+            y.backward(g)
+            np.testing.assert_allclose(
+                np.vdot(xt.grad, ux), np.vdot(g, conv3x3_by_definition(ux, weight, depthwise)),
+                rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(
+                np.vdot(wt.grad, uw), np.vdot(g, conv3x3_by_definition(x, uw, depthwise)),
+                rtol=1e-12, atol=1e-12)
 
     def test_channel_mismatch(self):
         p = Conv3x3Params(t64(np.zeros((2, 4, 3, 3))), t64(np.zeros(2)))
