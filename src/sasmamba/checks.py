@@ -53,21 +53,21 @@ def _scan_inputs(rng):
 
 
 def _sampling_inputs(rng):
-    """x on a (4, 5) grid, (9, 6, 2) positions and rank-2 maps of nine taps.
-    Four taps reach past one edge each; one has exact integers past the
-    edges, which the clamp puts on edge lines and corners. Inside the grid
-    an exact integer is a kink, which central differences average."""
-    t_n, v_n, c, k_n, n = 4, 5, 3, 9, 6
-    pos = np.stack([rng.integers(0, t_n - 1, size=(k_n, n)),
-                    rng.integers(0, v_n - 1, size=(k_n, n))], axis=-1)
-    pos = pos + rng.uniform(0.1, 0.9, size=(k_n, n, 2))
-    pos[0, :, 0] -= t_n + 0.5
-    pos[1, :, 0] += t_n + 0.5
-    pos[2, :, 1] -= v_n + 0.5
-    pos[3, :, 1] += v_n + 0.5
-    pos[4] = [(-1.0, 2.5), (t_n + 1.0, 0.5), (1.5, -2.0), (2.5, v_n + 1.0),
-              (-3.0, -1.0), (t_n + 2.0, v_n + 1.0)]
-    return [_t(rng, (t_n, v_n, c)), tensor(pos, dtype=np.float64), _t(rng, (k_n, c)),
+    """x on a (4, 5) grid, its (4, 5, 2) offsets and rank-2 maps of nine
+    taps. The edge rows and columns move every tap past their edge; six inner
+    cells move by whole numbers past one edge or two, so the clamp puts exact
+    integers on edge lines and corners. Every other offset component, and so
+    every tap position inside the grid, has a fractional part in [0.1, 0.9]:
+    at an integer there, central differences would meet a kink."""
+    t_n, v_n, c, k_n = 4, 5, 3, 9
+    off = rng.integers(-1, 1, size=(t_n, v_n, 2)) + rng.uniform(0.1, 0.9, size=(t_n, v_n, 2))
+    off[0, :, 0] -= t_n + 1
+    off[-1, :, 0] += t_n + 1
+    off[:, 0, 1] -= v_n + 1
+    off[:, -1, 1] += v_n + 1
+    off[1, 1:4] = [(-3.0, 0.5), (t_n + 1.0, 0.5), (t_n + 1.0, -5.0)]
+    off[2, 1:4] = [(0.5, -3.0), (0.5, v_n + 1.0), (-4.0, v_n)]
+    return [_t(rng, (t_n, v_n, c)), tensor(off, dtype=np.float64), _t(rng, (k_n, c)),
             _t(rng, (k_n, 2, c), 0.5), _t(rng, (k_n, c, 2), 0.5)]
 
 
@@ -90,7 +90,7 @@ OPS = {
     "mul": (mul, _two),
     # sampling and mixing, one op over nine taps of x's (4, 5) grid
     "neighbor_mix": (
-        lambda x, pos, *mix: NeighborMixParams.apply(x, pos, NeighborMixParams(*mix)),
+        lambda x, off, *mix: NeighborMixParams.apply(x, off, NeighborMixParams(*mix)),
         _sampling_inputs),
     "scale": (lambda x: scale(x, -0.7), _one),
     "selective_scan": (

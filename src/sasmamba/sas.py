@@ -4,15 +4,13 @@ Composition: a deformable local aggregation over the (frame, joint) grid,
 then multi-stride joint subsampling with preceding-valid fill (every stride
 group in one :func:`stride_scan` op), then selective scans over four flatten
 directions, summed. Shapes are (T, V, C) throughout, with two exceptions.
-Inside :func:`sa_conv` the K*K taps are a leading axis and each sampling
-position is one (t, v) pair on a last axis of 2: one
-:meth:`NeighborMixParams.apply` samples x at the (K*K, T, V, 2) positions and
-mixes and sums the taps. Its forward samples one block of rows at a time,
-(K*K, rows, C) through :func:`bilinear_gather`, and mixes it before the next
-block. That op is the one taped: it differentiates the sampling and the
-mixing together, keeping x and the positions, and its adjoint rebuilds the
-samples one tap at a time. Deformable convolution forms and rebuilds its
-sampled columns in the same way, in steps (Dai et al., ICCV 2017).
+Inside :func:`sa_conv` the offset net predicts a (T, V, 2) field of (t, v)
+shifts, and one :meth:`NeighborMixParams.apply` takes x and that field, as
+deformable convolution takes its input and offsets (Dai et al., ICCV 2017):
+it samples x at each row's K*K taps, shifted by the row's offset, as a
+(K*K, rows, C) block with the taps on a leading axis, and mixes and sums the
+taps before the next block. That op is the one taped for both the sampling
+and the mixing.
 Inside :func:`four_stream_scan` the enabled streams are a stream axis S: one
 :func:`selective_scan` call reads the (T*V, C) rows of the map in every
 stream's order, an (L, S) table with L = T*V, and returns each stream's
@@ -37,7 +35,7 @@ from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
                      bilinear_gather, bilinear_weights, depthwise_conv3x3,
                      grid_conv3x3, linear, make_op, mul, row_blocks,
-                     row_selection, scatter_rows, silu, sum_axis, tensor)
+                     row_selection, scatter_rows, silu, sum_axis, tap_grid)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -61,55 +59,63 @@ class NeighborMixParams(Params):
     down: Tensor   # (K*K, rho, C)
     up: Tensor     # (K*K, C, rho)
 
-    @staticmethod
-    def apply(x: Tensor, pos: Tensor, mix: NeighborMixParams) -> Tensor:
-        """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``,
-        s[k] being x sampled at tap k's positions: the one op of both the
-        bilinear sampling and the mixing.
+    def __post_init__(self):
+        taps = self.diag.shape[0]
+        if self.kernel_size ** 2 != taps or taps % 2 == 0:
+            raise ConfigError(f"{taps} neighbor mixers do not fill an odd square grid")
 
-        ``pos`` stacks one (..., 2) block of (t, v) positions per tap on its
-        leading axis; the result drops the tap axis. The forward walks the P
-        positions in :func:`row_blocks`: per block, one :func:`bilinear_gather`
-        samples every tap, (K*K, rows, C), a batched ``down`` product writes
-        every tap's low-rank rows once, side by side as (rows, K*R), and one
-        matmul of the ``up`` maps side by side writes the block's output rows.
-        So neither the (K*K, P, C) samples nor their CSR matrix is ever whole,
-        and each product keeps the bits of one whole-map call, as the blocks
-        are near-equal. The tape keeps x and the positions, not the samples,
-        and the adjoint walks the taps: for tap k it rebuilds the corners and
-        weights through :func:`bilinear_weights`, and one :func:`row_selection`
-        product gives the (P, C) samples, with the forward's bits, and their
-        derivatives in t and in v. With ``ds = diag[k] * g + (g @ up[k]) @
-        down[k]``, :func:`scatter_rows` adds ``W_k.T @ ds`` into x's gradient,
-        the positions' gradient is the row-wise dot of ``ds`` with the
-        derivatives, zero where the clamp is flat, and the samples give the
-        maps' gradients. Call it through the class.
+    @property
+    def kernel_size(self) -> int:
+        """K, the side of the K x K tap grid."""
+        return math.isqrt(self.diag.shape[0])
+
+    @staticmethod
+    def apply(x: Tensor, offsets: Tensor, mix: NeighborMixParams) -> Tensor:
+        """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``,
+        s[k] being x sampled at tap k's positions p0 + pn + dp: the one op of
+        both the bilinear sampling and the mixing. Call it through the class.
+
+        x is (T, V, C) and ``offsets`` the (T, V, 2) field dp of (t, v)
+        shifts; :func:`tap_grid` gives each row's p0 and tap k's pn. The op
+        forms the (T*V, 2) base dp + p0 once. The forward samples a block of
+        :func:`row_blocks` at ``base[rows] + pn`` with one
+        :func:`bilinear_gather`, (K*K, rows, C), and mixes it before the
+        next, so the (K*K, T*V, C) samples are never whole; near-equal blocks
+        keep each product's bits. The tape keeps x and the base. The adjoint
+        walks the taps: it rebuilds tap k's positions, their
+        :func:`bilinear_weights` and, in one :func:`row_selection` product,
+        the samples, with the forward's bits, and their derivatives in t and
+        v. With ``ds = diag[k] * g + (g @ up[k]) @ down[k]``,
+        :func:`scatter_rows` adds ``W_k.T @ ds`` into x's gradient, the
+        row-wise dot of ``ds`` with the derivatives, zero where the clamp is
+        flat, is added into the offsets' gradient, and the samples give the
+        maps'.
         """
         t_n, v_n, c = x.shape
-        k_n = mix.diag.shape[0]
-        if pos.shape[0] != k_n or pos.shape[-1] != 2:
-            raise DimensionError(f"positions {pos.shape} are not (t, v) pairs of {k_n} taps")
+        if offsets.shape != (t_n, v_n, 2):
+            raise DimensionError(f"offsets {offsets.shape} are not (t, v) shifts of a "
+                                 f"{(t_n, v_n)} grid")
         diag, down, up = mix.diag.data, mix.down.data, mix.up.data     # (K, C), (K, R, C), (K, C, R)
-        xf, posd = x.data.reshape(-1, c), pos.data.reshape(k_n, -1, 2)
+        grid, taps = (a.astype(offsets.dtype) for a in tap_grid(t_n, v_n, mix.kernel_size))
+        base, xf = offsets.data.reshape(-1, 2) + grid, x.data.reshape(-1, c)
         up_rows = up.transpose(1, 0, 2).reshape(c, -1).T                # (K*R, C)
-        out = np.empty((posd.shape[1], c), np.result_type(xf, diag))
-        for rows in row_blocks(posd.shape[1]):
-            sf = bilinear_gather(x.data, posd[:, rows])                 # (K, rows, C)
+        out = np.empty(xf.shape, np.result_type(xf, diag))
+        for rows in row_blocks(len(base)):
+            sf = bilinear_gather(x.data, base[rows] + taps[:, None])    # (K, rows, C)
             # tap k's low-rank rows down[k] @ s go straight to their (rows, K*R) place
-            low = np.empty((sf.shape[1], k_n, down.shape[1]), dtype=sf.dtype)
+            low = np.empty((sf.shape[1],) + down.shape[:2], dtype=sf.dtype)
             np.matmul(sf, down.transpose(0, 2, 1), out=low.transpose(1, 0, 2))
             np.add(np.einsum("kpc,kc->pc", sf, diag), low.reshape(len(low), -1) @ up_rows,
                    out=out[rows])
             del sf, low                             # before the next block's gather
-        x_shape, pos_shape, edge = x.shape, pos.shape, (t_n - 1, v_n - 1)
+        x_shape = x.shape
 
         def backward(g):
-            g2 = g.reshape(-1, c)
-            inside = (posd > 0.0) & (posd < edge)     # the clamp is flat elsewhere
+            g2, edge = g.reshape(-1, c), np.array((t_n - 1, v_n - 1), base.dtype)
             dx = np.zeros_like(xf)
-            d_pos = np.empty_like(posd)
             d_diag, d_down, d_up = np.empty_like(diag), np.empty_like(down), np.empty_like(up)
-            for k, pk in enumerate(posd):
+            for k, tap in enumerate(taps):
+                pk = base + tap
                 cols, corners, (wt, wv) = bilinear_weights(pk[:, 0], pk[:, 1], t_n, v_n)
                 # each corner's weight, then its derivatives in t and in v,
                 # (3, 4, P): they blend tap k's samples and their derivatives
@@ -122,13 +128,16 @@ class NeighborMixParams(Params):
                 d_lo = g2 @ up[k]                                       # (P, R)
                 ds = diag[k] * g2 + d_lo @ down[k]
                 dx += scatter_rows(ds, cols, len(xf), weights[0].T)
-                d_pos[k] = inside[k] * np.einsum("qpc,pc->pq", d_s, ds)
+                # the clamp is flat outside the grid's open interior; the taps'
+                # terms add up in tap order, starting from tap 0's term
+                d_pk = ((pk > 0.0) & (pk < edge)) * np.einsum("qpc,pc->pq", d_s, ds)
+                d_off = d_off + d_pk if k else d_pk
                 d_diag[k] = np.einsum("pc,pc->c", g2, s_k)
                 d_down[k] = d_lo.T @ s_k
                 d_up[k] = g2.T @ (s_k @ down[k].T)
-            return dx.reshape(x_shape), d_pos.reshape(pos_shape), d_diag, d_down, d_up
+            return dx.reshape(x_shape), d_off.reshape(t_n, v_n, 2), d_diag, d_down, d_up
 
-        return make_op(out.reshape(pos_shape[1:-1] + (c,)), (x, pos) + mix.tensors(), backward)
+        return make_op(out.reshape(x_shape), (x, offsets) + mix.tensors(), backward)
 
 
 @dataclass
@@ -146,16 +155,8 @@ class SaConvParams(Params):
     local_conv: Conv3x3Params          # depthwise, C -> C
 
     def __post_init__(self):
-        taps = self.mix.diag.shape[0]
-        if self.kernel_size ** 2 != taps or taps % 2 == 0:
-            raise ConfigError(f"{taps} neighbor mixers do not fill an odd square grid")
         if self.offset_net.weight.shape[0] != 2:
             raise ConfigError("offset net must produce exactly 2 channels")
-
-    @property
-    def kernel_size(self) -> int:
-        """K, the side of the K x K tap grid that ``mix`` holds."""
-        return math.isqrt(self.mix.diag.shape[0])
 
 
 def stride_groups(strides: tuple[int, ...], channels: int) -> list[tuple[slice, int]]:
@@ -188,26 +189,12 @@ class SasLayerParams(Params):
 
 
 def sa_conv(x: Tensor, p: SaConvParams) -> Tensor:
-    """Deformable aggregation: shift the K x K grid by the predicted offset,
-    bilinearly sample each tap, mix per tap, and add the local aggregation.
-
-    Every sampling position p0 + pn + dp is one (t, v) pair on a last axis
-    of 2: the (T, V, 2) offsets plus the (T, V, 2) grid p0 plus the
-    (K*K, 1, 1, 2) tap offsets pn in the order of the tap axis of ``p.mix``
-    (dt outer, dv inner). One :meth:`NeighborMixParams.apply` samples all
-    (K*K, T, V) positions, a block of rows at a time, and mixes them; its
-    adjoint differentiates both.
-    """
-    t_n, v_n, _ = x.shape
-    half = (p.kernel_size - 1) // 2
+    """Deformable aggregation: the offset net predicts one (t, v) shift per
+    position, :meth:`NeighborMixParams.apply` samples the K x K grid moved
+    by it and mixes the taps, and the local aggregation is added."""
     offsets = grid_conv3x3(x, p.offset_net)
-    grid = np.stack(np.meshgrid(np.arange(t_n, dtype=x.dtype), np.arange(v_n, dtype=x.dtype),
-                                indexing="ij"), axis=-1)
-    steps = np.arange(-half, half + 1, dtype=x.dtype)
-    taps = np.stack(np.meshgrid(steps, steps, indexing="ij"), axis=-1).reshape(-1, 1, 1, 2)
     local = depthwise_conv3x3(x, p.local_conv)
-    pos = add(add(offsets, tensor(grid)), tensor(taps))
-    return add(local, NeighborMixParams.apply(x, pos, p.mix))
+    return add(local, NeighborMixParams.apply(x, offsets, p.mix))
 
 
 def stride_scan(x: Tensor, strides: tuple[int, ...]) -> Tensor:

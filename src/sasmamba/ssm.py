@@ -209,9 +209,8 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
                 pc[..., :n] + b_bias, pc[..., n:2 * n] + c_bias)
 
     chunks = _chunks(len(order))
-    # the state entering each chunk, then the final one: all the adjoint
-    # keeps of the recurrence
-    starts = np.zeros((len(chunks) + 1, s_n, n, d), dtype=dt)
+    # the state entering each chunk: all the adjoint keeps of the recurrence
+    starts = np.zeros((len(chunks), s_n, n, d), dtype=dt)
     # per-chunk (k, S, N, D) temporaries live in one workspace per pass,
     # written with out= and sliced to the length of the last, partial chunk
     ws = np.empty((3, chunks[0].stop, s_n, n, d), dtype=dt)
@@ -221,14 +220,14 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     for ci, sl in enumerate(chunks):
         u, delta, b, c = chunk_inputs(sl)
         hc = _advance(delta, a, b, u, starts[ci], ws)[2]
-        starts[ci + 1] = hc[-1]
+        if ci + 1 < len(chunks):
+            starts[ci + 1] = hc[-1]
         y = np.matmul(c[:, :, None, :], hc)[:, :, 0]
         y += skip * u
         rows[order[sl], streams] = y
 
     def backward(g):
         g = g.reshape(-1, s_n, d)
-        streams = np.arange(s_n)
         # x's gradient terms at their rows, stream s at [:, s]: the skip
         # terms, then each chunk's terms through the recurrence. Each column
         # of order is a permutation, so every (row, stream) is written once

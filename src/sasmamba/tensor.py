@@ -519,15 +519,27 @@ def row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
-    """Flat (t, v) rows of each position's clamp-to-edge 3x3 neighbourhood.
+def tap_grid(t_n: int, v_n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (t, v) pairs of a (T, V) grid's rows and of an odd K x K
+    neighbourhood's taps, as offsets from its centre: row r of the (T*V, 2)
+    grid is (r // V, r % V), frame-major, and tap j of the (K*K, 2) taps is
+    (j // K - K//2, j % K - K//2), dt outer and dv inner, the order of a K x K
+    weight's trailing axes flattened and of the manifest's ``tap{k}``. Every
+    tap iteration reads it."""
+    grid = np.stack(np.divmod(np.arange(t_n * v_n), v_n), axis=-1)
+    taps = np.stack(np.divmod(np.arange(k * k), k), axis=-1) - k // 2
+    return grid, taps
 
-    Shape (T*V, 9); column ``3*i + j`` holds offset ``(i-1, j-1)``, the order
-    of a 3x3 weight's trailing axes flattened.
-    """
-    ti = np.clip(np.arange(t_n)[:, None] + np.arange(-1, 2), 0, t_n - 1)
-    vi = np.clip(np.arange(v_n)[:, None] + np.arange(-1, 2), 0, v_n - 1)
-    return (ti[:, None, :, None] * v_n + vi[None, :, None, :]).reshape(t_n * v_n, 9)
+
+def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
+    """Flat (t, v) rows of each position's clamp-to-edge 3x3 neighbourhood,
+    (T*V, 9), its columns in :func:`tap_grid`'s tap order."""
+    grid, taps = tap_grid(t_n, v_n, 3)
+    # the frame and joint axes clamp apart, so one (T, V, 9) array is built
+    at = grid.reshape(t_n, v_n, 1, 2)
+    ti = np.clip(at[:, :1, :, 0] + taps[:, 0], 0, t_n - 1)       # (T, 1, 9)
+    vi = np.clip(at[:1, :, :, 1] + taps[:, 1], 0, v_n - 1)       # (1, V, 9)
+    return (ti * v_n + vi).reshape(-1, 9)
 
 
 def _tap_rows(t_n: int, v_n: int) -> np.ndarray:
@@ -635,7 +647,7 @@ def bilinear_gather(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     00, 01, 10, 11 and their :func:`bilinear_weights`. The sampler is not
     taped: the op that consumes the samples, ``sas.NeighborMixParams.apply``,
     calls it once per block of rows and differentiates the samples with
-    respect to x and the positions, rebuilding W one tap at a time. Each
+    respect to x and the offsets, rebuilding W one tap at a time. Each
     sample is its own row of the product, so a block's samples have the bits
     they have in a whole-map call. A non-finite position raises
     :class:`NumericError` whether or not checked mode is on: a NaN has no

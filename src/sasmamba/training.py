@@ -142,7 +142,7 @@ def optim_step(model: Model, state: OptimState, lr: float | None = None) -> None
     non-finite, naming the first such tensor in manifest order.
     """
     if lr is None:
-        lr = lr_at(0, state.lr, state.decay_factor)
+        lr = state.lr
     grads = {name: t.grad if t.grad is not None else np.zeros_like(t.data)
              for name, t in model.named_params()}
     if not all(np.isfinite(g).all() for g in grads.values()):

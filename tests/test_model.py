@@ -400,9 +400,11 @@ class TestTapeConsumption:
 
     def test_tape_keeps_only_what_adjoints_cannot_rebuild(self):
         # gelu keeps its slope alone. Sampling and mixing is one op that
-        # keeps x and the positions: its adjoint rebuilds each tap's corners,
+        # keeps x, the (T*V, 2) base of offsets plus grid and the (K*K, 2)
+        # tap offsets: its adjoint rebuilds each tap's positions, corners,
         # weights and (T*V, C) samples, and its (T*V, rho) low-rank products,
-        # so neither the (K*K, T*V, C) samples nor an index table is kept.
+        # so neither the (K*K, T*V, C) samples, the (K*K, T, V, 2) positions
+        # nor an index table is kept.
         # The scan keeps its (T*V, D) input once and gathers it into the S
         # streams' orders again, and rebuilds its (L, S, D) step sizes and
         # (L, S, N) input and output vectors from its projections. The 3x3
@@ -421,9 +423,11 @@ class TestTapeConsumption:
         assert len(kept["NeighborMixParams.apply"]) == cfg.L
         taps = cfg.K ** 2
         for bases in kept["NeighborMixParams.apply"]:
-            # x, unless an op met earlier in the walk keeps it, and the positions
+            # x, unless an op met earlier in the walk keeps it, the base and
+            # the tap offsets
             assert {b.shape for b in bases if id(b) not in params} <= {
-                (cfg.T, cfg.V, cfg.D), (taps, cfg.T, cfg.V, 2)}
+                (cfg.T, cfg.V, cfg.D), (positions, 2), (taps, 2)}
+            assert [b.shape for b in bases if b.size == taps * positions * 2] == []
             assert [b.shape for b in bases if b.size == taps * positions * cfg.D] == []
             assert [b.dtype for b in bases if b.dtype.kind in "iu"] == []
             assert [b.dtype for b in bases if b.dtype == np.float64] == []
@@ -445,8 +449,11 @@ class TestTapeConsumption:
         # scan kept its gathered (L, S, D) input and its (L, S, N) vectors,
         # sampling its CSR pattern and weights and the 3x3 convolutions their
         # neighbour rows; 3,160,000 once the adjoints rebuilt them; 2,102,464
-        # once sampling and mixing kept x and the positions, not the samples
+        # once sampling and mixing kept x and the positions, not the samples;
+        # 2,043,856 once it kept the (T*V, 2) base of offsets plus grid, not
+        # the (K*K, T, V, 2) positions; 2,039,824 once the scan kept only the
+        # states entering its chunks, not the final one
         cfg = ModelConfig(L=2, D=32, T=27)
         kept = sum(b.nbytes for _, bases in tape_captures(self._step(cfg)[2]) for b in bases)
-        assert kept <= 2_102_464, kept
+        assert kept <= 2_039_824, kept
 

@@ -28,7 +28,7 @@ def sa_conv_by_taps(x, sa):
     """Plain-numpy SA-Conv: each tap samples its four corners and applies
     ``diag * s + up @ (down @ s)``, one position at a time."""
     t_n, v_n, _ = x.shape
-    half = (sa.kernel_size - 1) // 2
+    half = (sa.mix.kernel_size - 1) // 2
     off = conv3x3_by_definition(x, sa.offset_net.weight.data, False) + sa.offset_net.bias.data
     out = conv3x3_by_definition(x, sa.local_conv.weight.data, True) + sa.local_conv.bias.data
     taps = zip(*(t.data for t in sa.mix.tensors()))
@@ -99,6 +99,23 @@ class TestSaConv:
         out = sa_conv(x, sa)
         local = depthwise_conv3x3(x, sa.local_conv)
         np.testing.assert_allclose(out.data, local.data, atol=1e-12)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_tap_k_reads_the_depthwise_weight_k(self, k):
+        # one tap grid: with zero offsets, mixing only tap k samples what a
+        # 3x3 kernel's entry (k // 3, k % 3) reads, clamped past the edges
+        # alike, so SA-Conv's taps, the 3x3 weights and the manifest's tap{k}
+        # share one order
+        rng = np.random.default_rng(30 + k)
+        c = 3
+        x = t64(rng.normal(size=(4, 5, c)))
+        mix = stack_taps([identity_tap(c, 3) if i == k else zero_tap(c, 3) for i in range(9)])
+        kernel = np.zeros((c, 3, 3))
+        kernel[:, k // 3, k % 3] = 1.0
+        out = sas.NeighborMixParams.apply(x, t64(np.zeros((4, 5, 2))), mix)
+        ref = tz.depthwise_conv3x3(x, tz.Conv3x3Params(t64(kernel), t64(np.zeros(c))))
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out.data, ref.data)
 
     def test_integer_offset_gathers_shifted_frame(self):
         c = 2
@@ -171,7 +188,7 @@ class TestSaConv:
                 SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 1)] * taps),
                              zero_local(c))
         assert SaConvParams(zero_offset_net(c), stack_taps([identity_tap(c, 3)] * 9),
-                            zero_local(c)).kernel_size == 3
+                            zero_local(c)).mix.kernel_size == 3
 
 
 def k5_gated_sa():
@@ -220,40 +237,43 @@ class TestRowBlocks:
 
         self._one_and_five(monkeypatch, run)
 
-    def test_positions_gradient_does_not_depend_on_the_block(self, monkeypatch):
-        # positions past every edge of the grid, so some clamp in every block
+    def test_offsets_gradient_does_not_depend_on_the_block(self, monkeypatch):
+        # offsets that move taps past every edge of the grid, so some clamp
+        # in every block
         rng = np.random.default_rng(22)
         x_data, g = rng.normal(size=(2, 9, 4, 8))
-        pos_data = rng.uniform(-1.5, 1.0, size=(25, 9, 4, 2)) * (10.0, 5.0)
+        off_data = rng.uniform(-1.5, 1.0, size=(9, 4, 2)) * (10.0, 5.0)
 
         def run():
-            sa, x, pos = k5_gated_sa(), t64(x_data, grad=True), t64(pos_data, grad=True)
-            out = sas.NeighborMixParams.apply(x, pos, sa.mix)
+            sa, x, off = k5_gated_sa(), t64(x_data, grad=True), t64(off_data, grad=True)
+            out = sas.NeighborMixParams.apply(x, off, sa.mix)
             out.backward(g)
-            return [out.data, x.grad, pos.grad] + [t.grad for t in sa.mix.tensors()]
+            return [out.data, x.grad, off.grad] + [t.grad for t in sa.mix.tensors()]
 
         self._one_and_five(monkeypatch, run)
 
     def test_non_finite_position_in_the_last_block_raises(self, monkeypatch):
+        # a NaN offset in the grid's last row, the last block's
         monkeypatch.setattr(tz, "ROW_BLOCK", 5)
         rng = np.random.default_rng(23)
-        pos = rng.uniform(0.0, 3.0, size=(25, 9, 4, 2))
-        pos[24, 8, 3, 1] = np.nan
+        off = rng.uniform(-1.0, 1.0, size=(9, 4, 2))
+        off[8, 3, 1] = np.nan
         with pytest.raises(NumericError, match="sampling positions"):
-            sas.NeighborMixParams.apply(t64(rng.normal(size=(9, 4, 8))), t64(pos),
+            sas.NeighborMixParams.apply(t64(rng.normal(size=(9, 4, 8))), t64(off),
                                         k5_gated_sa().mix)
 
     def test_sa_conv_peak_stays_at_its_measured_bound(self):
         # a no-grad SA-Conv at the default layer shape peaked at 15,776,276-
         # 15,776,756 bytes while its forward gathered the (K*K, T*V, C)
-        # samples and the (T*V, 9, C) neighbourhood whole, and at 5,390,170-
-        # 5,390,284 in blocks of at most 1024 rows
+        # samples and the (T*V, 9, C) neighbourhood whole, at 5,390,170-
+        # 5,390,284 in blocks of at most 1024 rows, and at 5,125,104-
+        # 5,127,204 once no (K*K, T, V, 2) positions were formed
         rng = np.random.default_rng(24)
         sa = random_sa(rng, 64, k=3, dtype=np.float32)
         x = tensor(rng.normal(size=(243, 17, 64)), dtype=np.float32)
         sa_conv(x, sa)
         peak = traced_peak(lambda: sa_conv(x, sa))
-        assert peak <= 5_391_000, peak
+        assert peak <= 5_130_000, peak
 
 
 class TestStrideSample:

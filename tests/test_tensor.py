@@ -206,29 +206,32 @@ class TestBilinear:
                 bilinear_gather(x, bad)
 
     def test_stacked_taps_match_four_corner_reference(self):
-        # (K*K, T, V) positions: a 3x3 tap grid around every cell, perturbed,
-        # with a block past each edge and a block on exact grid lines. The
-        # sampler's forward, and the gradients of the op that samples and
-        # mixes, with identity tap maps, so every tap's samples get g
+        # a 3x3 tap grid around every cell, moved by the cell's perturbed
+        # offset: the first row and column far below 0, the last ones far
+        # past their edge, and two cells moved by whole numbers, so taps land
+        # on 0, T-1, V-1, inner grid lines and past the edges. The sampler's
+        # forward, and the gradients of the op that samples and mixes, with
+        # identity tap maps, so every tap's samples get g
         rng = np.random.default_rng(10)
         t_n, v_n, c = 5, 4, 3
         x = rng.normal(size=(t_n, v_n, c))
+        off = rng.uniform(-0.45, 0.45, size=(t_n, v_n, 2))
+        off[0, :, 0] -= 7.5
+        off[:, 0, 1] -= 6.5
+        off[-1, :, 0] += 8.5
+        off[:, -1, 1] += 5.5
+        off[1, 1], off[2, 2] = (2.0, -1.0), (-2.0, 1.0)
         taps = np.arange(-1, 2)
         pt = (np.arange(t_n)[None, :, None] + np.repeat(taps, 3)[:, None, None]
-              + rng.uniform(-0.45, 0.45, size=(9, t_n, v_n)))
+              + off[None, ..., 0])
         pv = (np.arange(v_n)[None, None, :] + np.tile(taps, 3)[:, None, None]
-              + rng.uniform(-0.45, 0.45, size=(9, t_n, v_n)))
-        pt[0], pv[1] = pt[0] - 7.5, pv[1] - 6.5        # far below 0
-        pt[2], pv[3] = pt[2] + 8.5, pv[3] + 5.5        # far past the last row
-        pt[4] = np.round(pt[4])                        # on 0, T-1 and inner lines
-        pv[4] = np.round(pv[4])
-        pt[5], pv[5] = np.zeros((t_n, v_n)), np.full((t_n, v_n), v_n - 1.0)
-        pt[6], pv[6] = np.full((t_n, v_n), t_n - 1.0), np.zeros((t_n, v_n))
+              + off[None, ..., 1])
         g = rng.normal(size=(t_n, v_n, c))
-        xt, post = t64(x, grad=True), t64(np.stack([pt, pv], axis=-1), grad=True)
-        y = bilinear_gather(x, post.data)
+        xt, offt = t64(x, grad=True), t64(off, grad=True)
+        y = bilinear_gather(x, np.stack([pt, pv], axis=-1))
         mix = stack_taps([identity_tap(c, 3)] * 9)
-        sas.NeighborMixParams.apply(xt, post, mix).backward(g)
+        out = sas.NeighborMixParams.apply(xt, offt, mix)
+        out.backward(g)
 
         ref = np.empty((9, t_n, v_n, c))
         ref_dx = np.zeros_like(x)
@@ -250,23 +253,26 @@ class TestBilinear:
                              - bilinear_by_corners(x, t, np.floor(v))) @ gi
         assert y.shape == (9, t_n, v_n, c)
         np.testing.assert_allclose(y, ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.data, ref.sum(axis=0), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(xt.grad, ref_dx, rtol=1e-12, atol=1e-12)
-        assert post.grad.shape == (9, t_n, v_n, 2)
-        np.testing.assert_allclose(post.grad[..., 0], ref_dt, rtol=1e-12, atol=1e-12)
-        np.testing.assert_allclose(post.grad[..., 1], ref_dv, rtol=1e-12, atol=1e-12)
-        # clamped and exact-edge positions have zero slope
-        assert not post.grad[..., 0][(pt <= 0.0) | (pt >= t_n - 1.0)].any()
-        assert not post.grad[..., 1][(pv <= 0.0) | (pv >= v_n - 1.0)].any()
+        assert offt.grad.shape == (t_n, v_n, 2)
+        np.testing.assert_allclose(offt.grad[..., 0], ref_dt.sum(axis=0), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(offt.grad[..., 1], ref_dv.sum(axis=0), rtol=1e-12, atol=1e-12)
+        # clamped and exact-edge positions have zero slope: the rows whose
+        # taps all clamp in t, and the columns whose taps all clamp in v
+        assert not offt.grad[[0, -1], :, 0].any()
+        assert not offt.grad[:, [0, -1], 1].any()
         assert ((pt <= 0.0) | (pt >= t_n - 1.0)).sum() >= 2 * t_n * v_n
+        assert {0.0, 1.0, t_n - 1.0} <= set(pt[:, 1, 1]) | set(pt[:, 2, 2])
+        assert {-1.0, 0.0, v_n - 1.0} <= set(pv[:, 1, 1]) | set(pv[:, 2, 2])
 
-    def test_mixing_checks_the_positions_shape(self):
+    def test_mixing_checks_the_offsets_shape(self):
         rng = np.random.default_rng(11)
-        x, pos = t64(rng.normal(size=(3, 4, 2))), t64(rng.uniform(0, 2, size=(9, 5, 2)))
+        x, off = t64(rng.normal(size=(3, 4, 2))), t64(rng.uniform(-1, 1, size=(3, 4, 2)))
         mix = stack_taps([identity_tap(2, 3)] * 9)
-        with pytest.raises(DimensionError, match="taps"):
-            sas.NeighborMixParams.apply(x, t64(pos.data[:4]), mix)
-        with pytest.raises(DimensionError, match="pairs"):
-            sas.NeighborMixParams.apply(x, t64(pos.data[..., :1]), mix)
+        for bad in (off.data[:2], off.data[..., :1], off.data[None]):
+            with pytest.raises(DimensionError, match="offsets"):
+                sas.NeighborMixParams.apply(x, t64(bad), mix)
 
 
 class TestScatterRows:
@@ -442,11 +448,14 @@ class TestFiniteDiffCheck:
         assert err < 1e-5
 
     def test_bilinear_interior(self):
-        # sampling and mixing over nine taps, every position inside the grid
+        # sampling and mixing over nine taps, every tap's position inside
+        # the grid: row t's offset lies in (1 - t, T - 2 - t), so its taps
+        # t - 1 .. t + 1 stay in (0, T - 1), and likewise in v
         rng = np.random.default_rng(7)
-        xs = [t64(rng.normal(size=(5, 6, 3)), True),
-              t64(np.stack([rng.uniform(0.6, 3.4, size=(9, 4)),
-                            rng.uniform(0.6, 4.4, size=(9, 4))], axis=-1), True),
+        t_n, v_n = 5, 6
+        lo = 1.05 - np.stack(np.meshgrid(np.arange(t_n), np.arange(v_n), indexing="ij"), -1)
+        off = lo + rng.uniform(0.0, 1.0, size=(t_n, v_n, 2)) * (np.array((t_n, v_n)) - 3.1)
+        xs = [t64(rng.normal(size=(t_n, v_n, 3)), True), t64(off, True),
               t64(rng.normal(size=(9, 3)), True), t64(rng.normal(size=(9, 2, 3)) * 0.5, True),
               t64(rng.normal(size=(9, 3, 2)) * 0.5, True)]
         err = finite_diff_check_leaves(lambda: OPS["neighbor_mix"][0](*xs), xs, eps=1e-5)
