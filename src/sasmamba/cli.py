@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import os
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,25 @@ def _load_config(path) -> ModelConfig:
         return ModelConfig.from_dict(parse_json(fh.read(), "config"))
 
 
+@contextmanager
+def _outputs():
+    """The list of paths a command writes, appended as it writes them: if the
+    block then fails, they are removed, newest first, so that a failing
+    command leaves no partial outputs behind. A directory is removed once
+    what was written into it is gone."""
+    written: list[Path] = []
+    try:
+        yield written
+    except BaseException:
+        for path in reversed(written):
+            with suppress(OSError):
+                if path.is_dir():
+                    path.rmdir()
+                else:
+                    path.unlink()
+        raise
+
+
 def _cmd_init(args) -> int:
     cfg = _load_config(args.config) if args.config else ModelConfig()
     model = init_model(cfg, seed=args.seed)
@@ -98,10 +118,15 @@ def _cmd_synth(args) -> int:
     ds = gen_synthetic(args.seed, args.sequences, args.frames, args.joints,
                        noise_sigma=args.noise)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, (kp2d, pose3d) in enumerate(ds.pairs):
-        write_keypoints(out / f"seq_{i:04d}_2d.json", kp2d)
-        write_keypoints(out / f"seq_{i:04d}_3d.json", pose3d)
+    with _outputs() as written:
+        # the directories this run makes, outermost first
+        written += reversed([d for d in (out, *out.parents) if not d.exists()])
+        out.mkdir(parents=True, exist_ok=True)
+        for i, pair in enumerate(ds.pairs):
+            for dims, poses in zip(("2d", "3d"), pair):
+                path = out / f"seq_{i:04d}_{dims}.json"
+                write_keypoints(path, poses)
+                written.append(path)
     print(f"wrote {len(ds.pairs)} sequence pairs -> {out}")
     return 0
 
@@ -130,16 +155,11 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
     trace = train(model, dataset, epochs=args.epochs, batch=args.batch,
                   weights=LossWeights(), optim=optim, shuffle_seed=args.seed)
-    # the trace first: if the checkpoint then fails, the trace is removed,
-    # so a failing command leaves neither output behind
-    if args.trace:
-        write_trace_csv(args.trace, trace)
-    try:
-        save_ckpt(model, args.out)
-    except Exception:
+    with _outputs() as written:
         if args.trace:
-            os.unlink(args.trace)
-        raise
+            write_trace_csv(args.trace, trace)
+            written.append(Path(args.trace))
+        save_ckpt(model, args.out)
     last = trace[-1] if trace else {"total": float("nan")}
     print(f"trained {args.epochs} epochs; final mean loss {last['total']:.6f} -> {args.out}")
     return 0
@@ -150,12 +170,10 @@ def _cmd_infer(args) -> int:
     seq = read_keypoints(args.input)
     if seq.shape[-1] != 2:
         raise FormatError(f"inference input must be 2d keypoints, got dims={seq.shape[-1]}")
-    # windows of T frames, the remainder as a shorter one; a model that
-    # overflows shows as one non-finite output error, not numpy warnings
+    # windows of T frames, the remainder as a shorter one
     window = model.config.T
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.concatenate([forward(model, seq[i:i + window]).data
-                              for i in range(0, len(seq), window)])
+    out = np.concatenate([forward(model, seq[i:i + window]).data
+                          for i in range(0, len(seq), window)])
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite values in the model output")
     write_keypoints(args.output, out)
@@ -279,7 +297,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     try:
-        return args.fn(args)
+        # a model that overflows shows as one numeric error, not numpy warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except OSError as exc:
         # a missing file, a directory, no permission: a path the user gave
         reason = ("file not found" if isinstance(exc, FileNotFoundError)

@@ -33,9 +33,9 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
-                     bilinear_gather, bilinear_weights, depthwise_conv3x3,
+                     bilinear_gather, bilinear_vjp, depthwise_conv3x3,
                      grid_conv3x3, linear, make_op, mul, row_blocks,
-                     row_selection, scatter_rows, silu, sum_axis, tap_grid)
+                     scatter_rows, silu, sum_axis, tap_grid)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
                 "spatial_forward", "spatial_backward")
@@ -82,14 +82,10 @@ class NeighborMixParams(Params):
         :func:`bilinear_gather`, (K*K, rows, C), and mixes it before the
         next, so the (K*K, T*V, C) samples are never whole; near-equal blocks
         keep each product's bits. The tape keeps x and the base. The adjoint
-        walks the taps: it rebuilds tap k's positions, their
-        :func:`bilinear_weights` and, in one :func:`row_selection` product,
-        the samples, with the forward's bits, and their derivatives in t and
-        v. With ``ds = diag[k] * g + (g @ up[k]) @ down[k]``,
-        :func:`scatter_rows` adds ``W_k.T @ ds`` into x's gradient, the
-        row-wise dot of ``ds`` with the derivatives, zero where the clamp is
-        flat, is added into the offsets' gradient, and the samples give the
-        maps'.
+        walks the taps: :func:`bilinear_vjp` at tap k's positions gives its
+        samples, with the forward's bits, and their pullback, which maps
+        ``ds = diag[k] * g + (g @ up[k]) @ down[k]`` to tap k's terms of x's
+        and the offsets' gradients; the samples give the maps'.
         """
         t_n, v_n, c = x.shape
         if offsets.shape != (t_n, v_n, 2):
@@ -111,26 +107,16 @@ class NeighborMixParams(Params):
         x_shape = x.shape
 
         def backward(g):
-            g2, edge = g.reshape(-1, c), np.array((t_n - 1, v_n - 1), base.dtype)
+            g2 = g.reshape(-1, c)
             dx = np.zeros_like(xf)
             d_diag, d_down, d_up = np.empty_like(diag), np.empty_like(down), np.empty_like(up)
             for k, tap in enumerate(taps):
-                pk = base + tap
-                cols, corners, (wt, wv) = bilinear_weights(pk[:, 0], pk[:, 1], t_n, v_n)
-                # each corner's weight, then its derivatives in t and in v,
-                # (3, 4, P): they blend tap k's samples and their derivatives
-                weights = np.stack(corners + (wv - 1.0, -wv, 1.0 - wv, wv)
-                                   + (wt - 1.0, 1.0 - wt, -wt, wt)).reshape(3, 4, -1)
-                w = row_selection(np.broadcast_to(cols, (3,) + cols.shape), len(xf),
-                                  weights.transpose(0, 2, 1), xf.dtype)
-                blend = (w @ xf).reshape(3, -1, c)
-                s_k, d_s = blend[0], blend[1:]
+                s_k, pullback = bilinear_vjp(xf, base + tap, t_n, v_n)
                 d_lo = g2 @ up[k]                                       # (P, R)
                 ds = diag[k] * g2 + d_lo @ down[k]
-                dx += scatter_rows(ds, cols, len(xf), weights[0].T)
-                # the clamp is flat outside the grid's open interior; the taps'
-                # terms add up in tap order, starting from tap 0's term
-                d_pk = ((pk > 0.0) & (pk < edge)) * np.einsum("qpc,pc->pq", d_s, ds)
+                dx_k, d_pk = pullback(ds)
+                dx += dx_k
+                # the taps' terms add up in tap order, starting from tap 0's
                 d_off = d_off + d_pk if k else d_pk
                 d_diag[k] = np.einsum("pc,pc->c", g2, s_k)
                 d_down[k] = d_lo.T @ s_k

@@ -646,10 +646,10 @@ def bilinear_gather(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     the (n, T*V) :func:`row_selection` with four entries per row, the corners
     00, 01, 10, 11 and their :func:`bilinear_weights`. The sampler is not
     taped: the op that consumes the samples, ``sas.NeighborMixParams.apply``,
-    calls it once per block of rows and differentiates the samples with
-    respect to x and the offsets, rebuilding W one tap at a time. Each
-    sample is its own row of the product, so a block's samples have the bits
-    they have in a whole-map call. A non-finite position raises
+    calls it once per block of rows, and its adjoint takes each tap's
+    samples and their pullback from :func:`bilinear_vjp`. Each sample is its
+    own row of the product, so a block's samples have the bits they have in
+    a whole-map call. A non-finite position raises
     :class:`NumericError` whether or not checked mode is on: a NaN has no
     corner, and would cast to a negative column index.
     """
@@ -661,6 +661,33 @@ def bilinear_gather(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     cols, corners, _ = bilinear_weights(pos[..., 0], pos[..., 1], t_n, v_n)
     w = row_selection(cols, t_n * v_n, np.stack(corners, axis=-1), x.dtype)
     return (w @ x.reshape(-1, c)).reshape(pos.shape[:-1] + (c,))
+
+
+def bilinear_vjp(xf: np.ndarray, pos: np.ndarray, t_n: int, v_n: int):
+    """The samples of :func:`bilinear_gather` at P positions and their pullback.
+
+    xf is the (T*V, C) rows of a (T, V, C) map and ``pos`` a (P, 2) array of
+    finite (t, v) positions. Returns the (P, C) samples, with the gather's
+    bits, and ``pullback(ds)``, which maps their (P, C) cotangent to x's,
+    (T*V, C), one :func:`scatter_rows` through the corners, and to the
+    positions', (P, 2): the slopes in t and in v dotted with ds, zero where
+    the clamp is flat, at and past the grid's edges. One product of three
+    :func:`row_selection` planes gives the samples and both slopes.
+    """
+    cols, corners, (wt, wv) = bilinear_weights(pos[:, 0], pos[:, 1], t_n, v_n)
+    # each corner's weight, then its derivatives in t and in v, (3, 4, P)
+    weights = np.stack(corners + (wv - 1.0, -wv, 1.0 - wv, wv)
+                       + (wt - 1.0, 1.0 - wt, -wt, wt)).reshape(3, 4, -1)
+    w = row_selection(np.broadcast_to(cols, (3,) + cols.shape), len(xf),
+                      weights.transpose(0, 2, 1), xf.dtype)
+    blend = (w @ xf).reshape(3, len(pos), -1)
+    edge = np.array((t_n - 1, v_n - 1), pos.dtype)
+
+    def pullback(ds):
+        dx = scatter_rows(ds, cols, len(xf), weights[0].T)
+        return dx, ((pos > 0.0) & (pos < edge)) * np.einsum("qpc,pc->pq", blend[1:], ds)
+
+    return blend[0], pullback
 
 
 # --- finite-difference validation -------------------------------------------

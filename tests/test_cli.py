@@ -316,6 +316,12 @@ def _train_on(*files):
     return argv
 
 
+def _synth_blocked(tmp, ckpt, data):
+    """synth into a directory where the second pair's 2d file is a directory."""
+    (tmp / "blocked" / "seq_0001_2d.json").mkdir(parents=True)
+    return ["synth", "--sequences", 3, "--frames", 6, "--joints", 4, "--out", tmp / "blocked"]
+
+
 def _infer_version(version):
     """infer with a checkpoint whose header claims another format version."""
     def argv(tmp, ckpt, data):
@@ -402,6 +408,8 @@ HOSTILE_INPUTS = {
     "train --out into a missing directory after a --trace": lambda tmp, ckpt, data: [
         "train", "--data", data, "--model", ckpt, "--epochs", 1,
         "--out", tmp / "missing" / "t.ckpt", "--trace", tmp / "t.csv"],
+    # the first pair is written, then removed when the second one fails
+    "synth into a directory where a later file is a directory": _synth_blocked,
     "train on a 2d file with no 3d counterpart": _train_on(("seq_0000_2d.json", "a_2d.json")),
     "train on a pair whose 3d file holds 2d": _train_on(("seq_0000_2d.json", "a_2d.json"),
                                                          ("seq_0000_2d.json", "a_3d.json")),
@@ -515,25 +523,34 @@ class TestSynthTrainInferEval:
         # the 3 leftover frames run as a window of their own
         np.testing.assert_array_equal(out[12:], forward(load_ckpt(ckpt), seq[12:]).data)
 
+    @pytest.mark.parametrize("command", ["infer", "train"])
     @pytest.mark.parametrize("tensor_name", ["blocks.0.mlp1.weight",
                                              "blocks.0.sas.offset.weight"])
-    def test_infer_overflow_exits_3_with_one_line(self, tensor_name, tmp_path, capsys):
+    def test_infer_overflow_exits_3_with_one_line(self, tensor_name, command, tmp_path, capsys):
         # 3e38 is finite in float32, so the checkpoint loads; the forward
-        # overflows, in the MLP to a non-finite output, in the offset net to
-        # non-finite sampling positions
+        # overflows, in the MLP to a non-finite output or loss, in the offset
+        # net to non-finite sampling positions. Every command runs under one
+        # float-error policy, so neither prints numpy warnings
         config = tmp_path / "config.json"
         config.write_text(json.dumps(dict(L=1, D=8, T=9, V=4, N=2)))
         ckpt, data = tmp_path / "m.ckpt", tmp_path / "data"
         run(["init", "--config", config, "--out", ckpt], capsys)
         run(["synth", "--sequences", 1, "--frames", 9, "--joints", 4, "--out", data], capsys)
         edited = _poisoned_checkpoint(ckpt, tmp_path, tensor_name, 3e38)
+        outputs = [tmp_path / "out.json"]
+        argv = ["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
+                "--output", outputs[0]]
+        if command == "train":
+            outputs = [tmp_path / "t.ckpt", tmp_path / "t.csv"]
+            argv = ["train", "--data", data, "--model", edited, "--epochs", 1,
+                    "--out", outputs[0], "--trace", outputs[1]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rc, _, stderr = run(["infer", "--model", edited, "--input", data / "seq_0000_2d.json",
-                                 "--output", tmp_path / "out.json"], capsys)
+            rc, _, stderr = run(argv, capsys)
         assert rc == 3
-        assert stderr.startswith("error: non-finite") and stderr.count("\n") == 1
-        assert not (tmp_path / "out.json").exists()
+        assert stderr.startswith(("error: non-finite", "error: loss diverged"))
+        assert stderr.count("\n") == 1
+        assert not any(path.exists() for path in outputs)
 
     def test_synth_noise_moves_only_the_2d(self, tmp_path, capsys):
         clean, noisy = tmp_path / "clean", tmp_path / "noisy"
@@ -544,6 +561,23 @@ class TestSynthTrainInferEval:
         assert (clean / name3d).read_bytes() == (noisy / name3d).read_bytes()
         diff = np.abs(read_keypoints(noisy / name2d) - read_keypoints(clean / name2d))
         assert 0 < diff.max() < 0.1
+
+    def test_synth_failure_removes_the_directories_it_made(self, tmp_path, capsys, monkeypatch):
+        # the third write fails: the two files before it go, then the two
+        # directories this run made
+        calls = []
+
+        def fail_third(path, poses):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError(28, "No space left on device", str(path))
+            write_keypoints(path, poses)
+
+        monkeypatch.setattr(cli, "write_keypoints", fail_third)
+        rc, _, stderr = run(["synth", "--sequences", 2, "--frames", 6, "--joints", 4,
+                             "--out", tmp_path / "new" / "data"], capsys)
+        assert rc == 2 and stderr.count("\n") == 1
+        assert len(calls) == 3 and list(tmp_path.iterdir()) == []
 
     def test_infer_deterministic(self, tmp_path, tiny_config_path, capsys):
         ckpt = tmp_path / "m.ckpt"

@@ -15,7 +15,7 @@ from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
 from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params, LinearParams,
-                             NormParams, bilinear_gather, bilinear_weights,
+                             NormParams, bilinear_gather, bilinear_vjp, bilinear_weights,
                              checked_mode, depthwise_conv3x3,
                              finite_diff_check_leaves, gelu, grid_conv3x3,
                              layer_norm, linear, tensor)
@@ -265,6 +265,60 @@ class TestBilinear:
         assert ((pt <= 0.0) | (pt >= t_n - 1.0)).sum() >= 2 * t_n * v_n
         assert {0.0, 1.0, t_n - 1.0} <= set(pt[:, 1, 1]) | set(pt[:, 2, 2])
         assert {-1.0, 0.0, v_n - 1.0} <= set(pv[:, 1, 1]) | set(pv[:, 2, 2])
+
+    def test_vjp_samples_are_the_gathers(self):
+        rng = np.random.default_rng(14)
+        for dtype in (np.float32, np.float64):
+            x = rng.normal(size=(5, 4, 3)).astype(dtype)
+            pos = rng.uniform(-2.0, 7.0, size=(60, 2)).astype(dtype)
+            samples, _ = bilinear_vjp(x.reshape(-1, 3), pos, 5, 4)
+            assert samples.dtype == dtype
+            assert samples.tobytes() == bilinear_gather(x, pos).tobytes()
+
+    def test_vjp_x_cotangent_is_the_corner_matrix_transposed(self):
+        # row p of the dense (P, T*V) corner matrix samples the unit maps
+        rng = np.random.default_rng(15)
+        t_n, v_n, c = 5, 4, 3
+        x = rng.normal(size=(t_n * v_n, c))
+        pos = rng.uniform(-2.0, 7.0, size=(40, 2))
+        pos[:4] = [(0.0, 0.0), (4.0, 3.0), (2.0, 1.5), (-1.0, 9.0)]
+        ds = rng.normal(size=(40, c))
+        unit = np.eye(t_n * v_n).reshape(t_n, v_n, -1)
+        dense = np.stack([bilinear_by_corners(unit, t, v) for t, v in pos])
+        dx, _ = bilinear_vjp(x, pos, t_n, v_n)[1](ds)
+        assert dx.shape == x.shape
+        np.testing.assert_allclose(dx, dense.T @ ds, rtol=1e-13, atol=1e-13)
+
+    def test_vjp_position_cotangent_matches_central_differences(self):
+        # interior positions whose fractional parts keep a step of eps inside
+        # their cell, where the sampler is smooth
+        rng = np.random.default_rng(16)
+        t_n, v_n, c, eps = 5, 4, 3, 1e-6
+        x = rng.normal(size=(t_n, v_n, c))
+        cells = np.stack([rng.integers(0, t_n - 1, 50), rng.integers(0, v_n - 1, 50)], axis=-1)
+        pos = cells + rng.uniform(0.1, 0.9, size=(50, 2))
+        ds = rng.normal(size=(50, c))
+        _, d_pos = bilinear_vjp(x.reshape(-1, c), pos, t_n, v_n)[1](ds)
+        for axis in (0, 1):
+            step = np.zeros(2)
+            step[axis] = eps
+            numeric = ((bilinear_gather(x, pos + step) - bilinear_gather(x, pos - step))
+                       / (2 * eps) * ds).sum(axis=-1)
+            np.testing.assert_allclose(d_pos[:, axis], numeric, rtol=1e-7, atol=1e-8)
+
+    def test_vjp_position_cotangent_is_zero_at_and_past_the_edges(self):
+        # the clamp is flat there: 0 and T-1 (V-1) themselves, and beyond
+        rng = np.random.default_rng(17)
+        t_n, v_n, c = 5, 4, 3
+        x = rng.normal(size=(t_n * v_n, c))
+        edges = [(-3.5, 1.5), (0.0, 1.5), (4.0, 1.5), (6.2, 1.5),
+                 (2.5, -0.5), (2.5, 0.0), (2.5, 3.0), (2.5, 8.0)]
+        pos = np.array(edges)
+        ds = rng.normal(size=(len(pos), c))
+        _, d_pos = bilinear_vjp(x, pos, t_n, v_n)[1](ds)
+        assert not d_pos[:4, 0].any() and not d_pos[4:, 1].any()
+        # the other coordinate is interior, so its slope is not masked
+        assert d_pos[:4, 1].all() and d_pos[4:, 0].all()
 
     def test_mixing_checks_the_offsets_shape(self):
         rng = np.random.default_rng(11)
