@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 data/format error, 3 numerical
-failure. Output files are written atomically; a failing command leaves no
-partial outputs behind.
+failure. Output files are written atomically, and a command's outputs are
+committed together; a failing command leaves no partial outputs behind and
+replaces no file.
 """
 
 from __future__ import annotations
 
 import argparse
 import ctypes
+import errno
 import os
 import sys
 from contextlib import contextmanager, suppress
@@ -87,20 +89,39 @@ def _load_config(path) -> ModelConfig:
 
 @contextmanager
 def _outputs():
-    """The list of paths a command writes, appended as it writes them: if the
-    block then fails, they are removed, newest first, so that a failing
-    command leaves no partial outputs behind. A directory is removed once
-    what was written into it is gone."""
-    written: list[Path] = []
+    """Stage a command's output files, then commit them together. The block
+    gets ``write(fn, path, *args)``, which runs ``fn(staged, *args)`` for a
+    temporary sibling ``staged`` of ``path``, and ``made``, the directories
+    it makes, outermost first. Once the block succeeds and no path is a
+    directory, every staged file is renamed to its path; until then nothing
+    the command writes replaces a file. Otherwise the staged files and the
+    made directories are removed, so a failing command leaves no partial
+    outputs behind and every file it would have overwritten as it was."""
+    staged: dict[Path, Path] = {}         # path -> staged; a second write replaces it
+    made: list[Path] = []
+
+    def write(fn, path, *args):
+        path = Path(path)
+        tmp = staged[path] = path.with_name(f".{path.name}.{os.getpid()}.staged")
+        try:
+            fn(tmp, *args)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
+
     try:
-        yield written
+        yield write, made
+        for path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
     except BaseException:
-        for path in reversed(written):
+        for tmp in staged.values():
             with suppress(OSError):
-                if path.is_dir():
-                    path.rmdir()
-                else:
-                    path.unlink()
+                tmp.unlink()
+        for path in reversed(made):
+            with suppress(OSError):
+                path.rmdir()
         raise
 
 
@@ -118,15 +139,12 @@ def _cmd_synth(args) -> int:
     ds = gen_synthetic(args.seed, args.sequences, args.frames, args.joints,
                        noise_sigma=args.noise)
     out = Path(args.out)
-    with _outputs() as written:
-        # the directories this run makes, outermost first
-        written += reversed([d for d in (out, *out.parents) if not d.exists()])
+    with _outputs() as (write, made):
+        made += reversed([d for d in (out, *out.parents) if not d.exists()])
         out.mkdir(parents=True, exist_ok=True)
         for i, pair in enumerate(ds.pairs):
             for dims, poses in zip(("2d", "3d"), pair):
-                path = out / f"seq_{i:04d}_{dims}.json"
-                write_keypoints(path, poses)
-                written.append(path)
+                write(write_keypoints, out / f"seq_{i:04d}_{dims}.json", poses)
     print(f"wrote {len(ds.pairs)} sequence pairs -> {out}")
     return 0
 
@@ -155,11 +173,10 @@ def _cmd_train(args) -> int:
     dataset = _load_dataset(args.data)
     trace = train(model, dataset, epochs=args.epochs, batch=args.batch,
                   weights=LossWeights(), optim=optim, shuffle_seed=args.seed)
-    with _outputs() as written:
+    with _outputs() as (write, _):
         if args.trace:
-            write_trace_csv(args.trace, trace)
-            written.append(Path(args.trace))
-        save_ckpt(model, args.out)
+            write(write_trace_csv, args.trace, trace)
+        write(lambda path: save_ckpt(model, path), args.out)
     last = trace[-1] if trace else {"total": float("nan")}
     print(f"trained {args.epochs} epochs; final mean loss {last['total']:.6f} -> {args.out}")
     return 0

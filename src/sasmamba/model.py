@@ -379,9 +379,12 @@ def count_macs(cfg: ModelConfig, frames: int):
     """Analytic multiply-accumulate count of one forward pass.
 
     Counts the dot-product style work: linear projections, grid convolutions,
-    bilinear sampling (four weighted corners per tap), per-tap channel mixing,
-    and the scan recurrences (discretization, state update, and readout).
-    Pure normalizations and activations contribute no MACs.
+    bilinear sampling (four weighted corners per position), the tap mixing's
+    K x K convolution over the grid extended by K//2 on each side (the
+    diagonal and ``up`` maps per extended point, ``down`` per position, as
+    ``sas._tap_conv`` applies them), and the scan recurrences
+    (discretization, state update, and readout). Pure normalizations and
+    activations contribute no MACs.
     """
     if frames < 1:
         raise ConfigError(f"frames must be >= 1, got {frames}")
@@ -389,18 +392,19 @@ def count_macs(cfg: ModelConfig, frames: int):
     rho = tap_rank(k)
     hidden = cfg.mlp_ratio * d
     positions = frames * v
+    extended = (frames + k - 1) * (v + k - 1)
     per_stream = 2 * n * d + 2 * r * d + 6 * d * n + d
     if cfg.gated_streams:
         per_stream += d * d
     block = {
-        "offset_conv": 9 * d * 2,
-        "local_conv": 9 * d,
-        "bilinear_sampling": k * k * 4 * d,
-        "tap_mixing": k * k * (d + 2 * rho * d),
-        "scan_streams": len(cfg.streams) * per_stream,
-        "mlp": 2 * d * hidden,
+        "offset_conv": positions * 9 * d * 2,
+        "local_conv": positions * 9 * d,
+        "bilinear_sampling": positions * 4 * d,
+        "tap_mixing": k * k * (extended * (d + rho * d) + positions * rho * d),
+        "scan_streams": positions * len(cfg.streams) * per_stream,
+        "mlp": positions * 2 * d * hidden,
     }
-    breakdown = {key: positions * cfg.L * val for key, val in block.items()}
+    breakdown = {key: cfg.L * val for key, val in block.items()}
     breakdown["embed"] = positions * 2 * d
     breakdown["head"] = positions * 3 * d
     return sum(breakdown.values()), breakdown

@@ -7,10 +7,10 @@ directions, summed. Shapes are (T, V, C) throughout, with two exceptions.
 Inside :func:`sa_conv` the offset net predicts a (T, V, 2) field of (t, v)
 shifts, and one :meth:`NeighborMixParams.apply` takes x and that field, as
 deformable convolution takes its input and offsets (Dai et al., ICCV 2017):
-it samples x at each row's K*K taps, shifted by the row's offset, as a
-(K*K, rows, C) block with the taps on a leading axis, and mixes and sums the
-taps before the next block. That op is the one taped for both the sampling
-and the mixing.
+it mixes and sums x's samples at each row's K*K taps, shifted by the row's
+offset, as one sample per row of a K x K convolution of x, the one op taped
+for both the sampling and the mixing. That needs one offset per row for all
+taps, as here; per-tap offsets, as in Dai et al.'s, would break it.
 Inside :func:`four_stream_scan` the enabled streams are a stream axis S: one
 :func:`selective_scan` call reads the (T*V, C) rows of the map in every
 stream's order, an (L, S) table with L = T*V, and returns each stream's
@@ -34,7 +34,7 @@ from .errors import ConfigError, DimensionError
 from .ssm import SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, Params, Tensor, add,
                      bilinear_gather, bilinear_vjp, depthwise_conv3x3,
-                     grid_conv3x3, linear, make_op, mul, row_blocks,
+                     grid_conv3x3, linear, make_op, mul, neighbor_rows,
                      scatter_rows, silu, sum_axis, tap_grid)
 
 STREAM_ORDER = ("temporal_forward", "temporal_backward",
@@ -71,59 +71,63 @@ class NeighborMixParams(Params):
 
     @staticmethod
     def apply(x: Tensor, offsets: Tensor, mix: NeighborMixParams) -> Tensor:
-        """Sum over taps k of ``diag[k] * s[k] + up[k] @ (down[k] @ s[k])``,
-        s[k] being x sampled at tap k's positions p0 + pn + dp: the one op of
-        both the bilinear sampling and the mixing. Call it through the class.
-
-        x is (T, V, C) and ``offsets`` the (T, V, 2) field dp of (t, v)
-        shifts; :func:`tap_grid` gives each row's p0 and tap k's pn. The op
-        forms the (T*V, 2) base dp + p0 once. The forward samples a block of
-        :func:`row_blocks` at ``base[rows] + pn`` with one
-        :func:`bilinear_gather`, (K*K, rows, C), and mixes it before the
-        next, so the (K*K, T*V, C) samples are never whole; near-equal blocks
-        keep each product's bits. The tape keeps x and the base. The adjoint
-        walks the taps: :func:`bilinear_vjp` at tap k's positions gives its
-        samples, with the forward's bits, and their pullback, which maps
-        ``ds = diag[k] * g + (g @ up[k]) @ down[k]`` to tap k's terms of x's
-        and the offsets' gradients; the samples give the maps'.
+        """Sum over taps k of tap k's map of x sampled at p0 + pn + dp, the
+        one op of the bilinear sampling and the mixing; call it through the
+        class. x is (T, V, C), ``offsets`` the (T, V, 2) field dp of (t, v)
+        shifts, and :func:`tap_grid` gives each row's p0. A row's taps share
+        its dp and the pn are whole numbers, so the sum is one sample of
+        :func:`_tap_conv`'s Z at p0 + dp + K//2: clamp-to-edge sampling
+        commutes with whole-number shifts and with the tap maps. The tape
+        keeps x and those positions; the adjoint rebuilds Z, takes one
+        :func:`bilinear_vjp` pullback and walks the taps for Z's adjoint.
+        At whole-number positions the offsets' gradient is the right-hand
+        difference, also for a tap on row 0 or column 0 of x while the
+        position lies strictly inside Z's grid (sampling x there gives 0).
         """
         t_n, v_n, c = x.shape
         if offsets.shape != (t_n, v_n, 2):
             raise DimensionError(f"offsets {offsets.shape} are not (t, v) shifts of a "
                                  f"{(t_n, v_n)} grid")
         diag, down, up = mix.diag.data, mix.down.data, mix.up.data     # (K, C), (K, R, C), (K, C, R)
-        grid, taps = (a.astype(offsets.dtype) for a in tap_grid(t_n, v_n, mix.kernel_size))
-        base, xf = offsets.data.reshape(-1, 2) + grid, x.data.reshape(-1, c)
-        up_rows = up.transpose(1, 0, 2).reshape(c, -1).T                # (K*R, C)
-        out = np.empty(xf.shape, np.result_type(xf, diag))
-        for rows in row_blocks(len(base)):
-            sf = bilinear_gather(x.data, base[rows] + taps[:, None])    # (K, rows, C)
-            # tap k's low-rank rows down[k] @ s go straight to their (rows, K*R) place
-            low = np.empty((sf.shape[1],) + down.shape[:2], dtype=sf.dtype)
-            np.matmul(sf, down.transpose(0, 2, 1), out=low.transpose(1, 0, 2))
-            np.add(np.einsum("kpc,kc->pc", sf, diag), low.reshape(len(low), -1) @ up_rows,
-                   out=out[rows])
-            del sf, low                             # before the next block's gather
-        x_shape = x.shape
+        xf, half = x.data.reshape(-1, c), mix.kernel_size // 2
+        pos = tap_grid(t_n, v_n, mix.kernel_size)[0].astype(offsets.dtype) + half
+        pos += offsets.data.reshape(-1, 2)
+        z = _tap_conv(xf, t_n, v_n, half, diag, down, up)[0]
+        out = bilinear_gather(z.reshape(t_n + 2 * half, v_n + 2 * half, c), pos)
 
         def backward(g):
-            g2 = g.reshape(-1, c)
-            dx = np.zeros_like(xf)
+            z, rows = _tap_conv(xf, t_n, v_n, half, diag, down, up)
+            dz, d_off = bilinear_vjp(z, pos, t_n + 2 * half, v_n + 2 * half)[1](g.reshape(-1, c))
+            del z                                   # the taps' loop reads dz only
+            dx, xk = np.zeros_like(xf), np.empty(dz.shape, xf.dtype)
             d_diag, d_down, d_up = np.empty_like(diag), np.empty_like(down), np.empty_like(up)
-            for k, tap in enumerate(taps):
-                s_k, pullback = bilinear_vjp(xf, base + tap, t_n, v_n)
-                d_lo = g2 @ up[k]                                       # (P, R)
-                ds = diag[k] * g2 + d_lo @ down[k]
-                dx_k, d_pk = pullback(ds)
-                dx += dx_k
-                # the taps' terms add up in tap order, starting from tap 0's
-                d_off = d_off + d_pk if k else d_pk
-                d_diag[k] = np.einsum("pc,pc->c", g2, s_k)
-                d_down[k] = d_lo.T @ s_k
-                d_up[k] = g2.T @ (s_k @ down[k].T)
-            return dx.reshape(x_shape), d_off.reshape(t_n, v_n, 2), d_diag, d_down, d_up
+            for k in range(len(diag)):
+                np.take(xf, rows[:, k], axis=0, out=xk, mode="clip")
+                d_lo = dz @ up[k]                                       # (E, R)
+                d_diag[k] = np.einsum("ec,ec->c", dz, xk)
+                d_down[k] = d_lo.T @ xk
+                d_up[k] = dz.T @ (xk @ down[k].T)
+                dx += scatter_rows(diag[k] * dz + d_lo @ down[k], rows[:, k, None], len(xf))
+            return dx.reshape(t_n, v_n, c), d_off.reshape(t_n, v_n, 2), d_diag, d_down, d_up
 
-        return make_op(out.reshape(x_shape), (x, offsets) + mix.tensors(), backward)
+        return make_op(out.reshape(x.shape), (x, offsets) + mix.tensors(), backward)
+
+
+def _tap_conv(xf, t_n, v_n, half, diag, down, up):
+    """Z, (E, C): x's (T*V, C) rows convolved by the K x K tap maps, clamp-to-
+    edge, over the E = (T+K-1)*(V+K-1) points of the grid extended by half =
+    K//2 on each side; and the (E, K*K) :func:`neighbor_rows` the taps read."""
+    rows = neighbor_rows(t_n, v_n, 2 * half + 1, half)
+    z = np.zeros((len(rows), xf.shape[1]), np.result_type(xf, diag))
+    buf = np.empty_like(z)
+    for k in range(len(diag)):
+        np.take(xf, rows[:, k], axis=0, out=buf, mode="clip")    # "raise" would buffer out
+        buf *= diag[k]
+        z += buf
+        # down maps x's T*V rows before the gather to E rows, not after
+        np.matmul((xf @ down[k].T)[rows[:, k]], up[k].T, out=buf)
+        z += buf
+    return z, rows
 
 
 @dataclass

@@ -504,8 +504,7 @@ def scatter_rows(g: np.ndarray, cols: np.ndarray, n_rows: int, weights=None) -> 
     return row_selection(cols, n_rows, weights, g.dtype).T @ g.reshape(-1, g.shape[-1])
 
 
-# SA-Conv's forward gathers its samples and neighbourhoods at most this many
-# rows at a time, so no whole-map gather is built
+# rows per block of depthwise_conv3x3's gather, so no whole-map gather is built
 ROW_BLOCK = 1024
 
 
@@ -531,21 +530,21 @@ def tap_grid(t_n: int, v_n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, taps
 
 
-def _neighbor_rows(t_n: int, v_n: int) -> np.ndarray:
-    """Flat (t, v) rows of each position's clamp-to-edge 3x3 neighbourhood,
-    (T*V, 9), its columns in :func:`tap_grid`'s tap order."""
-    grid, taps = tap_grid(t_n, v_n, 3)
-    # the frame and joint axes clamp apart, so one (T, V, 9) array is built
-    at = grid.reshape(t_n, v_n, 1, 2)
-    ti = np.clip(at[:, :1, :, 0] + taps[:, 0], 0, t_n - 1)       # (T, 1, 9)
-    vi = np.clip(at[:1, :, :, 1] + taps[:, 1], 0, v_n - 1)       # (1, V, 9)
-    return (ti * v_n + vi).reshape(-1, 9)
+def neighbor_rows(t_n: int, v_n: int, k: int = 3, pad: int = 0) -> np.ndarray:
+    """Flat rows of a (T, V) grid read by the clamp-to-edge K x K neighbourhood
+    of each point (i, j) of the grid extended by ``pad`` on every side, centred
+    on (i - pad, j - pad): ((T+2pad)*(V+2pad), K*K), in :func:`tap_grid`'s order."""
+    _, taps = tap_grid(1, 1, k)
+    # the frame and joint axes clamp apart, so one (T', V', K*K) array is built
+    ti = np.clip(np.arange(-pad, t_n + pad)[:, None, None] + taps[:, 0], 0, t_n - 1)
+    vi = np.clip(np.arange(-pad, v_n + pad)[None, :, None] + taps[:, 1], 0, v_n - 1)
+    return (ti * v_n + vi).reshape(-1, k * k)
 
 
 def _tap_rows(t_n: int, v_n: int) -> np.ndarray:
-    """:func:`_neighbor_rows` in a tap-major (9*T*V, C) array, whose row
+    """:func:`neighbor_rows` in a tap-major (9*T*V, C) array, whose row
     ``9r + k`` is tap k of row r: what each output sums and each adjoint scatters."""
-    return _neighbor_rows(t_n, v_n) * 9 + np.arange(9)
+    return neighbor_rows(t_n, v_n) * 9 + np.arange(9)
 
 
 def grid_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
@@ -594,7 +593,7 @@ def depthwise_conv3x3(x: Tensor, p: Conv3x3Params) -> Tensor:
             f"depthwise_conv3x3: input channels {c} != weight channels {w.shape[0]}")
     w_mat = np.ascontiguousarray(w.data.reshape(c, 9).T)          # (9, C)
     xf = x.data.reshape(-1, c)
-    rows = _neighbor_rows(t_n, v_n)
+    rows = neighbor_rows(t_n, v_n)
     out = np.empty(xf.shape, np.result_type(xf, w_mat))
     for blk in row_blocks(len(xf)):
         np.einsum("pkc,kc->pc", xf[rows[blk]], w_mat, out=out[blk])
@@ -644,12 +643,9 @@ def bilinear_gather(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
     sample on its last axis; the result has shape S + (C,). The n = prod(S)
     samples are one sparse product ``W @ x`` with x viewed as (T*V, C): W is
     the (n, T*V) :func:`row_selection` with four entries per row, the corners
-    00, 01, 10, 11 and their :func:`bilinear_weights`. The sampler is not
-    taped: the op that consumes the samples, ``sas.NeighborMixParams.apply``,
-    calls it once per block of rows, and its adjoint takes each tap's
-    samples and their pullback from :func:`bilinear_vjp`. Each sample is its
-    own row of the product, so a block's samples have the bits they have in
-    a whole-map call. A non-finite position raises
+    00, 01, 10, 11 and their :func:`bilinear_weights`. It is not taped: the
+    op that consumes the samples, ``sas.NeighborMixParams.apply``, takes
+    their pullback from :func:`bilinear_vjp`. A non-finite position raises
     :class:`NumericError` whether or not checked mode is on: a NaN has no
     corner, and would cast to a negative column index.
     """

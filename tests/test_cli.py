@@ -579,6 +579,39 @@ class TestSynthTrainInferEval:
         assert rc == 2 and stderr.count("\n") == 1
         assert len(calls) == 3 and list(tmp_path.iterdir()) == []
 
+    def test_failed_synth_keeps_the_dataset_it_would_overwrite(self, tmp_path, capsys):
+        # a second run into the same directory, where the second pair's 2d
+        # file has become a directory: the first pair keeps its bytes
+        out = tmp_path / "data"
+        argv = ["synth", "--sequences", 2, "--frames", 6, "--joints", 4, "--out", out]
+        assert run(argv + ["--seed", 1], capsys)[0] == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        (out / "seq_0001_2d.json").unlink()
+        (out / "seq_0001_2d.json").mkdir()
+        rc, _, stderr = run(argv + ["--seed", 2], capsys)
+        assert rc == 2 and stderr.count("\n") == 1 and "seq_0001_2d.json" in stderr
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+        for name in ("seq_0000_2d.json", "seq_0000_3d.json", "seq_0001_3d.json"):
+            assert (out / name).read_bytes() == before[name], name
+
+    def test_failed_checkpoint_write_keeps_an_earlier_trace(self, tmp_path, tiny_config_path,
+                                                           capsys, monkeypatch):
+        ckpt, data, trace = tmp_path / "m.ckpt", tmp_path / "data", tmp_path / "t.csv"
+        run(["init", "--config", tiny_config_path, "--out", ckpt], capsys)
+        run(["synth", "--sequences", 1, "--frames", 6, "--joints", 4, "--out", data], capsys)
+        trace.write_text("an earlier trace\n")
+
+        def full_disk(model, path):
+            raise OSError(28, "No space left on device", str(path))
+
+        monkeypatch.setattr(cli, "save_ckpt", full_disk)
+        rc, _, stderr = run(["train", "--data", data, "--model", ckpt, "--epochs", 1,
+                             "--out", tmp_path / "t.ckpt", "--trace", trace], capsys)
+        assert rc == 2 and stderr.count("\n") == 1 and "t.ckpt" in stderr
+        assert trace.read_text() == "an earlier trace\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data", "m.ckpt",
+                                                              "t.csv"]
+
     def test_infer_deterministic(self, tmp_path, tiny_config_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         run(["init", "--config", tiny_config_path, "--seed", 0, "--out", ckpt], capsys)

@@ -255,6 +255,16 @@ class TestCountMacs:
         with pytest.raises(ConfigError):
             count_macs(ModelConfig(), 0)
 
+    def test_sampling_and_tap_mixing_follow_the_op(self):
+        # 5 frames of 4 joints at D=8 K=3, so rho = 18: one four-corner
+        # sample per position, 20 * 4 * 8; the nine taps' diagonal and up
+        # maps over the 7 x 6 extended grid and their down maps over the 20
+        # positions, 9 * (42 * (8 + 18 * 8) + 20 * 18 * 8)
+        cfg = ModelConfig(L=2, D=8, T=9, V=4, K=3, N=2, strides=(1, 3))
+        _, breakdown = count_macs(cfg, frames=5)
+        assert breakdown["bilinear_sampling"] == 2 * 640
+        assert breakdown["tap_mixing"] == 2 * 83_376
+
 
 class TestGatedStreams:
     def test_gated_forward_shape_and_params(self):
@@ -400,11 +410,10 @@ class TestTapeConsumption:
 
     def test_tape_keeps_only_what_adjoints_cannot_rebuild(self):
         # gelu keeps its slope alone. Sampling and mixing is one op that
-        # keeps x, the (T*V, 2) base of offsets plus grid and the (K*K, 2)
-        # tap offsets: its adjoint rebuilds each tap's positions, corners,
-        # weights and (T*V, C) samples, and its (T*V, rho) low-rank products,
-        # so neither the (K*K, T*V, C) samples, the (K*K, T, V, 2) positions
-        # nor an index table is kept.
+        # keeps x and the (T*V, 2) positions of offsets plus grid: its
+        # adjoint rebuilds the convolved grid, its row table and low-rank
+        # products, and the sampler's corners and weights, so neither a
+        # per-tap array, the convolved grid nor an index table is kept.
         # The scan keeps its (T*V, D) input once and gathers it into the S
         # streams' orders again, and rebuilds its (L, S, D) step sizes and
         # (L, S, N) input and output vectors from its projections. The 3x3
@@ -423,10 +432,10 @@ class TestTapeConsumption:
         assert len(kept["NeighborMixParams.apply"]) == cfg.L
         taps = cfg.K ** 2
         for bases in kept["NeighborMixParams.apply"]:
-            # x, unless an op met earlier in the walk keeps it, the base and
-            # the tap offsets
+            # x, unless an op met earlier in the walk keeps it, and the
+            # positions
             assert {b.shape for b in bases if id(b) not in params} <= {
-                (cfg.T, cfg.V, cfg.D), (positions, 2), (taps, 2)}
+                (cfg.T, cfg.V, cfg.D), (positions, 2)}
             assert [b.shape for b in bases if b.size == taps * positions * 2] == []
             assert [b.shape for b in bases if b.size == taps * positions * cfg.D] == []
             assert [b.dtype for b in bases if b.dtype.kind in "iu"] == []

@@ -245,10 +245,12 @@ class TestBilinear:
                 wt = (tc - t0) if dt else 1.0 - (tc - t0)
                 wv = (vc - v0) if dv else 1.0 - (vc - v0)
                 ref_dx[min(t0 + dt, t_n - 1), min(v0 + dv, v_n - 1)] += wt * wv * gi
-            if 0.0 < t < t_n - 1.0:
+            # a tap on row 0 (column 0) takes the right-hand difference while
+            # the centre lies strictly inside the grid extended by one
+            if 0.0 <= t < t_n - 1.0 and -1.0 < pt[(4,) + i[1:]] < t_n:
                 ref_dt[i] = (bilinear_by_corners(x, np.floor(t) + 1.0, v)
                              - bilinear_by_corners(x, np.floor(t), v)) @ gi
-            if 0.0 < v < v_n - 1.0:
+            if 0.0 <= v < v_n - 1.0 and -1.0 < pv[(4,) + i[1:]] < v_n:
                 ref_dv[i] = (bilinear_by_corners(x, t, np.floor(v) + 1.0)
                              - bilinear_by_corners(x, t, np.floor(v))) @ gi
         assert y.shape == (9, t_n, v_n, c)
