@@ -15,8 +15,9 @@ from .model import ModelConfig, astype_model, forward, init_model
 from .sas import NeighborMixParams, stride_scan
 from .ssm import SCAN_CHUNK, SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, NormParams, add, depthwise_conv3x3,
-                     finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm, linear,
-                     mul, scale, silu, slice0, sqrt, sub, sum_all, sum_axis, tensor)
+                     finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm,
+                     layer_norm_linear, linear, mul, scale, silu, slice0, sqrt, sub,
+                     sum_all, sum_axis, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
 OP_TOLERANCE = 1e-4
@@ -85,6 +86,11 @@ OPS = {
         lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (2, 3, 3, 3), 0.4), _t(rng, (2,))]),
     "layer_norm": (lambda x, g, b: layer_norm(x, NormParams(g, b)),
                    lambda rng: [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,))]),
+    # the norm2 -> mlp1 op of every block
+    "layer_norm_linear": (
+        lambda x, g, bt, w, b: layer_norm_linear(x, NormParams(g, bt), LinearParams(w, b)),
+        lambda rng: [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,)), _t(rng, (2, 5)),
+                     _t(rng, (2,))]),
     "linear": (lambda x, w, b: linear(x, LinearParams(w, b)),
                lambda rng: [_t(rng, (3, 4)), _t(rng, (2, 4)), _t(rng, (2,))]),
     "mul": (mul, _two),

@@ -20,8 +20,8 @@ import numpy as np
 
 from .checks import run_gradcheck
 from .errors import DimensionError, FormatError, NumericError, SasMambaError
-from .fileio import (load_ckpt, parse_json, read_keypoints, save_ckpt,
-                     write_keypoints)
+from .fileio import (load_ckpt, parse_json, read_keypoints, read_keypoints_and_fps,
+                     save_ckpt, write_keypoints)
 from .metrics import mpjpe_p1, mpjpe_p2
 from .model import (ModelConfig, count_macs, count_params, forward,
                     group_counts, init_model)
@@ -184,7 +184,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_infer(args) -> int:
     model = load_ckpt(args.model)
-    seq = read_keypoints(args.input)
+    seq, fps = read_keypoints_and_fps(args.input)
     if seq.shape[-1] != 2:
         raise FormatError(f"inference input must be 2d keypoints, got dims={seq.shape[-1]}")
     # windows of T frames, the remainder as a shorter one
@@ -193,7 +193,7 @@ def _cmd_infer(args) -> int:
                           for i in range(0, len(seq), window)])
     if not np.all(np.isfinite(out)):
         raise NumericError("non-finite values in the model output")
-    write_keypoints(args.output, out)
+    write_keypoints(args.output, out, fps)
     print(f"wrote {out.shape[0]} frames of 3d poses -> {args.output}")
     return 0
 

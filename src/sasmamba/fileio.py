@@ -76,15 +76,21 @@ def _json_rows(arr: np.ndarray) -> str:
     return text.replace("-0,", "-0.0,").replace("-0]", "-0.0]")
 
 
-def write_keypoints(path, seq: np.ndarray) -> None:
+# the frame rate of a keypoint file that does not give one
+DEFAULT_FPS = 50.0
+
+
+def write_keypoints(path, seq: np.ndarray, fps: float = DEFAULT_FPS) -> None:
     """Write a (T, V, 2) or (T, V, 3) sequence as a single-line keypoint JSON
-    file at 50 frames per second, without confidences."""
+    file at ``fps`` frames per second, without confidences."""
     arr = np.asarray(seq, dtype=np.float32)
     if arr.ndim != 3 or arr.shape[-1] not in (2, 3) or 0 in arr.shape:
         raise FormatError(f"sequence must be (T, V, 2|3) with T, V >= 1, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("sequence contains non-finite values")
-    head = json.dumps({"version": 1, "fps": 50.0, "num_joints": int(arr.shape[1]),
+    if not 0 < fps < math.inf:
+        raise FormatError(f"frame rate must be a finite positive number, got {fps!r}")
+    head = json.dumps({"version": 1, "fps": float(fps), "num_joints": int(arr.shape[1]),
                        "dims": int(arr.shape[2])}, separators=(",", ":"))
     _atomic_write(path, f'{head[:-1]},"frames":[{_json_rows(arr)}]}}\n'.encode("utf-8"))
 
@@ -122,6 +128,12 @@ def _positive_int(doc: dict, field: str) -> int:
 
 def read_keypoints(path) -> np.ndarray:
     """Read a keypoint JSON file back as a float32 (T, V, dims) array."""
+    return read_keypoints_and_fps(path)[0]
+
+
+def read_keypoints_and_fps(path) -> tuple[np.ndarray, float]:
+    """Read a keypoint JSON file back as a float32 (T, V, dims) array and
+    its frame rate, ``DEFAULT_FPS`` when the file gives none."""
     with open(path, "rb") as fh:
         raw = fh.read()
     doc = parse_json(raw, "keypoint file")
@@ -151,7 +163,7 @@ def read_keypoints(path) -> np.ndarray:
             raise FormatError("field 'confidence' shape does not match frames")
         if not np.all(np.isfinite(conf)):
             raise FormatError("field 'confidence' contains non-finite values")
-    return arr
+    return arr, float(doc.get("fps", DEFAULT_FPS))
 
 
 # --- checkpoints -------------------------------------------------------------

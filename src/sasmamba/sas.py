@@ -97,7 +97,7 @@ class NeighborMixParams(Params):
 
         def backward(g):
             z, rows = _tap_conv(xf, t_n, v_n, half, diag, down, up)
-            dz, d_off = bilinear_vjp(z, pos, t_n + 2 * half, v_n + 2 * half)[1](g.reshape(-1, c))
+            dz, d_off = bilinear_vjp(z, pos, t_n + 2 * half, v_n + 2 * half)(g.reshape(-1, c))
             del z                                   # the taps' loop reads dz only
             dx, xk = np.zeros_like(xf), np.empty(dz.shape, xf.dtype)
             d_diag, d_down, d_up = np.empty_like(diag), np.empty_like(down), np.empty_like(up)

@@ -14,17 +14,18 @@ laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
 rows. Steps are taken in chunks of ``SCAN_CHUNK``, and one builder forms a
 chunk's inputs for both passes: its input rows, step sizes and input and
-output vectors, from the input projections, which the tape keeps. Each pass
-writes its per-chunk temporaries into one reused workspace; the forward
-writes each chunk's output to its rows, so it builds no (L, S, D) array
-besides its output. The adjoint keeps one state per chunk, the state
-entering it; it builds each chunk's inputs again and recomputes the chunk's
-states, ``a_bar`` and ``factor`` from that state, as Mamba's recomputation
-does (Gu & Dao, arXiv 2312.00752, section 3.3.2): gradient checkpointing at
-chunk granularity (Chen et al., arXiv 1604.06174). It writes its gradients
-into x and into the projections at their rows, so what follows the chunks
-is row work: the projections' adjoint is two flat products, as
-``tensor.linear``'s is.
+output vectors, from the input projections, which each pass makes with one
+product and one gather. Each pass writes its per-chunk temporaries into one
+reused workspace; the forward writes each chunk's output to its rows, so it
+builds no (L, S, D) array besides its output. The tape keeps x, the
+parameters and one state per chunk, the state entering it; the adjoint
+makes the projections again, builds each chunk's inputs again and
+recomputes the chunk's states, ``a_bar`` and ``factor`` from that state, as
+Mamba's recomputation does (Gu & Dao, arXiv 2312.00752, section 3.3.2):
+gradient checkpointing at chunk granularity (Chen et al., arXiv
+1604.06174). It writes its gradients into x and into the projections at
+their rows, so what follows the chunks is row work: the projections'
+adjoint is two flat products, as ``tensor.linear``'s is.
 """
 
 from __future__ import annotations
@@ -40,9 +41,9 @@ from .tensor import Params, Tensor, make_op
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
 # The chunk also sizes the adjoint's four-slot (SCAN_CHUNK, S, N, D)
 # workspace, which with x's (L, S, D) gradient terms and the (L, S, 2N+r)
-# projection gradients makes the adjoint's transient, bounded against the
-# tape by the tape-ratio test of tests/test_model.py: the smaller the tape,
-# the smaller the chunk that test allows
+# projections and their gradients makes the adjoint's transient, bounded
+# against the tape by the tape-ratio test of tests/test_model.py: the smaller
+# the tape, the smaller the chunk that test allows
 SCAN_CHUNK = 32
 
 
@@ -130,6 +131,16 @@ def _step_sizes(m1, dt_up, dt_bias):
     return softplus(z)
 
 
+def _projections(xf, w, order):
+    """Every stream's (L, S, 2N+r) input projections in its own order: the
+    (R, D) rows by every stream's stacked (S, 2N+r, D) weights in one
+    product, then gathered at ``[order, streams]``. Both passes call it, so
+    the adjoint rebuilds the forward's bits rather than the tape keeping them."""
+    s_n = len(w)
+    proj = (xf @ w.reshape(-1, xf.shape[1]).T).reshape(-1, s_n, w.shape[1])
+    return proj[order, np.arange(s_n)]
+
+
 def _advance(delta, a, b, u, start, w):
     """Run the recurrence over one chunk from the state ``start``.
 
@@ -173,15 +184,17 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     discretizes each chunk, advances the recurrence, reads out and writes
     its outputs to their rows, so the output is the forward's only (L, S, D)
     array and no (L, S, N, D) array exists, with gradients or without. The
-    tape keeps x, the projections and ``starts``, the (S, N, D) state
-    entering each chunk. The adjoint walks the chunks in reverse, builds
-    each chunk's inputs again, recomputes its states from its start to the
-    forward's bits and writes x's per-stream gradient terms and the
-    projections' gradients straight to their rows. What follows is row
-    work: the skip terms, and the projections' adjoint as two flat products
-    of the rows, as :func:`~sasmamba.tensor.linear`'s. The per-chunk
-    (k, S, N, D) temporaries of either pass are written into a workspace
-    allocated once per pass. The adjoint is exact.
+    tape keeps x, the parameters and ``starts``, the (S, N, D) state
+    entering each chunk, but not the (L, S, 2N+r) projections: the adjoint
+    makes them again through :func:`_projections`, one product and one
+    gather, then walks the chunks in reverse, builds each chunk's inputs
+    again, recomputes its states from its start to the forward's bits and
+    writes x's per-stream gradient terms and the projections' gradients
+    straight to their rows. What follows is row work: the skip terms, and
+    the projections' adjoint as two flat products of the rows, as
+    :func:`~sasmamba.tensor.linear`'s. The per-chunk (k, S, N, D)
+    temporaries of either pass are written into a workspace allocated once
+    per pass. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
     if x.shape[-1] != d or np.shape(order) != (x.size // d, s_n):
@@ -194,16 +207,14 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     a = -np.exp(np.ascontiguousarray(p.a_log.data.swapaxes(1, 2)))     # (S, N, D)
     w = np.concatenate([p.b_weight.data, p.c_weight.data, p.dt_down.data],
                        axis=1)                                          # (S, 2N+r, D)
-    # every stream's projections of every row in one product, then gathered
-    # into the streams' orders
-    proj = (xf @ w.reshape(-1, d).T).reshape(-1, s_n, w.shape[1])[order, streams]
+    proj = _projections(xf, w, order)                                   # (L, S, 2N+r)
     b_bias, c_bias = p.b_bias.data, p.c_bias.data                       # (S, N)
     dt_up, dt_bias = p.dt_up.data, p.dt_bias.data                       # (S, D, r), (S, D)
     skip = p.skip.data                                                  # (S, D)
 
-    def chunk_inputs(sl):
+    def chunk_inputs(proj, sl):
         """The chunk's (k, S, D) input rows and step sizes and its (k, S, N)
-        input and output vectors."""
+        input and output vectors, from the :func:`_projections` ``proj``."""
         pc = proj[sl]
         return (xf[order[sl]], _step_sizes(pc[..., 2 * n:], dt_up, dt_bias),
                 pc[..., :n] + b_bias, pc[..., n:2 * n] + c_bias)
@@ -218,7 +229,7 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     out = np.empty(x_shape[:-1] + (s_n, d), dtype=dt)
     rows = out.reshape(-1, s_n, d)
     for ci, sl in enumerate(chunks):
-        u, delta, b, c = chunk_inputs(sl)
+        u, delta, b, c = chunk_inputs(proj, sl)
         hc = _advance(delta, a, b, u, starts[ci], ws)[2]
         if ci + 1 < len(chunks):
             starts[ci + 1] = hc[-1]
@@ -227,6 +238,7 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
         rows[order[sl], streams] = y
 
     def backward(g):
+        proj = _projections(xf, w, order)
         g = g.reshape(-1, s_n, d)
         # x's gradient terms at their rows, stream s at [:, s]: the skip
         # terms, then each chunk's terms through the recurrence. Each column
@@ -240,7 +252,7 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
         for ci in reversed(range(len(chunks))):
             sl = chunks[ci]
             k = sl.stop - sl.start
-            u, delta, b, c = chunk_inputs(sl)
+            u, delta, b, c = chunk_inputs(proj, sl)
             gc = g[order[sl], streams]
             a_bar, factor, hc = _advance(delta, a, b, u, starts[ci], wb)
             # the chunk's gradients into b, c and m1, side by side as proj's

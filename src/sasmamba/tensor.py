@@ -7,8 +7,12 @@ adjoint captures only the arrays it reads, never a tensor or a node, so an
 intermediate no adjoint reads is freed as soon as the forward code drops it.
 An adjoint returns one gradient per op input; ``Tensor.backward`` replays the
 adjoints in reverse topological order, hands each gradient to its input's
-node in one place, and consumes the graph as it goes: one forward allows one
-backward, and afterwards only the leaves (and the root) hold gradients. There
+node in one place, where a node adopts a first gradient its adjoint made for
+it alone and copies any other, and consumes the graph as it goes: one
+forward allows one backward, and afterwards only the leaves (and the root)
+hold gradients. What the tape keeps is what an adjoint cannot cheaply
+rebuild: :func:`layer_norm_linear`, for one, keeps the normalized input and
+remakes the normalization's output. There
 is no graph optimization; the contract is that every op in ``checks.OPS``
 survives :func:`finite_diff_check_leaves` against central differences in
 64-bit mode.
@@ -54,9 +58,10 @@ class Node:
     node, or None when the input needs no gradient. ``backward`` is the op's
     adjoint; a leaf has neither. Adjoints capture only the arrays they read,
     never a :class:`Tensor` or a node, so the tape keeps an intermediate's
-    array only while an adjoint reads it. ``grad`` is allocated on first
-    accumulation, as a contiguous copy of the incoming gradient in the node's
-    shape and dtype.
+    array only while an adjoint reads it. ``grad`` is set by the first
+    gradient to arrive: the array itself when the adjoint made it for this
+    node alone (see :func:`_accumulate`), otherwise a contiguous copy in the
+    node's shape and dtype. Later gradients are added into it in place.
     """
 
     __slots__ = ("grad", "parents", "backward", "shape", "dtype")
@@ -79,16 +84,41 @@ class Node:
             self.grad += g
 
 
-def _accumulate(nodes: tuple[Node | None, ...], grads) -> None:
+def _accumulate(nodes: tuple[Node | None, ...], grads, upstream=None) -> None:
     """Add each gradient into its node, skipping inputs that need none.
 
-    Every gradient reaches a node through here. It is a function of its own
-    so that, once it returns, no local still holds the last gradient while
-    the next adjoint runs.
+    Every gradient reaches a node through here. A node's first gradient is
+    adopted, not copied, when the adjoint made it for that node alone, as
+    PyTorch's ``AccumulateGrad`` steals a gradient nothing else holds: an
+    array that :func:`_fits` the node and shares no memory with
+    ``upstream``, the gradient the adjoint was handed, nor with another of
+    its returns. So ``upstream`` handed on, as by ``add`` and ``sum_all``, a
+    view of it, and a buffer split between parents are copied;
+    :func:`make_op`'s contract keeps a parameter's array, or any other
+    array an adjoint captured, out of the returns. It is a function of its
+    own so that, once it returns, no local still holds the last gradient
+    while the next adjoint runs.
     """
-    for node, g in zip(nodes, grads):
-        if node is not None:
+    for i, (node, g) in enumerate(zip(nodes, grads)):
+        if node is None:
+            continue
+        if (node.grad is None and _fits(node, g) and not np.may_share_memory(g, upstream)
+                and not any(np.may_share_memory(g, h) for j, h in enumerate(grads) if j != i)):
+            node.grad = g
+        else:
             node.accumulate_grad(g)
+
+
+def _fits(node: Node, g) -> bool:
+    """Whether g can be the node's gradient as it is: a writeable row-major
+    array of its shape and dtype spanning the whole buffer that g, or its
+    base, owns, as a reshaped product does."""
+    if not isinstance(g, np.ndarray):
+        return False
+    owner = g if g.base is None else g.base
+    return (isinstance(owner, np.ndarray) and owner.flags.owndata
+            and owner.nbytes == g.nbytes and g.flags.c_contiguous and g.flags.writeable
+            and g.shape == node.shape and g.dtype == node.dtype)
 
 
 class Tensor:
@@ -156,14 +186,21 @@ class Tensor:
         allows one backward. Afterwards only the leaves keep their gradients,
         plus this root its seed. A second backward through a consumed node
         raises :class:`GraphConsumedError` before any gradient is touched.
+
+        A root with an adjoint is consumed by this pass, so nothing adds into
+        its gradient: it takes a caller's seed as a read-only view, not a
+        copy, and its adjoint reads it. A leaf root copies it, as any node
+        copies a gradient it does not own.
         """
         if seed is None:
             seed = np.ones_like(self.data)
         else:
-            seed = np.asarray(seed, dtype=self.data.dtype)
+            seed = np.asarray(seed, dtype=self.data.dtype, order="C")
             if seed.shape != self.data.shape:
                 raise DimensionError(
                     f"seed shape {seed.shape} != output shape {self.data.shape}")
+            seed = seed.view()
+            seed.flags.writeable = False
 
         # Iterative topological order over the recorded tape.
         root = self.node
@@ -187,14 +224,17 @@ class Tensor:
                 if p is not None and id(p) not in visited:
                     stack.append((p, False))
 
-        _accumulate((root,), (seed,))
+        if root.backward is not None and root.grad is None:
+            root.grad = seed
+        else:
+            _accumulate((root,), (seed,))
         while order:
             # popped, so the list holds no reference once the node is done
             node = order.pop()
             if node.backward is None:
                 continue
             if node.grad is not None:
-                _accumulate(node.parents, node.backward(node.grad))
+                _accumulate(node.parents, node.backward(node.grad), node.grad)
             node.backward, node.parents = _consumed, ()
             if node is not root:
                 node.grad = None
@@ -221,8 +261,10 @@ def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
     ``backward(g)`` receives the upstream gradient and returns one gradient
     per input of ``parents``, in that order, each broadcastable to its
     input's shape; ``Tensor.backward`` accumulates them, skipping inputs that
-    need no gradient. The adjoint captures arrays only, never a
-    :class:`Tensor` or a node. It is dropped when no input requires
+    need no gradient. Each return is ``g``, a view of it, or an array the
+    adjoint made and keeps no reference to, never an array it captured, so
+    a node may adopt it as its gradient. The adjoint captures arrays only,
+    never a :class:`Tensor` or a node. It is dropped when no input requires
     gradients. In checked mode a non-finite result raises
     :class:`NumericError` naming the op, the function that defines the
     adjoint.
@@ -455,30 +497,74 @@ def linear(x: Tensor, p: LinearParams) -> Tensor:
     return make_op(out.reshape(x_shape[:-1] + b_shape), (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, p: NormParams) -> Tensor:
-    """Normalize each trailing-axis slice to zero mean / unit variance, then scale-shift."""
+def _normalized(x: Tensor, p: NormParams) -> tuple[np.ndarray, np.ndarray]:
+    """x's trailing-axis slices at zero mean and unit variance, x̂, and the
+    (..., 1) inverse deviations ``inv`` they were scaled by: all that the
+    normalization's adjoint reads besides gamma."""
     c = x.shape[-1] if x.data.ndim > 0 else 0
     if c == 0:
         raise DimensionError("layer_norm: empty feature axis")
     if p.gamma.shape != (c,) or p.beta.shape != (c,):
         raise DimensionError(
             f"layer_norm: gamma/beta shapes {p.gamma.shape}/{p.beta.shape} do not match C={c}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mean
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + x.data.dtype.type(LAYER_NORM_EPS))
-    xhat = centered * inv
+    xhat *= inv
+    return xhat, inv
+
+
+def _normalized_adjoint(g, gamma, xhat, inv):
+    """The gradients of x, gamma and beta from g, the gradient of
+    ``gamma * xhat + beta``, with xhat and inv as :func:`_normalized` made them."""
+    c = len(gamma)
+    gx = g * gamma
+    m1 = gx.mean(axis=-1, keepdims=True)
+    m2 = (gx * xhat).mean(axis=-1, keepdims=True)
+    return (inv * (gx - m1 - xhat * m2), (g * xhat).reshape(-1, c).sum(axis=0),
+            g.reshape(-1, c).sum(axis=0))
+
+
+def layer_norm(x: Tensor, p: NormParams) -> Tensor:
+    """Normalize each trailing-axis slice to zero mean / unit variance, then
+    scale-shift. The tape keeps x̂ and the (..., 1) inverse deviations."""
+    xhat, inv = _normalized(x, p)
     gamma = p.gamma.data
-    out = gamma * xhat + p.beta.data
 
     def backward(g):
-        gx = g * gamma
-        m1 = gx.mean(axis=-1, keepdims=True)
-        m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-        return (inv * (gx - m1 - xhat * m2), (g * xhat).reshape(-1, c).sum(axis=0),
-                g.reshape(-1, c).sum(axis=0))
+        return _normalized_adjoint(g, gamma, xhat, inv)
 
-    return make_op(out, (x, p.gamma, p.beta), backward)
+    return make_op(gamma * xhat + p.beta.data, (x, p.gamma, p.beta), backward)
+
+
+def layer_norm_linear(x: Tensor, norm: NormParams, lin: LinearParams) -> Tensor:
+    """``linear(layer_norm(x, norm), lin)`` as one op, with both ops' bits.
+
+    Apart, the tape would keep x̂ for the normalization and its output
+    y = gamma * x̂ + beta for the weight's gradient, two (..., C) arrays. This
+    op keeps x̂ and the (..., 1) inverse deviations only, and its adjoint
+    rebuilds y, one elementwise pass, as :func:`linear`'s adjoint would read it.
+    """
+    xhat, inv = _normalized(x, norm)
+    gamma, beta = norm.gamma.data, norm.beta.data
+    w, b = lin.weight, lin.bias
+    c = x.shape[-1]
+    if c != w.shape[-1]:
+        raise DimensionError(
+            f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
+    wd = w.data.reshape(-1, c)
+    out = (gamma * xhat + beta).reshape(-1, c) @ wd.T
+    out += b.data.reshape(-1)
+    x_shape, w_shape, b_shape = x.shape, w.shape, b.shape
+
+    def backward(g):
+        g = g.reshape(-1, wd.shape[0])
+        dw = (g.T @ (gamma * xhat + beta).reshape(-1, c)).reshape(w_shape)
+        return _normalized_adjoint((g @ wd).reshape(x_shape), gamma, xhat, inv) + (
+            dw, g.sum(axis=0).reshape(b_shape))
+
+    return make_op(out.reshape(x_shape[:-1] + b_shape),
+                   (x, norm.gamma, norm.beta, w, b), backward)
 
 
 def row_selection(cols: np.ndarray, n_rows: int, weights, dtype):
@@ -660,30 +746,30 @@ def bilinear_gather(x: np.ndarray, pos: np.ndarray) -> np.ndarray:
 
 
 def bilinear_vjp(xf: np.ndarray, pos: np.ndarray, t_n: int, v_n: int):
-    """The samples of :func:`bilinear_gather` at P positions and their pullback.
+    """The pullback of :func:`bilinear_gather`'s samples at P positions.
 
     xf is the (T*V, C) rows of a (T, V, C) map and ``pos`` a (P, 2) array of
-    finite (t, v) positions. Returns the (P, C) samples, with the gather's
-    bits, and ``pullback(ds)``, which maps their (P, C) cotangent to x's,
-    (T*V, C), one :func:`scatter_rows` through the corners, and to the
-    positions', (P, 2): the slopes in t and in v dotted with ds, zero where
-    the clamp is flat, at and past the grid's edges. One product of three
-    :func:`row_selection` planes gives the samples and both slopes.
+    finite (t, v) positions. Returns ``pullback(ds)``, which maps the
+    samples' (P, C) cotangent to x's, (T*V, C), one :func:`scatter_rows`
+    through the corners, and to the positions', (P, 2): the slopes in t and
+    in v dotted with ds, zero where the clamp is flat, at and past the
+    grid's edges. One product of two :func:`row_selection` planes, (2P, T*V)
+    by xf, gives both slopes.
     """
     cols, corners, (wt, wv) = bilinear_weights(pos[:, 0], pos[:, 1], t_n, v_n)
-    # each corner's weight, then its derivatives in t and in v, (3, 4, P)
-    weights = np.stack(corners + (wv - 1.0, -wv, 1.0 - wv, wv)
-                       + (wt - 1.0, 1.0 - wt, -wt, wt)).reshape(3, 4, -1)
-    w = row_selection(np.broadcast_to(cols, (3,) + cols.shape), len(xf),
-                      weights.transpose(0, 2, 1), xf.dtype)
-    blend = (w @ xf).reshape(3, len(pos), -1)
+    # each corner's derivatives in t and in v, (2, 4, P)
+    slopes = np.stack((wv - 1.0, -wv, 1.0 - wv, wv)
+                      + (wt - 1.0, 1.0 - wt, -wt, wt)).reshape(2, 4, -1)
+    w = row_selection(np.broadcast_to(cols, (2,) + cols.shape), len(xf),
+                      slopes.transpose(0, 2, 1), xf.dtype)
+    blend = (w @ xf).reshape(2, len(pos), -1)
     edge = np.array((t_n - 1, v_n - 1), pos.dtype)
 
     def pullback(ds):
-        dx = scatter_rows(ds, cols, len(xf), weights[0].T)
-        return dx, ((pos > 0.0) & (pos < edge)) * np.einsum("qpc,pc->pq", blend[1:], ds)
+        dx = scatter_rows(ds, cols, len(xf), np.stack(corners, axis=-1))
+        return dx, ((pos > 0.0) & (pos < edge)) * np.einsum("qpc,pc->pq", blend, ds)
 
-    return blend[0], pullback
+    return pullback
 
 
 # --- finite-difference validation -------------------------------------------

@@ -200,7 +200,7 @@ def bilinear_by_corners(x, t, v):
             + a * (1 - b) * x[t1, v0] + a * b * x[t1, v1])
 
 
-def _captured(obj):
+def captured_bases(obj):
     """The base buffers of the arrays ``obj`` holds: an array, a list or
     tuple of them, a sparse matrix (its data, indices and indptr) or a nested
     function, through its own closure."""
@@ -210,12 +210,12 @@ def _captured(obj):
         yield obj
     elif isinstance(obj, (list, tuple)):
         for item in obj:
-            yield from _captured(item)
+            yield from captured_bases(item)
     elif sparse.issparse(obj):
-        yield from _captured((obj.data, obj.indices, obj.indptr))
+        yield from captured_bases((obj.data, obj.indices, obj.indptr))
     elif isinstance(obj, types.FunctionType):
         for cell in obj.__closure__ or ():
-            yield from _captured(cell.cell_contents)
+            yield from captured_bases(cell.cell_contents)
 
 
 def tape_captures(root):
@@ -236,7 +236,7 @@ def tape_captures(root):
         stack.extend(p for p in node.parents if p is not None)
         if node.backward is not None:
             bases = []
-            for base in _captured(node.backward):
+            for base in captured_bases(node.backward):
                 if id(base) not in seen:
                     seen.add(id(base))
                     bases.append(base)

@@ -612,6 +612,21 @@ class TestSynthTrainInferEval:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "data", "m.ckpt",
                                                               "t.csv"]
 
+    @pytest.mark.parametrize("fps_in, fps_out", [(25.0, 25.0), (None, 50.0)])
+    def test_infer_writes_its_inputs_frame_rate(self, fps_in, fps_out, tmp_path,
+                                                tiny_config_path, capsys):
+        # a file without a frame rate reads as 50 frames per second
+        ckpt = tmp_path / "m.ckpt"
+        run(["init", "--config", tiny_config_path, "--seed", 0, "--out", ckpt], capsys)
+        inp, outp = tmp_path / "in.json", tmp_path / "out.json"
+        doc = {"version": 1, "num_joints": 4, "dims": 2, "frames": [[[0, 0]] * 4]}
+        if fps_in is not None:
+            doc["fps"] = fps_in
+        inp.write_text(json.dumps(doc))
+        assert run(["infer", "--model", ckpt, "--input", inp, "--output", outp],
+                   capsys)[0] == 0
+        assert json.loads(outp.read_text())["fps"] == fps_out
+
     def test_infer_deterministic(self, tmp_path, tiny_config_path, capsys):
         ckpt = tmp_path / "m.ckpt"
         run(["init", "--config", tiny_config_path, "--seed", 0, "--out", ckpt], capsys)

@@ -15,7 +15,7 @@ import pytest
 from sasmamba.errors import (ChecksumError, CorruptionError, FormatError,
                              NumericError, VersionError)
 from sasmamba.fileio import (FORMAT_VERSION, MAGIC, load_ckpt, read_keypoints,
-                             save_ckpt, write_keypoints)
+                             read_keypoints_and_fps, save_ckpt, write_keypoints)
 from sasmamba.model import ModelConfig, count_params, forward, init_model
 from sasmamba.training import OptimState, optim_step
 
@@ -157,6 +157,15 @@ class TestKeypointFiles:
         doc = json.loads(text)
         assert list(doc) == ["version", "fps", "num_joints", "dims", "frames"]
         assert (doc["version"], doc["fps"], doc["num_joints"], doc["dims"]) == (1, 50.0, 3, 2)
+
+    def test_frame_rate_round_trips(self, tmp_path):
+        path = tmp_path / "kp.json"
+        write_keypoints(path, np.zeros((2, 3, 2)), fps=25)
+        assert read_keypoints_and_fps(path)[1] == 25.0
+        assert json.loads(path.read_text())["fps"] == 25.0
+        for bad in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(FormatError, match="frame rate"):
+                write_keypoints(path, np.zeros((2, 3, 2)), fps=bad)
 
     def test_written_bytes_are_pinned(self, tmp_path):
         # -0.0 at a row's start and end, nine significant digits, and

@@ -9,7 +9,7 @@ import pytest
 import sasmamba.sas as sas
 import sasmamba.ssm as ssm
 import sasmamba.tensor as tz
-from conftest import (bilinear_by_corners, conv3x3_by_definition,
+from conftest import (bilinear_by_corners, captured_bases, conv3x3_by_definition,
                       identity_tap, stack_taps, traced_peak)
 from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
@@ -268,15 +268,6 @@ class TestBilinear:
         assert {0.0, 1.0, t_n - 1.0} <= set(pt[:, 1, 1]) | set(pt[:, 2, 2])
         assert {-1.0, 0.0, v_n - 1.0} <= set(pv[:, 1, 1]) | set(pv[:, 2, 2])
 
-    def test_vjp_samples_are_the_gathers(self):
-        rng = np.random.default_rng(14)
-        for dtype in (np.float32, np.float64):
-            x = rng.normal(size=(5, 4, 3)).astype(dtype)
-            pos = rng.uniform(-2.0, 7.0, size=(60, 2)).astype(dtype)
-            samples, _ = bilinear_vjp(x.reshape(-1, 3), pos, 5, 4)
-            assert samples.dtype == dtype
-            assert samples.tobytes() == bilinear_gather(x, pos).tobytes()
-
     def test_vjp_x_cotangent_is_the_corner_matrix_transposed(self):
         # row p of the dense (P, T*V) corner matrix samples the unit maps
         rng = np.random.default_rng(15)
@@ -287,7 +278,7 @@ class TestBilinear:
         ds = rng.normal(size=(40, c))
         unit = np.eye(t_n * v_n).reshape(t_n, v_n, -1)
         dense = np.stack([bilinear_by_corners(unit, t, v) for t, v in pos])
-        dx, _ = bilinear_vjp(x, pos, t_n, v_n)[1](ds)
+        dx, _ = bilinear_vjp(x, pos, t_n, v_n)(ds)
         assert dx.shape == x.shape
         np.testing.assert_allclose(dx, dense.T @ ds, rtol=1e-13, atol=1e-13)
 
@@ -300,7 +291,7 @@ class TestBilinear:
         cells = np.stack([rng.integers(0, t_n - 1, 50), rng.integers(0, v_n - 1, 50)], axis=-1)
         pos = cells + rng.uniform(0.1, 0.9, size=(50, 2))
         ds = rng.normal(size=(50, c))
-        _, d_pos = bilinear_vjp(x.reshape(-1, c), pos, t_n, v_n)[1](ds)
+        _, d_pos = bilinear_vjp(x.reshape(-1, c), pos, t_n, v_n)(ds)
         for axis in (0, 1):
             step = np.zeros(2)
             step[axis] = eps
@@ -317,7 +308,7 @@ class TestBilinear:
                  (2.5, -0.5), (2.5, 0.0), (2.5, 3.0), (2.5, 8.0)]
         pos = np.array(edges)
         ds = rng.normal(size=(len(pos), c))
-        _, d_pos = bilinear_vjp(x, pos, t_n, v_n)[1](ds)
+        _, d_pos = bilinear_vjp(x, pos, t_n, v_n)(ds)
         assert not d_pos[:4, 0].any() and not d_pos[4:, 1].any()
         # the other coordinate is interior, so its slope is not masked
         assert d_pos[:4, 1].all() and d_pos[4:, 0].all()
@@ -590,6 +581,110 @@ class TestGradientSuite:
             lambda a: isinstance(a, ast.Attribute) and a.attr == "grad_node") == set()
 
 
+def _rows_op(x, y, rows):
+    """x + 2y, whose adjoint makes one (2, ...) buffer and hands x row 0 and
+    y row 1 when ``rows`` is 2, and x row 0 alone when it is 1."""
+    def backward(g):
+        buf = np.stack([g, 2.0 * g])
+        return buf[0], (buf[1] if rows == 2 else 2.0 * g)
+
+    return tz.make_op(x.data + 2.0 * y.data, (x, y), backward)
+
+
+def _shared_op(x, y):
+    # one fresh array handed to both parents: x + y
+    def backward(g):
+        both = g.copy()
+        return both, both
+
+    return tz.make_op(x.data + y.data, (x, y), backward)
+
+
+# every way an adjoint hands on an array that another node or the caller
+# holds: the ops run on two intermediates, h and k, of the leaves p and q
+ADOPTION_CASES = {
+    "add(x, x)": lambda h, k: tz.add(h, h),
+    "add hands its gradient to one parent": lambda h, k: tz.scale(
+        tz.add(h, tz.sum_axis(k, 0)), 2.0),
+    "sum_all hands its seed on": lambda h, k: tz.sum_all(h),
+    "one tensor read by two ops": lambda h, k: tz.add(tz.mul(h, k), tz.scale(h, 3.0)),
+    "two slices of one buffer": lambda h, k: _rows_op(h, k, 2),
+    "one slice of a larger buffer": lambda h, k: _rows_op(h, k, 1),
+    "one array to two parents": _shared_op,
+    "a caller's seed handed on": lambda h, k: tz.sub(h, k),
+}
+
+
+class TestAdoption:
+    @staticmethod
+    def _copy_all(nodes, grads, upstream=None):
+        for node, g in zip(nodes, grads):
+            if node is not None:
+                node.accumulate_grad(g)
+
+    @staticmethod
+    def _graph(case):
+        rng = np.random.default_rng(3)
+        p, q = t64(rng.normal(size=(3, 4)), True), t64(rng.normal(size=(3, 4)), True)
+        out = ADOPTION_CASES[case](tz.mul(p, q), tz.scale(q, -0.5))
+        return out, (p, q), rng.normal(size=out.shape)
+
+    @pytest.mark.parametrize("case", sorted(ADOPTION_CASES))
+    def test_gradients_keep_their_bits_and_share_no_buffer(self, monkeypatch, case):
+        out, leaves, seed = self._graph(case)
+        monkeypatch.setattr(tz, "_accumulate", self._copy_all)
+        out.backward(seed)
+        reference = [leaf.grad for leaf in leaves]
+        monkeypatch.undo()
+
+        out, leaves, seed = self._graph(case)
+        kept = [seed.copy()] + [leaf.data.copy() for leaf in leaves]
+        nodes, stack = [], [out._node]
+        while stack:
+            node = stack.pop()
+            if all(node is not n for n in nodes):
+                nodes.append(node)
+                stack.extend(n for n in node.parents if n is not None)
+        accumulate = tz._accumulate
+
+        def checked(*args):
+            # no node holds another's gradient, the caller's seed (but the
+            # root), a leaf's data or part of a larger buffer
+            accumulate(*args)
+            held = [n.grad for n in nodes if n.grad is not None]
+            for i, g in enumerate(held):
+                assert not any(np.shares_memory(g, h) for h in held[i + 1:])
+                assert not any(np.shares_memory(g, a) for a in [seed] * (i > 0) + [
+                    leaf.data for leaf in leaves])
+                assert (g if g.base is None else g.base).nbytes == g.nbytes
+
+        monkeypatch.setattr(tz, "_accumulate", checked)
+        out.backward(seed)
+        for leaf, ref in zip(leaves, reference):
+            assert leaf.grad.tobytes() == ref.tobytes()
+        for before, now in zip(kept, [seed] + [leaf.data for leaf in leaves]):
+            assert now.tobytes() == before.tobytes()
+        # the root reads the caller's seed, and cannot write it
+        assert np.shares_memory(out.grad, seed) and not out.grad.flags.writeable
+
+    def test_a_made_gradient_is_adopted(self):
+        # a node takes the array its consumer's adjoint made for it alone:
+        # an intermediate's adjoint reads it, and a leaf keeps it
+        made, read = [], []
+
+        def double(x):
+            def backward(g):
+                read.append(g)
+                made.append(2.0 * g)
+                return (made[-1],)
+
+            return tz.make_op(2.0 * x.data, (x,), backward)
+
+        x = t64(np.arange(4.0), grad=True)
+        double(double(x)).backward(np.ones(4))
+        assert read[1] is made[0] and x.grad is made[1]
+
+
 class TestAdjointContract:
     """``make_op``'s contract on every op of ``OPS``, at its own float64 draws."""
 
@@ -610,6 +705,16 @@ class TestAdjointContract:
         for g, x in zip(grads, xs):
             assert isinstance(g, np.ndarray)
             assert np.broadcast_shapes(g.shape, x.shape) == x.shape
+
+    @pytest.mark.parametrize("name", sorted(OPS))
+    def test_returns_no_array_it_captured(self, name):
+        # so a node that adopts a return never holds, nor adds into, a
+        # parameter's array or one the tape keeps
+        xs = self._inputs(name)
+        out = OPS[name][0](*xs)
+        kept = list(captured_bases(out._node.backward)) + [x.data for x in xs]
+        for g in out._node.backward(np.random.default_rng(1).normal(size=out.shape)):
+            assert not any(np.shares_memory(g, a) for a in kept)
 
     @pytest.mark.parametrize("name", sorted(OPS))
     def test_a_constant_input_changes_no_other_gradient(self, name):
