@@ -16,7 +16,7 @@ from .sas import NeighborMixParams, stride_scan
 from .ssm import SCAN_CHUNK, SelectiveSsmParams, selective_scan
 from .tensor import (Conv3x3Params, LinearParams, NormParams, add, depthwise_conv3x3,
                      finite_diff_check_leaves, gelu, grid_conv3x3, layer_norm,
-                     layer_norm_linear, linear, mul, scale, silu, slice0, sqrt, sub,
+                     layer_norm_mlp, linear, mul, scale, silu, slice0, sqrt, sub,
                      sum_all, sum_axis, tensor)
 from .training import mpjve, tc_loss, total_loss, wmpjpe
 
@@ -86,11 +86,12 @@ OPS = {
         lambda rng: [_t(rng, (4, 5, 3)), _t(rng, (2, 3, 3, 3), 0.4), _t(rng, (2,))]),
     "layer_norm": (lambda x, g, b: layer_norm(x, NormParams(g, b)),
                    lambda rng: [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,))]),
-    # the norm2 -> mlp1 op of every block
-    "layer_norm_linear": (
-        lambda x, g, bt, w, b: layer_norm_linear(x, NormParams(g, bt), LinearParams(w, b)),
-        lambda rng: [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,)), _t(rng, (2, 5)),
-                     _t(rng, (2,))]),
+    # the norm2 -> mlp2 op of every block
+    "layer_norm_mlp": (
+        lambda x, g, bt, w1, b1, w2, b2: layer_norm_mlp(
+            x, NormParams(g, bt), LinearParams(w1, b1), LinearParams(w2, b2)),
+        lambda rng: [_t(rng, (3, 5)), _t(rng, (5,)), _t(rng, (5,)), _t(rng, (6, 5)),
+                     _t(rng, (6,)), _t(rng, (4, 6)), _t(rng, (4,))]),
     "linear": (lambda x, w, b: linear(x, LinearParams(w, b)),
                lambda rng: [_t(rng, (3, 4)), _t(rng, (2, 4)), _t(rng, (2,))]),
     "mul": (mul, _two),

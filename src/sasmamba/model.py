@@ -23,7 +23,7 @@ from .sas import (STREAM_ORDER, NeighborMixParams, SaConvParams,
                   SasLayerParams, sas_ssm_layer, stride_groups, tap_rank)
 from .ssm import SelectiveSsmParams, softplus_inverse
 from .tensor import (Conv3x3Params, LinearParams, NormParams, Tensor, add,
-                     gelu, layer_norm, layer_norm_linear, linear, slice0)
+                     layer_norm, layer_norm_mlp, linear, slice0)
 
 
 @dataclass
@@ -311,11 +311,10 @@ def astype_model(model: Model, dtype) -> Model:
 
 
 def block_forward(x: Tensor, bp: BlockParams) -> Tensor:
-    # norm1's output is kept, as three SA-Conv ops read it; norm2's feeds
-    # mlp1 alone, so one op rebuilds it in its adjoint
+    # norm1's output is kept, as three SA-Conv ops read it; norm2 -> mlp2
+    # is one op that keeps GELU's CDF and rebuilds the rest in its adjoint
     h = add(x, sas_ssm_layer(layer_norm(x, bp.norm1), bp.sas))
-    m = linear(gelu(layer_norm_linear(h, bp.norm2, bp.mlp1)), bp.mlp2)
-    return add(h, m)
+    return add(h, layer_norm_mlp(h, bp.norm2, bp.mlp1, bp.mlp2))
 
 
 def forward(model: Model, x) -> Tensor:

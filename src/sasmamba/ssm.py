@@ -14,18 +14,20 @@ laid out (..., S, N, D) with the channel axis D innermost, so the
 elementwise work broadcasting over the state axis N runs on contiguous
 rows. Steps are taken in chunks of ``SCAN_CHUNK``, and one builder forms a
 chunk's inputs for both passes: its input rows, step sizes and input and
-output vectors, from the input projections, which each pass makes with one
-product and one gather. Each pass writes its per-chunk temporaries into one
-reused workspace; the forward writes each chunk's output to its rows, so it
-builds no (L, S, D) array besides its output. The tape keeps x, the
-parameters and one state per chunk, the state entering it; the adjoint
+output vectors, gathered from the input projections at the rows, which each
+pass makes with one product. Each pass writes its per-chunk temporaries
+into one reused workspace; the forward writes each chunk's output to its
+rows, so it builds no (L, S, D) array besides its output. The tape keeps x,
+the parameters and one state per chunk, the state entering it; the adjoint
 makes the projections again, builds each chunk's inputs again and
 recomputes the chunk's states, ``a_bar`` and ``factor`` from that state, as
 Mamba's recomputation does (Gu & Dao, arXiv 2312.00752, section 3.3.2):
 gradient checkpointing at chunk granularity (Chen et al., arXiv
-1604.06174). It writes its gradients into x and into the projections at
-their rows, so what follows the chunks is row work: the projections'
-adjoint is two flat products, as ``tensor.linear``'s is.
+1604.06174). Each chunk writes x's gradient terms over the entries of its
+upstream gradient that it has read, and the projections' gradients over
+the projections' entries, so the adjoint holds one sequence array of each
+kind, and what follows the chunks is row work: the projections' adjoint is
+two flat products, as ``tensor.linear``'s is.
 """
 
 from __future__ import annotations
@@ -40,10 +42,13 @@ from .tensor import Params, Tensor, make_op
 # steps per chunk of the scan: long enough that per-chunk work runs as a few
 # large array ops, short enough that a chunk of (S, N, D) states stays small.
 # The chunk also sizes the adjoint's four-slot (SCAN_CHUNK, S, N, D)
-# workspace, which with x's (L, S, D) gradient terms and the (L, S, 2N+r)
-# projections and their gradients makes the adjoint's transient, bounded
+# workspace, which with the (R, S, D) upstream gradient, that takes x's
+# gradient terms, and the (R, S, 2N+r) projections, that take their own
+# gradients, makes the adjoint's transient, the backward's peak, bounded
 # against the tape by the tape-ratio test of tests/test_model.py: the smaller
-# the tape, the smaller the chunk that test allows
+# the tape, the smaller the chunk that test allows. A shorter chunk is no
+# way out: the tape keeps one start per chunk, and at 16 the gradients of
+# a_log, dt_up and dt_bias, summed over chunks, change bits
 SCAN_CHUNK = 32
 
 
@@ -112,7 +117,12 @@ def _zoh(delta: np.ndarray, a: np.ndarray, a_bar=None, factor=None):
     ``|delta * a|`` is, in float32 as in float64. When ``a_bar`` and
     ``factor`` are given, the results are written into them.
     """
-    da = np.multiply(delta[..., None, :], a, out=a_bar)
+    if a_bar is None:
+        a_bar = np.empty(delta.shape[:-1] + a.shape[-2:], np.result_type(delta, a))
+    # a copied in, then scaled: a product of two broadcast operands would
+    # take an iterator buffer for each
+    a_bar[...] = a
+    da = np.multiply(a_bar, delta[..., None, :], out=a_bar)
     factor = np.expm1(da, out=factor)
     factor /= a
     return np.exp(da, out=da), factor
@@ -131,14 +141,12 @@ def _step_sizes(m1, dt_up, dt_bias):
     return softplus(z)
 
 
-def _projections(xf, w, order):
-    """Every stream's (L, S, 2N+r) input projections in its own order: the
-    (R, D) rows by every stream's stacked (S, 2N+r, D) weights in one
-    product, then gathered at ``[order, streams]``. Both passes call it, so
-    the adjoint rebuilds the forward's bits rather than the tape keeping them."""
-    s_n = len(w)
-    proj = (xf @ w.reshape(-1, xf.shape[1]).T).reshape(-1, s_n, w.shape[1])
-    return proj[order, np.arange(s_n)]
+def _projections(xf, w):
+    """Every stream's (R, S, 2N+r) input projections at the rows: the (R, D)
+    rows by every stream's stacked (S, 2N+r, D) weights in one product. Both
+    passes call it, and each chunk gathers its own steps from it, so the
+    adjoint rebuilds the forward's bits rather than the tape keeping them."""
+    return (xf @ w.reshape(-1, xf.shape[1]).T).reshape(-1, len(w), w.shape[1])
 
 
 def _advance(delta, a, b, u, start, w):
@@ -176,25 +184,29 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     state; emit ``y_t = C_t h_t + skip * u_t``.
 
     All streams run as one computation: the stacked weights make the
-    projections of every row one product, gathered into the streams' orders,
-    and one recurrence advances an (S, N, D) state, channels innermost. Steps
-    are processed in chunks of ``SCAN_CHUNK``, and one builder forms a
-    chunk's inputs for both passes: its gathered input rows, its step sizes
-    and its input and output vectors, from the projections. The forward
-    discretizes each chunk, advances the recurrence, reads out and writes
-    its outputs to their rows, so the output is the forward's only (L, S, D)
-    array and no (L, S, N, D) array exists, with gradients or without. The
-    tape keeps x, the parameters and ``starts``, the (S, N, D) state
-    entering each chunk, but not the (L, S, 2N+r) projections: the adjoint
-    makes them again through :func:`_projections`, one product and one
-    gather, then walks the chunks in reverse, builds each chunk's inputs
-    again, recomputes its states from its start to the forward's bits and
-    writes x's per-stream gradient terms and the projections' gradients
-    straight to their rows. What follows is row work: the skip terms, and
-    the projections' adjoint as two flat products of the rows, as
-    :func:`~sasmamba.tensor.linear`'s. The per-chunk (k, S, N, D)
-    temporaries of either pass are written into a workspace allocated once
-    per pass. The adjoint is exact.
+    projections of every row one product, and one recurrence advances an
+    (S, N, D) state, channels innermost. Steps are processed in chunks of
+    ``SCAN_CHUNK``, and one builder forms a chunk's inputs for both passes:
+    its projections and input rows, gathered into the streams' orders, its
+    step sizes and its input and output vectors. The forward discretizes
+    each chunk, advances the recurrence, reads out and writes its outputs to
+    their rows, so the output is the forward's only (L, S, D) array and no
+    (L, S, N, D) array exists, with gradients or without. The tape keeps x,
+    the parameters and ``starts``, the (S, N, D) state entering each chunk,
+    but not the (R, S, 2N+r) projections: the adjoint makes them again
+    through :func:`_projections`, one product, then walks the chunks in
+    reverse, builds each chunk's inputs again and recomputes its states from
+    its start to the forward's bits. Each chunk reads its (row, stream)
+    entries of the upstream gradient once and writes x's per-stream terms
+    over them, the skip term and the recurrence's, and writes the
+    projections' gradients over the projections' entries it has read, so
+    the adjoint holds one (R, S, D) and one (R, S, 2N+r) array; the
+    upstream gradient is copied first when it is read-only, as a root's
+    seed is. What follows is row work: the projections' adjoint as two flat
+    products of the rows, as :func:`~sasmamba.tensor.linear`'s. The
+    per-chunk (k, S, N, D) temporaries of either pass are written into a
+    workspace allocated once per pass, and the workspace is freed before
+    that row work. The adjoint is exact.
     """
     s_n, d, n = p.a_log.shape
     if x.shape[-1] != d or np.shape(order) != (x.size // d, s_n):
@@ -207,16 +219,17 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     a = -np.exp(np.ascontiguousarray(p.a_log.data.swapaxes(1, 2)))     # (S, N, D)
     w = np.concatenate([p.b_weight.data, p.c_weight.data, p.dt_down.data],
                        axis=1)                                          # (S, 2N+r, D)
-    proj = _projections(xf, w, order)                                   # (L, S, 2N+r)
+    proj = _projections(xf, w)                                          # (R, S, 2N+r)
     b_bias, c_bias = p.b_bias.data, p.c_bias.data                       # (S, N)
     dt_up, dt_bias = p.dt_up.data, p.dt_bias.data                       # (S, D, r), (S, D)
     skip = p.skip.data                                                  # (S, D)
 
     def chunk_inputs(proj, sl):
-        """The chunk's (k, S, D) input rows and step sizes and its (k, S, N)
-        input and output vectors, from the :func:`_projections` ``proj``."""
-        pc = proj[sl]
-        return (xf[order[sl]], _step_sizes(pc[..., 2 * n:], dt_up, dt_bias),
+        """The chunk's (k, S, 2N+r) projections, gathered from the
+        :func:`_projections` ``proj`` at its steps' rows, its (k, S, D)
+        input rows and step sizes and its (k, S, N) input and output vectors."""
+        pc = proj[order[sl], streams]
+        return (pc, xf[order[sl]], _step_sizes(pc[..., 2 * n:], dt_up, dt_bias),
                 pc[..., :n] + b_bias, pc[..., n:2 * n] + c_bias)
 
     chunks = _chunks(len(order))
@@ -229,7 +242,7 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
     out = np.empty(x_shape[:-1] + (s_n, d), dtype=dt)
     rows = out.reshape(-1, s_n, d)
     for ci, sl in enumerate(chunks):
-        u, delta, b, c = chunk_inputs(proj, sl)
+        u, delta, b, c = chunk_inputs(proj, sl)[1:]
         hc = _advance(delta, a, b, u, starts[ci], ws)[2]
         if ci + 1 < len(chunks):
             starts[ci + 1] = hc[-1]
@@ -237,72 +250,96 @@ def selective_scan(x: Tensor, p: SelectiveSsmParams, order: np.ndarray) -> Tenso
         y += skip * u
         rows[order[sl], streams] = y
 
+    def chunk_adjoint(ci, g, proj, carry, wb, d_a_log, d_dt_up, d_dt_bias):
+        """Chunk ci's part of the adjoint, from ``carry``, the gradient
+        entering its last state from the chunks after it; returns the one
+        entering its start state. It reads its (row, stream) entries of g
+        and writes x's terms there, the skip term and the recurrence's, and
+        writes the projections' gradients over its entries of ``proj``; it
+        adds into the parameter gradients it is handed. Its temporaries are
+        freed when it returns, so none outlives the chunk."""
+        sl = chunks[ci]
+        k = sl.stop - sl.start
+        pc, u, delta, b, c = chunk_inputs(proj, sl)
+        gc = g[order[sl], streams]
+        a_bar, factor, hc = _advance(delta, a, b, u, starts[ci], wb)
+        # the chunk's gradients into b, c and m1, side by side as proj's
+        dpc = np.empty_like(pc)
+        np.einsum("lsd,lsnd->lsn", gc, hc, out=dpc[..., n:2 * n])
+        # gradient into each state h_t, gc c, formed in its slot by a copy and
+        # a product, so that only c is broadcast through an iterator buffer;
+        # only this recurrence is sequential
+        dh = wb[3, :k]
+        dh[...] = gc[:, :, None, :]
+        dh *= c[..., None]
+        for cur, step in zip(dh[::-1], a_bar[::-1]):
+            cur += carry
+            carry = cur * step
+        # b_bar * u = factor * b * u: gradients into u and b through
+        # q = dh factor, formed in factor's place, which nothing reads after
+        q = np.multiply(dh, factor, out=factor)
+        # x's terms, the skip term and the recurrence's, over gc, then g
+        gc *= skip
+        gc += np.einsum("lsnd,lsn->lsd", q, b)
+        g[order[sl], streams] = gc
+        # read no more: dropped before the einsums below, whose iterator
+        # buffers are the chunk's largest transients
+        del gc, c
+        np.einsum("lsnd,lsd->lsn", q, u, out=dpc[..., :n])
+        # a_bar = exp(delta a) and factor = expm1(delta a) / a with
+        # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
+        # delta a_bar - factor, so with d_factor = dh u b and
+        # q = a_bar (a dh h_prev + d_factor), d delta = sum_n q and
+        # d a_log = sum_l delta q - sum_l d_factor factor; the second sum is
+        # taken first, from dh factor u b, so that q's slot is free for the
+        # first and the pass needs four slots
+        d_a_log -= np.einsum("lsnd,lsd,lsn->snd", q, u, b)
+        # q = dh h_prev, h_prev being the start state and then every state of
+        # the chunk but the last; d_factor then takes the place of dh
+        np.multiply(dh[0], starts[ci], out=q[0])
+        np.multiply(dh[1:], hc[:-1], out=q[1:])
+        d_factor = np.multiply(dh, u[:, :, None, :], out=dh)
+        d_factor *= b[..., None]
+        q *= a
+        q += d_factor
+        q *= a_bar
+        dz = np.einsum("lsnd->lsd", q)
+        q *= delta[:, :, None, :]
+        d_a_log += q.sum(axis=0)
+        # the softplus argument's gradient: softplus' = sigmoid, which is
+        # 1 - exp(-softplus)
+        dz *= -np.expm1(-delta)
+        dpc[..., 2 * n:] = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)
+        d_dt_up += np.matmul(dz.transpose(1, 2, 0), pc[..., 2 * n:].swapaxes(0, 1))
+        d_dt_bias += dz.sum(axis=0)
+        proj[order[sl], streams] = dpc
+        return carry
+
     def backward(g):
-        proj = _projections(xf, w, order)
+        proj = _projections(xf, w)
+        # x's per-stream gradient terms take g's place, stream s at [:, s]:
+        # each column of order is a permutation, so every (row, stream)
+        # entry is read and written by one chunk
         g = g.reshape(-1, s_n, d)
-        # x's gradient terms at their rows, stream s at [:, s]: the skip
-        # terms, then each chunk's terms through the recurrence. Each column
-        # of order is a permutation, so every (row, stream) is written once
-        dx = g * skip
-        dproj = np.empty((len(g), s_n, w.shape[1]), dtype=dt)          # (R, S, 2N+r)
+        if not g.flags.writeable:
+            g = g.copy()
+        d_skip = np.einsum("rsd,rd->sd", g, xf)
         d_a_log = np.zeros((s_n, n, d), dtype=dt)
         d_dt_up, d_dt_bias = np.zeros_like(dt_up), np.zeros_like(dt_bias)
         carry = np.zeros((s_n, n, d), dtype=dt)
         wb = np.empty((4, chunks[0].stop, s_n, n, d), dtype=dt)
         for ci in reversed(range(len(chunks))):
-            sl = chunks[ci]
-            k = sl.stop - sl.start
-            u, delta, b, c = chunk_inputs(proj, sl)
-            gc = g[order[sl], streams]
-            a_bar, factor, hc = _advance(delta, a, b, u, starts[ci], wb)
-            # the chunk's gradients into b, c and m1, side by side as proj's
-            dpc = np.empty((k, s_n, w.shape[1]), dtype=dt)
-            np.einsum("lsd,lsnd->lsn", gc, hc, out=dpc[..., n:2 * n])
-            # gradient into each state h_t; only this recurrence is sequential
-            dh = np.multiply(gc[:, :, None, :], c[..., None], out=wb[3, :k])
-            for cur, step in zip(dh[::-1], a_bar[::-1]):
-                cur += carry
-                carry = cur * step
-            # b_bar * u = factor * b * u: gradients into u and b through
-            # q = dh factor, formed in factor's place, which nothing reads after
-            q = np.multiply(dh, factor, out=factor)
-            dx[order[sl], streams] += np.einsum("lsnd,lsn->lsd", q, b)
-            np.einsum("lsnd,lsd->lsn", q, u, out=dpc[..., :n])
-            # a_bar = exp(delta a) and factor = expm1(delta a) / a with
-            # a = -exp(a_log): d factor/d delta = a_bar and d factor/d a_log =
-            # delta a_bar - factor, so with d_factor = dh u b and
-            # q = a_bar (a dh h_prev + d_factor), d delta = sum_n q and
-            # d a_log = sum_l delta q - sum_l d_factor factor; the second sum is
-            # taken first, from dh factor u b, so that q's slot is free for the
-            # first and the pass needs four slots
-            d_a_log -= np.einsum("lsnd,lsd,lsn->snd", q, u, b)
-            # q = dh h_prev, h_prev being the start state and then every state of
-            # the chunk but the last; d_factor then takes the place of dh
-            np.multiply(dh[0], starts[ci], out=q[0])
-            np.multiply(dh[1:], hc[:-1], out=q[1:])
-            d_factor = np.multiply(dh, u[:, :, None, :], out=dh)
-            d_factor *= b[..., None]
-            q *= a
-            q += d_factor
-            q *= a_bar
-            dz = np.einsum("lsnd->lsd", q)
-            q *= delta[:, :, None, :]
-            d_a_log += q.sum(axis=0)
-            # the softplus argument's gradient: softplus' = sigmoid, which is
-            # 1 - exp(-softplus)
-            dz *= -np.expm1(-delta)
-            dpc[..., 2 * n:] = np.matmul(dz.swapaxes(0, 1), dt_up).swapaxes(0, 1)
-            d_dt_up += np.matmul(dz.transpose(1, 2, 0), proj[sl, :, 2 * n:].swapaxes(0, 1))
-            d_dt_bias += dz.sum(axis=0)
-            dproj[order[sl], streams] = dpc
+            carry = chunk_adjoint(ci, g, proj, carry, wb, d_a_log, d_dt_up, d_dt_bias)
+        del wb
         # the projections' adjoint as linear's: two flat products of the rows
-        flat = dproj.reshape(len(g), -1)                                # (R, S(2N+r))
+        flat = proj.reshape(len(g), -1)                                 # (R, S(2N+r))
         dw = (flat.T @ xf).reshape(w.shape)
-        dx = dx.sum(axis=1)
+        dx = g.sum(axis=1)
+        del g
         dx += flat @ w.reshape(-1, d)
         return (dx.reshape(x_shape), d_a_log.swapaxes(1, 2), dw[:, :n],
-                dproj[..., :n].sum(axis=0), dw[:, n:2 * n], dproj[..., n:2 * n].sum(axis=0),
-                dw[:, 2 * n:], d_dt_up, d_dt_bias, np.einsum("rsd,rd->sd", g, xf))
+                proj[..., :n].sum(axis=0), dw[:, n:2 * n], proj[..., n:2 * n].sum(axis=0),
+                dw[:, 2 * n:], d_dt_up, d_dt_bias, d_skip)
 
     return make_op(out, (x,) + p.tensors(), backward)
 

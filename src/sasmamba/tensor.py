@@ -10,12 +10,15 @@ adjoints in reverse topological order, hands each gradient to its input's
 node in one place, where a node adopts a first gradient its adjoint made for
 it alone and copies any other, and consumes the graph as it goes: one
 forward allows one backward, and afterwards only the leaves (and the root)
-hold gradients. What the tape keeps is what an adjoint cannot cheaply
-rebuild: :func:`layer_norm_linear`, for one, keeps the normalized input and
-remakes the normalization's output. There
-is no graph optimization; the contract is that every op in ``checks.OPS``
-survives :func:`finite_diff_check_leaves` against central differences in
-64-bit mode.
+hold gradients. An adjoint may write over the gradient it is handed, when
+that is writeable, since nothing reads it afterwards; a root's is not. What
+the tape keeps is what an adjoint cannot cheaply rebuild:
+:func:`layer_norm_mlp`, for one, keeps the normalized input and GELU's CDF
+and remakes the rest of each block's MLP, whose adjoint takes the CDF off
+the tape and writes the hidden gradient over it. There is no graph
+optimization; the contract is that every op in ``checks.OPS`` survives
+:func:`finite_diff_check_leaves` against central differences in 64-bit
+mode.
 
 Precision: 32-bit floats are the working dtype, 64-bit is used for gradient
 validation. Checked mode (see :func:`checked_mode`) checks each op's output
@@ -189,18 +192,21 @@ class Tensor:
 
         A root with an adjoint is consumed by this pass, so nothing adds into
         its gradient: it takes a caller's seed as a read-only view, not a
-        copy, and its adjoint reads it. A leaf root copies it, as any node
-        copies a gradient it does not own.
+        copy, and its adjoint reads it. The default seed is read-only too, and
+        so is a gradient the caller set on such a root, once the seed is
+        added into it, so an adjoint that writes over a writeable gradient
+        (see :func:`make_op`) copies a root's first and the root keeps its
+        gradient. A leaf root copies the seed, as any node copies a gradient
+        it does not own.
         """
         if seed is None:
-            seed = np.ones_like(self.data)
+            seed = _read_only(np.ones_like(self.data))
         else:
             seed = np.asarray(seed, dtype=self.data.dtype, order="C")
             if seed.shape != self.data.shape:
                 raise DimensionError(
                     f"seed shape {seed.shape} != output shape {self.data.shape}")
-            seed = seed.view()
-            seed.flags.writeable = False
+            seed = _read_only(seed)
 
         # Iterative topological order over the recorded tape.
         root = self.node
@@ -223,11 +229,14 @@ class Tensor:
             for p in node.parents:
                 if p is not None and id(p) not in visited:
                     stack.append((p, False))
+        del visited, stack
 
         if root.backward is not None and root.grad is None:
             root.grad = seed
         else:
             _accumulate((root,), (seed,))
+            if root.backward is not None:
+                root.grad = _read_only(root.grad)
         while order:
             # popped, so the list holds no reference once the node is done
             node = order.pop()
@@ -241,6 +250,12 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name}, grad={self.grad is not None})"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    view = a.view()
+    view.flags.writeable = False
+    return view
 
 
 def _consumed(g: np.ndarray) -> None:
@@ -263,9 +278,12 @@ def make_op(out_data: np.ndarray, parents: tuple[Tensor, ...], backward) -> Tens
     input's shape; ``Tensor.backward`` accumulates them, skipping inputs that
     need no gradient. Each return is ``g``, a view of it, or an array the
     adjoint made and keeps no reference to, never an array it captured, so
-    a node may adopt it as its gradient. The adjoint captures arrays only,
-    never a :class:`Tensor` or a node. It is dropped when no input requires
-    gradients. In checked mode a non-finite result raises
+    a node may adopt it as its gradient. The adjoint may write over ``g``
+    when ``g`` is writeable: backward drops it once the adjoint has run, and
+    a root's seed, which the root keeps, is read-only. It must not return
+    ``g``, or a view of it, after writing over it. The adjoint captures
+    arrays only, never a :class:`Tensor` or a node. It is dropped when no
+    input requires gradients. In checked mode a non-finite result raises
     :class:`NumericError` naming the op, the function that defines the
     adjoint.
     """
@@ -388,28 +406,43 @@ def scale(a: Tensor, c: float) -> Tensor:
     return make_op(a.data * c, (a,), backward)
 
 
-def gelu(x: Tensor) -> Tensor:
-    """Gaussian-error linear unit, exact erf form.
-
-    The tape keeps one array, the slope ``cdf + x * pdf``, formed in the
-    forward only when x needs a gradient; neither x nor the CDF is kept. The
-    CDF is formed in one buffer, which then takes the output, and the slope
-    in another, each step written in place.
-    """
+def _gelu_cdf(a: np.ndarray, out=None) -> np.ndarray:
+    """Φ(a), the standard normal CDF, each step written in place into one
+    buffer: ``out`` when given. :func:`gelu` and :func:`layer_norm_mlp` both
+    form it here, so they share its bits."""
     from scipy.special import erf  # at first use, as in row_selection
-    d = x.data
-    cdf = np.divide(d, math.sqrt(2.0))
+    cdf = np.divide(a, math.sqrt(2.0), out=out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
+    return cdf
+
+
+def _gelu_slope(a: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """GELU's slope ``Φ(a) + a φ(a)`` from a and ``cdf`` = Φ(a), with the
+    density φ(a) = exp(-a^2 / 2) / sqrt(2 pi), in one new buffer."""
+    slope = np.multiply(a, -0.5)
+    slope *= a
+    np.exp(slope, out=slope)
+    slope /= math.sqrt(2.0 * math.pi)
+    slope *= a
+    slope += cdf
+    return slope
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Gaussian-error linear unit, exact erf form: ``x Φ(x)``.
+
+    The tape keeps one array, the slope, formed in the forward only when x
+    needs a gradient; neither x nor the CDF is kept. The CDF is formed in
+    one buffer, which then takes the output, and the slope in another. Each
+    block's MLP runs GELU inside :func:`layer_norm_mlp`, which keeps the
+    CDF instead and rebuilds the rest.
+    """
+    d = x.data
+    cdf = _gelu_cdf(d)
     if x.requires_grad:
-        # x * pdf with pdf = exp(-x^2 / 2) / sqrt(2 pi), then the CDF added
-        slope = np.multiply(d, -0.5)
-        slope *= d
-        np.exp(slope, out=slope)
-        slope /= math.sqrt(2.0 * math.pi)
-        slope *= d
-        slope += cdf
+        slope = _gelu_slope(d, cdf)
     out = np.multiply(cdf, d, out=cdf)
 
     def backward(g):
@@ -537,34 +570,91 @@ def layer_norm(x: Tensor, p: NormParams) -> Tensor:
     return make_op(gamma * xhat + p.beta.data, (x, p.gamma, p.beta), backward)
 
 
-def layer_norm_linear(x: Tensor, norm: NormParams, lin: LinearParams) -> Tensor:
-    """``linear(layer_norm(x, norm), lin)`` as one op, with both ops' bits.
+def layer_norm_mlp(x: Tensor, norm: NormParams, lin1: LinearParams,
+                   lin2: LinearParams) -> Tensor:
+    """``linear(gelu(linear(layer_norm(x, norm), lin1)), lin2)`` as one op,
+    with the four ops' bits: each block's norm2 -> mlp1 -> GELU -> mlp2.
 
-    Apart, the tape would keep x̂ for the normalization and its output
-    y = gamma * x̂ + beta for the weight's gradient, two (..., C) arrays. This
-    op keeps x̂ and the (..., 1) inverse deviations only, and its adjoint
-    rebuilds y, one elementwise pass, as :func:`linear`'s adjoint would read it.
+    Apart, the tape would keep x̂, norm2's output, GELU's slope and its
+    output, the last two (..., H) arrays at H = 4C. This op keeps x̂, the
+    (..., 1) inverse deviations and Φ(a), the CDF of the hidden
+    pre-activation a, the one value that costs an ``erf`` to remake. Both
+    passes work in :func:`row_blocks` of :data:`MLP_ROW_BLOCK` rows, or more
+    where C is too narrow for a block's products to take the whole map's
+    BLAS kernel, so a, GELU's output and its slope are never whole. The
+    forward writes Φ(a) into the kept array, or into a block's temporary
+    without gradients. The adjoint takes Φ(a) from the one-item list that
+    holds it, so once it returns the tape no longer does. Per block it
+    rebuilds a from x̂, forms the slope from Φ(a) and writes GELU's output
+    Φ(a) a into one new (rows, H) buffer, which mlp2's weight gradient
+    reads; it writes a's gradient over Φ(a)'s buffer and drops that before
+    the normalization's adjoint runs.
     """
     xhat, inv = _normalized(x, norm)
     gamma, beta = norm.gamma.data, norm.beta.data
-    w, b = lin.weight, lin.bias
+    w1, b1, w2, b2 = lin1.weight, lin1.bias, lin2.weight, lin2.bias
     c = x.shape[-1]
-    if c != w.shape[-1]:
+    if c != w1.shape[-1]:
         raise DimensionError(
-            f"linear: input shape {x.shape} incompatible with weight shape {w.shape}")
-    wd = w.data.reshape(-1, c)
-    out = (gamma * xhat + beta).reshape(-1, c) @ wd.T
-    out += b.data.reshape(-1)
-    x_shape, w_shape, b_shape = x.shape, w.shape, b.shape
+            f"linear: input shape {x.shape} incompatible with weight shape {w1.shape}")
+    w1d = w1.data.reshape(-1, c)
+    hid = len(w1d)
+    if hid != w2.shape[-1]:
+        raise DimensionError(
+            f"linear: hidden width {hid} incompatible with weight shape {w2.shape}")
+    w2d = w2.data.reshape(-1, hid)
+    b1d, b2d = b1.data.reshape(-1), b2.data.reshape(-1)
+    xn = xhat.reshape(-1, c)
+    # near-equal blocks are over half this long, so mlp2's (block, C)
+    # product, the narrower, has more than BLAS_SMALL_OUTPUTS outputs, as
+    # the whole map's has when there are two blocks or more
+    blocks = row_blocks(len(xn), max(MLP_ROW_BLOCK, 2 * BLAS_SMALL_OUTPUTS // len(w2d) + 1))
+    parents = (x, norm.gamma, norm.beta, w1, b1, w2, b2)
+    dt = np.result_type(xhat, gamma, beta, w1d, b1d)
+
+    def hidden(blk):
+        """a over a block of rows, as the whole product's rows."""
+        a = (gamma * xn[blk] + beta) @ w1d.T
+        a += b1d
+        return a
+
+    # Φ(a) is kept only for an adjoint, in x's leading shape
+    tape = [np.empty(x.shape[:-1] + (hid,), dt)] if any(p.requires_grad for p in parents) else []
+    phi = tape[0].reshape(-1, hid) if tape else None
+    out = np.empty((len(xn), len(w2d)), np.result_type(dt, w2d, b2d))
+    for blk in blocks:
+        a = hidden(blk)
+        cdf = _gelu_cdf(a, out=None if phi is None else phi[blk])
+        # GELU's output, Φ(a) a, over a's buffer
+        np.matmul(np.multiply(cdf, a, out=a), w2d.T, out=out[blk])
+    out += b2d
+    x_shape, w1_shape, b1_shape = x.shape, w1.shape, b1.shape
+    w2_shape, b2_shape = w2.shape, b2.shape
 
     def backward(g):
-        g = g.reshape(-1, wd.shape[0])
-        dw = (g.T @ (gamma * xhat + beta).reshape(-1, c)).reshape(w_shape)
-        return _normalized_adjoint((g @ wd).reshape(x_shape), gamma, xhat, inv) + (
-            dw, g.sum(axis=0).reshape(b_shape))
+        phi = tape.pop().reshape(-1, hid)
+        g = g.reshape(-1, len(w2d))
+        y = np.empty_like(phi)
+        for blk in blocks:
+            a = hidden(blk)
+            slope = _gelu_slope(a, phi[blk])
+            np.multiply(phi[blk], a, out=y[blk])
+            # GELU's output gradient, g by mlp2's weight, over a, then a's
+            # gradient over Φ(a)
+            np.multiply(np.matmul(g[blk], w2d, out=a), slope, out=phi[blk])
+            # before the next block's temporaries are made
+            del a, slope
+        dw2 = (g.T @ y).reshape(w2_shape)
+        del y
+        # phi now holds a's gradient
+        dw1 = (phi.T @ (gamma * xhat + beta).reshape(-1, c)).reshape(w1_shape)
+        db1 = phi.sum(axis=0).reshape(b1_shape)
+        dxn = (phi @ w1d).reshape(x_shape)
+        del phi
+        return _normalized_adjoint(dxn, gamma, xhat, inv) + (
+            dw1, db1, dw2, g.sum(axis=0).reshape(b2_shape))
 
-    return make_op(out.reshape(x_shape[:-1] + b_shape),
-                   (x, norm.gamma, norm.beta, w, b), backward)
+    return make_op(out.reshape(x.shape[:-1] + b2.shape), parents, backward)
 
 
 def row_selection(cols: np.ndarray, n_rows: int, weights, dtype):
@@ -592,14 +682,22 @@ def scatter_rows(g: np.ndarray, cols: np.ndarray, n_rows: int, weights=None) -> 
 
 # rows per block of depthwise_conv3x3's gather, so no whole-map gather is built
 ROW_BLOCK = 1024
+# rows per block of both passes of layer_norm_mlp, so that of its (rows, 4C)
+# arrays only the kept CDF and the adjoint's one buffer are ever whole
+MLP_ROW_BLOCK = 64
+# on AVX-512 machines OpenBLAS takes a product with at most this many outputs
+# and an inner length of 32 or more to its small-matrix kernel, whose sums
+# differ in the last bits from those of the kernel a larger product takes
+BLAS_SMALL_OUTPUTS = 1200
 
 
-def row_blocks(n: int) -> list[slice]:
-    """``ceil(n / ROW_BLOCK)`` slices of near-equal length covering rows
-    0..n in order. Not ROW_BLOCK rows and a short remainder: OpenBLAS takes
-    another path for a few leftover rows, and the products of those rows
-    would not keep the bits of one whole-map product."""
-    nb = max(-(-n // ROW_BLOCK), 1)
+def row_blocks(n: int, size: int | None = None) -> list[slice]:
+    """``ceil(n / size)`` slices of near-equal length covering rows 0..n in
+    order, ``size`` being :data:`ROW_BLOCK` unless given. Not ``size`` rows
+    and a short remainder: OpenBLAS takes another path for a few leftover
+    rows, and the products of those rows would not keep the bits of one
+    whole-map product."""
+    nb = max(-(-n // (size or ROW_BLOCK)), 1)
     edges = [i * n // nb for i in range(nb + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 

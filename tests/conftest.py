@@ -1,12 +1,14 @@
 """Shared builders for degenerate and randomized layer parameters, and the
 plain-numpy oracles the ops are tested against."""
 
+import sys
 import tracemalloc
 import types
 
 import numpy as np
 from scipy import sparse
 
+import sasmamba.tensor as tz
 from sasmamba.errors import DimensionError, DomainError
 from sasmamba.model import ModelConfig, astype_model, forward, init_model
 from sasmamba.sas import NeighborMixParams, SaConvParams, tap_rank
@@ -218,6 +220,11 @@ def captured_bases(obj):
             yield from captured_bases(cell.cell_contents)
 
 
+def op_name(backward):
+    """The op an adjoint belongs to, named as checked mode names it."""
+    return backward.__qualname__.partition(".<locals>")[0]
+
+
 def tape_captures(root):
     """What the adjoint closures reachable from the tensor ``root`` keep.
 
@@ -240,8 +247,43 @@ def tape_captures(root):
                 if id(base) not in seen:
                     seen.add(id(base))
                     bases.append(base)
-            out.append((node.backward.__qualname__.partition(".<locals>")[0], bases))
+            out.append((op_name(node.backward), bases))
     return out
+
+
+def backward_peak(step, monkeypatch):
+    """Run ``step()``, which returns a tensor, and then its backward, under
+    tracemalloc. Returns ``(held, peak, op)``: the bytes traced once the
+    forward is done, the most traced during the backward, and the op whose
+    adjoint ran then. The traced peak is reset at each ``tensor._accumulate``
+    call, so each stretch between two calls is one adjoint's run, after the
+    accumulation of the gradients the one before it returned; the adjoint
+    is read off ``Tensor.backward``'s frame, which calls ``_accumulate``."""
+    accumulate = tz._accumulate
+    worst = [0, "the seed"]
+
+    def reset(nodes, grads, upstream=None):
+        peak = tracemalloc.get_traced_memory()[1]
+        if peak > worst[0]:
+            node = sys._getframe(1).f_locals.get("node")
+            worst[:] = peak, "the seed" if node is None else op_name(node.backward)
+        tracemalloc.reset_peak()
+        accumulate(nodes, grads, upstream)
+
+    tracemalloc.start()
+    try:
+        root = step()
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with monkeypatch.context() as m:
+            m.setattr(tz, "_accumulate", reset)
+            root.backward()
+        last = tracemalloc.get_traced_memory()[1]
+        if last > worst[0]:
+            worst[:] = last, "the last accumulation"
+    finally:
+        tracemalloc.stop()
+    return held, worst[0], worst[1]
 
 
 def traced_peak(fn):

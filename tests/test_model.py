@@ -1,12 +1,11 @@
 """Network assembly: init determinism, forward contracts, accounting."""
 
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import golden_step, tape_captures
+from conftest import backward_peak, golden_step, tape_captures
 
 import sasmamba.sas
 import sasmamba.ssm
@@ -366,30 +365,25 @@ class TestTapeConsumption:
         for name, t in model.named_params():
             assert t.grad is not None and t.grad.shape == t.shape, name
 
-    def test_backward_frees_the_tape_as_it_goes(self):
+    def test_backward_frees_the_tape_as_it_goes(self, monkeypatch):
         # the tape shrinks while gradients grow, so the peak stays near the
         # memory held after the forward (1.280x; 1.263x at PR 29; 1.265x
         # once the tape kept neither the scan's projections nor norm2's
-        # output and nodes adopted the gradients their adjoints made, as the
-        # forward keeping less raises it); a pass that keeps every
-        # node and intermediate gradient until it returns peaks at 2.578x. One
-        # untraced step first: the first call of an op may import a module
-        # (gelu imports scipy.special), which would inflate the memory held
-        # after the forward when this test runs alone
+        # output and nodes adopted the gradients their adjoints made;
+        # 1.274x once norm2 -> mlp2 became one op keeping GELU's CDF alone
+        # and the scan's adjoint wrote x's terms over its upstream
+        # gradient, as the forward keeping less raises it); a pass that
+        # keeps every node and intermediate gradient until it returns peaks
+        # at 2.578x. One untraced step first: the first call of an op may
+        # import a module (GELU imports scipy.special), which would inflate
+        # the memory held after the forward when this test runs alone. On
+        # failure the message names the adjoint that ran at the peak
         cfg = ModelConfig(L=2, D=32, T=27)
         self._step(cfg)[2].backward()
-        tracemalloc.start()
-        try:
-            _, _, loss = self._step(cfg)
-            after_forward = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * after_forward, peak / after_forward
+        held, peak, op = backward_peak(lambda: self._step(cfg)[2], monkeypatch)
+        assert peak <= 1.3 * held, (f"{peak / held:.4f}x", op, f"{peak:,} bytes at the peak")
 
-    def test_backward_transient_stays_at_its_measured_bound(self):
+    def test_backward_transient_stays_at_its_measured_bound(self, monkeypatch):
         # the ratio test's setup, bounded in bytes: a bound on the ratio
         # alone lets an adjoint's transient grow whenever the tape does. The
         # backward's peak above the memory held after the forward measured
@@ -397,33 +391,32 @@ class TestTapeConsumption:
         # samples, 604,438 once the sampling and mixing op rebuilt them one
         # tap at a time and the scan's adjoint took four workspace slots,
         # 548,405-548,437 once the scan's adjoint built its inputs one chunk
-        # at a time, as its forward does, and 484,974-485,006 since a node
-        # adopts a gradient its adjoint made: the MLP's (T, V, 4D) gradients
-        # are no longer copied, and the peak moved to the scan's adjoint
+        # at a time, as its forward does, 484,974-485,006 once a node
+        # adopted a gradient its adjoint made, and 372,094-372,342, through
+        # backward_peak, since norm2 -> mlp2 became one op and the scan's
+        # adjoint writes x's terms over its upstream gradient and its
+        # projections' gradients over the projections, frees its workspace
+        # and each chunk's temporaries before its tail and broadcasts one
+        # operand per product. Its peak is the scan's adjoint
         cfg = ModelConfig(L=2, D=32, T=27)
         self._step(cfg)[2].backward()
-        tracemalloc.start()
-        try:
-            _, _, loss = self._step(cfg)
-            after_forward = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            loss.backward()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak - after_forward <= 485_200, peak - after_forward
+        held, peak, op = backward_peak(lambda: self._step(cfg)[2], monkeypatch)
+        assert peak - held <= 372_600, (f"{peak - held:,} bytes above the forward's", op)
 
     def test_tape_keeps_only_what_adjoints_cannot_rebuild(self):
-        # gelu keeps its slope alone. Sampling and mixing is one op that
+        # norm2 -> mlp1 -> GELU -> mlp2 is one op that keeps x̂, the (T, V, 1)
+        # inverse deviations and GELU's CDF at the hidden pre-activation,
+        # and rebuilds norm2's output, the pre-activation, GELU's slope and
+        # its output; no (T, V, 4D) array is kept by a gelu or linear node.
+        # Sampling and mixing is one op that
         # keeps x and the (T*V, 2) positions of offsets plus grid: its
         # adjoint rebuilds the convolved grid, its row table and low-rank
         # products, and the sampler's corners and weights, so neither a
         # per-tap array, the convolved grid nor an index table is kept.
         # The scan keeps its (T*V, D) input once and gathers it into the S
-        # streams' orders again, and rebuilds its (L, S, 2N+r) projections
+        # streams' orders again, and rebuilds its (R, S, 2N+r) projections
         # and from them its (L, S, D) step sizes and (L, S, N) input and
-        # output vectors. norm2 and mlp1 are one op that keeps x̂ and the
-        # (T, V, 1) inverse deviations and rebuilds norm2's output. The 3x3
+        # output vectors. The 3x3
         # convolutions rebuild their index tables from the grid shape
         cfg = ModelConfig(L=2, D=32, T=27)
         model, _, loss = self._step(cfg)
@@ -432,9 +425,14 @@ class TestTapeConsumption:
         for op, bases in tape_captures(loss):
             kept.setdefault(op, []).append(bases)
         positions = cfg.T * cfg.V
-        assert len(kept["gelu"]) == cfg.L
-        for bases in kept["gelu"]:
-            assert [b.shape for b in bases] == [(cfg.T, cfg.V, cfg.mlp_ratio * cfg.D)]
+        hidden = (cfg.T, cfg.V, cfg.mlp_ratio * cfg.D)
+        for op in ("gelu", "linear"):
+            for bases in kept.get(op, []):
+                assert [b.shape for b in bases if b.shape == hidden] == [], op
+        assert len(kept["layer_norm_mlp"]) == cfg.L
+        for bases in kept["layer_norm_mlp"]:
+            maps = sorted(b.shape for b in bases if id(b) not in params)
+            assert maps == [(cfg.T, cfg.V, 1), (cfg.T, cfg.V, cfg.D), hidden], maps
         assert "bilinear_gather" not in kept
         assert len(kept["NeighborMixParams.apply"]) == cfg.L
         taps = cfg.K ** 2
@@ -456,10 +454,6 @@ class TestTapeConsumption:
             assert [b.shape for b in bases if b.shape == (positions, s_n, cfg.N)] == []
             assert [b.shape for b in bases
                     if b.shape == (positions, s_n, 2 * cfg.N + cfg.dt_rank)] == []
-        assert len(kept["layer_norm_linear"]) == cfg.L
-        for bases in kept["layer_norm_linear"]:
-            maps = sorted(b.shape for b in bases if id(b) not in params)
-            assert maps == [(cfg.T, cfg.V, 1), (cfg.T, cfg.V, cfg.D)], maps
         for op in ("grid_conv3x3", "depthwise_conv3x3"):
             assert len(kept[op]) == cfg.L
             for bases in kept[op]:
@@ -476,12 +470,14 @@ class TestTapeConsumption:
         # the (K*K, T, V, 2) positions; 2,039,824 once the scan kept only the
         # states entering its chunks, not the final one (2,039,680 by this
         # walk); 1,775,552 once the scan made its projections again and
-        # norm2 -> mlp1 rebuilt norm2's output. On failure the message lists
-        # the bytes each op keeps, so a change names the op that grew
+        # norm2 -> mlp1 rebuilt norm2's output; 1,306,560 once norm2 -> mlp2
+        # became one op that keeps GELU's CDF and neither its slope nor its
+        # output. On failure the message lists the bytes each op keeps, so a
+        # change names the op that grew
         cfg = ModelConfig(L=2, D=32, T=27)
         by_op = {}
         for op, bases in tape_captures(self._step(cfg)[2]):
             by_op[op] = by_op.get(op, 0) + sum(b.nbytes for b in bases)
         kept = sum(by_op.values())
-        assert kept <= 1_775_552, (kept, sorted(by_op.items(), key=lambda kv: -kv[1]))
+        assert kept <= 1_306_560, (kept, sorted(by_op.items(), key=lambda kv: -kv[1]))
 

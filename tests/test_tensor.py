@@ -14,11 +14,11 @@ from conftest import (bilinear_by_corners, captured_bases, conv3x3_by_definition
 from sasmamba.checks import OPS
 from sasmamba.errors import (DimensionError, DomainError, GraphConsumedError,
                              NumericError)
-from sasmamba.tensor import (LAYER_NORM_EPS, Conv3x3Params, LinearParams,
-                             NormParams, bilinear_gather, bilinear_vjp, bilinear_weights,
-                             checked_mode, depthwise_conv3x3,
+from sasmamba.tensor import (LAYER_NORM_EPS, MLP_ROW_BLOCK, Conv3x3Params,
+                             LinearParams, NormParams, bilinear_gather, bilinear_vjp,
+                             bilinear_weights, checked_mode, depthwise_conv3x3,
                              finite_diff_check_leaves, gelu, grid_conv3x3,
-                             layer_norm, linear, tensor)
+                             layer_norm, layer_norm_mlp, linear, tensor)
 
 
 def t64(a, grad=False):
@@ -147,6 +147,69 @@ class TestLayerNorm:
         p = NormParams(t64(np.ones(1)), t64(np.zeros(1)))
         with pytest.raises(DimensionError):
             layer_norm(tensor(np.zeros((3, 0))), p)
+
+
+class TestLayerNormMlp:
+    """Each block's norm2 -> mlp1 -> GELU -> mlp2 as one op."""
+
+    @staticmethod
+    def _arrays(rng, grid, c=8, hidden=32):
+        """x over a (T, V) grid and the norm's and both maps' parameters."""
+        return [rng.normal(size=grid + (c,)), 1.0 + 0.2 * rng.normal(size=c),
+                0.2 * rng.normal(size=c), rng.normal(size=(hidden, c)) / 3,
+                0.2 * rng.normal(size=hidden), rng.normal(size=(c, hidden)) / 6,
+                0.2 * rng.normal(size=c)]
+
+    @staticmethod
+    def _call(op, xs):
+        x, g, bt, w1, b1, w2, b2 = xs
+        return op(x, NormParams(g, bt), LinearParams(w1, b1), LinearParams(w2, b2))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    # 459 rows, 129 and 10, none a multiple of the block: at C=32, 7 blocks,
+    # 2 and one; at C=8, whose blocks are longer so that mlp2's products keep
+    # the whole map's kernel, 2 blocks, one and one
+    @pytest.mark.parametrize("grid", [(27, 17), (43, 3), (2, 5)])
+    @pytest.mark.parametrize("c", [8, 32])
+    def test_output_and_gradients_keep_the_four_ops_bits(self, c, grid, dtype):
+        rng = np.random.default_rng(21)
+        arrays = self._arrays(rng, grid, c, 4 * c)
+        seed = rng.normal(size=grid + (arrays[-1].shape[0],)).astype(dtype)
+
+        def run(op):
+            xs = [tensor(a.astype(dtype), requires_grad=True) for a in arrays]
+            y = self._call(op, xs)
+            y.backward(seed)
+            return [y.data] + [t.grad for t in xs]
+
+        def apart(x, norm, lin1, lin2):
+            return linear(gelu(linear(layer_norm(x, norm), lin1)), lin2)
+
+        fused, reference = run(layer_norm_mlp), run(apart)
+        for i, (got, want) in enumerate(zip(fused, reference)):
+            assert got.dtype == want.dtype and got.shape == want.shape, i
+            assert got.tobytes() == want.tobytes(), i
+
+    def test_without_gradients_no_hidden_array_is_whole(self):
+        # at the default layer shape: x̂, the output and a few (block, 4C)
+        # temporaries, where one whole (T*V, 4C) array is four x's
+        rng = np.random.default_rng(22)
+        xs = [tensor(a.astype(np.float32)) for a in self._arrays(rng, (243, 17), 64, 256)]
+        self._call(layer_norm_mlp, xs)   # scipy.special is imported at first use
+        peak = traced_peak(lambda: self._call(layer_norm_mlp, xs))
+        block = MLP_ROW_BLOCK * 256 * 4
+        assert peak <= 2 * xs[0].data.nbytes + 5 * block, peak
+
+    def test_the_tape_gives_up_the_cdf_to_the_adjoint(self):
+        rng = np.random.default_rng(23)
+        xs = [tensor(a, requires_grad=True) for a in self._arrays(rng, (5, 3))]
+        y = self._call(layer_norm_mlp, xs)
+        hidden = (5, 3, xs[3].shape[0])
+        assert [b.shape for b in captured_bases(y._node.backward)
+                if b.shape == hidden] == [hidden]
+        y._node.backward(np.ones(y.shape))
+        assert [b.shape for b in captured_bases(y._node.backward)
+                if b.shape == hidden] == []
 
 
 class TestBilinear:
@@ -439,6 +502,32 @@ class TestTape:
         v.node.accumulate_grad(g32.T.copy().T)
         assert v.grad.flags.c_contiguous and v.grad.dtype == np.float64
         np.testing.assert_array_equal(v.grad, g32)
+
+    @pytest.mark.parametrize("seed", ["caller's", "default", "added to a set gradient"])
+    def test_backward_leaves_the_roots_gradient_as_it_was(self, seed):
+        # the scan's adjoint writes x's terms over a writeable upstream
+        # gradient; a root's, the caller's seed, the default ones or a
+        # gradient the caller set plus the seed, is read-only, so the scan
+        # copies it and the root keeps it
+        fn, draw = OPS["selective_scan"]
+        xs = draw(np.random.default_rng(14))
+        for x in xs:
+            x.requires_grad = True
+        out = fn(*xs)
+        given = np.random.default_rng(15).normal(size=out.shape)
+        kept = given.copy()
+        if seed == "default":
+            out.backward()
+            assert np.all(out.grad == 1.0)
+        elif seed == "caller's":
+            out.backward(given)
+            assert out.grad.tobytes() == kept.tobytes()
+        else:
+            out.grad = np.ones(out.shape)
+            out.backward(given)
+            assert out.grad.tobytes() == (kept + 1.0).tobytes()
+        assert given.tobytes() == kept.tobytes()
+        assert not out.grad.flags.writeable
 
     def test_second_backward_raises(self):
         x = t64([2.0, 3.0], grad=True)
